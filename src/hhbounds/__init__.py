@@ -46,7 +46,7 @@ from .core import (
     polynomial,
 )
 from .identity import identity_lhs, identity_residual, identity_rhs
-from .kernel import KernelMoments, lp_norm_integral, peak_kernel, weighted_moment
+from .kernel import lp_norm_integral, peak_kernel, weighted_moment
 from .means import (
     MeanKind,
     all_means,

@@ -2,14 +2,13 @@
 
 Three second-derivative bounds (arithmetic mean, Hoelder, power mean) plus
 the older first-derivative baselines they are compared against.  All take
-endpoint derivative magnitudes as plain numbers so the same formulas serve
-the special-means inequalities; ``*_for`` wrappers evaluate them from a
-TestFunction.
+endpoint derivative magnitudes as plain numbers, so the same formulas serve
+the bound table in ``suites`` and the special-means inequalities.
 """
 
 from __future__ import annotations
 
-from .core import ConjugatePair, DomainError, Interval, TestFunction
+from .core import ConjugatePair, DomainError, Interval
 
 
 def power_mean(x: float, y: float, q: float) -> float:
@@ -31,9 +30,23 @@ def power_mean(x: float, y: float, q: float) -> float:
     return m * (0.5 * (1.0 + r ** q)) ** (1.0 / q)
 
 
-def _check_nonneg(d2a: float, d2b: float) -> None:
-    if d2a < 0.0 or d2b < 0.0:
-        raise DomainError(f"endpoint |f''| values must be nonnegative, got ({d2a}, {d2b})")
+def _check_nonneg(va: float, vb: float) -> None:
+    if va < 0.0 or vb < 0.0:
+        raise DomainError(f"endpoint derivative magnitudes must be nonnegative, got ({va}, {vb})")
+
+
+def _prefactor_24(iv: Interval) -> float:
+    """(b-a)^2/24, the prefactor of the mean, power-mean and max bounds."""
+    return iv.width * iv.width / 24.0
+
+
+def _holder_denominator(p: float) -> float:
+    return 8.0 * (2.0 * p + 1.0) ** (1.0 / p)
+
+
+def _prefactor_holder(iv: Interval, pq: ConjugatePair) -> float:
+    """(b-a)^2 / (8 (2p+1)^(1/p)), the prefactor of the Hoelder bounds."""
+    return iv.width * iv.width / _holder_denominator(pq.p)
 
 
 def bound_convex_q1(iv: Interval, d2a: float, d2b: float) -> float:
@@ -43,7 +56,7 @@ def bound_convex_q1(iv: Interval, d2a: float, d2b: float) -> float:
     with linear f'' of constant sign (quadratics, one-signed cubics).
     """
     _check_nonneg(d2a, d2b)
-    return iv.width * iv.width / 24.0 * (0.5 * (d2a + d2b))
+    return _prefactor_24(iv) * (0.5 * (d2a + d2b))
 
 
 def bound_convex_holder(iv: Interval, d2a: float, d2b: float, pq: ConjugatePair) -> float:
@@ -52,8 +65,7 @@ def bound_convex_holder(iv: Interval, d2a: float, d2b: float, pq: ConjugatePair)
     The Hoelder route; valid when |f''|^q is convex, q > 1.
     """
     _check_nonneg(d2a, d2b)
-    prefactor = iv.width * iv.width / (8.0 * (2.0 * pq.p + 1.0) ** (1.0 / pq.p))
-    return prefactor * power_mean(d2a, d2b, pq.q)
+    return _prefactor_holder(iv, pq) * power_mean(d2a, d2b, pq.q)
 
 
 def bound_convex_powermean(iv: Interval, d2a: float, d2b: float, q: float) -> float:
@@ -67,7 +79,7 @@ def bound_convex_powermean(iv: Interval, d2a: float, d2b: float, q: float) -> fl
     if q == 1.0:
         return bound_convex_q1(iv, d2a, d2b)
     _check_nonneg(d2a, d2b)
-    return iv.width * iv.width / 24.0 * power_mean(d2a, d2b, q)
+    return _prefactor_24(iv) * power_mean(d2a, d2b, q)
 
 
 def baseline_first_derivative(iv: Interval, d1a: float, d1b: float, q: float = 1.0) -> float:
@@ -91,21 +103,5 @@ def constant_comparison(p: float) -> tuple[float, float, bool]:
     if not p > 1.0:
         raise DomainError(f"comparison needs p > 1, got {p}")
     lhs = 1.0 / 24.0
-    rhs = 1.0 / (8.0 * (2.0 * p + 1.0) ** (1.0 / p))
+    rhs = 1.0 / _holder_denominator(p)
     return lhs, rhs, lhs < rhs
-
-
-def bound_convex_q1_for(fn: TestFunction, iv: Interval) -> float:
-    return bound_convex_q1(iv, abs(fn.d2(iv.a)), abs(fn.d2(iv.b)))
-
-
-def bound_convex_holder_for(fn: TestFunction, iv: Interval, pq: ConjugatePair) -> float:
-    return bound_convex_holder(iv, abs(fn.d2(iv.a)), abs(fn.d2(iv.b)), pq)
-
-
-def bound_convex_powermean_for(fn: TestFunction, iv: Interval, q: float) -> float:
-    return bound_convex_powermean(iv, abs(fn.d2(iv.a)), abs(fn.d2(iv.b)), q)
-
-
-def baseline_first_derivative_for(fn: TestFunction, iv: Interval, q: float = 1.0) -> float:
-    return baseline_first_derivative(iv, abs(fn.d1(iv.a)), abs(fn.d1(iv.b)), q)

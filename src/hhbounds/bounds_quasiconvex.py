@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .core import ConjugatePair, DomainError, HypothesisError, Interval, TestFunction
+from .bounds_convex import _check_nonneg, _prefactor_24, _prefactor_holder
+from .core import ConjugatePair, DomainError, HypothesisError, Interval
 
 
 class Monotonicity(Enum):
@@ -18,18 +19,13 @@ class Monotonicity(Enum):
     DECREASING = "decreasing"
 
 
-def _check_nonneg(d2a: float, d2b: float) -> None:
-    if d2a < 0.0 or d2b < 0.0:
-        raise DomainError(f"endpoint |f''| values must be nonnegative, got ({d2a}, {d2b})")
-
-
 def bound_quasi_q1(iv: Interval, d2a: float, d2b: float) -> float:
     """(b-a)^2/24 times the larger endpoint |f''|; needs quasi-convex |f''|."""
     _check_nonneg(d2a, d2b)
-    return iv.width * iv.width / 24.0 * max(d2a, d2b)
+    return _prefactor_24(iv) * max(d2a, d2b)
 
 
-def bound_quasi_monotone(iv: Interval, fn: TestFunction,
+def bound_quasi_monotone(iv: Interval, d2a: float, d2b: float,
                          direction: Monotonicity) -> float:
     """Corollary for monotone |f''|: the relevant endpoint alone bounds the gap.
 
@@ -38,25 +34,23 @@ def bound_quasi_monotone(iv: Interval, fn: TestFunction,
     direction; full-interval monotonicity is the caller's (oracle-level)
     responsibility.
     """
-    d2a = abs(fn.d2(iv.a))
-    d2b = abs(fn.d2(iv.b))
+    _check_nonneg(d2a, d2b)
     tol = 1e-12 * max(1.0, d2a, d2b)
     if direction is Monotonicity.INCREASING:
         if d2a > d2b + tol:
             raise HypothesisError(
                 f"|f''| not increasing on [{iv.a}, {iv.b}]: {d2a} > {d2b} at the endpoints")
-        return iv.width * iv.width / 24.0 * d2b
+        return _prefactor_24(iv) * d2b
     if d2b > d2a + tol:
         raise HypothesisError(
             f"|f''| not decreasing on [{iv.a}, {iv.b}]: {d2a} < {d2b} at the endpoints")
-    return iv.width * iv.width / 24.0 * d2a
+    return _prefactor_24(iv) * d2a
 
 
 def bound_quasi_holder(iv: Interval, d2a: float, d2b: float, pq: ConjugatePair) -> float:
     """(b-a)^2 / (8 (2p+1)^(1/p)) times the larger endpoint |f''|."""
     _check_nonneg(d2a, d2b)
-    prefactor = iv.width * iv.width / (8.0 * (2.0 * pq.p + 1.0) ** (1.0 / pq.p))
-    return prefactor * max(d2a, d2b)
+    return _prefactor_holder(iv, pq) * max(d2a, d2b)
 
 
 def bound_quasi_powermean(iv: Interval, d2a: float, d2b: float, q: float) -> float:
@@ -67,17 +61,4 @@ def bound_quasi_powermean(iv: Interval, d2a: float, d2b: float, q: float) -> flo
     """
     if q < 1.0:
         raise DomainError(f"power-mean bound needs q >= 1, got {q}")
-    _check_nonneg(d2a, d2b)
-    return iv.width * iv.width / 24.0 * max(d2a, d2b)
-
-
-def bound_quasi_q1_for(fn: TestFunction, iv: Interval) -> float:
-    return bound_quasi_q1(iv, abs(fn.d2(iv.a)), abs(fn.d2(iv.b)))
-
-
-def bound_quasi_holder_for(fn: TestFunction, iv: Interval, pq: ConjugatePair) -> float:
-    return bound_quasi_holder(iv, abs(fn.d2(iv.a)), abs(fn.d2(iv.b)), pq)
-
-
-def bound_quasi_powermean_for(fn: TestFunction, iv: Interval, q: float) -> float:
-    return bound_quasi_powermean(iv, abs(fn.d2(iv.a)), abs(fn.d2(iv.b)), q)
+    return bound_quasi_q1(iv, d2a, d2b)

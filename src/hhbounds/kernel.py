@@ -9,8 +9,6 @@ constant in the bound formulas: the L1 mass 1/12, the Lp mass
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import DomainError
 
 
@@ -42,17 +40,3 @@ def weighted_moment() -> float:
     the two sum to the L1 mass 1/12.
     """
     return 1.0 / 24.0
-
-
-@dataclass(frozen=True)
-class KernelMoments:
-    """The kernel moments in closed form."""
-
-    l1: float = 1.0 / 12.0
-    t_moment: float = 1.0 / 24.0
-
-    def lp(self, p: float) -> float:
-        return lp_norm_integral(p)
-
-
-MOMENTS = KernelMoments()

@@ -4,7 +4,8 @@ The toolkit covers the arithmetic, geometric, harmonic, logarithmic,
 identric and p-logarithmic means (the last with L_{-1} = L and L_0 = I as
 limits), the chain H <= G <= L <= I <= A, and checkable inequalities for
 the gaps |L_n^n - A^n|, |1/L - 1/A| and ln(A/I) generated by x^n, 1/x and
--ln x.
+-ln x.  Each inequality is one of the bound formulas applied to its
+generator's endpoint |f''| values: |n(n-1)| x^(n-2), 2/x^3 and 1/x^2.
 
 Two of these constants are easy to get wrong, so the checkers pin them
 down numerically:
@@ -20,9 +21,10 @@ down numerically:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
+from .bounds_convex import bound_convex_holder, bound_convex_powermean, bound_convex_q1
+from .bounds_quasiconvex import bound_quasi_holder, bound_quasi_powermean
 from .core import (
     BoundReport,
     ConjugatePair,
@@ -46,12 +48,6 @@ class MeanKind(str, Enum):
     HARMONIC = "H"
     LOGARITHMIC = "L"
     IDENTRIC = "I"
-
-
-@dataclass(frozen=True)
-class MeanValue:
-    kind: str
-    value: float
 
 
 def _validate(a: float, b: float) -> None:
@@ -126,13 +122,9 @@ def mean(kind: MeanKind | str, a: float, b: float) -> float:
     return identric_mean(a, b)
 
 
-def mean_values(a: float, b: float) -> tuple[MeanValue, ...]:
-    """All five named means of (a, b); each lies between min and max."""
-    return tuple(MeanValue(k.value, mean(k, a, b)) for k in MeanKind)
-
-
 def all_means(a: float, b: float) -> dict[str, float]:
-    return {mv.kind: mv.value for mv in mean_values(a, b)}
+    """All five named means of (a, b), keyed by kind; each lies between min and max."""
+    return {k.value: mean(k, a, b) for k in MeanKind}
 
 
 def chain_check(a: float, b: float, tol: float = 1e-12) -> bool:
@@ -189,11 +181,10 @@ def check_prop_monomial_q1(a: float, b: float, n: int) -> BoundReport:
     nn = _monomial_coefficient(n)
     n = int(n)
     gap = _monomial_gap(a, b, n)
-    endpoint_mean = arithmetic_mean(a ** (n - 2), b ** (n - 2))
-    corrected = nn * iv.width * iv.width * endpoint_mean / 24.0
-    literal = nn * iv.width * iv.width * endpoint_mean / 48.0
+    bound = bound_convex_q1(iv, nn * a ** (n - 2), nn * b ** (n - 2))
+    literal = bound / 2.0  # the uncorrected (b-a)^2/48 constant
     return BoundReport.from_values(
-        TheoremId.PROP_MONOMIAL_Q1, f"x^{n}", iv, corrected, gap,
+        TheoremId.PROP_MONOMIAL_Q1, f"x^{n}", iv, bound, gap,
         extras={"literal_bound": literal, "literal_valid": literal >= gap},
     )
 
@@ -202,10 +193,7 @@ def check_prop_identric(a: float, b: float, pq: ConjugatePair) -> BoundReport:
     """ln(A/I) <= (b-a)^2/(8 a^2 b^2 (2p+1)^(1/p)) * A(a^2q, b^2q)^(1/q)."""
     iv = _validate_ordered(a, b)
     gap = math.log(arithmetic_mean(a, b) / identric_mean(a, b))
-    amean = arithmetic_mean(a ** (2.0 * pq.q), b ** (2.0 * pq.q))
-    prefactor = iv.width * iv.width / (
-        8.0 * a * a * b * b * (2.0 * pq.p + 1.0) ** (1.0 / pq.p))
-    bound = prefactor * amean ** (1.0 / pq.q)
+    bound = bound_convex_holder(iv, 1.0 / (a * a), 1.0 / (b * b), pq)
     return BoundReport.from_values(
         TheoremId.PROP_IDENTRIC, "-ln(x)", iv, bound, gap, exponent=pq)
 
@@ -218,8 +206,7 @@ def check_prop_monomial_pm(a: float, b: float, n: int, q: float) -> BoundReport:
     nn = _monomial_coefficient(n)
     n = int(n)
     gap = _monomial_gap(a, b, n)
-    amean = arithmetic_mean(a ** (q * (n - 2)), b ** (q * (n - 2)))
-    bound = nn * iv.width * iv.width / 24.0 * amean ** (1.0 / q)
+    bound = bound_convex_powermean(iv, nn * a ** (n - 2), nn * b ** (n - 2), q)
     return BoundReport.from_values(
         TheoremId.PROP_MONOMIAL_PM, f"x^{n}", iv, bound, gap, exponent=q)
 
@@ -230,9 +217,7 @@ def check_prop_reciprocal_pm(a: float, b: float, q: float) -> BoundReport:
     if not q > 1.0:
         raise DomainError(f"needs q > 1, got {q}")
     gap = abs(1.0 / logarithmic_mean(a, b) - 1.0 / arithmetic_mean(a, b))
-    bound = (iv.width * iv.width / 24.0
-             * 2.0 ** ((q - 1.0) / q) / (a ** 3 * b ** 3)
-             * (a ** (3.0 * q) + b ** (3.0 * q)) ** (1.0 / q))
+    bound = bound_convex_powermean(iv, 2.0 / a ** 3, 2.0 / b ** 3, q)
     return BoundReport.from_values(
         TheoremId.PROP_RECIPROCAL_PM, "1/x", iv, bound, gap, exponent=q)
 
@@ -240,10 +225,8 @@ def check_prop_reciprocal_pm(a: float, b: float, q: float) -> BoundReport:
 def check_prop_reciprocal_quasi(a: float, b: float, q: float = 1.0) -> BoundReport:
     """|1/L - 1/A| <= (b-a)^2/24 * max(2/a^3, 2/b^3); independent of q >= 1."""
     iv = _validate_ordered(a, b)
-    if q < 1.0:
-        raise DomainError(f"needs q >= 1, got {q}")
     gap = abs(1.0 / logarithmic_mean(a, b) - 1.0 / arithmetic_mean(a, b))
-    bound = iv.width * iv.width / 24.0 * max(2.0 / a ** 3, 2.0 / b ** 3)
+    bound = bound_quasi_powermean(iv, 2.0 / a ** 3, 2.0 / b ** 3, q)
     return BoundReport.from_values(
         TheoremId.PROP_RECIPROCAL_QUASI, "1/x", iv, bound, gap, exponent=q)
 
@@ -254,7 +237,6 @@ def check_prop_monomial_quasi(a: float, b: float, n: int, pq: ConjugatePair) -> 
     nn = _monomial_coefficient(n)
     n = int(n)
     gap = _monomial_gap(a, b, n)
-    prefactor = iv.width * iv.width / (8.0 * (2.0 * pq.p + 1.0) ** (1.0 / pq.p))
-    bound = nn * prefactor * max(a ** (n - 2), b ** (n - 2))
+    bound = bound_quasi_holder(iv, nn * a ** (n - 2), nn * b ** (n - 2), pq)
     return BoundReport.from_values(
         TheoremId.PROP_MONOMIAL_QUASI, f"x^{n}", iv, bound, gap, exponent=pq)

@@ -9,7 +9,10 @@ bound families pass means slack >= -1e-9; for the identity sweep it means
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from enum import Enum
+from types import ModuleType
 
 from . import bounds_convex as bc
 from . import bounds_quasiconvex as bq
@@ -117,48 +120,82 @@ def identity_suite(cases: int, seed: int, catalog: list[TestFunction] | None = N
     return lines
 
 
-def convex_suite(cases: int, seed: int,
-                 catalog: list[TestFunction] | None = None) -> list[CheckLine]:
-    """Validity sweep of the convex-|f''| bounds and the |f'| baselines.
+@dataclass(frozen=True)
+class Hypothesis:
+    """A class for the magnitude of one derivative (a TestFunction attribute);
+    a bound under it aggregates that derivative's endpoint magnitudes.
 
-    Only functions whose |f''| passes the convexity sampler on their window
-    take part (convexity restricts to subintervals, so the window check
-    covers every case).  Convex nonnegative |f'| stays convex under any
-    power q >= 1, so one |f'| check gates both baselines.
+    ``check`` samples the class on an interval; it looks the oracle function
+    up when called, so a replaced module attribute is the one that runs.
     """
-    catalog = catalog if catalog is not None else builtin_catalog()
-    rng = SplitMix64(seed ^ _SALT["convex"])
-    eligible = [fn for fn in catalog if check_convex_abs_d2(fn, fn.window)]
-    baseline_ok = {
-        fn.id: midpoint_convexity_holds(lambda x: abs(fn.d1(x)), fn.window)
-        for fn in eligible
-    }
-    lines = []
-    for fn in eligible:
-        for iv in _case_intervals(fn, cases, rng):
-            q_holder = rng.uniform(1.25, 4.0)
-            q_pm = rng.uniform(1.0, 4.0)
-            q_base = rng.uniform(1.0, 4.0)
-            gap = midpoint_gap(fn, iv, GAP_TOL)
-            d2a, d2b = abs(fn.d2(iv.a)), abs(fn.d2(iv.b))
-            pair = ConjugatePair.from_q(q_holder)
-            checks = [
-                (TheoremId.CONVEX_Q1, bc.bound_convex_q1(iv, d2a, d2b)),
-                (TheoremId.CONVEX_HOLDER, bc.bound_convex_holder(iv, d2a, d2b, pair)),
-                (TheoremId.CONVEX_PM, bc.bound_convex_powermean(iv, d2a, d2b, q_pm)),
-            ]
-            if baseline_ok[fn.id]:
-                d1a, d1b = abs(fn.d1(iv.a)), abs(fn.d1(iv.b))
-                checks.append((TheoremId.BASELINE_Q1,
-                               bc.baseline_first_derivative(iv, d1a, d1b, 1.0)))
-                checks.append((TheoremId.BASELINE_PM,
-                               bc.baseline_first_derivative(iv, d1a, d1b, q_base)))
-            for theorem, bound in checks:
-                slack = bound - gap
-                lines.append(CheckLine(
-                    suite="convex", function=fn.id, interval=iv, theorem=theorem.value,
-                    bound=bound, gap=gap, slack=slack, passed=slack >= -SLACK_TOL))
-    return lines
+
+    derivative: str
+    magnitude: str
+    kind: str
+    check: Callable[[TestFunction, Interval], bool]
+
+
+CONVEX_D2 = Hypothesis("d2", "|f''|", "convex",
+                       lambda fn, iv: check_convex_abs_d2(fn, iv))
+QUASICONVEX_D2 = Hypothesis("d2", "|f''|", "quasi-convex",
+                            lambda fn, iv: check_quasiconvex_abs_d2(fn, iv))
+CONVEX_D1 = Hypothesis("d1", "|f'|", "convex",
+                       lambda fn, iv: midpoint_convexity_holds(lambda x: abs(fn.d1(x)), iv))
+
+
+class Exponent(Enum):
+    """How a bound's exponent is chosen; its formula takes it as a fourth argument."""
+
+    NONE = "none"
+    PAIR = "conjugate pair (p, q), default (2, 2)"
+    Q = "q >= 1, default 2"
+    DIRECTION = "sampled monotone direction of |f''|"
+
+
+@dataclass(frozen=True)
+class BoundRow:
+    """One bound theorem: hypothesis, formula and exponent.
+
+    The formula is ``module.<formula>``, looked up when called, applied to
+    the interval and the endpoint magnitudes of the hypothesis's derivative.
+    ``draw`` is the range the sweep draws q from for PAIR and Q exponents.
+    """
+
+    theorem: TheoremId
+    hypothesis: Hypothesis
+    module: ModuleType
+    formula: str
+    exponent: Exponent = Exponent.NONE
+    draw: tuple[float, float] | None = None
+
+
+#: the bound theorems, grouped by sweep in output order; a function joins a
+#: sweep when its window passes the first row's hypothesis
+SWEEPS: dict[str, tuple[BoundRow, ...]] = {
+    "convex": (
+        BoundRow(TheoremId.CONVEX_Q1, CONVEX_D2, bc, "bound_convex_q1"),
+        BoundRow(TheoremId.CONVEX_HOLDER, CONVEX_D2, bc, "bound_convex_holder",
+                 Exponent.PAIR, (1.25, 4.0)),
+        BoundRow(TheoremId.CONVEX_PM, CONVEX_D2, bc, "bound_convex_powermean",
+                 Exponent.Q, (1.0, 4.0)),
+        BoundRow(TheoremId.BASELINE_Q1, CONVEX_D1, bc, "baseline_first_derivative"),
+        BoundRow(TheoremId.BASELINE_PM, CONVEX_D1, bc, "baseline_first_derivative",
+                 Exponent.Q, (1.0, 4.0)),
+    ),
+    "quasiconvex": (
+        BoundRow(TheoremId.QUASI_Q1, QUASICONVEX_D2, bq, "bound_quasi_q1"),
+        BoundRow(TheoremId.QUASI_HOLDER, QUASICONVEX_D2, bq, "bound_quasi_holder",
+                 Exponent.PAIR, (1.25, 4.0)),
+        BoundRow(TheoremId.QUASI_PM, QUASICONVEX_D2, bq, "bound_quasi_powermean",
+                 Exponent.Q, (1.0, 4.0)),
+        BoundRow(TheoremId.QUASI_MONOTONE, QUASICONVEX_D2, bq, "bound_quasi_monotone",
+                 Exponent.DIRECTION),
+    ),
+}
+
+BOUND_ROWS = {row.theorem: row for rows in SWEEPS.values() for row in rows}
+
+BOUND_THEOREMS = tuple(sorted(t.value for t in BOUND_ROWS))
 
 
 def monotone_direction(fn: TestFunction, iv: Interval,
@@ -174,35 +211,76 @@ def monotone_direction(fn: TestFunction, iv: Interval,
     return None
 
 
-def quasiconvex_suite(cases: int, seed: int,
-                      catalog: list[TestFunction] | None = None) -> list[CheckLine]:
-    """Validity sweep of the quasi-convex-|f''| bounds and the monotone corollary."""
+def _resolve_pair(q: float | None, p: float | None) -> ConjugatePair:
+    if q is None and p is None:
+        return ConjugatePair(2.0, 2.0)
+    if q is not None and p is not None:
+        return ConjugatePair(p, q)
+    if q is not None:
+        return ConjugatePair.from_q(q)
+    return ConjugatePair.from_p(p)
+
+
+def _exponent(row: BoundRow, fn: TestFunction, iv: Interval,
+              q: float | None, p: float | None):
+    """The row's exponent from q and p, or their defaults when both are None;
+    for DIRECTION, the sampled direction, None when mixed."""
+    if row.exponent is Exponent.PAIR:
+        return _resolve_pair(q, p)
+    if row.exponent is Exponent.Q:
+        return 2.0 if q is None else q
+    if row.exponent is Exponent.DIRECTION:
+        return monotone_direction(fn, iv)
+    return None
+
+
+def _bound(row: BoundRow, fn: TestFunction, iv: Interval, exponent,
+           endpoints: dict) -> float:
+    """The row's formula on iv; ``endpoints`` caches each derivative's
+    endpoint magnitudes on iv, so each is evaluated once per interval."""
+    d = row.hypothesis.derivative
+    if d not in endpoints:
+        ev = getattr(fn, d)
+        endpoints[d] = (abs(ev(iv.a)), abs(ev(iv.b)))
+    args = endpoints[d] if row.exponent is Exponent.NONE else (*endpoints[d], exponent)
+    return getattr(row.module, row.formula)(iv, *args)
+
+
+def bound_suite(name: str, cases: int, seed: int,
+                catalog: list[TestFunction] | None = None) -> list[CheckLine]:
+    """Validity sweep of the bound rows of ``SWEEPS[name]``.
+
+    A row's hypothesis is checked once, on the function's window: the
+    classes restrict to subintervals (and convex nonnegative |f'| stays
+    convex under any power q >= 1, so one |f'| check serves both
+    baselines).  The monotone row is left out where |f''| is sampled as
+    mixed.  Each row's q is drawn on every interval, even for a row left out.
+    """
+    rows = SWEEPS[name]
     catalog = catalog if catalog is not None else builtin_catalog()
-    rng = SplitMix64(seed ^ _SALT["quasiconvex"])
-    eligible = [fn for fn in catalog if check_quasiconvex_abs_d2(fn, fn.window)]
+    rng = SplitMix64(seed ^ _SALT[name])
     lines = []
-    for fn in eligible:
+    for fn in catalog:
+        first = rows[0].hypothesis
+        if not first.check(fn, fn.window):
+            continue
+        holds = {h: h is first or h.check(fn, fn.window)
+                 for h in dict.fromkeys(row.hypothesis for row in rows)}
         for iv in _case_intervals(fn, cases, rng):
-            q_holder = rng.uniform(1.25, 4.0)
-            q_pm = rng.uniform(1.0, 4.0)
+            qs = [None if row.draw is None else rng.uniform(*row.draw) for row in rows]
             gap = midpoint_gap(fn, iv, GAP_TOL)
-            d2a, d2b = abs(fn.d2(iv.a)), abs(fn.d2(iv.b))
-            pair = ConjugatePair.from_q(q_holder)
-            checks = [
-                (TheoremId.QUASI_Q1, bq.bound_quasi_q1(iv, d2a, d2b)),
-                (TheoremId.QUASI_HOLDER, bq.bound_quasi_holder(iv, d2a, d2b, pair)),
-                (TheoremId.QUASI_PM, bq.bound_quasi_powermean(iv, d2a, d2b, q_pm)),
-            ]
-            direction = monotone_direction(fn, iv)
-            if direction is not None:
-                checks.append((TheoremId.QUASI_MONOTONE,
-                               bq.bound_quasi_monotone(iv, fn, direction)))
-            for theorem, bound in checks:
+            endpoints: dict = {}
+            for row, q in zip(rows, qs):
+                if not holds[row.hypothesis]:
+                    continue
+                exponent = _exponent(row, fn, iv, q, None)
+                if row.exponent is Exponent.DIRECTION and exponent is None:
+                    continue
+                bound = _bound(row, fn, iv, exponent, endpoints)
                 slack = bound - gap
                 lines.append(CheckLine(
-                    suite="quasiconvex", function=fn.id, interval=iv,
-                    theorem=theorem.value, bound=bound, gap=gap, slack=slack,
-                    passed=slack >= -SLACK_TOL))
+                    suite=name, function=fn.id, interval=iv, theorem=row.theorem.value,
+                    bound=bound, gap=gap, slack=slack, passed=slack >= -SLACK_TOL))
     return lines
 
 
@@ -251,10 +329,8 @@ def run_suite(name: str, cases: int, seed: int) -> list[CheckLine]:
         raise DomainError(f"need at least one case, got {cases}")
     if name == "identity":
         return identity_suite(cases, seed)
-    if name == "convex":
-        return convex_suite(cases, seed)
-    if name == "quasiconvex":
-        return quasiconvex_suite(cases, seed)
+    if name in SWEEPS:
+        return bound_suite(name, cases, seed)
     if name == "means":
         return means_suite(cases, seed)
     lines = []
@@ -264,25 +340,6 @@ def run_suite(name: str, cases: int, seed: int) -> list[CheckLine]:
 
 
 # --- single bound reports (CLI `bound` command) ---------------------------
-
-_CONVEX_THEOREMS = {TheoremId.CONVEX_Q1, TheoremId.CONVEX_HOLDER, TheoremId.CONVEX_PM}
-_QUASI_THEOREMS = {TheoremId.QUASI_Q1, TheoremId.QUASI_MONOTONE,
-                   TheoremId.QUASI_HOLDER, TheoremId.QUASI_PM}
-_BASELINE_THEOREMS = {TheoremId.BASELINE_Q1, TheoremId.BASELINE_PM}
-
-BOUND_THEOREMS = tuple(sorted(
-    t.value for t in (_CONVEX_THEOREMS | _QUASI_THEOREMS | _BASELINE_THEOREMS)))
-
-
-def _resolve_pair(q: float | None, p: float | None) -> ConjugatePair:
-    if q is None and p is None:
-        return ConjugatePair(2.0, 2.0)
-    if q is not None and p is not None:
-        return ConjugatePair(p, q)
-    if q is not None:
-        return ConjugatePair.from_q(q)
-    return ConjugatePair.from_p(p)
-
 
 def build_bound_report(fn: TestFunction, iv: Interval, theorem: str,
                        q: float | None = None, p: float | None = None,
@@ -297,51 +354,22 @@ def build_bound_report(fn: TestFunction, iv: Interval, theorem: str,
         tid = TheoremId(theorem)
     except ValueError:
         raise DomainError(f"unknown theorem {theorem!r}") from None
-    if tid not in _CONVEX_THEOREMS | _QUASI_THEOREMS | _BASELINE_THEOREMS:
+    row = BOUND_ROWS.get(tid)
+    if row is None:
         raise DomainError(f"{theorem!r} is not a bound theorem")
     if not fn.defined_on(iv):
         raise DomainError(f"[{iv.a}, {iv.b}] is outside the domain of {fn.id!r}")
 
-    if tid in _CONVEX_THEOREMS and not check_convex_abs_d2(fn, iv):
-        raise HypothesisError(f"class check failed: |f''| of {fn.id!r} is not convex on the interval")
-    if tid in _QUASI_THEOREMS and not check_quasiconvex_abs_d2(fn, iv):
-        raise HypothesisError(f"class check failed: |f''| of {fn.id!r} is not quasi-convex on the interval")
-    if tid in _BASELINE_THEOREMS and not midpoint_convexity_holds(
-            lambda x: abs(fn.d1(x)), iv):
-        raise HypothesisError(f"class check failed: |f'| of {fn.id!r} is not convex on the interval")
-
-    d2a, d2b = abs(fn.d2(iv.a)), abs(fn.d2(iv.b))
-    exponent: ConjugatePair | float | None = None
-    if tid is TheoremId.CONVEX_Q1:
-        bound = bc.bound_convex_q1(iv, d2a, d2b)
-    elif tid is TheoremId.CONVEX_HOLDER:
-        pair = _resolve_pair(q, p)
-        bound = bc.bound_convex_holder(iv, d2a, d2b, pair)
-        exponent = pair
-    elif tid is TheoremId.CONVEX_PM:
-        exponent = 2.0 if q is None else q
-        bound = bc.bound_convex_powermean(iv, d2a, d2b, exponent)
-    elif tid is TheoremId.QUASI_Q1:
-        bound = bq.bound_quasi_q1(iv, d2a, d2b)
-    elif tid is TheoremId.QUASI_MONOTONE:
-        direction = monotone_direction(fn, iv)
-        if direction is None:
-            raise HypothesisError(f"class check failed: |f''| of {fn.id!r} is not monotone on the interval")
-        bound = bq.bound_quasi_monotone(iv, fn, direction)
-    elif tid is TheoremId.QUASI_HOLDER:
-        pair = _resolve_pair(q, p)
-        bound = bq.bound_quasi_holder(iv, d2a, d2b, pair)
-        exponent = pair
-    elif tid is TheoremId.QUASI_PM:
-        exponent = 2.0 if q is None else q
-        bound = bq.bound_quasi_powermean(iv, d2a, d2b, exponent)
-    else:
-        d1a, d1b = abs(fn.d1(iv.a)), abs(fn.d1(iv.b))
-        if tid is TheoremId.BASELINE_Q1:
-            bound = bc.baseline_first_derivative(iv, d1a, d1b, 1.0)
-        else:
-            exponent = 2.0 if q is None else q
-            bound = bc.baseline_first_derivative(iv, d1a, d1b, exponent)
-
+    hyp = row.hypothesis
+    if not hyp.check(fn, iv):
+        raise HypothesisError(f"class check failed: {hyp.magnitude} of {fn.id!r} "
+                              f"is not {hyp.kind} on the interval")
+    exponent = _exponent(row, fn, iv, q, p)
+    if row.exponent is Exponent.DIRECTION and exponent is None:
+        raise HypothesisError(
+            f"class check failed: |f''| of {fn.id!r} is not monotone on the interval")
+    bound = _bound(row, fn, iv, exponent, {})
     gap = midpoint_gap(fn, iv, gap_tol)
+    if row.exponent is Exponent.DIRECTION:
+        exponent = None  # a report's exponent is numeric; the direction is not kept
     return BoundReport.from_values(tid, fn.id, iv, bound, gap, exponent=exponent)

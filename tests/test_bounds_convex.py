@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 from hhbounds.bounds_convex import (
     baseline_first_derivative,
     bound_convex_holder,
-    bound_convex_holder_for,
     bound_convex_powermean,
     bound_convex_q1,
-    bound_convex_q1_for,
     constant_comparison,
     power_mean,
 )
@@ -148,10 +146,3 @@ class TestConstantComparison:
     def test_holds_for_all_p(self, p):
         assert constant_comparison(p)[2]
 
-
-class TestWrappers:
-    def test_wrappers_match_plain_formulas(self, by_id):
-        fn = by_id["x2"]
-        assert bound_convex_q1_for(fn, UNIT) == bound_convex_q1(UNIT, 2.0, 2.0)
-        assert bound_convex_holder_for(fn, UNIT, PQ2) == bound_convex_holder(
-            UNIT, 2.0, 2.0, PQ2)

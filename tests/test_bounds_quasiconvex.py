@@ -9,7 +9,6 @@ from hhbounds.bounds_quasiconvex import (
     bound_quasi_monotone,
     bound_quasi_powermean,
     bound_quasi_q1,
-    bound_quasi_q1_for,
 )
 from hhbounds.core import ConjugatePair, DomainError, HypothesisError, Interval
 
@@ -42,31 +41,37 @@ class TestEndpointSupBound:
 
 
 class TestMonotoneCorollary:
-    def test_increasing_uses_right_endpoint(self, by_id):
-        got = bound_quasi_monotone(UNIT, by_id["x3"], Monotonicity.INCREASING)
+    def test_increasing_uses_right_endpoint(self):
+        # x^3 on [0, 1]: |f''| = 6x rises from 0 to 6
+        got = bound_quasi_monotone(UNIT, 0.0, 6.0, Monotonicity.INCREASING)
         assert got == pytest.approx(0.25, abs=1e-15)  # |f''(1)| = 6 over 24
 
-    def test_decreasing_uses_left_endpoint(self, by_id):
-        got = bound_quasi_monotone(ONE_TWO, by_id["inv_x"], Monotonicity.DECREASING)
+    def test_decreasing_uses_left_endpoint(self):
+        # 1/x on [1, 2]: |f''| = 2/x^3 falls from 2 to 1/4
+        got = bound_quasi_monotone(ONE_TWO, 2.0, 0.25, Monotonicity.DECREASING)
         assert got == pytest.approx(1.0 / 12.0, abs=1e-16)
 
-    def test_constant_accepts_both_directions(self, by_id):
+    def test_constant_accepts_both_directions(self):
         iv = Interval(-1.0, 3.0)
         expected = iv.width ** 2 * 2.0 / 24.0
         for direction in Monotonicity:
-            assert bound_quasi_monotone(iv, by_id["x2"], direction) == pytest.approx(
+            assert bound_quasi_monotone(iv, 2.0, 2.0, direction) == pytest.approx(
                 expected, rel=1e-15)
 
-    def test_contradicted_direction_raises(self, by_id):
+    def test_contradicted_direction_raises(self):
         with pytest.raises(HypothesisError):
-            bound_quasi_monotone(ONE_TWO, by_id["inv_x"], Monotonicity.INCREASING)
+            bound_quasi_monotone(ONE_TWO, 2.0, 0.25, Monotonicity.INCREASING)
         with pytest.raises(HypothesisError):
-            bound_quasi_monotone(ONE_TWO, by_id["x3"], Monotonicity.DECREASING)
+            bound_quasi_monotone(ONE_TWO, 6.0, 12.0, Monotonicity.DECREASING)
 
-    def test_agrees_with_endpoint_sup_bound(self, by_id):
-        fn = by_id["x3"]
-        assert bound_quasi_monotone(ONE_TWO, fn, Monotonicity.INCREASING) == \
-            bound_quasi_q1_for(fn, ONE_TWO)
+    def test_rejects_negative_inputs(self):
+        with pytest.raises(DomainError):
+            bound_quasi_monotone(ONE_TWO, -1.0, 2.0, Monotonicity.INCREASING)
+
+    def test_agrees_with_endpoint_sup_bound(self):
+        # x^3 on [1, 2]: |f''| = 6x rises from 6 to 12
+        assert bound_quasi_monotone(ONE_TWO, 6.0, 12.0, Monotonicity.INCREASING) == \
+            bound_quasi_q1(ONE_TWO, 6.0, 12.0)
 
 
 class TestHolderBound:

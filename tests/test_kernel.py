@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hhbounds.core import DomainError, Interval
-from hhbounds.kernel import MOMENTS, lp_norm_integral, peak_kernel, weighted_moment
+from hhbounds.kernel import lp_norm_integral, peak_kernel, weighted_moment
 from hhbounds.oracle import integrate
 
 
@@ -51,8 +51,6 @@ class TestPeakKernel:
 class TestMoments:
     def test_l1_is_one_twelfth_exactly(self):
         assert lp_norm_integral(1.0) == 1.0 / 12.0
-        assert MOMENTS.l1 == 1.0 / 12.0
-        assert MOMENTS.lp(1.0) == MOMENTS.l1
 
     @pytest.mark.parametrize("p,expected", [
         (2.0, 0.0125),                  # 1/80
@@ -71,7 +69,6 @@ class TestMoments:
 
     def test_weighted_moment_exact(self):
         assert weighted_moment() == 1.0 / 24.0
-        assert MOMENTS.t_moment == 1.0 / 24.0
 
     def test_weighted_moment_matches_quadrature(self):
         tmom = (integrate(lambda t: peak_kernel(t) * t, Interval(0.0, 0.5), 1e-13).value
@@ -81,4 +78,4 @@ class TestMoments:
         assert tmom == pytest.approx(1.0 / 24.0, abs=1e-12)
         assert umom == pytest.approx(1.0 / 24.0, abs=1e-12)
         # the two weighted moments reassemble the L1 mass
-        assert tmom + umom == pytest.approx(MOMENTS.l1, abs=1e-12)
+        assert tmom + umom == pytest.approx(lp_norm_integral(1.0), abs=1e-12)

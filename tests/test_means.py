@@ -330,3 +330,80 @@ class TestAgreementWithGeneralBounds:
                 midpoint_gap(_INV, iv, tol=1e-11), abs=1e-9)
             assert check_prop_identric(a, b, PQ2).true_gap == pytest.approx(
                 midpoint_gap(_NEG_LN, iv, tol=1e-11), abs=1e-9)
+
+
+# The six propositions written out by hand, as closed forms in a, b, n, p, q.
+def _ref_monomial_q1(a, b, n):
+    return abs(n * (n - 1)) * (b - a) ** 2 * arithmetic_mean(a ** (n - 2), b ** (n - 2)) / 24.0
+
+
+def _ref_monomial_literal(a, b, n):
+    return abs(n * (n - 1)) * (b - a) ** 2 * arithmetic_mean(a ** (n - 2), b ** (n - 2)) / 48.0
+
+
+def _ref_identric(a, b, pq):
+    amean = arithmetic_mean(a ** (2.0 * pq.q), b ** (2.0 * pq.q))
+    return ((b - a) ** 2 / (8.0 * a * a * b * b * (2.0 * pq.p + 1.0) ** (1.0 / pq.p))
+            * amean ** (1.0 / pq.q))
+
+
+def _ref_monomial_pm(a, b, n, q):
+    amean = arithmetic_mean(a ** (q * (n - 2)), b ** (q * (n - 2)))
+    return abs(n * (n - 1)) * (b - a) ** 2 / 24.0 * amean ** (1.0 / q)
+
+
+def _ref_reciprocal_pm(a, b, q):
+    return ((b - a) ** 2 / 24.0 * 2.0 ** ((q - 1.0) / q) / (a ** 3 * b ** 3)
+            * (a ** (3.0 * q) + b ** (3.0 * q)) ** (1.0 / q))
+
+
+def _ref_reciprocal_quasi(a, b):
+    return (b - a) ** 2 / 24.0 * max(2.0 / a ** 3, 2.0 / b ** 3)
+
+
+def _ref_monomial_quasi(a, b, n, pq):
+    return (abs(n * (n - 1)) * (b - a) ** 2 / (8.0 * (2.0 * pq.p + 1.0) ** (1.0 / pq.p))
+            * max(a ** (n - 2), b ** (n - 2)))
+
+
+class TestReferenceClosedForms:
+    """The propositions, built from the bound formulas, against their closed forms."""
+
+    REL = 1e-13
+
+    def test_seeded_draws(self):
+        rng = SplitMix64(20100503)
+        for _ in range(500):
+            a = rng.uniform(0.1, 10.0)
+            b = a + rng.uniform(0.05, 10.0)
+            n = rng.choice((-4, -3, -2, 3, 4, 5, 6))
+            q = rng.uniform(1.05, 4.0)
+            q_quasi = rng.uniform(1.0, 4.0)
+            pair = ConjugatePair.from_q(q)
+            q1 = check_prop_monomial_q1(a, b, n)
+            cases = [
+                (q1.bound, _ref_monomial_q1(a, b, n)),
+                (q1.extras["literal_bound"], _ref_monomial_literal(a, b, n)),
+                (check_prop_identric(a, b, pair).bound, _ref_identric(a, b, pair)),
+                (check_prop_monomial_pm(a, b, n, q).bound, _ref_monomial_pm(a, b, n, q)),
+                (check_prop_reciprocal_pm(a, b, q).bound, _ref_reciprocal_pm(a, b, q)),
+                (check_prop_reciprocal_quasi(a, b, q_quasi).bound, _ref_reciprocal_quasi(a, b)),
+                (check_prop_monomial_quasi(a, b, n, pair).bound,
+                 _ref_monomial_quasi(a, b, n, pair)),
+            ]
+            for got, ref in cases:
+                assert got == pytest.approx(ref, rel=self.REL, abs=0.0), (a, b, n, q)
+
+    def test_cubic_equality_case(self):
+        report = check_prop_monomial_q1(1.0, 2.0, 3)
+        assert report.bound == pytest.approx(_ref_monomial_q1(1.0, 2.0, 3), rel=self.REL)
+        assert report.extras["literal_bound"] == pytest.approx(
+            _ref_monomial_literal(1.0, 2.0, 3), rel=self.REL)
+        assert report.bound == pytest.approx(report.true_gap, rel=self.REL)
+
+    def test_identric_orientation(self):
+        # the gap is ln(A/I) >= 0, not ln(I/A) <= 0
+        report = check_prop_identric(1.0, 2.0, PQ2)
+        assert report.true_gap == pytest.approx(
+            math.log(arithmetic_mean(1.0, 2.0) / identric_mean(1.0, 2.0)), rel=self.REL)
+        assert report.true_gap > 0.0
