@@ -348,7 +348,8 @@ def build_bound_report(fn: TestFunction, iv: Interval, theorem: str,
 
     Verifies the theorem's class hypothesis with the sampling checks and
     raises HypothesisError when it fails; raises DomainError for unknown
-    theorems, bad exponents, or intervals outside the function's domain.
+    theorems, bad exponents, q or p given to a theorem that takes no
+    exponent, or intervals outside the function's domain.
     """
     try:
         tid = TheoremId(theorem)
@@ -357,6 +358,8 @@ def build_bound_report(fn: TestFunction, iv: Interval, theorem: str,
     row = BOUND_ROWS.get(tid)
     if row is None:
         raise DomainError(f"{theorem!r} is not a bound theorem")
+    if row.exponent in (Exponent.NONE, Exponent.DIRECTION) and (q is not None or p is not None):
+        raise DomainError(f"{theorem!r} takes no exponent; drop q and p")
     if not fn.defined_on(iv):
         raise DomainError(f"[{iv.a}, {iv.b}] is outside the domain of {fn.id!r}")
 

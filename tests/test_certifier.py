@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from hhbounds import certifier
 from hhbounds.certifier import (
     MAX_SUBINTERVALS,
     CertTheorem,
@@ -7,10 +10,32 @@ from hhbounds.certifier import (
     refine_to_tolerance,
 )
 from hhbounds.core import ConvergenceError, DomainError, HypothesisError, Interval
-from hhbounds.oracle import integrate
+from hhbounds.oracle import check_convex_abs_d2, check_quasiconvex_abs_d2, integrate
 
 UNIT = Interval(0.0, 1.0)
 LN2 = 0.6931471805599453
+
+
+def cli_theorem(fn, iv):
+    """The theorem `hh certify` picks for fn on iv, None if neither holds."""
+    if check_convex_abs_d2(fn, iv):
+        return CertTheorem.CONVEX_Q1
+    if check_quasiconvex_abs_d2(fn, iv):
+        return CertTheorem.QUASI_Q1
+    return None
+
+
+def counted(fn):
+    """fn with f and f'' replaced by evaluators that count their calls."""
+    calls = {"f": 0, "d2": 0}
+
+    def count(key, ev):
+        def wrapped(x):
+            calls[key] += 1
+            return ev(x)
+        return wrapped
+
+    return dataclasses.replace(fn, f=count("f", fn.f), d2=count("d2", fn.d2)), calls
 
 
 class TestSingleResolution:
@@ -100,16 +125,65 @@ class TestRefinement:
             refine_to_tolerance(by_id["x2"], UNIT, 1e-15)
         assert MAX_SUBINTERVALS == 1 << 20
 
+    def test_rejects_interval_outside_domain(self, by_id):
+        with pytest.raises(DomainError):
+            refine_to_tolerance(by_id["inv_x"], Interval(0.0, 1.0), 1e-6, check_class=False)
+
+
+class TestNestedSearch:
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8])
+    def test_equals_single_pass_at_the_fewest_doublings(self, catalog, tol):
+        checked = 0
+        for fn in catalog:
+            theorem = cli_theorem(fn, fn.window)
+            if theorem is None:
+                continue
+            res = refine_to_tolerance(fn, fn.window, tol, theorem, check_class=False)
+            n = res.subintervals
+            assert res == integrate_certified(fn, fn.window, n, theorem, check_class=False)
+            assert res.error_radius <= tol
+            if n > 1:
+                coarser = integrate_certified(fn, fn.window, n // 2, theorem, check_class=False)
+                assert coarser.error_radius > tol, (fn.id, n)
+            checked += 1
+        assert checked >= 8
+
+    @pytest.mark.parametrize("fid, a, b, tol, theorem", [
+        ("exp", -1.0, 1.0, 1e-8, CertTheorem.CONVEX_Q1),
+        ("x4", -1.5, 1.5, 1e-6, CertTheorem.CONVEX_Q1),
+        ("inv_x", 1.0, 2.0, 1e-8, CertTheorem.QUASI_Q1),
+    ])
+    def test_f_once_per_midpoint_and_d2_once_per_cut(self, by_id, fid, a, b, tol, theorem):
+        fn, calls = counted(by_id[fid])
+        res = refine_to_tolerance(fn, Interval(a, b), tol, theorem, check_class=False)
+        assert res.subintervals > 1
+        assert calls == {"f": res.subintervals, "d2": res.subintervals + 1}
+
+    @pytest.mark.parametrize("fid, a, b, tol", [
+        ("x4", -1.5, 1.5, 1e-12),
+        ("x2", 0.0, 1.0, 1e-15),
+    ])
+    def test_convex_floor_fails_fast_without_evaluating_f(self, by_id, fid, a, b, tol):
+        fn, calls = counted(by_id[fid])
+        with pytest.raises(ConvergenceError, match="at least"):
+            refine_to_tolerance(fn, Interval(a, b), tol, check_class=False)
+        assert calls["f"] == 0
+        assert calls["d2"] < 100
+
+    def test_quasi_searches_to_the_cap_on_d2_alone(self, by_id, monkeypatch):
+        # no floor exists without convexity; a lower cap keeps the full search short
+        monkeypatch.setattr(certifier, "MAX_SUBINTERVALS", 1 << 10)
+        fn, calls = counted(by_id["x2"])
+        with pytest.raises(ConvergenceError, match=f"at n={1 << 10}"):
+            refine_to_tolerance(fn, UNIT, 1e-15, CertTheorem.QUASI_Q1, check_class=False)
+        assert calls == {"f": 0, "d2": (1 << 10) + 1}
+
 
 class TestAgainstOracle:
     def test_catalog_windows_enclose_oracle_value(self, catalog):
-        from hhbounds.oracle import check_convex_abs_d2, check_quasiconvex_abs_d2
         for fn in catalog:
-            if check_convex_abs_d2(fn, fn.window):
-                theorem = CertTheorem.CONVEX_Q1
-            elif check_quasiconvex_abs_d2(fn, fn.window):
-                theorem = CertTheorem.QUASI_Q1
-            else:
+            theorem = cli_theorem(fn, fn.window)
+            if theorem is None:
                 continue
             truth = integrate(fn.f, fn.window, 1e-11)
             for n in (1, 4, 16):

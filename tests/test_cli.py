@@ -56,6 +56,15 @@ class TestBoundCommand:
         assert run("bound", "x2", "0", "1", "convex_holder",
                    "--p", "2", "--q", "3").returncode == 2
 
+    @pytest.mark.parametrize("theorem, exponents", [
+        ("convex_q1", ("--q", "3")),
+        ("quasi_monotone", ("--q", "0.5", "--p", "7")),
+    ])
+    def test_exponent_on_theorem_without_one_exits_two(self, theorem, exponents):
+        proc = run("bound", "x2", "0", "1", theorem, *exponents)
+        assert proc.returncode == 2
+        assert "takes no exponent" in proc.stderr
+
 
 class TestMeansCommand:
     def test_one_two(self):
