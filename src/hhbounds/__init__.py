@@ -48,7 +48,6 @@ from .core import (
 from .identity import identity_lhs, identity_residual, identity_rhs
 from .kernel import lp_norm_integral, peak_kernel, weighted_moment
 from .means import (
-    MeanKind,
     all_means,
     arithmetic_mean,
     chain_check,
@@ -62,7 +61,6 @@ from .means import (
     harmonic_mean,
     identric_mean,
     logarithmic_mean,
-    mean,
     p_logarithmic_mean,
 )
 from .oracle import (
@@ -71,7 +69,6 @@ from .oracle import (
     check_quasiconvex_abs_d2,
     integrate,
     midpoint_gap,
-    sup_abs_d2,
 )
 
 __version__ = "0.1.0"

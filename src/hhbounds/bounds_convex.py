@@ -19,7 +19,7 @@ def power_mean(x: float, y: float, q: float) -> float:
     """
     if x < 0.0 or y < 0.0:
         raise DomainError(f"power mean needs nonnegative inputs, got ({x}, {y})")
-    if q < 1.0:
+    if not q >= 1.0:
         raise DomainError(f"power mean exponent must be >= 1, got {q}")
     if q == 1.0:
         return 0.5 * (x + y)
@@ -74,7 +74,7 @@ def bound_convex_powermean(iv: Interval, d2a: float, d2b: float, q: float) -> fl
     Strictly sharper prefactor than the Hoelder route for every q > 1;
     at q = 1 it reduces (bit for bit) to bound_convex_q1.
     """
-    if q < 1.0:
+    if not q >= 1.0:
         raise DomainError(f"power-mean bound needs q >= 1, got {q}")
     if q == 1.0:
         return bound_convex_q1(iv, d2a, d2b)
@@ -88,7 +88,7 @@ def baseline_first_derivative(iv: Interval, d1a: float, d1b: float, q: float = 1
     The first-derivative baseline bound (valid when |f'|^q is convex);
     the second-derivative bounds improve on it as the width shrinks.
     """
-    if q < 1.0:
+    if not q >= 1.0:
         raise DomainError(f"baseline bound needs q >= 1, got {q}")
     _check_nonneg(d1a, d1b)
     return iv.width / 4.0 * power_mean(d1a, d1b, q)

@@ -59,6 +59,6 @@ def bound_quasi_powermean(iv: Interval, d2a: float, d2b: float, q: float) -> flo
     Numerically independent of q: the endpoint sup commutes with the
     q-th power.  At q = 1 this is exactly bound_quasi_q1.
     """
-    if q < 1.0:
+    if not q >= 1.0:
         raise DomainError(f"power-mean bound needs q >= 1, got {q}")
     return bound_quasi_q1(iv, d2a, d2b)

@@ -36,9 +36,6 @@ MAX_SUBINTERVALS = 1 << 20
 #: 2^20-term radius sum, so the early exit never fires on a reachable tolerance
 _FLOOR_MARGIN = 1e-6
 
-#: grid used by the built-in class verification
-_CLASS_GRID = 33
-
 
 class CertTheorem(str, Enum):
     CONVEX_Q1 = "convex_q1"
@@ -53,17 +50,16 @@ class CertifiedIntegral:
     theorem_used: CertTheorem
 
 
-def _require_hypotheses(fn: TestFunction, iv: Interval, theorem: CertTheorem,
-                        check_class: bool) -> None:
+def _require_hypotheses(fn: TestFunction, iv: Interval, theorem: CertTheorem) -> None:
     if not fn.defined_on(iv):
         raise DomainError(f"[{iv.a}, {iv.b}] is outside the domain of {fn.id!r}")
-    if not check_class:
-        return
     if theorem is CertTheorem.CONVEX_Q1:
-        if not check_convex_abs_d2(fn, iv, _CLASS_GRID):
-            raise HypothesisError(f"|f''| of {fn.id!r} is not convex on [{iv.a}, {iv.b}]")
-    elif not check_quasiconvex_abs_d2(fn, iv, _CLASS_GRID):
-        raise HypothesisError(f"|f''| of {fn.id!r} is not quasi-convex on [{iv.a}, {iv.b}]")
+        if not check_convex_abs_d2(fn, iv):
+            raise HypothesisError(f"class check failed: |f''| of {fn.id!r} "
+                                  f"is not convex on [{iv.a}, {iv.b}]")
+    elif not check_quasiconvex_abs_d2(fn, iv):
+        raise HypothesisError(f"class check failed: |f''| of {fn.id!r} "
+                              f"is not quasi-convex on [{iv.a}, {iv.b}]")
 
 
 def _cuts(iv: Interval, n: int, indices: Iterable[int]) -> Iterator[float]:
@@ -109,17 +105,15 @@ def _estimate(fn: TestFunction, iv: Interval, n: int) -> float:
 
 
 def integrate_certified(fn: TestFunction, iv: Interval, n: int,
-                        theorem: CertTheorem = CertTheorem.CONVEX_Q1,
-                        *, check_class: bool = True) -> CertifiedIntegral:
+                        theorem: CertTheorem = CertTheorem.CONVEX_Q1) -> CertifiedIntegral:
     """Composite midpoint rule over n equal subintervals with an error radius.
 
-    Pass check_class=False to skip the sampling-based class verification
-    and assert the hypothesis yourself.  Terms are summed left to right
-    for determinism.
+    Raises HypothesisError when the 64-point sample refutes the theorem's
+    class for |f''| on iv.  Terms are summed left to right for determinism.
     """
     if n < 1:
         raise DomainError(f"need at least one subinterval, got {n}")
-    _require_hypotheses(fn, iv, theorem, check_class)
+    _require_hypotheses(fn, iv, theorem)
     abs_d2 = _abs_d2(fn, iv, n, range(n + 1))
     return CertifiedIntegral(
         estimate=_estimate(fn, iv, n),
@@ -130,8 +124,7 @@ def integrate_certified(fn: TestFunction, iv: Interval, n: int,
 
 
 def refine_to_tolerance(fn: TestFunction, iv: Interval, tol: float,
-                        theorem: CertTheorem = CertTheorem.CONVEX_Q1,
-                        *, check_class: bool = True) -> CertifiedIntegral:
+                        theorem: CertTheorem = CertTheorem.CONVEX_Q1) -> CertifiedIntegral:
     """The certificate of the fewest power-of-two subintervals, from 1 up to
     2^20, whose radius fits the tolerance.
 
@@ -139,13 +132,14 @@ def refine_to_tolerance(fn: TestFunction, iv: Interval, tol: float,
     The search doubles on nested grids and reads |f''| alone, one
     evaluation per cut; f is evaluated only at the returned level's
     midpoints.  The radius scales as h^2 for bounded |f''|, so the count
-    grows as O(tol^(-1/2)).  Raises ConvergenceError when the radius is
+    grows as O(tol^(-1/2)).  Raises HypothesisError as
+    ``integrate_certified`` does, ConvergenceError when the radius is
     still above tol at 2^20 subintervals, and under CONVEX_Q1 as soon as
     the Hermite-Hadamard floor of the radius at 2^20 is above tol.
     """
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    _require_hypotheses(fn, iv, theorem, check_class)
+    _require_hypotheses(fn, iv, theorem)
     n = 1
     abs_d2 = _abs_d2(fn, iv, n, range(n + 1))
     while True:

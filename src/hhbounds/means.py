@@ -21,7 +21,6 @@ down numerically:
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 from .bounds_convex import bound_convex_holder, bound_convex_powermean, bound_convex_q1
 from .bounds_quasiconvex import bound_quasi_holder, bound_quasi_powermean
@@ -40,14 +39,6 @@ NEAR_EQUAL_REL = 1e-12
 #: p-grid on which the p-logarithmic mean is checked to be nondecreasing
 LP_MONOTONE_GRID = (-5.0, -4.0, -3.0, -2.0, -1.01, -1.0, -0.5, 0.0, 0.5,
                     1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0)
-
-
-class MeanKind(str, Enum):
-    ARITHMETIC = "A"
-    GEOMETRIC = "G"
-    HARMONIC = "H"
-    LOGARITHMIC = "L"
-    IDENTRIC = "I"
 
 
 def _validate(a: float, b: float) -> None:
@@ -109,22 +100,11 @@ def p_logarithmic_mean(a: float, b: float, p: float) -> float:
     return ((b ** (p + 1.0) - a ** (p + 1.0)) / ((p + 1.0) * (b - a))) ** (1.0 / p)
 
 
-def mean(kind: MeanKind | str, a: float, b: float) -> float:
-    k = MeanKind(kind)
-    if k is MeanKind.ARITHMETIC:
-        return arithmetic_mean(a, b)
-    if k is MeanKind.GEOMETRIC:
-        return geometric_mean(a, b)
-    if k is MeanKind.HARMONIC:
-        return harmonic_mean(a, b)
-    if k is MeanKind.LOGARITHMIC:
-        return logarithmic_mean(a, b)
-    return identric_mean(a, b)
-
-
 def all_means(a: float, b: float) -> dict[str, float]:
     """All five named means of (a, b), keyed by kind; each lies between min and max."""
-    return {k.value: mean(k, a, b) for k in MeanKind}
+    return {"A": arithmetic_mean(a, b), "G": geometric_mean(a, b),
+            "H": harmonic_mean(a, b), "L": logarithmic_mean(a, b),
+            "I": identric_mean(a, b)}
 
 
 def chain_check(a: float, b: float, tol: float = 1e-12) -> bool:

@@ -1,9 +1,9 @@
 """Ground-truth numerics the closed-form bounds are tested against.
 
-Provides adaptive quadrature, the true midpoint gap, sampling-based
-convexity and quasi-convexity verdicts for |f''|, and a supremum finder.
-The class checks are falsifiers, not provers: they can refute a declared
-class on a grid but cannot certify it.
+Provides adaptive quadrature, the true midpoint gap, and sampling-based
+convexity and quasi-convexity verdicts for |f''|.  The class checks are
+falsifiers, not provers: they can refute a declared class on a grid but
+cannot certify it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .core import (
     Interval,
     TestFunction,
 )
-from .rng import SplitMix64
 
 #: maximum bisection depth of the adaptive integrator
 MAX_DEPTH = 60
@@ -138,97 +137,11 @@ def midpoint_quasiconvexity_holds(g: Callable[[float], float], iv: Interval,
     return True
 
 
-def check_convex_abs_d2(fn: TestFunction, iv: Interval, grid: int = 64) -> bool:
-    """True iff |f''| passes the midpoint-convexity sampling check on iv."""
-    return midpoint_convexity_holds(lambda x: abs(fn.d2(x)), iv, grid)
+def check_convex_abs_d2(fn: TestFunction, iv: Interval) -> bool:
+    """True iff |f''| passes the 64-point midpoint-convexity sampling check on iv."""
+    return midpoint_convexity_holds(lambda x: abs(fn.d2(x)), iv)
 
 
-def check_quasiconvex_abs_d2(fn: TestFunction, iv: Interval, grid: int = 64) -> bool:
-    """True iff |f''| passes the midpoint-quasi-convexity sampling check on iv."""
-    return midpoint_quasiconvexity_holds(lambda x: abs(fn.d2(x)), iv, grid)
-
-
-@dataclass(frozen=True)
-class SupAbsD2:
-    """Supremum estimate for |f''| on an interval.
-
-    ``value`` is what callers should use.  ``interior_exceeds`` flags a
-    quasi-convexity hypothesis violation: the interior sup was found above
-    the endpoint sup.
-    """
-
-    value: float
-    endpoint_value: float
-    interior_value: float
-    interior_exceeds: bool
-
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(g: Callable[[float], float], lo: float, hi: float,
-                iters: int = 60) -> float:
-    """Max of g on [lo, hi] by golden-section search (assumes unimodal there)."""
-    x1 = hi - _INV_GOLDEN * (hi - lo)
-    x2 = lo + _INV_GOLDEN * (hi - lo)
-    g1, g2 = g(x1), g(x2)
-    for _ in range(iters):
-        if g1 < g2:
-            lo, x1, g1 = x1, x2, g2
-            x2 = lo + _INV_GOLDEN * (hi - lo)
-            g2 = g(x2)
-        else:
-            hi, x2, g2 = x2, x1, g1
-            x1 = hi - _INV_GOLDEN * (hi - lo)
-            g1 = g(x1)
-    return max(g1, g2)
-
-
-def sup_abs_d2(fn: TestFunction, iv: Interval, grid: int = 1025) -> SupAbsD2:
-    """Supremum of |f''| over iv.
-
-    For quasi-convex |f''| this equals max(|f''(a)|, |f''(b)|); the result
-    is cross-checked against a dense-grid maximum refined once by
-    golden-section search around the grid argmax, and the larger value is
-    reported with ``interior_exceeds`` set when the interior wins.
-    """
-    g = lambda x: abs(fn.d2(x))
-    endpoint = max(g(iv.a), g(iv.b))
-    xs = _grid(iv, grid)
-    gs = [g(x) for x in xs]
-    k = max(range(grid), key=gs.__getitem__)
-    lo = xs[max(0, k - 1)]
-    hi = xs[min(grid - 1, k + 1)]
-    interior = max(gs[k], _golden_max(g, lo, hi))
-    exceeds = interior > endpoint + 1e-12 * (1.0 + endpoint)
-    return SupAbsD2(
-        value=interior if exceeds else endpoint,
-        endpoint_value=endpoint,
-        interior_value=interior,
-        interior_exceeds=exceeds,
-    )
-
-
-def derivative_consistency(fn: TestFunction, points: int = 100,
-                           seed: int = 20260810) -> float:
-    """Worst central-difference discrepancy of (d1, d2) against f.
-
-    Samples interior points of the window (keeping the stencil inside the
-    declared domain) and compares derivatives against central differences
-    at tolerance max(1e-6, 1e-6*|value|).  Returns the largest
-    discrepancy/tolerance ratio; values below 1 mean consistent.
-    """
-    rng = SplitMix64(seed)
-    iv = fn.window
-    worst = 0.0
-    for _ in range(points):
-        x = iv.a + (0.02 + 0.96 * rng.random()) * iv.width
-        scale = max(1.0, abs(x))
-        h1 = 1e-6 * scale
-        h2 = 1e-4 * scale
-        fd1 = (fn.f(x + h1) - fn.f(x - h1)) / (2.0 * h1)
-        fd2 = (fn.f(x + h2) - 2.0 * fn.f(x) + fn.f(x - h2)) / (h2 * h2)
-        for got, ref in ((fn.d1(x), fd1), (fn.d2(x), fd2)):
-            tol = max(1e-6, 1e-6 * abs(got))
-            worst = max(worst, abs(got - ref) / tol)
-    return worst
+def check_quasiconvex_abs_d2(fn: TestFunction, iv: Interval) -> bool:
+    """True iff |f''| passes the 64-point midpoint-quasi-convexity sampling check on iv."""
+    return midpoint_quasiconvexity_holds(lambda x: abs(fn.d2(x)), iv)

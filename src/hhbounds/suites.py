@@ -17,6 +17,7 @@ from types import ModuleType
 from . import bounds_convex as bc
 from . import bounds_quasiconvex as bq
 from .core import (
+    VALIDITY_TOL,
     BoundReport,
     ConjugatePair,
     DomainError,
@@ -51,7 +52,6 @@ from .rng import SplitMix64
 SUITE_NAMES = ("identity", "convex", "quasiconvex", "means", "all")
 
 RESIDUAL_TOL = 1e-9
-SLACK_TOL = 1e-9
 GAP_TOL = 1e-10
 
 _SALT = {
@@ -280,7 +280,7 @@ def bound_suite(name: str, cases: int, seed: int,
                 slack = bound - gap
                 lines.append(CheckLine(
                     suite=name, function=fn.id, interval=iv, theorem=row.theorem.value,
-                    bound=bound, gap=gap, slack=slack, passed=slack >= -SLACK_TOL))
+                    bound=bound, gap=gap, slack=slack, passed=slack >= -VALIDITY_TOL))
     return lines
 
 
@@ -349,7 +349,8 @@ def build_bound_report(fn: TestFunction, iv: Interval, theorem: str,
     Verifies the theorem's class hypothesis with the sampling checks and
     raises HypothesisError when it fails; raises DomainError for unknown
     theorems, bad exponents, q or p given to a theorem that takes no
-    exponent, or intervals outside the function's domain.
+    exponent, p given to a power-mean theorem, or intervals outside the
+    function's domain.
     """
     try:
         tid = TheoremId(theorem)
@@ -360,6 +361,8 @@ def build_bound_report(fn: TestFunction, iv: Interval, theorem: str,
         raise DomainError(f"{theorem!r} is not a bound theorem")
     if row.exponent in (Exponent.NONE, Exponent.DIRECTION) and (q is not None or p is not None):
         raise DomainError(f"{theorem!r} takes no exponent; drop q and p")
+    if row.exponent is Exponent.Q and p is not None:
+        raise DomainError(f"{theorem!r} takes no exponent p; give q alone")
     if not fn.defined_on(iv):
         raise DomainError(f"[{iv.a}, {iv.b}] is outside the domain of {fn.id!r}")
 

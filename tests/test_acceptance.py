@@ -169,7 +169,7 @@ def test_criterion_8_certifier(catalog, by_id):
             continue
         truth = integrate(fn.f, fn.window, 1e-11)
         for n in (1, 2, 4, 8, 16, 64):
-            res = integrate_certified(fn, fn.window, n, theorem, check_class=False)
+            res = integrate_certified(fn, fn.window, n, theorem)
             slack = res.error_radius + truth.est_error + 1e-12 * (1.0 + abs(truth.value))
             assert abs(res.estimate - truth.value) <= slack, (fn.id, n)
 
@@ -178,7 +178,7 @@ def test_criterion_8_certifier(catalog, by_id):
                    ("exp", Interval(-1.0, 1.0))]
     for fid, iv in decay_cases:
         fn = by_id[fid]
-        radii = {n: integrate_certified(fn, iv, n, check_class=False).error_radius
+        radii = {n: integrate_certified(fn, iv, n).error_radius
                  for n in (8, 16, 32, 64)}
         for n in (8, 16, 32):
             ratio = radii[n] / radii[2 * n]

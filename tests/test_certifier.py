@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from hhbounds import certifier
+from hhbounds import certifier, core
 from hhbounds.certifier import (
     MAX_SUBINTERVALS,
     CertTheorem,
@@ -38,6 +38,13 @@ def counted(fn):
     return dataclasses.replace(fn, f=count("f", fn.f), d2=count("d2", fn.d2)), calls
 
 
+@pytest.fixture
+def class_checks_pass(monkeypatch):
+    """Class checks that pass without evaluating f'', so counts see the search alone."""
+    monkeypatch.setattr(certifier, "check_convex_abs_d2", lambda fn, iv: True)
+    monkeypatch.setattr(certifier, "check_quasiconvex_abs_d2", lambda fn, iv: True)
+
+
 class TestSingleResolution:
     def test_square_single_panel_hits_boundary(self, by_id):
         res = integrate_certified(by_id["x2"], UNIT, 1)
@@ -70,6 +77,18 @@ class TestSingleResolution:
         for theorem in CertTheorem:
             with pytest.raises(HypothesisError):
                 integrate_certified(fn, fn.window, 4, theorem)
+
+    def test_class_check_samples_the_64_point_grid(self):
+        # a narrow bump in |f''| at 1/126, the midpoint of the first pair of
+        # the 64-point grid and far from every midpoint of a 33-point grid;
+        # f and f' are never evaluated before the refusal
+        def d2(x):
+            return 1.0 + max(0.0, 1.0 - abs(x - 1.0 / 126.0) / 1e-3)
+
+        fn = core.TestFunction("bump", lambda x: 0.0, lambda x: 0.0, d2, UNIT)
+        for theorem in CertTheorem:
+            with pytest.raises(HypothesisError):
+                integrate_certified(fn, UNIT, 4, theorem)
 
     def test_quasi_theorem_uses_endpoint_sup(self, by_id):
         fn = by_id["inv_x"]
@@ -127,7 +146,7 @@ class TestRefinement:
 
     def test_rejects_interval_outside_domain(self, by_id):
         with pytest.raises(DomainError):
-            refine_to_tolerance(by_id["inv_x"], Interval(0.0, 1.0), 1e-6, check_class=False)
+            refine_to_tolerance(by_id["inv_x"], Interval(0.0, 1.0), 1e-6)
 
 
 class TestNestedSearch:
@@ -138,12 +157,12 @@ class TestNestedSearch:
             theorem = cli_theorem(fn, fn.window)
             if theorem is None:
                 continue
-            res = refine_to_tolerance(fn, fn.window, tol, theorem, check_class=False)
+            res = refine_to_tolerance(fn, fn.window, tol, theorem)
             n = res.subintervals
-            assert res == integrate_certified(fn, fn.window, n, theorem, check_class=False)
+            assert res == integrate_certified(fn, fn.window, n, theorem)
             assert res.error_radius <= tol
             if n > 1:
-                coarser = integrate_certified(fn, fn.window, n // 2, theorem, check_class=False)
+                coarser = integrate_certified(fn, fn.window, n // 2, theorem)
                 assert coarser.error_radius > tol, (fn.id, n)
             checked += 1
         assert checked >= 8
@@ -153,9 +172,10 @@ class TestNestedSearch:
         ("x4", -1.5, 1.5, 1e-6, CertTheorem.CONVEX_Q1),
         ("inv_x", 1.0, 2.0, 1e-8, CertTheorem.QUASI_Q1),
     ])
+    @pytest.mark.usefixtures("class_checks_pass")
     def test_f_once_per_midpoint_and_d2_once_per_cut(self, by_id, fid, a, b, tol, theorem):
         fn, calls = counted(by_id[fid])
-        res = refine_to_tolerance(fn, Interval(a, b), tol, theorem, check_class=False)
+        res = refine_to_tolerance(fn, Interval(a, b), tol, theorem)
         assert res.subintervals > 1
         assert calls == {"f": res.subintervals, "d2": res.subintervals + 1}
 
@@ -163,19 +183,21 @@ class TestNestedSearch:
         ("x4", -1.5, 1.5, 1e-12),
         ("x2", 0.0, 1.0, 1e-15),
     ])
+    @pytest.mark.usefixtures("class_checks_pass")
     def test_convex_floor_fails_fast_without_evaluating_f(self, by_id, fid, a, b, tol):
         fn, calls = counted(by_id[fid])
         with pytest.raises(ConvergenceError, match="at least"):
-            refine_to_tolerance(fn, Interval(a, b), tol, check_class=False)
+            refine_to_tolerance(fn, Interval(a, b), tol)
         assert calls["f"] == 0
         assert calls["d2"] < 100
 
+    @pytest.mark.usefixtures("class_checks_pass")
     def test_quasi_searches_to_the_cap_on_d2_alone(self, by_id, monkeypatch):
         # no floor exists without convexity; a lower cap keeps the full search short
         monkeypatch.setattr(certifier, "MAX_SUBINTERVALS", 1 << 10)
         fn, calls = counted(by_id["x2"])
         with pytest.raises(ConvergenceError, match=f"at n={1 << 10}"):
-            refine_to_tolerance(fn, UNIT, 1e-15, CertTheorem.QUASI_Q1, check_class=False)
+            refine_to_tolerance(fn, UNIT, 1e-15, CertTheorem.QUASI_Q1)
         assert calls == {"f": 0, "d2": (1 << 10) + 1}
 
 
@@ -187,6 +209,6 @@ class TestAgainstOracle:
                 continue
             truth = integrate(fn.f, fn.window, 1e-11)
             for n in (1, 4, 16):
-                res = integrate_certified(fn, fn.window, n, theorem, check_class=False)
+                res = integrate_certified(fn, fn.window, n, theorem)
                 slack = res.error_radius + truth.est_error + 1e-12 * (1 + abs(truth.value))
                 assert abs(res.estimate - truth.value) <= slack, (fn.id, n)

@@ -59,11 +59,19 @@ class TestBoundCommand:
     @pytest.mark.parametrize("theorem, exponents", [
         ("convex_q1", ("--q", "3")),
         ("quasi_monotone", ("--q", "0.5", "--p", "7")),
+        ("convex_pm", ("--p", "7")),
+        ("baseline_pm", ("--p", "7")),
     ])
     def test_exponent_on_theorem_without_one_exits_two(self, theorem, exponents):
         proc = run("bound", "x2", "0", "1", theorem, *exponents)
         assert proc.returncode == 2
         assert "takes no exponent" in proc.stderr
+
+    @pytest.mark.parametrize("theorem", ["convex_pm", "quasi_pm", "baseline_pm"])
+    def test_nan_exponent_exits_two(self, theorem):
+        proc = run("bound", "x4", "0", "1", theorem, "--q", "nan")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
 
 
 class TestMeansCommand:
@@ -161,3 +169,14 @@ class TestVerifyCommand:
     def test_json_and_csv_flags_conflict(self):
         assert run("verify", "--suite", "means", "--cases", "1",
                    "--json", "--csv").returncode == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("bound", "exp", "0", "800", "convex_q1"),
+    ("certify", "exp", "0", "800", "1e-6"),
+])
+def test_overflowing_evaluation_exits_one_without_traceback(args):
+    proc = run(*args)
+    assert proc.returncode == 1
+    assert "overflowed" in proc.stderr
+    assert "Traceback" not in proc.stderr
