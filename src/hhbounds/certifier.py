@@ -21,7 +21,6 @@ finer radius; a tolerance below it fails at once.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -62,16 +61,16 @@ def _require_hypotheses(fn: TestFunction, iv: Interval, theorem: CertTheorem) ->
                               f"is not quasi-convex on [{iv.a}, {iv.b}]")
 
 
-def _cuts(iv: Interval, n: int, indices: Iterable[int]) -> Iterator[float]:
-    """The cuts a + width*i/n of the n-subinterval grid, the last pinned to b."""
-    a, b, width = iv.a, iv.b, iv.width
-    for i in indices:
-        yield b if i == n else a + width * i / n
-
-
-def _abs_d2(fn: TestFunction, iv: Interval, n: int, indices: Iterable[int]) -> array:
+def _abs_d2(fn: TestFunction, iv: Interval, n: int, indices: range) -> array:
+    """|f''| at the cuts a + width*i/n of the n-subinterval grid, the last
+    pinned to b."""
     d2 = fn.d2
-    return array("d", (abs(d2(x)) for x in _cuts(iv, n, indices)))
+    a, b, width = iv.a, iv.b, iv.width
+    out = array("d")
+    append = out.append
+    for i in indices:
+        append(abs(d2(b if i == n else a + width * i / n)))
+    return out
 
 
 def _radius(iv: Interval, n: int, abs_d2: array, theorem: CertTheorem) -> float:
@@ -94,13 +93,14 @@ def _radius(iv: Interval, n: int, abs_d2: array, theorem: CertTheorem) -> float:
 def _estimate(fn: TestFunction, iv: Interval, n: int) -> float:
     """h times the left-to-right sum of f at the n subinterval midpoints."""
     f = fn.f
-    cuts = _cuts(iv, n, range(n + 1))
-    left = next(cuts)
+    a, b, width = iv.a, iv.b, iv.width
+    left = a
     total = 0.0
-    for right in cuts:
+    for i in range(1, n + 1):
+        right = b if i == n else a + width * i / n
         total += f(0.5 * (left + right))
         left = right
-    h = iv.width / n
+    h = width / n
     return h * total
 
 
@@ -165,3 +165,4 @@ def refine_to_tolerance(fn: TestFunction, iv: Interval, tol: float,
         finer[0::2] = abs_d2
         finer[1::2] = odd
         abs_d2, n = finer, 2 * n
+        del odd  # else still held while the next level's cuts are read

@@ -3,8 +3,8 @@
 Output is machine-readable: one JSON object per line with sorted keys, or
 CSV (same keys as header row) with --csv.  Identical seeds produce
 byte-identical output.  Exit codes: 0 pass, 1 property violation (also
-non-convergence, or an evaluation that fails or overflows), 2
-usage/domain error, 3 hypothesis-check failure.
+non-convergence, an evaluation that fails or overflows, or a reader that
+closes stdout early), 2 usage/domain error, 3 hypothesis-check failure.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import re
 import sys
 
 from .certifier import CertTheorem, refine_to_tolerance
@@ -31,6 +33,10 @@ EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_HYPOTHESIS = 3
+
+#: a negative number, exponent form included; argparse's own matcher has
+#: no exponent form and so reads "-1e-3" as an option
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
 def _add_format_flags(sub: argparse.ArgumentParser) -> None:
@@ -74,6 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("tol", type=float)
     _add_format_flags(c)
 
+    # no hh option looks like a number, so a negative number is always a value
+    for subparser in sub.choices.values():
+        subparser._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
@@ -171,6 +180,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VIOLATION
     except OverflowError as exc:
         print(f"hh: an evaluation overflowed ({exc})", file=sys.stderr)
+        return EXIT_VIOLATION
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the
+        # interpreter's final flush of what is still buffered cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_VIOLATION
 
 

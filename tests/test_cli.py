@@ -67,6 +67,11 @@ class TestBoundCommand:
         assert proc.returncode == 2
         assert "takes no exponent" in proc.stderr
 
+    def test_negative_endpoint_in_exponent_form(self):
+        proc = run("bound", "x2", "-1e-3", "1", "convex_q1")
+        assert proc.returncode == 0
+        assert proc.stdout == run("bound", "x2", "-0.001", "1", "convex_q1").stdout
+
     @pytest.mark.parametrize("theorem", ["convex_pm", "quasi_pm", "baseline_pm"])
     def test_nan_exponent_exits_two(self, theorem):
         proc = run("bound", "x4", "0", "1", theorem, "--q", "nan")
@@ -119,6 +124,11 @@ class TestCertifyCommand:
     def test_unclassified_function_exits_three(self):
         assert run("certify", "sin", "0", "3.0", "1e-6").returncode == 3
 
+    def test_negative_tolerance_in_exponent_form_reaches_the_certifier(self):
+        proc = run("certify", "x2", "0", "1", "-1e-3")
+        assert proc.returncode == 2
+        assert "tolerance must be positive" in proc.stderr
+
 
 class TestVerifyCommand:
     def test_identity_suite_passes(self):
@@ -165,6 +175,19 @@ class TestVerifyCommand:
         assert header == sorted(["suite", "function", "interval", "theorem",
                                  "bound", "gap", "slack", "pass"])
         assert len(lines) > 1
+
+    def test_reader_closing_stdout_early_leaves_no_traceback(self):
+        # 50 cases print about 110 kB, more than a pipe buffer holds, so the
+        # writer is still writing when the reader goes away
+        proc = subprocess.Popen(
+            CMD + ["verify", "--suite", "identity", "--cases", "50", "--seed", "7"],
+            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True)
+        assert json.loads(proc.stdout.readline())["suite"] == "identity"
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert "Traceback" not in stderr
 
     def test_json_and_csv_flags_conflict(self):
         assert run("verify", "--suite", "means", "--cases", "1",

@@ -1,5 +1,9 @@
+import dataclasses
+import math
+
 import pytest
 
+import hhbounds.identity as identity
 from hhbounds.core import Interval
 from hhbounds.identity import (
     identity_lhs,
@@ -7,9 +11,28 @@ from hhbounds.identity import (
     identity_rhs,
     kernel_weighted_d2_integral,
 )
+from hhbounds.oracle import integrate
 from hhbounds.rng import SplitMix64
 
 UNIT = Interval(0.0, 1.0)
+
+
+def two_sided_d2_integral(fn, iv, tol=1e-10):
+    """Reference: the kernel-weighted f'' integral taken on both sides of
+    the knot, each half to tol/2, with no use of the symmetry."""
+    a, b = iv.a, iv.b
+    d2 = fn.d2
+
+    def left(t):
+        return t * t * (d2(t * a + (1.0 - t) * b) + d2(t * b + (1.0 - t) * a))
+
+    def right(t):
+        u = 1.0 - t
+        return u * u * (d2(t * a + u * b) + d2(t * b + u * a))
+
+    half = 0.5 * tol
+    return (integrate(left, Interval(0.0, 0.5), half).value
+            + integrate(right, Interval(0.5, 1.0), half).value)
 
 
 class TestRightHandSide:
@@ -28,6 +51,52 @@ class TestRightHandSide:
         expected = 0.17520119364380146  # (e - 1/e)/2 - 1
         assert identity_rhs(by_id["exp"], Interval(-1.0, 1.0)) == pytest.approx(
             expected, abs=1e-10)
+
+
+class TestSymmetricHalf:
+    def test_one_quadrature_over_the_half_and_two_d2_calls_per_node(
+            self, by_id, monkeypatch):
+        calls = []
+
+        def counting_integrate(f, iv, tol):
+            result = integrate(f, iv, tol)
+            calls.append((iv, tol, result))
+            return result
+
+        d2_calls = 0
+
+        def counting_d2(x):
+            nonlocal d2_calls
+            d2_calls += 1
+            return math.exp(x)
+
+        monkeypatch.setattr(identity, "integrate", counting_integrate)
+        fn = dataclasses.replace(by_id["exp"], d2=counting_d2)
+        kernel_weighted_d2_integral(fn, Interval(-1.0, 2.0), tol=1e-10)
+        assert len(calls) == 1
+        iv, tol, result = calls[0]
+        assert (iv.a, iv.b, tol) == (0.0, 0.5, 0.5e-10)
+        assert d2_calls == 2 * result.evaluations
+
+    def test_matches_the_two_sided_integral_within_tol(self, catalog):
+        tol = 1e-10
+        rng = SplitMix64(0x5EED_4A1F)
+        for fn in catalog:
+            ivs = [fn.window] + [rng.subinterval(fn.window) for _ in range(50)]
+            for iv in ivs:
+                got = kernel_weighted_d2_integral(fn, iv, tol)
+                assert abs(got - two_sided_d2_integral(fn, iv, tol)) <= tol, (fn.id, iv)
+
+    @pytest.mark.parametrize("fid,a,b,antiderivative", [
+        ("exp", -1.0, 2.0, math.exp),
+        ("inv_x", 0.3, 3.7, math.log),
+        ("x_5_2", 0.25, 3.0, lambda x: x ** 3.5 / 3.5),
+    ])
+    def test_closed_form_gap_on_asymmetric_intervals(self, by_id, fid, a, b,
+                                                     antiderivative):
+        fn = by_id[fid]
+        gap = (antiderivative(b) - antiderivative(a)) / (b - a) - fn.f(0.5 * (a + b))
+        assert identity_rhs(fn, Interval(a, b)) == pytest.approx(gap, abs=1e-10)
 
 
 class TestResidual:
