@@ -1,39 +1,93 @@
 """Composite midpoint integration with a certified error radius.
 
-Each uniform subinterval of width h contributes h^3/24 times the mean (or,
-under the weaker quasi-convex hypothesis, the max) of its endpoint |f''|
-values to the radius; the true integral then lies within the radius of the
-estimate whenever |f''| has the claimed class on every subinterval.  Both
-classes restrict to subintervals, so checking the full interval suffices.
-The certificate is exact in real arithmetic; floating-point rounding is
-not tracked.
+The radius has two parts, and the true integral lies within their sum of
+the estimate.
 
-The radius depends on |f''| at the cuts alone, so ``refine_to_tolerance``
-searches on f'' and evaluates f once, at the midpoints of the level it
-returns.  Its grids are nested: cut i of n subintervals is bit-for-bit cut
-2i of 2n (scaling by two is exact), so each doubling evaluates |f''| only
-at the n new odd cuts.  Those cuts are the midpoints of the coarser grid,
-and for convex |f''| the Hermite-Hadamard inequality (midpoint sum <=
-integral <= trapezoid sum) turns their values into a lower bound on every
-finer radius; a tolerance below it fails at once.
+Truncation part.  Each uniform subinterval of width h contributes h^3/24
+times the mean (or, under the weaker quasi-convex hypothesis, the max) of
+its endpoint |f''| values; the exact midpoint sum lies within the total of
+the exact integral whenever |f''| has the claimed class on every
+subinterval.  Both classes restrict to subintervals, so checking the full
+interval suffices.  The |f''| values are computed ones, each within
+``ULPS`` ulp of the exact value, so within a relative 2*ULPS*u (u = 2^-53);
+the weight sums them with ``math.fsum`` (Shewchuk 1997), correctly rounded
+per chunk of at most ``CHUNK`` terms and once more over the chunks.  All
+its terms are non-negative, so the exact weight is at most the computed one
+times (1 + 2*ULPS*u/(1 - 2*ULPS*u)) / (1 - u)^2 = 1 + (2*ULPS + 2)*u +
+O(u^2), the stated inflation.  The product by (b - a)^3/(24 n^3) is done
+in exact rational arithmetic and rounded up.
+
+Rounding part.  The estimate E is h times the fsum of the computed f
+values at the midpoints.  Against the exact midpoint sum it can be off by
+(Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 4):
+  - 2*ULPS*u/(1 - 2*ULPS*u) times |f~| per evaluation, the error model;
+  - u times the |f~| of each chunk, for the chunk's correctly rounded sum;
+  - u times |S~| for the final fsum S~ over the chunks;
+all times h, with sum |f~| read from its own chunked fsum and divided by
+(1 - u)^2.  b - a and the product by h are not rounded at all: h is exact
+as a rational, E is the product h * S~ rounded to nearest, and their
+difference is added exactly.
+
+Assumptions.  ``ULPS`` bounds the error of each evaluation of f and f'';
+the libm routines the catalog calls (exp, log, pow, sin, sqrt) are
+accurate to within about one ulp, and the catalog's formulas add at most
+two correctly rounded operations without cancellation.  An evaluator that
+cancels (a Horner polynomial near a root, say) can break it.  The cuts
+and midpoints are computed as a + width*k/m; the certificate covers them
+only when that is exact, so that the computed nodes are the real ones, as
+they are for endpoints and widths with few significant bits and a
+power-of-two grid (every benchmark rung).  Underflow to subnormals is not
+tracked; a non-finite evaluation or sum raises EvaluationError.
+
+Both entry points run one walk over nested grids: cut i of n subintervals
+is bit-for-bit cut 2i of 2n (scaling by two is exact), so each doubling
+evaluates f'' only at the n new odd cuts, ``CHUNK`` at a time.  Under
+CONVEX_Q1 the trapezoid weight sum 1/2 (g_k + g_k+1) equals g_0/2 + g_N/2
++ sum of the interior g_k, so the walk keeps only those chunk sums; under
+QUASI_Q1 it keeps every |f''| in one array.  The radius depends on f''
+alone up to the rounding part, so ``refine_to_tolerance`` evaluates f only
+at a level whose truncation part already fits.  The new cuts of a doubling
+are the midpoints of the coarser grid, and for convex |f''| the
+Hermite-Hadamard inequality (midpoint sum <= integral <= trapezoid sum)
+turns their values into a lower bound on every finer truncation part; a
+tolerance below it fails at once.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from functools import cache
+from itertools import chain, islice
+from typing import TYPE_CHECKING, NamedTuple
 
-from .core import ConvergenceError, DomainError, HypothesisError, Interval, TestFunction
+from .core import (
+    ConvergenceError,
+    DomainError,
+    EvaluationError,
+    HypothesisError,
+    Interval,
+    TestFunction,
+)
 from .oracle import check_convex_abs_d2, check_quasiconvex_abs_d2
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: refinement cap for refine_to_tolerance
 MAX_SUBINTERVALS = 1 << 20
 
-#: relative margin on the Hermite-Hadamard floor, above the rounding of the
-#: 2^20-term radius sum, so the early exit never fires on a reachable tolerance
-_FLOOR_MARGIN = 1e-6
+#: evaluations per list and per fsum: long enough that the loop around
+#: the chunks costs nothing, short enough that no level's values are held
+#: at once (a level of 2^19 floats in lists is 16 MB more at peak)
+CHUNK = 4096
+
+#: assumed error bound, in ulp of the exact value, of each evaluation of f
+#: and f'': about one ulp from libm and at most two more roundings
+ULPS = 2
 
 
 class CertTheorem(str, Enum):
@@ -43,10 +97,17 @@ class CertTheorem(str, Enum):
 
 @dataclass(frozen=True)
 class CertifiedIntegral:
+    """An estimate within ``error_radius`` of the integral.
+
+    ``error_radius`` is ``truncation_radius + rounding_radius`` rounded up.
+    """
+
     estimate: float
     error_radius: float
     subintervals: int
     theorem_used: CertTheorem
+    truncation_radius: float
+    rounding_radius: float
 
 
 def _require_hypotheses(fn: TestFunction, iv: Interval, theorem: CertTheorem) -> None:
@@ -61,66 +122,172 @@ def _require_hypotheses(fn: TestFunction, iv: Interval, theorem: CertTheorem) ->
                               f"is not quasi-convex on [{iv.a}, {iv.b}]")
 
 
-def _abs_d2(fn: TestFunction, iv: Interval, n: int, indices: range) -> array:
-    """|f''| at the cuts a + width*i/n of the n-subinterval grid, the last
-    pinned to b."""
-    d2 = fn.d2
-    a, b, width = iv.a, iv.b, iv.width
-    out = array("d")
-    append = out.append
-    for i in indices:
-        append(abs(d2(b if i == n else a + width * i / n)))
-    return out
+class _Model(NamedTuple):
+    """The error model in exact rationals."""
+
+    fraction: type[Fraction]
+    u: Fraction          # unit roundoff of IEEE double
+    inflation: Fraction  # exact weight <= computed weight * inflation
+    spread: Fraction     # |exact midpoint sum - S~| <= spread * sum |f~| + u * |S~|
+    deflation: Fraction  # exact midpoint sum of |f''| >= computed one * deflation
 
 
-def _radius(iv: Interval, n: int, abs_d2: array, theorem: CertTheorem) -> float:
-    """h^3/24 times the left-to-right sum of each subinterval's endpoint
-    aggregate of |f''| (mean under CONVEX_Q1, max under QUASI_Q1)."""
-    weight = 0.0
-    left = abs_d2[0]
-    if theorem is CertTheorem.CONVEX_Q1:
-        for right in islice(abs_d2, 1, None):
-            weight += 0.5 * (left + right)
-            left = right
-    else:
-        for right in islice(abs_d2, 1, None):
-            weight += max(left, right)
-            left = right
-    h = iv.width / n
-    return h ** 3 / 24.0 * weight
+@cache
+def _model() -> _Model:
+    """Made on first use: fractions imports decimal, about 4 ms that every
+    hh start-up would pay if this module imported it."""
+    from fractions import Fraction
+
+    u = Fraction(1, 1 << 53)
+    share = 2 * ULPS * u / (1 - 2 * ULPS * u)  # one evaluation's error / its value
+    return _Model(
+        fraction=Fraction,
+        u=u,
+        inflation=(1 + share) / (1 - u) ** 2,
+        spread=(share + u) / (1 - u) ** 2,
+        deflation=1 / ((1 + 2 * ULPS * u) * (1 + u) ** 2),
+    )
 
 
-def _estimate(fn: TestFunction, iv: Interval, n: int) -> float:
-    """h times the left-to-right sum of f at the n subinterval midpoints."""
-    f = fn.f
-    a, b, width = iv.a, iv.b, iv.width
-    left = a
-    total = 0.0
-    for i in range(1, n + 1):
-        right = b if i == n else a + width * i / n
-        total += f(0.5 * (left + right))
-        left = right
-    h = width / n
-    return h * total
+def _up(x: Fraction) -> float:
+    """The least float not below x."""
+    y = float(x)
+    return y if y >= x else math.nextafter(y, math.inf)
+
+
+def _finite_sum(values: Iterable[float], what: str, n: int) -> float:
+    """fsum of values, refusing a NaN or infinite total."""
+    try:
+        total = math.fsum(values)
+    except ValueError:  # inf + -inf
+        total = math.nan
+    if not math.isfinite(total):
+        raise EvaluationError(f"{what} is not finite on the grid of n={n}")
+    return total
+
+
+def _chunks(ev, iv: Interval, n: int, step: int) -> Iterator[list[float]]:
+    """ev at a + width*k/n for k = 1, 1 + step, ... below n, at most CHUNK
+    values a list."""
+    a, width = iv.a, iv.width
+    divisor = float(n)  # exact; a float spares the int conversion per cut
+    stride = CHUNK * step
+    for lo in range(1, n, stride):
+        yield [ev(a + width * k / divisor) for k in range(lo, min(lo + stride, n), step)]
+
+
+class _Walk:
+    """|f''| over the cuts of nested grids of n, 2n, 4n, ... subintervals.
+
+    Starting at n, it evaluates the n + 1 cuts (the last pinned to b); each
+    ``double`` evaluates the new odd cuts alone.
+    """
+
+    def __init__(self, fn: TestFunction, iv: Interval, theorem: CertTheorem, n: int) -> None:
+        self.fn, self.iv, self.theorem, self.n = fn, iv, theorem, n
+        fraction = _model().fraction
+        self.span = fraction(iv.b) - fraction(iv.a)
+        first, last = abs(fn.d2(iv.a)), abs(fn.d2(iv.b))
+        _finite_sum((first, last), "f''", n)
+        if theorem is CertTheorem.CONVEX_Q1:
+            self.ends = (0.5 * first, 0.5 * last)
+            self.sums = self._read(n, 1, None)
+        else:
+            cuts = array("d", [first])
+            self._read(n, 1, cuts)
+            cuts.append(last)
+            self.cuts = cuts
+
+    def _read(self, n: int, step: int, store: array | None) -> list[float]:
+        """The fsum of |f''| over each chunk of the cuts k = 1, 1 + step, ...
+        of the n-grid, appending the values to store when it is given."""
+        sums = []
+        for vals in _chunks(self.fn.d2, self.iv, n, step):
+            sums.append(_finite_sum(map(abs, vals), "f''", n))
+            if store is not None:
+                store.extend(map(abs, vals))
+        return sums
+
+    def double(self) -> float:
+        """Go to 2n subintervals; returns the fsum of |f''| at the new cuts."""
+        n = 2 * self.n
+        if self.theorem is CertTheorem.CONVEX_Q1:
+            sums = self._read(n, 2, None)
+            self.sums.extend(sums)
+        else:
+            odd = array("d")
+            sums = self._read(n, 2, odd)
+            finer = array("d", [0.0]) * (n + 1)
+            finer[0::2] = self.cuts
+            finer[1::2] = odd
+            self.cuts = finer
+        self.n = n
+        return math.fsum(sums)
+
+    def weight(self) -> float:
+        """The sum of each subinterval's endpoint aggregate of |f''| (mean
+        under CONVEX_Q1, max under QUASI_Q1), as computed."""
+        if self.theorem is CertTheorem.CONVEX_Q1:
+            return math.fsum(chain(self.ends, self.sums))
+        g = self.cuts
+        return math.fsum(map(max, g, islice(g, 1, None)))
+
+    def truncation(self) -> float:
+        """h^3/24 times the weight, inflated for the rounding of the |f''|
+        values and their sums, rounded up."""
+        model = _model()
+        return _up((self.span / self.n) ** 3 / 24
+                   * model.fraction(self.weight()) * model.inflation)
+
+    def floor(self, odd_sum: float) -> Fraction:
+        """Lower bound, for convex |f''|, on the truncation part at
+        MAX_SUBINTERVALS from ``odd_sum``, the |f''| sum at the new cuts of
+        the last doubling: h of the n/2 grid times it bounds the integral of
+        |f''| from below."""
+        model = _model()
+        return (self.span ** 2 / (24 * MAX_SUBINTERVALS ** 2)
+                * (2 * self.span / self.n) * model.fraction(odd_sum) * model.deflation)
+
+    def certificate(self, truncation: float) -> CertifiedIntegral:
+        """Evaluate f at the n midpoints and close the certificate."""
+        n = self.n
+        sums, sizes = [], []
+        for vals in _chunks(self.fn.f, self.iv, 2 * n, 2):
+            sums.append(_finite_sum(vals, "f", n))
+            sizes.append(math.fsum(map(abs, vals)))
+        fraction, u, _, spread, _ = _model()
+        total = fraction(_finite_sum(sums, "f", n))
+        h = self.span / n
+        exact = h * total
+        estimate = float(exact)
+        rounding = _up(abs(fraction(estimate) - exact)
+                       + h * (spread * fraction(math.fsum(sizes)) + u * abs(total)))
+        return CertifiedIntegral(
+            estimate=estimate,
+            error_radius=_up(fraction(truncation) + fraction(rounding)),
+            subintervals=n,
+            theorem_used=self.theorem,
+            truncation_radius=truncation,
+            rounding_radius=rounding,
+        )
 
 
 def integrate_certified(fn: TestFunction, iv: Interval, n: int,
                         theorem: CertTheorem = CertTheorem.CONVEX_Q1) -> CertifiedIntegral:
     """Composite midpoint rule over n equal subintervals with an error radius.
 
+    Walks from the odd part m of n (m + 1 cuts, then doublings), as
+    ``refine_to_tolerance`` walks from 1: n + 1 f'' and n f evaluations.
     Raises HypothesisError when the 64-point sample refutes the theorem's
-    class for |f''| on iv.  Terms are summed left to right for determinism.
+    class for |f''| on iv, EvaluationError on a non-finite evaluation.
     """
     if n < 1:
         raise DomainError(f"need at least one subinterval, got {n}")
     _require_hypotheses(fn, iv, theorem)
-    abs_d2 = _abs_d2(fn, iv, n, range(n + 1))
-    return CertifiedIntegral(
-        estimate=_estimate(fn, iv, n),
-        error_radius=_radius(iv, n, abs_d2, theorem),
-        subintervals=n,
-        theorem_used=theorem,
-    )
+    walk = _Walk(fn, iv, theorem, n // (n & -n))
+    while walk.n < n:
+        walk.double()
+    return walk.certificate(walk.truncation())
 
 
 def refine_to_tolerance(fn: TestFunction, iv: Interval, tol: float,
@@ -130,39 +297,44 @@ def refine_to_tolerance(fn: TestFunction, iv: Interval, tol: float,
 
     Equal to ``integrate_certified`` at the subinterval count it returns.
     The search doubles on nested grids and reads |f''| alone, one
-    evaluation per cut; f is evaluated only at the returned level's
-    midpoints.  The radius scales as h^2 for bounded |f''|, so the count
-    grows as O(tol^(-1/2)).  Raises HypothesisError as
-    ``integrate_certified`` does, ConvergenceError when the radius is
-    still above tol at 2^20 subintervals, and under CONVEX_Q1 as soon as
-    the Hermite-Hadamard floor of the radius at 2^20 is above tol.
+    evaluation per cut, until the truncation part fits; only then does it
+    evaluate f, at that level's midpoints, and accept the level when
+    truncation + rounding fits.  The truncation part scales as h^2 for
+    bounded |f''|, so the count grows as O(tol^(-1/2)).
+
+    Raises HypothesisError as ``integrate_certified`` does, EvaluationError
+    on a non-finite evaluation, and ConvergenceError when the radius is
+    still above tol at 2^20 subintervals, under CONVEX_Q1 as soon as the
+    Hermite-Hadamard floor of the truncation part at 2^20 is above tol, and
+    as soon as the rounding part alone is above tol.  That last one is a
+    refusal, not a proof that no grid fits: a finer grid moves the rounding
+    part only through the midpoint sum of |f| and through |E|, which
+    approach fixed values, so it does not shrink with h.
     """
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
     _require_hypotheses(fn, iv, theorem)
-    n = 1
-    abs_d2 = _abs_d2(fn, iv, n, range(n + 1))
+    walk = _Walk(fn, iv, theorem, 1)
     while True:
-        radius = _radius(iv, n, abs_d2, theorem)
+        n = walk.n
+        radius = walk.truncation()
         if radius <= tol:
-            return CertifiedIntegral(_estimate(fn, iv, n), radius, n, theorem)
+            cert = walk.certificate(radius)
+            if cert.error_radius <= tol:
+                return cert
+            if cert.rounding_radius > tol:
+                raise ConvergenceError(
+                    f"rounding part {cert.rounding_radius} alone is above {tol} at n={n}")
+            radius = cert.error_radius
         if n >= MAX_SUBINTERVALS:
             raise ConvergenceError(f"radius {radius} still above {tol} at n={n}")
-        odd = _abs_d2(fn, iv, 2 * n, range(1, 2 * n, 2))
+        odd_sum = walk.double()
         if theorem is CertTheorem.CONVEX_Q1:
-            # the odd cuts are the midpoints of the n-grid: for convex |f''|
+            # the new cuts are the midpoints of the n-grid: for convex |f''|
             # their midpoint sum is at most its integral, which is at most
-            # the trapezoid sum inside every finer radius
-            total = 0.0
-            for g in odd:
-                total += g
-            floor = iv.width ** 2 * (iv.width / n * total) / (24.0 * MAX_SUBINTERVALS ** 2)
-            if floor > tol * (1.0 + _FLOOR_MARGIN):
+            # the trapezoid sum inside every finer truncation part
+            floor = walk.floor(odd_sum)
+            if floor > tol:
                 raise ConvergenceError(
-                    f"radius at n={MAX_SUBINTERVALS} is at least {floor} "
+                    f"radius at n={MAX_SUBINTERVALS} is at least {float(floor)} "
                     f"(Hermite-Hadamard floor from the cuts at n={2 * n}), above {tol}")
-        finer = array("d", [0.0]) * (2 * n + 1)
-        finer[0::2] = abs_d2
-        finer[1::2] = odd
-        abs_d2, n = finer, 2 * n
-        del odd  # else still held while the next level's cuts are read

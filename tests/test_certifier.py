@@ -1,15 +1,23 @@
 import dataclasses
+import math
 
 import pytest
 
 from hhbounds import certifier, core
 from hhbounds.certifier import (
+    CHUNK,
     MAX_SUBINTERVALS,
     CertTheorem,
     integrate_certified,
     refine_to_tolerance,
 )
-from hhbounds.core import ConvergenceError, DomainError, HypothesisError, Interval
+from hhbounds.core import (
+    ConvergenceError,
+    DomainError,
+    EvaluationError,
+    HypothesisError,
+    Interval,
+)
 from hhbounds.oracle import check_convex_abs_d2, check_quasiconvex_abs_d2, integrate
 
 UNIT = Interval(0.0, 1.0)
@@ -49,19 +57,25 @@ class TestSingleResolution:
     def test_square_single_panel_hits_boundary(self, by_id):
         res = integrate_certified(by_id["x2"], UNIT, 1)
         assert res.estimate == 0.25
-        assert res.error_radius == pytest.approx(1.0 / 12.0, abs=1e-16)
+        assert res.truncation_radius == pytest.approx(1.0 / 12.0, abs=1e-16)
+        assert res.rounding_radius <= 1e-15
+        assert res.error_radius >= res.truncation_radius + res.rounding_radius
         # true value 1/3 lies exactly on the boundary of the certificate
         assert abs(1.0 / 3.0 - res.estimate) <= res.error_radius + 1e-15
 
     def test_square_two_panels(self, by_id):
         res = integrate_certified(by_id["x2"], UNIT, 2)
         assert res.estimate == pytest.approx(0.3125, abs=1e-15)
-        assert res.error_radius == pytest.approx(1.0 / 48.0, abs=1e-16)
+        assert res.truncation_radius == pytest.approx(1.0 / 48.0, abs=1e-16)
+        assert res.rounding_radius <= 1e-15
+        assert res.error_radius >= res.truncation_radius + res.rounding_radius
         assert abs(1.0 / 3.0 - res.estimate) == pytest.approx(1.0 / 48.0, abs=1e-15)
 
     def test_affine_is_exact_with_zero_radius(self, by_id):
         res = integrate_certified(by_id["affine"], Interval(0.0, 2.0), 5)
-        assert res.error_radius == 0.0
+        assert res.truncation_radius == 0.0
+        assert res.rounding_radius <= 1e-14  # 48 u of the estimate 8
+        assert res.error_radius >= res.truncation_radius + res.rounding_radius
         assert res.estimate == pytest.approx(8.0, abs=1e-14)
 
     def test_rejects_nonpositive_subinterval_count(self, by_id):
@@ -128,7 +142,9 @@ class TestRefinement:
     def test_affine_needs_single_panel(self, by_id):
         res = refine_to_tolerance(by_id["affine"], Interval(0.0, 2.0), 1e-12)
         assert res.subintervals == 1
-        assert res.error_radius == 0.0
+        assert res.truncation_radius == 0.0
+        assert res.rounding_radius <= 1e-14  # 48 u of the estimate 8
+        assert res.error_radius >= res.truncation_radius + res.rounding_radius
 
     def test_radius_halves_quadratically(self, by_id):
         res1 = refine_to_tolerance(by_id["exp"], Interval(-1.0, 1.0), 1e-4)
@@ -212,3 +228,144 @@ class TestAgainstOracle:
                 res = integrate_certified(fn, fn.window, n, theorem)
                 slack = res.error_radius + truth.est_error + 1e-12 * (1 + abs(truth.value))
                 assert abs(res.estimate - truth.value) <= slack, (fn.id, n)
+
+
+#: the benchmark's certify ladder, with the n each rung took before the
+#: rounding part existed
+LADDER = [
+    ("x2", 0.0, 1.0, 1e-6, 512),
+    ("exp", -1.0, 1.0, 1e-8, 8192),
+    ("x3", 0.0, 2.0, 1e-8, 16384),
+    ("x4", -1.5, 1.5, 1e-8, 32768),
+    ("affine", 0.0, 2.0, 1e-12, 1),
+    ("x_5_2", 0.25, 4.0, 1e-9, 131072),
+    ("inv_x", 1.0, 2.0, 1e-10, 32768),
+    ("x5", 0.5, 1.5, 1e-10, 131072),
+    ("neg_ln", 0.5, 3.0, 1e-10, 131072),
+    ("x_5_2", 1.0, 2.0, 1e-10, 65536),
+    ("x2", 0.0, 1.0, 1e-12, 524288),
+    ("inv_x", 1.0, 2.0, 1e-12, 262144),
+    ("exp", -1.0, 1.0, 1e-11, 262144),
+]
+
+
+def exact_integral(fid, a, b):
+    """The integral of a catalog function from its antiderivative, in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    antiderivatives = {
+        "x2": lambda x: x ** 3 / 3, "x3": lambda x: x ** 4 / 4,
+        "x4": lambda x: x ** 5 / 5, "x5": lambda x: x ** 6 / 6,
+        "affine": lambda x: 1.5 * x * x + x, "exp": mpmath.exp,
+        "inv_x": mpmath.log, "neg_ln": lambda x: x - x * mpmath.log(x),
+        "x_5_2": lambda x: x ** mpmath.mpf(3.5) / mpmath.mpf(3.5),
+    }
+    with mpmath.mp.workdps(50):
+        big = antiderivatives[fid]
+        return big(mpmath.mpf(b)) - big(mpmath.mpf(a))
+
+
+def recorded(fn):
+    """fn with f and f'' replaced by evaluators that record their arguments."""
+    seen = {"f": [], "d2": []}
+
+    def record(key, ev):
+        def wrapped(x):
+            seen[key].append(x)
+            return ev(x)
+        return wrapped
+
+    return dataclasses.replace(fn, f=record("f", fn.f), d2=record("d2", fn.d2)), seen
+
+
+class TestFloatingPoint:
+    @pytest.mark.parametrize("fid, a, b, tol, n", LADDER)
+    def test_every_ladder_rung_encloses_the_exact_integral(self, by_id, fid, a, b, tol, n):
+        fn, iv = by_id[fid], Interval(a, b)
+        res = refine_to_tolerance(fn, iv, tol, cli_theorem(fn, iv))
+        assert res.subintervals == n
+        assert res.error_radius <= tol
+        assert abs(res.estimate - exact_integral(fid, a, b)) <= res.error_radius
+        assert res.error_radius >= res.truncation_radius + res.rounding_radius
+
+    @pytest.mark.parametrize("n", [5, 3 << 4])
+    @pytest.mark.parametrize("theorem", list(CertTheorem))
+    @pytest.mark.usefixtures("class_checks_pass")
+    def test_walk_from_the_odd_part_reads_every_cut_once(self, by_id, n, theorem):
+        fn, seen = recorded(by_id["inv_x"])
+        iv = Interval(1.0, 2.0)
+        res = integrate_certified(fn, iv, n, theorem)
+        cuts = [iv.a + iv.width * i / n for i in range(n)] + [iv.b]
+        mids = [iv.a + iv.width * k / (2 * n) for k in range(1, 2 * n, 2)]
+        assert sorted(seen["d2"]) == cuts
+        assert seen["f"] == mids
+        # the same certificate, summed at once over the whole grid
+        g = [abs(fn.d2(x)) for x in cuts]
+        if theorem is CertTheorem.CONVEX_Q1:
+            weight = math.fsum([0.5 * g[0], 0.5 * g[-1]] + g[1:-1])
+        else:
+            weight = math.fsum(map(max, g, g[1:]))
+        h = iv.width / n
+        assert res.truncation_radius == pytest.approx(h ** 3 / 24 * weight, rel=1e-14)
+        assert res.estimate == pytest.approx(h * math.fsum(map(fn.f, mids)), rel=1e-15)
+        assert abs(res.estimate - math.log(2.0)) <= res.error_radius
+
+    @pytest.mark.parametrize("theorem", list(CertTheorem))
+    def test_level_above_chunk_weight_matches_one_fsum(self, by_id, theorem):
+        fn, iv = by_id["exp"], Interval(-1.0, 1.0)
+        walk = certifier._Walk(fn, iv, theorem, 1)
+        while walk.n <= 2 * CHUNK:
+            walk.double()
+        n = walk.n
+        g = [abs(fn.d2(iv.a + iv.width * i / n)) for i in range(n)] + [abs(fn.d2(iv.b))]
+        if theorem is CertTheorem.CONVEX_Q1:
+            terms = [0.5 * g[0], 0.5 * g[-1]] + g[1:-1]
+        else:
+            terms = list(map(max, g, g[1:]))
+        reference = math.fsum(terms)
+        assert abs(walk.weight() - reference) <= 2.0 ** -53 * reference
+
+    @pytest.mark.usefixtures("class_checks_pass")
+    def test_rounding_part_is_checked_before_the_level_is_taken(self, by_id):
+        # at n = 4 the truncation part fits and the rounding part does not:
+        # the search doubles once more and evaluates f on both levels
+        at4 = integrate_certified(by_id["x2"], UNIT, 4)
+        tol = at4.truncation_radius + 0.5 * at4.rounding_radius
+        fn, calls = counted(by_id["x2"])
+        res = refine_to_tolerance(fn, UNIT, tol)
+        assert res.subintervals == 8
+        assert calls == {"f": 4 + 8, "d2": 9}
+
+    @pytest.mark.usefixtures("class_checks_pass")
+    def test_below_the_rounding_floor_fails_after_one_f_pass(self, by_id):
+        fn, calls = counted(by_id["affine"])
+        with pytest.raises(ConvergenceError, match="rounding part"):
+            refine_to_tolerance(fn, Interval(0.0, 2.0), 1e-16)
+        assert calls == {"f": 1, "d2": 2}
+
+
+def _function(f=lambda x: x * x, d2=lambda x: 2.0):
+    return core.TestFunction("custom", f, lambda x: 0.0, d2, UNIT)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("theorem", list(CertTheorem))
+    @pytest.mark.usefixtures("class_checks_pass")
+    def test_nan_second_derivative_fails_at_the_first_level(self, theorem):
+        fn, calls = counted(_function(d2=lambda x: math.nan))
+        with pytest.raises(EvaluationError, match="f''"):
+            refine_to_tolerance(fn, UNIT, 1e-6, theorem)
+        assert calls == {"f": 0, "d2": 2}
+        with pytest.raises(EvaluationError):
+            integrate_certified(fn, UNIT, 64, theorem)
+
+    @pytest.mark.parametrize("f", [
+        lambda x: math.nan,
+        lambda x: math.inf if x < 0.5 else -math.inf,  # fsum raises on inf - inf
+    ])
+    @pytest.mark.usefixtures("class_checks_pass")
+    def test_non_finite_f_gives_no_certificate(self, f):
+        fn = _function(f=f)
+        with pytest.raises(EvaluationError, match="f is not finite"):
+            refine_to_tolerance(fn, UNIT, 1e-6)
+        with pytest.raises(EvaluationError, match="f is not finite"):
+            integrate_certified(fn, UNIT, 4)

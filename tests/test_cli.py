@@ -124,6 +124,19 @@ class TestCertifyCommand:
     def test_unclassified_function_exits_three(self):
         assert run("certify", "sin", "0", "3.0", "1e-6").returncode == 3
 
+    @pytest.mark.parametrize("args", [("inv_x", "1", "2", "1e-12"), ("exp", "-1", "1", "1e-11")])
+    def test_tight_rungs_enclose(self, args):
+        proc = run("certify", *args)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["enclosed"] is True
+
+    def test_tolerance_below_the_rounding_floor_exits_one(self):
+        proc = run("certify", "affine", "0", "2", "1e-16")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "rounding part" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_negative_tolerance_in_exponent_form_reaches_the_certifier(self):
         proc = run("certify", "x2", "0", "1", "-1e-3")
         assert proc.returncode == 2
