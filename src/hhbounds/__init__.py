@@ -35,7 +35,6 @@ from .core import (
     ConvergenceError,
     DomainError,
     EvaluationError,
-    FunctionClass,
     HypothesisError,
     Interval,
     TestFunction,

@@ -7,7 +7,8 @@ Truncation part.  Each uniform subinterval of width h contributes h^3/24
 times the mean (or, under the weaker quasi-convex hypothesis, the max) of
 its endpoint |f''| values; the exact midpoint sum lies within the total of
 the exact integral whenever |f''| has the claimed class on every
-subinterval.  Both classes restrict to subintervals, so checking the full
+subinterval.  Both classes restrict to subintervals, so requiring the
+class (``oracle.CONVEX_D2`` or ``oracle.QUASICONVEX_D2``) on the full
 interval suffices.  The |f''| values are computed ones, each within
 ``ULPS`` ulp of the exact value, so within a relative 2*ULPS*u (u = 2^-53);
 the weight sums them with ``math.fsum`` (Shewchuk 1997), correctly rounded
@@ -68,11 +69,10 @@ from .core import (
     ConvergenceError,
     DomainError,
     EvaluationError,
-    HypothesisError,
     Interval,
     TestFunction,
 )
-from .oracle import check_convex_abs_d2, check_quasiconvex_abs_d2
+from .oracle import CONVEX_D2, QUASICONVEX_D2
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -95,6 +95,10 @@ class CertTheorem(str, Enum):
     QUASI_Q1 = "quasi_q1"
 
 
+#: the class of |f''| each theorem is stated under
+_HYPOTHESIS = {CertTheorem.CONVEX_Q1: CONVEX_D2, CertTheorem.QUASI_Q1: QUASICONVEX_D2}
+
+
 @dataclass(frozen=True)
 class CertifiedIntegral:
     """An estimate within ``error_radius`` of the integral.
@@ -108,18 +112,6 @@ class CertifiedIntegral:
     theorem_used: CertTheorem
     truncation_radius: float
     rounding_radius: float
-
-
-def _require_hypotheses(fn: TestFunction, iv: Interval, theorem: CertTheorem) -> None:
-    if not fn.defined_on(iv):
-        raise DomainError(f"[{iv.a}, {iv.b}] is outside the domain of {fn.id!r}")
-    if theorem is CertTheorem.CONVEX_Q1:
-        if not check_convex_abs_d2(fn, iv):
-            raise HypothesisError(f"class check failed: |f''| of {fn.id!r} "
-                                  f"is not convex on [{iv.a}, {iv.b}]")
-    elif not check_quasiconvex_abs_d2(fn, iv):
-        raise HypothesisError(f"class check failed: |f''| of {fn.id!r} "
-                              f"is not quasi-convex on [{iv.a}, {iv.b}]")
 
 
 class _Model(NamedTuple):
@@ -278,12 +270,13 @@ def integrate_certified(fn: TestFunction, iv: Interval, n: int,
 
     Walks from the odd part m of n (m + 1 cuts, then doublings), as
     ``refine_to_tolerance`` walks from 1: n + 1 f'' and n f evaluations.
-    Raises HypothesisError when the 64-point sample refutes the theorem's
-    class for |f''| on iv, EvaluationError on a non-finite evaluation.
+    Raises DomainError when iv leaves fn's domain and HypothesisError when
+    the 64-point sample refutes the theorem's class for |f''| on iv (both
+    from ``Hypothesis.require``), EvaluationError on a non-finite evaluation.
     """
     if n < 1:
         raise DomainError(f"need at least one subinterval, got {n}")
-    _require_hypotheses(fn, iv, theorem)
+    _HYPOTHESIS[theorem].require(fn, iv)
     walk = _Walk(fn, iv, theorem, n // (n & -n))
     while walk.n < n:
         walk.double()
@@ -302,18 +295,18 @@ def refine_to_tolerance(fn: TestFunction, iv: Interval, tol: float,
     truncation + rounding fits.  The truncation part scales as h^2 for
     bounded |f''|, so the count grows as O(tol^(-1/2)).
 
-    Raises HypothesisError as ``integrate_certified`` does, EvaluationError
-    on a non-finite evaluation, and ConvergenceError when the radius is
-    still above tol at 2^20 subintervals, under CONVEX_Q1 as soon as the
-    Hermite-Hadamard floor of the truncation part at 2^20 is above tol, and
-    as soon as the rounding part alone is above tol.  That last one is a
+    Raises DomainError and HypothesisError as ``integrate_certified`` does,
+    EvaluationError on a non-finite evaluation, and ConvergenceError when
+    the radius is still above tol at 2^20 subintervals, under CONVEX_Q1 as
+    soon as the Hermite-Hadamard floor of the truncation part at 2^20 is
+    above tol, and as soon as the rounding part alone is above tol.  That last one is a
     refusal, not a proof that no grid fits: a finer grid moves the rounding
     part only through the midpoint sum of |f| and through |E|, which
     approach fixed values, so it does not shrink with h.
     """
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    _require_hypotheses(fn, iv, theorem)
+    _HYPOTHESIS[theorem].require(fn, iv)
     walk = _Walk(fn, iv, theorem, 1)
     while True:
         n = walk.n

@@ -97,15 +97,6 @@ class ConjugatePair:
         return cls(conjugate_of(q), q)
 
 
-class FunctionClass(Enum):
-    """Declared regularity class of |f''| on the function's window."""
-
-    CONVEX_ABS_D2 = "convex_abs_d2"
-    QUASICONVEX_ABS_D2 = "quasiconvex_abs_d2"
-    NEITHER = "neither"
-    UNKNOWN = "unknown"
-
-
 @dataclass(frozen=True)
 class TestFunction:
     """An evaluable (f, f', f'') triple over a declared domain.
@@ -113,9 +104,9 @@ class TestFunction:
     ``domain`` is None when the function is defined on all reals; bounded
     domains keep singular functions (1/x, ln x) away from their poles.
     ``window`` is the canonical interval that sweeps sample subintervals
-    from; for bounded domains it coincides with the domain.  The declared
-    class is author-asserted metadata and is re-verified by the sampling
-    checks rather than trusted.
+    from; for bounded domains it coincides with the domain.  It declares no
+    class: whether |f''| is convex or quasi-convex on an interval is decided
+    by sampling there (``oracle.Hypothesis``).
     """
 
     id: str
@@ -124,7 +115,6 @@ class TestFunction:
     d2: Evaluator
     window: Interval
     domain: Interval | None = None
-    declared_class: FunctionClass = FunctionClass.UNKNOWN
 
     def __post_init__(self) -> None:
         if self.domain is not None and not self.domain.contains(self.window):
@@ -183,7 +173,6 @@ class BoundReport:
         true_gap: float,
         *,
         exponent: ConjugatePair | float | None = None,
-        tol: float = VALIDITY_TOL,
         extras: dict | None = None,
     ) -> BoundReport:
         slack = bound - true_gap
@@ -194,7 +183,7 @@ class BoundReport:
             bound=bound,
             true_gap=true_gap,
             slack=slack,
-            valid=slack >= -tol,
+            valid=slack >= -VALIDITY_TOL,
             exponent=exponent,
             extras=extras or {},
         )
@@ -204,9 +193,7 @@ def polynomial(coeffs: Sequence[float], *, id: str | None = None,
                window: Interval | None = None) -> TestFunction:
     """Build a TestFunction from polynomial coefficients (constant first).
 
-    Derivatives are exact.  Up to degree three |f''| is |constant| or
-    |linear|, hence convex on any interval; higher degrees are left
-    unclassified.
+    Derivatives are exact.
     """
     cs = [float(c) for c in coeffs]
     if not cs:
@@ -222,16 +209,13 @@ def polynomial(coeffs: Sequence[float], *, id: str | None = None,
             return acc
         return ev
 
-    degree = len(cs) - 1
-    cls = FunctionClass.CONVEX_ABS_D2 if degree <= 3 else FunctionClass.UNKNOWN
     return TestFunction(
-        id=id or f"poly{degree}",
+        id=id or f"poly{len(cs) - 1}",
         f=horner(cs),
         d1=horner(d1cs) if d1cs else (lambda x: 0.0),
         d2=horner(d2cs) if d2cs else (lambda x: 0.0),
         window=window or Interval(-1.0, 1.0),
         domain=None,
-        declared_class=cls,
     )
 
 
@@ -242,33 +226,30 @@ def builtin_catalog() -> list[TestFunction]:
     [1/4, 4] so every evaluator is total on its declared domain.
     """
     pos = Interval(0.25, 4.0)
-    convex = FunctionClass.CONVEX_ABS_D2
     return [
         TestFunction("x2", lambda x: x * x, lambda x: 2.0 * x, lambda x: 2.0,
-                     window=Interval(-1.5, 1.5), declared_class=convex),
+                     window=Interval(-1.5, 1.5)),
         TestFunction("x3", lambda x: x ** 3, lambda x: 3.0 * x * x, lambda x: 6.0 * x,
-                     window=Interval(0.0, 2.0), declared_class=convex),
+                     window=Interval(0.0, 2.0)),
         TestFunction("x4", lambda x: x ** 4, lambda x: 4.0 * x ** 3, lambda x: 12.0 * x * x,
-                     window=Interval(-1.5, 1.5), declared_class=convex),
+                     window=Interval(-1.5, 1.5)),
         TestFunction("x5", lambda x: x ** 5, lambda x: 5.0 * x ** 4, lambda x: 20.0 * x ** 3,
-                     window=Interval(-1.5, 1.5), declared_class=convex),
+                     window=Interval(-1.5, 1.5)),
         TestFunction("inv_x", lambda x: 1.0 / x, lambda x: -1.0 / (x * x), lambda x: 2.0 / x ** 3,
-                     window=pos, domain=pos, declared_class=convex),
+                     window=pos, domain=pos),
         TestFunction("neg_ln", lambda x: -math.log(x), lambda x: -1.0 / x, lambda x: 1.0 / (x * x),
-                     window=pos, domain=pos, declared_class=convex),
+                     window=pos, domain=pos),
         TestFunction("exp", math.exp, math.exp, math.exp,
-                     window=Interval(-1.0, 1.0), declared_class=convex),
+                     window=Interval(-1.0, 1.0)),
         TestFunction("affine", lambda x: 3.0 * x + 1.0, lambda x: 3.0, lambda x: 0.0,
-                     window=Interval(0.0, 2.0), declared_class=convex),
+                     window=Interval(0.0, 2.0)),
         # |f''| = 3.75*sqrt(x): increasing (quasi-convex) but strictly concave
         TestFunction("x_5_2", lambda x: x ** 2.5, lambda x: 2.5 * x ** 1.5,
                      lambda x: 3.75 * math.sqrt(x),
-                     window=pos, domain=pos,
-                     declared_class=FunctionClass.QUASICONVEX_ABS_D2),
+                     window=pos, domain=pos),
         # |f''| = sin on [0, pi] is concave with interior peak: neither class
         TestFunction("sin", math.sin, math.cos, lambda x: -math.sin(x),
-                     window=Interval(0.0, math.pi),
-                     declared_class=FunctionClass.NEITHER),
+                     window=Interval(0.0, math.pi)),
     ]
 
 

@@ -40,6 +40,12 @@ NEAR_EQUAL_REL = 1e-12
 LP_MONOTONE_GRID = (-5.0, -4.0, -3.0, -2.0, -1.01, -1.0, -0.5, 0.0, 0.5,
                     1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0)
 
+#: slack per step of L_p on LP_MONOTONE_GRID, relative to max(1, |L_p|)
+LP_MONOTONE_TOL = 1e-12
+
+#: slack per link of the mean chain H <= G <= L <= I <= A
+CHAIN_TOL = 1e-12
+
 
 def _validate(a: float, b: float) -> None:
     if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0 or b <= 0.0:
@@ -107,23 +113,21 @@ def all_means(a: float, b: float) -> dict[str, float]:
             "I": identric_mean(a, b)}
 
 
-def chain_check(a: float, b: float, tol: float = 1e-12) -> bool:
-    """True iff H <= G <= L <= I <= A holds within tol slack per link."""
+def chain_check(a: float, b: float) -> bool:
+    """True iff H <= G <= L <= I <= A holds within CHAIN_TOL slack per link."""
     vals = [harmonic_mean(a, b), geometric_mean(a, b), logarithmic_mean(a, b),
             identric_mean(a, b), arithmetic_mean(a, b)]
-    return all(lo <= hi + tol for lo, hi in zip(vals, vals[1:]))
+    return all(lo <= hi + CHAIN_TOL for lo, hi in zip(vals, vals[1:]))
 
 
-def lp_values_on_grid(a: float, b: float,
-                      grid: tuple[float, ...] = LP_MONOTONE_GRID) -> list[float]:
-    return [p_logarithmic_mean(a, b, p) for p in grid]
+def lp_values_on_grid(a: float, b: float) -> list[float]:
+    return [p_logarithmic_mean(a, b, p) for p in LP_MONOTONE_GRID]
 
 
-def lp_monotone_nondecreasing(a: float, b: float,
-                              grid: tuple[float, ...] = LP_MONOTONE_GRID,
-                              tol: float = 1e-12) -> bool:
-    vals = lp_values_on_grid(a, b, grid)
-    return all(hi >= lo - tol * max(1.0, abs(lo)) for lo, hi in zip(vals, vals[1:]))
+def lp_monotone_nondecreasing(a: float, b: float) -> bool:
+    vals = lp_values_on_grid(a, b)
+    return all(hi >= lo - LP_MONOTONE_TOL * max(1.0, abs(lo))
+               for lo, hi in zip(vals, vals[1:]))
 
 
 # --- inequality checkers -------------------------------------------------

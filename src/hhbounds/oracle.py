@@ -1,9 +1,11 @@
 """Ground-truth numerics the closed-form bounds are tested against.
 
-Provides adaptive quadrature, the true midpoint gap, and sampling-based
-convexity and quasi-convexity verdicts for |f''|.  The class checks are
-falsifiers, not provers: they can refute a declared class on a grid but
-cannot certify it.
+Provides adaptive quadrature, the true midpoint gap, sampling-based
+convexity and quasi-convexity verdicts, and the class hypotheses the
+bounds and the certifier are stated under (``Hypothesis``), whose
+``require`` is the one place a request is refused for its class.  The
+class checks are falsifiers, not provers: they can refute a class on a
+grid but cannot certify it.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .core import (
     ConvergenceError,
     DomainError,
     EvaluationError,
+    HypothesisError,
     Interval,
     TestFunction,
 )
@@ -25,6 +28,9 @@ MAX_DEPTH = 60
 
 #: panels are never accepted shallower than this, whatever the estimate says
 _MIN_DEPTH = 2
+
+#: points of the interval whose pairs the midpoint-convexity samplers test
+CLASS_CHECK_GRID = 64
 
 #: additive slack used by the midpoint-convexity samplers
 CLASS_CHECK_TOL = 1e-9
@@ -108,11 +114,9 @@ def _grid(iv: Interval, n: int) -> list[float]:
     return xs
 
 
-def midpoint_convexity_holds(g: Callable[[float], float], iv: Interval,
-                             grid: int = 64, tol: float = CLASS_CHECK_TOL) -> bool:
+def midpoint_convexity_holds(g: Callable[[float], float], iv: Interval) -> bool:
     """Sampling verdict: g((x+y)/2) <= (g(x)+g(y))/2 + tol over all grid pairs."""
-    if grid < 3:
-        raise DomainError(f"grid must be at least 3, got {grid}")
+    grid, tol = CLASS_CHECK_GRID, CLASS_CHECK_TOL  # locals: the pair loop is hot
     xs = _grid(iv, grid)
     gs = [g(x) for x in xs]
     for i in range(grid):
@@ -122,11 +126,9 @@ def midpoint_convexity_holds(g: Callable[[float], float], iv: Interval,
     return True
 
 
-def midpoint_quasiconvexity_holds(g: Callable[[float], float], iv: Interval,
-                                  grid: int = 64, tol: float = CLASS_CHECK_TOL) -> bool:
+def midpoint_quasiconvexity_holds(g: Callable[[float], float], iv: Interval) -> bool:
     """Sampling verdict: g((x+y)/2) <= max(g(x), g(y)) + tol over all grid pairs."""
-    if grid < 3:
-        raise DomainError(f"grid must be at least 3, got {grid}")
+    grid, tol = CLASS_CHECK_GRID, CLASS_CHECK_TOL
     xs = _grid(iv, grid)
     gs = [g(x) for x in xs]
     for i in range(grid):
@@ -145,3 +147,35 @@ def check_convex_abs_d2(fn: TestFunction, iv: Interval) -> bool:
 def check_quasiconvex_abs_d2(fn: TestFunction, iv: Interval) -> bool:
     """True iff |f''| passes the 64-point midpoint-quasi-convexity sampling check on iv."""
     return midpoint_quasiconvexity_holds(lambda x: abs(fn.d2(x)), iv)
+
+
+@dataclass(frozen=True)
+class Hypothesis:
+    """A class for the magnitude of one derivative (a TestFunction attribute);
+    a bound under it aggregates that derivative's endpoint magnitudes.
+
+    ``check`` samples the class on an interval; it looks the sampler up
+    when called, so a replaced module attribute is the one that runs.
+    """
+
+    derivative: str
+    magnitude: str
+    kind: str
+    check: Callable[[TestFunction, Interval], bool]
+
+    def require(self, fn: TestFunction, iv: Interval) -> None:
+        """Raise DomainError when iv leaves fn's domain, HypothesisError
+        when the sample refutes the class on iv."""
+        if not fn.defined_on(iv):
+            raise DomainError(f"[{iv.a}, {iv.b}] is outside the domain of {fn.id!r}")
+        if not self.check(fn, iv):
+            raise HypothesisError(f"class check failed: {self.magnitude} of {fn.id!r} "
+                                  f"is not {self.kind} on [{iv.a}, {iv.b}]")
+
+
+CONVEX_D2 = Hypothesis("d2", "|f''|", "convex",
+                       lambda fn, iv: check_convex_abs_d2(fn, iv))
+QUASICONVEX_D2 = Hypothesis("d2", "|f''|", "quasi-convex",
+                            lambda fn, iv: check_quasiconvex_abs_d2(fn, iv))
+CONVEX_D1 = Hypothesis("d1", "|f'|", "convex",
+                       lambda fn, iv: midpoint_convexity_holds(lambda x: abs(fn.d1(x)), iv))

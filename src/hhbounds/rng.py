@@ -35,11 +35,11 @@ class SplitMix64:
     def choice(self, seq):
         return seq[self.next_u64() % len(seq)]
 
-    def subinterval(self, window: Interval, min_frac: float = 0.05) -> Interval:
-        """Random subinterval of ``window`` at least ``min_frac`` of its width."""
+    def subinterval(self, window: Interval) -> Interval:
+        """Random subinterval of ``window`` at least 5% of its width."""
         while True:
             x = self.uniform(window.a, window.b)
             y = self.uniform(window.a, window.b)
             lo, hi = (x, y) if x < y else (y, x)
-            if hi - lo >= min_frac * window.width:
+            if hi - lo >= 0.05 * window.width:
                 return Interval(lo, hi)

@@ -4,12 +4,13 @@ Each sweep walks the built-in catalog (window first, then seeded random
 subintervals), evaluates one family of checks, and yields schema-stable
 lines: suite, function, interval, theorem, bound, gap, slack, pass.  For
 bound families pass means slack >= -1e-9; for the identity sweep it means
-|slack| stays below the residual tolerance.
+|slack| stays below the residual tolerance.  The bound table (``SWEEPS``)
+names each theorem's class hypothesis from ``oracle``; the sweeps and the
+single reports (``build_bound_report``) both read it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from types import ModuleType
@@ -41,12 +42,7 @@ from .means import (
     lp_monotone_nondecreasing,
     lp_values_on_grid,
 )
-from .oracle import (
-    check_convex_abs_d2,
-    check_quasiconvex_abs_d2,
-    midpoint_convexity_holds,
-    midpoint_gap,
-)
+from .oracle import CONVEX_D1, CONVEX_D2, QUASICONVEX_D2, Hypothesis, _grid, midpoint_gap
 from .rng import SplitMix64
 
 SUITE_NAMES = ("identity", "convex", "quasiconvex", "means", "all")
@@ -103,44 +99,19 @@ def _case_intervals(fn: TestFunction, cases: int, rng: SplitMix64) -> list[Inter
     return [fn.window] + [rng.subinterval(fn.window) for _ in range(cases)]
 
 
-def identity_suite(cases: int, seed: int, catalog: list[TestFunction] | None = None,
-                   tol: float = GAP_TOL) -> list[CheckLine]:
+def identity_suite(cases: int, seed: int) -> list[CheckLine]:
     """Residual of the kernel identity over the catalog and random subintervals."""
-    catalog = catalog if catalog is not None else builtin_catalog()
     rng = SplitMix64(seed ^ _SALT["identity"])
     lines = []
-    for fn in catalog:
+    for fn in builtin_catalog():
         for iv in _case_intervals(fn, cases, rng):
-            lhs = identity_lhs(fn, iv, tol)
-            rhs = identity_rhs(fn, iv, tol)
+            lhs = identity_lhs(fn, iv, GAP_TOL)
+            rhs = identity_rhs(fn, iv, GAP_TOL)
             slack = rhs - lhs
             lines.append(CheckLine(
                 suite="identity", function=fn.id, interval=iv, theorem="identity",
                 bound=rhs, gap=lhs, slack=slack, passed=abs(slack) <= RESIDUAL_TOL))
     return lines
-
-
-@dataclass(frozen=True)
-class Hypothesis:
-    """A class for the magnitude of one derivative (a TestFunction attribute);
-    a bound under it aggregates that derivative's endpoint magnitudes.
-
-    ``check`` samples the class on an interval; it looks the oracle function
-    up when called, so a replaced module attribute is the one that runs.
-    """
-
-    derivative: str
-    magnitude: str
-    kind: str
-    check: Callable[[TestFunction, Interval], bool]
-
-
-CONVEX_D2 = Hypothesis("d2", "|f''|", "convex",
-                       lambda fn, iv: check_convex_abs_d2(fn, iv))
-QUASICONVEX_D2 = Hypothesis("d2", "|f''|", "quasi-convex",
-                            lambda fn, iv: check_quasiconvex_abs_d2(fn, iv))
-CONVEX_D1 = Hypothesis("d1", "|f'|", "convex",
-                       lambda fn, iv: midpoint_convexity_holds(lambda x: abs(fn.d1(x)), iv))
 
 
 class Exponent(Enum):
@@ -198,11 +169,10 @@ BOUND_ROWS = {row.theorem: row for rows in SWEEPS.values() for row in rows}
 BOUND_THEOREMS = tuple(sorted(t.value for t in BOUND_ROWS))
 
 
-def monotone_direction(fn: TestFunction, iv: Interval,
-                       samples: int = 65) -> Monotonicity | None:
-    """Sampled monotonicity direction of |f''| on iv, or None if mixed."""
-    step = iv.width / (samples - 1)
-    gs = [abs(fn.d2(iv.a + i * step)) for i in range(samples)]
+def monotone_direction(fn: TestFunction, iv: Interval) -> Monotonicity | None:
+    """Monotonicity direction of |f''| sampled at 65 evenly spaced points of
+    iv (the oracle's grid, ends included), or None if mixed."""
+    gs = [abs(fn.d2(x)) for x in _grid(iv, 65)]
     tol = 1e-12 * max(1.0, max(gs))
     if all(hi >= lo - tol for lo, hi in zip(gs, gs[1:])):
         return Monotonicity.INCREASING
@@ -246,8 +216,7 @@ def _bound(row: BoundRow, fn: TestFunction, iv: Interval, exponent,
     return getattr(row.module, row.formula)(iv, *args)
 
 
-def bound_suite(name: str, cases: int, seed: int,
-                catalog: list[TestFunction] | None = None) -> list[CheckLine]:
+def bound_suite(name: str, cases: int, seed: int) -> list[CheckLine]:
     """Validity sweep of the bound rows of ``SWEEPS[name]``.
 
     A row's hypothesis is checked once, on the function's window: the
@@ -257,10 +226,9 @@ def bound_suite(name: str, cases: int, seed: int,
     mixed.  Each row's q is drawn on every interval, even for a row left out.
     """
     rows = SWEEPS[name]
-    catalog = catalog if catalog is not None else builtin_catalog()
     rng = SplitMix64(seed ^ _SALT[name])
     lines = []
-    for fn in catalog:
+    for fn in builtin_catalog():
         first = rows[0].hypothesis
         if not first.check(fn, fn.window):
             continue
@@ -342,15 +310,15 @@ def run_suite(name: str, cases: int, seed: int) -> list[CheckLine]:
 # --- single bound reports (CLI `bound` command) ---------------------------
 
 def build_bound_report(fn: TestFunction, iv: Interval, theorem: str,
-                       q: float | None = None, p: float | None = None,
-                       gap_tol: float = GAP_TOL) -> BoundReport:
+                       q: float | None = None, p: float | None = None) -> BoundReport:
     """Evaluate one named bound on one catalog function and interval.
 
-    Verifies the theorem's class hypothesis with the sampling checks and
-    raises HypothesisError when it fails; raises DomainError for unknown
-    theorems, bad exponents, q or p given to a theorem that takes no
-    exponent, p given to a power-mean theorem, or intervals outside the
-    function's domain.
+    Requires the theorem's class hypothesis (``Hypothesis.require``), so
+    raises HypothesisError when the sample refutes it and DomainError for
+    an interval outside the function's domain; also HypothesisError when
+    the monotone theorem's |f''| is sampled as mixed, and DomainError for
+    unknown theorems, bad exponents, q or p given to a theorem that takes
+    no exponent, or p given to a power-mean theorem.
     """
     try:
         tid = TheoremId(theorem)
@@ -363,19 +331,13 @@ def build_bound_report(fn: TestFunction, iv: Interval, theorem: str,
         raise DomainError(f"{theorem!r} takes no exponent; drop q and p")
     if row.exponent is Exponent.Q and p is not None:
         raise DomainError(f"{theorem!r} takes no exponent p; give q alone")
-    if not fn.defined_on(iv):
-        raise DomainError(f"[{iv.a}, {iv.b}] is outside the domain of {fn.id!r}")
-
-    hyp = row.hypothesis
-    if not hyp.check(fn, iv):
-        raise HypothesisError(f"class check failed: {hyp.magnitude} of {fn.id!r} "
-                              f"is not {hyp.kind} on the interval")
+    row.hypothesis.require(fn, iv)
     exponent = _exponent(row, fn, iv, q, p)
     if row.exponent is Exponent.DIRECTION and exponent is None:
-        raise HypothesisError(
-            f"class check failed: |f''| of {fn.id!r} is not monotone on the interval")
+        raise HypothesisError(f"class check failed: |f''| of {fn.id!r} "
+                              f"is not monotone on [{iv.a}, {iv.b}]")
     bound = _bound(row, fn, iv, exponent, {})
-    gap = midpoint_gap(fn, iv, gap_tol)
+    gap = midpoint_gap(fn, iv, GAP_TOL)
     if row.exponent is Exponent.DIRECTION:
         exponent = None  # a report's exponent is numeric; the direction is not kept
     return BoundReport.from_values(tid, fn.id, iv, bound, gap, exponent=exponent)

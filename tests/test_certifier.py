@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from hhbounds import certifier, core
+from hhbounds import certifier, core, oracle
 from hhbounds.certifier import (
     CHUNK,
     MAX_SUBINTERVALS,
@@ -49,8 +49,8 @@ def counted(fn):
 @pytest.fixture
 def class_checks_pass(monkeypatch):
     """Class checks that pass without evaluating f'', so counts see the search alone."""
-    monkeypatch.setattr(certifier, "check_convex_abs_d2", lambda fn, iv: True)
-    monkeypatch.setattr(certifier, "check_quasiconvex_abs_d2", lambda fn, iv: True)
+    monkeypatch.setattr(oracle, "check_convex_abs_d2", lambda fn, iv: True)
+    monkeypatch.setattr(oracle, "check_quasiconvex_abs_d2", lambda fn, iv: True)
 
 
 class TestSingleResolution:
@@ -161,8 +161,14 @@ class TestRefinement:
         assert MAX_SUBINTERVALS == 1 << 20
 
     def test_rejects_interval_outside_domain(self, by_id):
-        with pytest.raises(DomainError):
-            refine_to_tolerance(by_id["inv_x"], Interval(0.0, 1.0), 1e-6)
+        # before any evaluation, by both entry points under either theorem
+        fn, calls = counted(by_id["inv_x"])
+        for theorem in CertTheorem:
+            with pytest.raises(DomainError, match="outside the domain"):
+                refine_to_tolerance(fn, Interval(0.0, 1.0), 1e-6, theorem)
+            with pytest.raises(DomainError, match="outside the domain"):
+                integrate_certified(fn, Interval(0.0, 1.0), 4, theorem)
+        assert calls == {"f": 0, "d2": 0}
 
 
 class TestNestedSearch:

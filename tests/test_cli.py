@@ -216,3 +216,39 @@ def test_overflowing_evaluation_exits_one_without_traceback(args):
     assert proc.returncode == 1
     assert "overflowed" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args, refusal", [
+    (("bound", "sin", "0", "3.14159", "convex_q1"),
+     "|f''| of 'sin' is not convex on [0.0, 3.14159]"),
+    (("bound", "x4", "-1", "1", "quasi_monotone"),
+     "|f''| of 'x4' is not monotone on [-1.0, 1.0]"),
+    (("bound", "sin", "0.2", "1.3", "baseline_q1"),
+     "|f'| of 'sin' is not convex on [0.2, 1.3]"),
+    (("certify", "sin", "0", "3", "1e-6"),
+     "|f''| of 'sin' is not quasi-convex on [0.0, 3.0]"),
+], ids=["bound-convex", "bound-monotone", "bound-baseline", "certify"])
+def test_class_refusal_names_the_interval(args, refusal):
+    proc = run(*args)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == f"hh: class check failed: {refusal}\n"
+
+
+def test_startup_loads_the_standard_library_alone_and_no_fractions():
+    # hh's start-up: only stdlib modules, and fractions (which imports
+    # decimal) waits until a certificate needs it
+    code = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import hhbounds, hhbounds.cli\n"
+        "hhbounds.cli.catalog_by_id()\n"
+        "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(json.dumps([sorted(new - set(sys.stdlib_module_names) - {'hhbounds'}),\n"
+        "                  sorted({'fractions', 'decimal'} & set(sys.modules))]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    third_party, deferred = json.loads(proc.stdout)
+    assert third_party == []
+    assert deferred == []

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hhbounds.core import (
     ConjugatePair,
     DomainError,
-    FunctionClass,
     Interval,
     conjugate_of,
     polynomial,
@@ -80,21 +79,16 @@ class TestCatalog:
     def test_x2_has_constant_second_derivative(self, by_id):
         fn = by_id["x2"]
         assert fn.d2(-0.7) == 2.0 == fn.d2(1.2)
-        assert fn.declared_class is FunctionClass.CONVEX_ABS_D2
 
     def test_inv_x_second_derivative(self, by_id):
         fn = by_id["inv_x"]
         assert fn.defined_on(Interval(1.0, 2.0))
         assert fn.d2(1.5) == pytest.approx(2.0 / 1.5 ** 3, rel=1e-15)
-        assert fn.declared_class is FunctionClass.CONVEX_ABS_D2
 
     def test_affine_has_zero_second_derivative(self, by_id):
         fn = by_id["affine"]
         assert fn.f(0.5) == 2.5
         assert fn.d2(1.3) == 0.0
-
-    def test_quasi_but_not_convex_example_present(self, by_id):
-        assert by_id["x_5_2"].declared_class is FunctionClass.QUASICONVEX_ABS_D2
 
     def test_windows_stay_inside_domains(self, catalog):
         for fn in catalog:
@@ -114,10 +108,6 @@ class TestPolynomial:
         assert c.d1(3.0) == 0.0 and c.d2(3.0) == 0.0
         aff = polynomial([1.0, 2.0])
         assert aff.d1(3.0) == 2.0 and aff.d2(3.0) == 0.0
-
-    def test_class_declaration_by_degree(self):
-        assert polynomial([0, 0, 0, 1]).declared_class is FunctionClass.CONVEX_ABS_D2
-        assert polynomial([0, 0, 0, 0, 1]).declared_class is FunctionClass.UNKNOWN
 
     def test_rejects_empty_coefficients(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from hhbounds import suites
 from hhbounds.bounds_convex import (
     baseline_first_derivative,
     bound_convex_holder,
@@ -73,6 +76,23 @@ class TestBoundTable:
         with pytest.raises(HypothesisError, match="class check failed"):
             build_bound_report(by_id[fid], Interval(a, b), theorem)
 
+    def test_outside_domain_refused_before_any_evaluation(self, by_id):
+        calls = []
+
+        def count(ev):
+            def counted(x):
+                calls.append(x)
+                return ev(x)
+            return counted
+
+        inv_x = by_id["inv_x"]
+        fn = dataclasses.replace(inv_x, f=count(inv_x.f), d1=count(inv_x.d1),
+                                 d2=count(inv_x.d2))
+        for theorem in BOUND_ROWS:
+            with pytest.raises(DomainError, match=r"\[0.0, 1.0\] is outside the domain"):
+                build_bound_report(fn, Interval(0.0, 1.0), theorem.value)
+        assert calls == []
+
     @pytest.mark.parametrize("theorem", ["prop_identric", "no_such_theorem"])
     def test_rejects_names_outside_the_table(self, by_id, theorem):
         with pytest.raises(DomainError):
@@ -85,10 +105,11 @@ class TestSweepGating:
         assert "x_5_2" not in functions and "sin" not in functions
         assert {"x2", "x3", "inv_x", "neg_ln", "exp"} <= functions
 
-    def test_baselines_need_convex_first_derivative(self):
+    def test_baselines_need_convex_first_derivative(self, monkeypatch):
         # |f''| = 6|x| is convex on [-2, 2]; |f'| = |3x^2 - 3| is not
         fn = polynomial([0.0, -3.0, 0.0, 1.0], id="w", window=Interval(-2.0, 2.0))
-        theorems = {line.theorem for line in bound_suite("convex", 5, seed=3, catalog=[fn])}
+        monkeypatch.setattr(suites, "builtin_catalog", lambda: [fn])
+        theorems = {line.theorem for line in bound_suite("convex", 5, seed=3)}
         assert theorems == {"convex_q1", "convex_holder", "convex_pm"}
 
     def test_monotone_lines_only_where_sampled_monotone(self, by_id):
