@@ -17,7 +17,6 @@ from .bounds_convex import (
     power_mean,
 )
 from .bounds_quasiconvex import (
-    Monotonicity,
     bound_quasi_holder,
     bound_quasi_monotone,
     bound_quasi_powermean,

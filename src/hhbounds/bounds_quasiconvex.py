@@ -8,15 +8,8 @@ for large q), which also makes the power-mean variant independent of q.
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .bounds_convex import _check_nonneg, _prefactor_24, _prefactor_holder
-from .core import ConjugatePair, DomainError, HypothesisError, Interval
-
-
-class Monotonicity(Enum):
-    INCREASING = "increasing"
-    DECREASING = "decreasing"
+from .core import ConjugatePair, DomainError, Interval
 
 
 def bound_quasi_q1(iv: Interval, d2a: float, d2b: float) -> float:
@@ -25,26 +18,11 @@ def bound_quasi_q1(iv: Interval, d2a: float, d2b: float) -> float:
     return _prefactor_24(iv) * max(d2a, d2b)
 
 
-def bound_quasi_monotone(iv: Interval, d2a: float, d2b: float,
-                         direction: Monotonicity) -> float:
-    """Corollary for monotone |f''|: the relevant endpoint alone bounds the gap.
-
-    Increasing |f''| uses |f''(b)|, decreasing uses |f''(a)|.  Raises
-    HypothesisError when the endpoint values contradict the stated
-    direction; full-interval monotonicity is the caller's (oracle-level)
-    responsibility.
-    """
+def bound_quasi_monotone(iv: Interval, d2a: float, d2b: float) -> float:
+    """(b-a)^2/24 times |f''| at the endpoint it grows toward, the larger
+    one; the corollary for monotone |f''| (``oracle.MONOTONE_D2``)."""
     _check_nonneg(d2a, d2b)
-    tol = 1e-12 * max(1.0, d2a, d2b)
-    if direction is Monotonicity.INCREASING:
-        if d2a > d2b + tol:
-            raise HypothesisError(
-                f"|f''| not increasing on [{iv.a}, {iv.b}]: {d2a} > {d2b} at the endpoints")
-        return _prefactor_24(iv) * d2b
-    if d2b > d2a + tol:
-        raise HypothesisError(
-            f"|f''| not decreasing on [{iv.a}, {iv.b}]: {d2a} < {d2b} at the endpoints")
-    return _prefactor_24(iv) * d2a
+    return _prefactor_24(iv) * max(d2a, d2b)
 
 
 def bound_quasi_holder(iv: Interval, d2a: float, d2b: float, pq: ConjugatePair) -> float:

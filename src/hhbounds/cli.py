@@ -133,7 +133,7 @@ def _cmd_means(args: argparse.Namespace) -> int:
     row = all_means(args.a, args.b)
     row["chain"] = chain_check(args.a, args.b)
     _emit([row], args.csv)
-    return EXIT_PASS
+    return EXIT_PASS if row["chain"] else EXIT_VIOLATION
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:

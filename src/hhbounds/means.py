@@ -21,6 +21,7 @@ down numerically:
 from __future__ import annotations
 
 import math
+import sys
 
 from .bounds_convex import bound_convex_holder, bound_convex_powermean, bound_convex_q1
 from .bounds_quasiconvex import bound_quasi_holder, bound_quasi_powermean
@@ -56,6 +57,12 @@ def _near_equal(a: float, b: float) -> bool:
     return abs(b - a) < NEAR_EQUAL_REL * max(a, b)
 
 
+def _normal(x: float) -> bool:
+    """True iff x is a finite normal float: a product that neither
+    overflowed nor underflowed."""
+    return sys.float_info.min <= abs(x) <= sys.float_info.max
+
+
 def arithmetic_mean(a: float, b: float) -> float:
     _validate(a, b)
     return 0.5 * (a + b)
@@ -65,6 +72,8 @@ def geometric_mean(a: float, b: float) -> float:
     _validate(a, b)
     if _near_equal(a, b):
         return a
+    if not _normal(a * b):
+        return math.sqrt(a) * math.sqrt(b)
     return math.sqrt(a * b)
 
 
@@ -72,6 +81,8 @@ def harmonic_mean(a: float, b: float) -> float:
     _validate(a, b)
     if _near_equal(a, b):
         return a
+    if not _normal(2.0 * a * b):
+        return 2.0 * a * (b / (a + b))
     return 2.0 * a * b / (a + b)
 
 

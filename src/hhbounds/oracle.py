@@ -1,11 +1,11 @@
 """Ground-truth numerics the closed-form bounds are tested against.
 
 Provides adaptive quadrature, the true midpoint gap, sampling-based
-convexity and quasi-convexity verdicts, and the class hypotheses the
-bounds and the certifier are stated under (``Hypothesis``), whose
-``require`` is the one place a request is refused for its class.  The
-class checks are falsifiers, not provers: they can refute a class on a
-grid but cannot certify it.
+convexity, quasi-convexity and monotonicity verdicts, and the class
+hypotheses the bounds and the certifier are stated under
+(``Hypothesis``), whose ``require`` is the one place a request is refused
+for its class.  The class checks are falsifiers, not provers: they can
+refute a class on a grid but cannot certify it.
 """
 
 from __future__ import annotations
@@ -139,6 +139,16 @@ def midpoint_quasiconvexity_holds(g: Callable[[float], float], iv: Interval) -> 
     return True
 
 
+def monotone_holds(g: Callable[[float], float], iv: Interval) -> bool:
+    """Sampling verdict: g rises or falls over 65 evenly spaced points of iv
+    (ends included), up to 1e-12 * max(1, max g) per step."""
+    gs = [g(x) for x in _grid(iv, 65)]
+    tol = 1e-12 * max(1.0, max(gs))
+    steps = list(zip(gs, gs[1:]))
+    return (all(hi >= lo - tol for lo, hi in steps)
+            or all(hi <= lo + tol for lo, hi in steps))
+
+
 def check_convex_abs_d2(fn: TestFunction, iv: Interval) -> bool:
     """True iff |f''| passes the 64-point midpoint-convexity sampling check on iv."""
     return midpoint_convexity_holds(lambda x: abs(fn.d2(x)), iv)
@@ -177,5 +187,7 @@ CONVEX_D2 = Hypothesis("d2", "|f''|", "convex",
                        lambda fn, iv: check_convex_abs_d2(fn, iv))
 QUASICONVEX_D2 = Hypothesis("d2", "|f''|", "quasi-convex",
                             lambda fn, iv: check_quasiconvex_abs_d2(fn, iv))
+MONOTONE_D2 = Hypothesis("d2", "|f''|", "monotone",
+                         lambda fn, iv: monotone_holds(lambda x: abs(fn.d2(x)), iv))
 CONVEX_D1 = Hypothesis("d1", "|f'|", "convex",
                        lambda fn, iv: midpoint_convexity_holds(lambda x: abs(fn.d1(x)), iv))

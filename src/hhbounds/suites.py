@@ -5,8 +5,12 @@ subintervals), evaluates one family of checks, and yields schema-stable
 lines: suite, function, interval, theorem, bound, gap, slack, pass.  For
 bound families pass means slack >= -1e-9; for the identity sweep it means
 |slack| stays below the residual tolerance.  The bound table (``SWEEPS``)
-names each theorem's class hypothesis from ``oracle``; the sweeps and the
-single reports (``build_bound_report``) both read it.
+names each theorem's class hypothesis from ``oracle`` and its exponent
+kind (none, a conjugate pair or a q); the sweeps and the single reports
+(``build_bound_report``) both read it.  A function joins a bound sweep
+when its window passes the first row's hypothesis, and each row runs on
+the intervals where its own hypothesis holds, on the window or else on
+the interval itself.
 """
 
 from __future__ import annotations
@@ -22,13 +26,11 @@ from .core import (
     BoundReport,
     ConjugatePair,
     DomainError,
-    HypothesisError,
     Interval,
     TestFunction,
     TheoremId,
     builtin_catalog,
 )
-from .bounds_quasiconvex import Monotonicity
 from .identity import identity_lhs, identity_rhs
 from .means import (
     all_means,
@@ -42,7 +44,7 @@ from .means import (
     lp_monotone_nondecreasing,
     lp_values_on_grid,
 )
-from .oracle import CONVEX_D1, CONVEX_D2, QUASICONVEX_D2, Hypothesis, _grid, midpoint_gap
+from .oracle import CONVEX_D1, CONVEX_D2, MONOTONE_D2, QUASICONVEX_D2, Hypothesis, midpoint_gap
 from .rng import SplitMix64
 
 SUITE_NAMES = ("identity", "convex", "quasiconvex", "means", "all")
@@ -115,12 +117,12 @@ def identity_suite(cases: int, seed: int) -> list[CheckLine]:
 
 
 class Exponent(Enum):
-    """How a bound's exponent is chosen; its formula takes it as a fourth argument."""
+    """How a bound's exponent is chosen: none, a conjugate pair or a q.
+    A formula with an exponent takes it as a fourth argument."""
 
     NONE = "none"
     PAIR = "conjugate pair (p, q), default (2, 2)"
     Q = "q >= 1, default 2"
-    DIRECTION = "sampled monotone direction of |f''|"
 
 
 @dataclass(frozen=True)
@@ -159,26 +161,13 @@ SWEEPS: dict[str, tuple[BoundRow, ...]] = {
                  Exponent.PAIR, (1.25, 4.0)),
         BoundRow(TheoremId.QUASI_PM, QUASICONVEX_D2, bq, "bound_quasi_powermean",
                  Exponent.Q, (1.0, 4.0)),
-        BoundRow(TheoremId.QUASI_MONOTONE, QUASICONVEX_D2, bq, "bound_quasi_monotone",
-                 Exponent.DIRECTION),
+        BoundRow(TheoremId.QUASI_MONOTONE, MONOTONE_D2, bq, "bound_quasi_monotone"),
     ),
 }
 
 BOUND_ROWS = {row.theorem: row for rows in SWEEPS.values() for row in rows}
 
 BOUND_THEOREMS = tuple(sorted(t.value for t in BOUND_ROWS))
-
-
-def monotone_direction(fn: TestFunction, iv: Interval) -> Monotonicity | None:
-    """Monotonicity direction of |f''| sampled at 65 evenly spaced points of
-    iv (the oracle's grid, ends included), or None if mixed."""
-    gs = [abs(fn.d2(x)) for x in _grid(iv, 65)]
-    tol = 1e-12 * max(1.0, max(gs))
-    if all(hi >= lo - tol for lo, hi in zip(gs, gs[1:])):
-        return Monotonicity.INCREASING
-    if all(hi <= lo + tol for lo, hi in zip(gs, gs[1:])):
-        return Monotonicity.DECREASING
-    return None
 
 
 def _resolve_pair(q: float | None, p: float | None) -> ConjugatePair:
@@ -191,16 +180,12 @@ def _resolve_pair(q: float | None, p: float | None) -> ConjugatePair:
     return ConjugatePair.from_p(p)
 
 
-def _exponent(row: BoundRow, fn: TestFunction, iv: Interval,
-              q: float | None, p: float | None):
-    """The row's exponent from q and p, or their defaults when both are None;
-    for DIRECTION, the sampled direction, None when mixed."""
+def _exponent(row: BoundRow, q: float | None, p: float | None):
+    """The row's exponent from q and p, or their defaults when both are None."""
     if row.exponent is Exponent.PAIR:
         return _resolve_pair(q, p)
     if row.exponent is Exponent.Q:
         return 2.0 if q is None else q
-    if row.exponent is Exponent.DIRECTION:
-        return monotone_direction(fn, iv)
     return None
 
 
@@ -219,11 +204,14 @@ def _bound(row: BoundRow, fn: TestFunction, iv: Interval, exponent,
 def bound_suite(name: str, cases: int, seed: int) -> list[CheckLine]:
     """Validity sweep of the bound rows of ``SWEEPS[name]``.
 
-    A row's hypothesis is checked once, on the function's window: the
-    classes restrict to subintervals (and convex nonnegative |f'| stays
-    convex under any power q >= 1, so one |f'| check serves both
-    baselines).  The monotone row is left out where |f''| is sampled as
-    mixed.  Each row's q is drawn on every interval, even for a row left out.
+    One gating rule serves every row.  A function joins the sweep when its
+    window passes the first row's hypothesis.  Each other hypothesis is
+    checked once on the window; the classes restrict to subintervals, so
+    only where it fails there is it checked again on each interval, and
+    its rows are left out where that fails too.  (Convex nonnegative |f'|
+    stays convex under any power q >= 1, so one |f'| check serves both
+    baselines.)  Each row's q is drawn on every interval, even for a row
+    left out.
     """
     rows = SWEEPS[name]
     rng = SplitMix64(seed ^ _SALT[name])
@@ -232,18 +220,18 @@ def bound_suite(name: str, cases: int, seed: int) -> list[CheckLine]:
         first = rows[0].hypothesis
         if not first.check(fn, fn.window):
             continue
-        holds = {h: h is first or h.check(fn, fn.window)
-                 for h in dict.fromkeys(row.hypothesis for row in rows)}
+        on_window = {h: h is first or h.check(fn, fn.window)
+                     for h in dict.fromkeys(row.hypothesis for row in rows)}
         for iv in _case_intervals(fn, cases, rng):
             qs = [None if row.draw is None else rng.uniform(*row.draw) for row in rows]
+            holds = {h: ok or (iv != fn.window and h.check(fn, iv))
+                     for h, ok in on_window.items()}
             gap = midpoint_gap(fn, iv, GAP_TOL)
             endpoints: dict = {}
             for row, q in zip(rows, qs):
                 if not holds[row.hypothesis]:
                     continue
-                exponent = _exponent(row, fn, iv, q, None)
-                if row.exponent is Exponent.DIRECTION and exponent is None:
-                    continue
+                exponent = _exponent(row, q, None)
                 bound = _bound(row, fn, iv, exponent, endpoints)
                 slack = bound - gap
                 lines.append(CheckLine(
@@ -315,8 +303,7 @@ def build_bound_report(fn: TestFunction, iv: Interval, theorem: str,
 
     Requires the theorem's class hypothesis (``Hypothesis.require``), so
     raises HypothesisError when the sample refutes it and DomainError for
-    an interval outside the function's domain; also HypothesisError when
-    the monotone theorem's |f''| is sampled as mixed, and DomainError for
+    an interval outside the function's domain; also DomainError for
     unknown theorems, bad exponents, q or p given to a theorem that takes
     no exponent, or p given to a power-mean theorem.
     """
@@ -327,17 +314,12 @@ def build_bound_report(fn: TestFunction, iv: Interval, theorem: str,
     row = BOUND_ROWS.get(tid)
     if row is None:
         raise DomainError(f"{theorem!r} is not a bound theorem")
-    if row.exponent in (Exponent.NONE, Exponent.DIRECTION) and (q is not None or p is not None):
+    if row.exponent is Exponent.NONE and (q is not None or p is not None):
         raise DomainError(f"{theorem!r} takes no exponent; drop q and p")
     if row.exponent is Exponent.Q and p is not None:
         raise DomainError(f"{theorem!r} takes no exponent p; give q alone")
     row.hypothesis.require(fn, iv)
-    exponent = _exponent(row, fn, iv, q, p)
-    if row.exponent is Exponent.DIRECTION and exponent is None:
-        raise HypothesisError(f"class check failed: |f''| of {fn.id!r} "
-                              f"is not monotone on [{iv.a}, {iv.b}]")
+    exponent = _exponent(row, q, p)
     bound = _bound(row, fn, iv, exponent, {})
     gap = midpoint_gap(fn, iv, GAP_TOL)
-    if row.exponent is Exponent.DIRECTION:
-        exponent = None  # a report's exponent is numeric; the direction is not kept
     return BoundReport.from_values(tid, fn.id, iv, bound, gap, exponent=exponent)

@@ -4,13 +4,12 @@ from hypothesis import strategies as st
 
 from hhbounds.bounds_convex import bound_convex_q1
 from hhbounds.bounds_quasiconvex import (
-    Monotonicity,
     bound_quasi_holder,
     bound_quasi_monotone,
     bound_quasi_powermean,
     bound_quasi_q1,
 )
-from hhbounds.core import ConjugatePair, DomainError, HypothesisError, Interval
+from hhbounds.core import ConjugatePair, DomainError, Interval
 
 UNIT = Interval(0.0, 1.0)
 ONE_TWO = Interval(1.0, 2.0)
@@ -43,35 +42,27 @@ class TestEndpointSupBound:
 class TestMonotoneCorollary:
     def test_increasing_uses_right_endpoint(self):
         # x^3 on [0, 1]: |f''| = 6x rises from 0 to 6
-        got = bound_quasi_monotone(UNIT, 0.0, 6.0, Monotonicity.INCREASING)
+        got = bound_quasi_monotone(UNIT, 0.0, 6.0)
         assert got == pytest.approx(0.25, abs=1e-15)  # |f''(1)| = 6 over 24
 
     def test_decreasing_uses_left_endpoint(self):
         # 1/x on [1, 2]: |f''| = 2/x^3 falls from 2 to 1/4
-        got = bound_quasi_monotone(ONE_TWO, 2.0, 0.25, Monotonicity.DECREASING)
+        got = bound_quasi_monotone(ONE_TWO, 2.0, 0.25)
         assert got == pytest.approx(1.0 / 12.0, abs=1e-16)
 
     def test_constant_accepts_both_directions(self):
         iv = Interval(-1.0, 3.0)
         expected = iv.width ** 2 * 2.0 / 24.0
-        for direction in Monotonicity:
-            assert bound_quasi_monotone(iv, 2.0, 2.0, direction) == pytest.approx(
-                expected, rel=1e-15)
-
-    def test_contradicted_direction_raises(self):
-        with pytest.raises(HypothesisError):
-            bound_quasi_monotone(ONE_TWO, 2.0, 0.25, Monotonicity.INCREASING)
-        with pytest.raises(HypothesisError):
-            bound_quasi_monotone(ONE_TWO, 6.0, 12.0, Monotonicity.DECREASING)
+        assert bound_quasi_monotone(iv, 2.0, 2.0) == pytest.approx(expected, rel=1e-15)
 
     def test_rejects_negative_inputs(self):
         with pytest.raises(DomainError):
-            bound_quasi_monotone(ONE_TWO, -1.0, 2.0, Monotonicity.INCREASING)
+            bound_quasi_monotone(ONE_TWO, -1.0, 2.0)
 
-    def test_agrees_with_endpoint_sup_bound(self):
-        # x^3 on [1, 2]: |f''| = 6x rises from 6 to 12
-        assert bound_quasi_monotone(ONE_TWO, 6.0, 12.0, Monotonicity.INCREASING) == \
-            bound_quasi_q1(ONE_TWO, 6.0, 12.0)
+    @given(nonneg, nonneg)
+    def test_agrees_with_endpoint_sup_bound(self, x, y):
+        # monotone |f''| is quasi-convex, and both bounds take the larger end
+        assert bound_quasi_monotone(ONE_TWO, x, y) == bound_quasi_q1(ONE_TWO, x, y)
 
 
 class TestHolderBound:

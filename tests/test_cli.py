@@ -100,6 +100,28 @@ class TestMeansCommand:
         assert run("means", "-1", "2").returncode == 2
         assert run("means", "0", "2").returncode == 2
 
+    def test_huge_pair_whose_product_overflows(self):
+        proc = run("means", "1e200", "1e201")
+        assert proc.returncode == 0
+        row = json.loads(proc.stdout)
+        assert row["G"] == 3.1622776601683794e+200
+        assert row["H"] == pytest.approx(2e201 / 11.0, rel=1e-15)
+        assert row["chain"] is True
+
+    def test_tiny_pair_whose_product_underflows(self):
+        proc = run("means", "1e-200", "1e-190")
+        assert proc.returncode == 0
+        row = json.loads(proc.stdout)
+        assert row["G"] == pytest.approx(1e-195, rel=1e-15)
+        assert row["H"] == pytest.approx(2e-200 / (1.0 + 1e-10), rel=1e-15)
+        assert row["chain"] is True
+
+    def test_broken_chain_exits_one(self):
+        # A = (a + b)/2 overflows near the top of the float range
+        proc = run("means", "1e308", "1.7e308")
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["chain"] is False
+
 
 class TestCertifyCommand:
     def test_square(self):
@@ -223,11 +245,14 @@ def test_overflowing_evaluation_exits_one_without_traceback(args):
      "|f''| of 'sin' is not convex on [0.0, 3.14159]"),
     (("bound", "x4", "-1", "1", "quasi_monotone"),
      "|f''| of 'x4' is not monotone on [-1.0, 1.0]"),
+    (("bound", "sin", "0", "3.14159", "quasi_monotone"),
+     "|f''| of 'sin' is not monotone on [0.0, 3.14159]"),
     (("bound", "sin", "0.2", "1.3", "baseline_q1"),
      "|f'| of 'sin' is not convex on [0.2, 1.3]"),
     (("certify", "sin", "0", "3", "1e-6"),
      "|f''| of 'sin' is not quasi-convex on [0.0, 3.0]"),
-], ids=["bound-convex", "bound-monotone", "bound-baseline", "certify"])
+], ids=["bound-convex", "bound-monotone", "bound-monotone-sin", "bound-baseline",
+        "certify"])
 def test_class_refusal_names_the_interval(args, refusal):
     proc = run(*args)
     assert proc.returncode == 3

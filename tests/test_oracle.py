@@ -11,12 +11,14 @@ from hhbounds.core import (
     polynomial,
 )
 from hhbounds.oracle import (
+    MONOTONE_D2,
     check_convex_abs_d2,
     check_quasiconvex_abs_d2,
     integrate,
     mean_value,
     midpoint_gap,
     midpoint_convexity_holds,
+    monotone_holds,
 )
 from hhbounds.rng import SplitMix64
 
@@ -131,13 +133,16 @@ class TestClassChecks:
         assert not check_quasiconvex_abs_d2(by_id["sin"], Interval(0.0, math.pi))
 
     def test_declared_classes_reverified(self, catalog):
-        # (convex, quasi-convex) verdicts of |f''| on each window: |f''| of
-        # x^(5/2) is increasing but concave, sin's has an interior peak
-        expected = {"x_5_2": (False, True), "sin": (False, False)}
+        # (convex, quasi-convex, monotone) verdicts of |f''| on each window:
+        # |f''| of x^(5/2) is increasing but concave, sin's has an interior
+        # peak, and those of x^4 and x^5 turn at 0
+        expected = {"x_5_2": (False, True, True), "sin": (False, False, False),
+                    "x4": (True, True, False), "x5": (True, True, False)}
         for fn in catalog:
             verdicts = (check_convex_abs_d2(fn, fn.window),
-                        check_quasiconvex_abs_d2(fn, fn.window))
-            assert verdicts == expected.get(fn.id, (True, True)), fn.id
+                        check_quasiconvex_abs_d2(fn, fn.window),
+                        MONOTONE_D2.check(fn, fn.window))
+            assert verdicts == expected.get(fn.id, (True, True, True)), fn.id
 
 
 class TestDerivativeConsistency:
@@ -166,3 +171,12 @@ class TestHermiteHadamardProperty:
 def test_generic_convexity_sampler_on_plain_callables():
     assert midpoint_convexity_holds(abs, Interval(-1.0, 1.0))
     assert not midpoint_convexity_holds(lambda x: math.sqrt(abs(x)), Interval(0.0, 1.0))
+
+
+def test_generic_monotonicity_sampler_on_plain_callables():
+    assert monotone_holds(math.exp, UNIT)
+    assert monotone_holds(lambda x: -x, UNIT)
+    # a dip in a constant sample: 1e-13 is within the tolerance, 1e-9 is not
+    assert monotone_holds(lambda x: 1.0 - (1e-13 if 0.4 < x < 0.6 else 0.0), UNIT)
+    assert not monotone_holds(lambda x: 1.0 - (1e-9 if 0.4 < x < 0.6 else 0.0), UNIT)
+    assert not monotone_holds(abs, Interval(-1.0, 1.0))

@@ -10,7 +10,6 @@ from hhbounds.bounds_convex import (
     bound_convex_q1,
 )
 from hhbounds.bounds_quasiconvex import (
-    Monotonicity,
     bound_quasi_holder,
     bound_quasi_monotone,
     bound_quasi_powermean,
@@ -24,8 +23,8 @@ from hhbounds.core import (
     TheoremId,
     polynomial,
 )
-from hhbounds.oracle import midpoint_gap
-from hhbounds.suites import BOUND_ROWS, bound_suite, build_bound_report, monotone_direction
+from hhbounds.oracle import CONVEX_D1, MONOTONE_D2, midpoint_gap
+from hhbounds.suites import BOUND_ROWS, bound_suite, build_bound_report
 
 PQ2 = ConjugatePair(2.0, 2.0)
 UNIT = Interval(0.0, 1.0)
@@ -43,10 +42,8 @@ TABLE_CASES = [
     ("quasi_q1", "x_5_2", ONE_FOUR, bound_quasi_q1(ONE_FOUR, 3.75, 7.5), None),
     ("quasi_holder", "x_5_2", ONE_FOUR, bound_quasi_holder(ONE_FOUR, 3.75, 7.5, PQ2), PQ2),
     ("quasi_pm", "x_5_2", ONE_FOUR, bound_quasi_powermean(ONE_FOUR, 3.75, 7.5, 2.0), 2.0),
-    ("quasi_monotone", "x_5_2", ONE_FOUR,
-     bound_quasi_monotone(ONE_FOUR, 3.75, 7.5, Monotonicity.INCREASING), None),
-    ("quasi_monotone", "inv_x", ONE_TWO,
-     bound_quasi_monotone(ONE_TWO, 2.0, 0.25, Monotonicity.DECREASING), None),
+    ("quasi_monotone", "x_5_2", ONE_FOUR, bound_quasi_monotone(ONE_FOUR, 3.75, 7.5), None),
+    ("quasi_monotone", "inv_x", ONE_TWO, bound_quasi_monotone(ONE_TWO, 2.0, 0.25), None),
 ]
 
 
@@ -93,6 +90,18 @@ class TestBoundTable:
                 build_bound_report(fn, Interval(0.0, 1.0), theorem.value)
         assert calls == []
 
+    def test_monotone_query_samples_its_class_once(self, by_id):
+        # 65 f'' evaluations for the monotone sample, 2 for the endpoint values
+        calls = []
+        x3 = by_id["x3"]
+
+        def d2(x):
+            calls.append(x)
+            return x3.d2(x)
+
+        build_bound_report(dataclasses.replace(x3, d2=d2), ONE_TWO, "quasi_monotone")
+        assert len(calls) == 67
+
     @pytest.mark.parametrize("theorem", ["prop_identric", "no_such_theorem"])
     def test_rejects_names_outside_the_table(self, by_id, theorem):
         with pytest.raises(DomainError):
@@ -106,11 +115,21 @@ class TestSweepGating:
         assert {"x2", "x3", "inv_x", "neg_ln", "exp"} <= functions
 
     def test_baselines_need_convex_first_derivative(self, monkeypatch):
-        # |f''| = 6|x| is convex on [-2, 2]; |f'| = |3x^2 - 3| is not
+        # |f''| = 6|x| is convex on [-2, 2]; |f'| = |3x^2 - 3| is not, but it
+        # is on intervals that keep out of (-1, 1): the baselines run there
         fn = polynomial([0.0, -3.0, 0.0, 1.0], id="w", window=Interval(-2.0, 2.0))
         monkeypatch.setattr(suites, "builtin_catalog", lambda: [fn])
-        theorems = {line.theorem for line in bound_suite("convex", 5, seed=3)}
-        assert theorems == {"convex_q1", "convex_holder", "convex_pm"}
+        cases: dict = {}
+        for line in bound_suite("convex", 40, seed=3):
+            cases.setdefault(line.interval, set()).add(line.theorem)
+        kinds = set()
+        for iv, theorems in cases.items():
+            convex_d1 = CONVEX_D1.check(fn, iv)
+            kinds.add(convex_d1)
+            baselines = {"baseline_q1", "baseline_pm"} if convex_d1 else set()
+            assert theorems == {"convex_q1", "convex_holder", "convex_pm"} | baselines, iv
+        assert len(cases) == 41
+        assert kinds == {True, False}
 
     def test_monotone_lines_only_where_sampled_monotone(self, by_id):
         lines = bound_suite("quasiconvex", 20, seed=3)
@@ -120,12 +139,11 @@ class TestSweepGating:
         mixed = 0
         for (fid, iv), by_theorem in cases.items():
             assert {"quasi_q1", "quasi_holder", "quasi_pm"} <= set(by_theorem)
-            direction = monotone_direction(by_id[fid], iv)
-            if direction is None:
-                mixed += 1
-                assert "quasi_monotone" not in by_theorem, (fid, iv)
-            else:
+            if MONOTONE_D2.check(by_id[fid], iv):
                 d2 = by_id[fid].d2
                 assert by_theorem["quasi_monotone"].bound == bound_quasi_monotone(
-                    iv, abs(d2(iv.a)), abs(d2(iv.b)), direction)
+                    iv, abs(d2(iv.a)), abs(d2(iv.b)))
+            else:
+                mixed += 1
+                assert "quasi_monotone" not in by_theorem, (fid, iv)
         assert mixed > 0
