@@ -18,15 +18,34 @@ times (1 + 2*ULPS*u/(1 - 2*ULPS*u)) / (1 - u)^2 = 1 + (2*ULPS + 2)*u +
 O(u^2), the stated inflation.  The product by (b - a)^3/(24 n^3) is done
 in exact rational arithmetic and rounded up.
 
+Truncation part under FEJER.  The error of one panel [x, x + h] is the
+integral of K f'', where the peak kernel K >= 0 is symmetric about the
+midpoint m and integrates to h^3/24.  When signed f'' is convex on the
+panel, Fejer's weighted Hermite-Hadamard inequality (L. Fejer, "Uber die
+Fourierreihen, II", 1906) puts that error between h^3/24 f''(m) and
+h^3/24 (f''(x) + f''(x + h))/2; when it is concave, the two ends swap.
+Summed over the n panels, the integral minus the exact midpoint sum lies
+between h^3/24 M and h^3/24 T, where M is the sum of f'' at the midpoints
+and T the trapezoid-weighted sum of f'' at the cuts, in either order.  So
+the estimate adds the centre h^3/48 (T + M), and the truncation part is
+the half-width, h^3/24 (|T - M|/2 + e_T + e_M), where e = spread*fsum|f''|
++ u*|sum| bounds each computed sum's error as the rounding part below
+bounds the f sum's.  Both classes restrict to subintervals, so one check
+(``oracle.CONVEX_OR_CONCAVE_F2``) on [a, b] suffices, and the bracket has
+the same centre and half-width for either sign.  T - M is O(h) for smooth
+f'', so this radius is O(h^4); for linear f'' T = M and it is exactly 0 in
+real arithmetic.
+
 Rounding part.  The estimate E is h times the fsum of the computed f
-values at the midpoints.  Against the exact midpoint sum it can be off by
+values at the midpoints (plus, under FEJER, the centre above).  Against
+the exact midpoint sum it can be off by
 (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 4):
   - 2*ULPS*u/(1 - 2*ULPS*u) times |f~| per evaluation, the error model;
   - u times the |f~| of each chunk, for the chunk's correctly rounded sum;
   - u times |S~| for the final fsum S~ over the chunks;
 all times h, with sum |f~| read from its own chunked fsum and divided by
 (1 - u)^2.  b - a and the product by h are not rounded at all: h is exact
-as a rational, E is the product h * S~ rounded to nearest, and their
+as a rational, E is the exact value rounded to nearest, and their
 difference is added exactly.
 
 Assumptions.  ``ULPS`` bounds the error of each evaluation of f and f'';
@@ -45,13 +64,17 @@ is bit-for-bit cut 2i of 2n (scaling by two is exact), so each doubling
 evaluates f'' only at the n new odd cuts, ``CHUNK`` at a time.  Under
 CONVEX_Q1 the trapezoid weight sum 1/2 (g_k + g_k+1) equals g_0/2 + g_N/2
 + sum of the interior g_k, so the walk keeps only those chunk sums; under
-QUASI_Q1 it keeps every |f''| in one array.  The radius depends on f''
-alone up to the rounding part, so ``refine_to_tolerance`` evaluates f only
-at a level whose truncation part already fits.  The new cuts of a doubling
-are the midpoints of the coarser grid, and for convex |f''| the
-Hermite-Hadamard inequality (midpoint sum <= integral <= trapezoid sum)
-turns their values into a lower bound on every finer truncation part; a
-tolerance below it fails at once.
+QUASI_Q1 it keeps every |f''| in one array.  Under FEJER the walk runs one
+grid ahead: at n panels it has read the odd cuts of the 2n-grid too, which
+are the midpoints, so M is the last doubling's chunk sums and T the ends
+plus all earlier ones; n panels cost 2n + 1 f'' evaluations, and f is read
+at those same midpoints.  The radius depends on f'' alone up to the
+rounding part, so ``refine_to_tolerance`` evaluates f only at a level
+whose truncation part already fits.  The new cuts of a doubling are the
+midpoints of the coarser grid, and for convex |f''| the Hermite-Hadamard
+inequality (midpoint sum <= integral <= trapezoid sum) turns their values
+into a lower bound on every finer truncation part; a tolerance below it
+fails at once under CONVEX_Q1.
 """
 
 from __future__ import annotations
@@ -72,7 +95,7 @@ from .core import (
     Interval,
     TestFunction,
 )
-from .oracle import CONVEX_D2, QUASICONVEX_D2
+from .oracle import CONVEX_D2, CONVEX_OR_CONCAVE_F2, QUASICONVEX_D2
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -93,10 +116,12 @@ ULPS = 2
 class CertTheorem(str, Enum):
     CONVEX_Q1 = "convex_q1"
     QUASI_Q1 = "quasi_q1"
+    FEJER = "fejer"
 
 
-#: the class of |f''| each theorem is stated under
-_HYPOTHESIS = {CertTheorem.CONVEX_Q1: CONVEX_D2, CertTheorem.QUASI_Q1: QUASICONVEX_D2}
+#: the class of f'' each theorem is stated under
+_HYPOTHESIS = {CertTheorem.CONVEX_Q1: CONVEX_D2, CertTheorem.QUASI_Q1: QUASICONVEX_D2,
+               CertTheorem.FEJER: CONVEX_OR_CONCAVE_F2}
 
 
 @dataclass(frozen=True)
@@ -169,67 +194,97 @@ def _chunks(ev, iv: Interval, n: int, step: int) -> Iterator[list[float]]:
 
 
 class _Walk:
-    """|f''| over the cuts of nested grids of n, 2n, 4n, ... subintervals.
+    """f'' over the cuts of nested grids of n, 2n, 4n, ... subintervals.
 
-    Starting at n, it evaluates the n + 1 cuts (the last pinned to b); each
-    ``double`` evaluates the new odd cuts alone.
+    Starting at n, it evaluates the n + 1 cuts (the last pinned to b), and
+    under FEJER the n midpoints too; each ``double`` evaluates the new odd
+    cuts alone.
     """
 
     def __init__(self, fn: TestFunction, iv: Interval, theorem: CertTheorem, n: int) -> None:
         self.fn, self.iv, self.theorem, self.n = fn, iv, theorem, n
         fraction = _model().fraction
         self.span = fraction(iv.b) - fraction(iv.a)
-        first, last = abs(fn.d2(iv.a)), abs(fn.d2(iv.b))
-        _finite_sum((first, last), "f''", n)
-        if theorem is CertTheorem.CONVEX_Q1:
-            self.ends = (0.5 * first, 0.5 * last)
-            self.sums = self._read(n, 1, None)
-        else:
-            cuts = array("d", [first])
+        first, last = fn.d2(iv.a), fn.d2(iv.b)
+        _finite_sum((abs(first), abs(last)), "f''", n)
+        if theorem is CertTheorem.QUASI_Q1:
+            cuts = array("d", [abs(first)])
             self._read(n, 1, cuts)
-            cuts.append(last)
+            cuts.append(abs(last))
             self.cuts = cuts
+            return
+        if theorem is CertTheorem.FEJER:
+            self.ends = (0.5 * first, 0.5 * last)
+        else:
+            self.ends = (0.5 * abs(first), 0.5 * abs(last))
+        self.sums, self.sizes = self._read(n, 1)
+        if theorem is CertTheorem.FEJER:
+            self.mids = self._read(2 * n, 2)
 
-    def _read(self, n: int, step: int, store: array | None) -> list[float]:
-        """The fsum of |f''| over each chunk of the cuts k = 1, 1 + step, ...
-        of the n-grid, appending the values to store when it is given."""
-        sums = []
+    def _read(self, n: int, step: int,
+              store: array | None = None) -> tuple[list[float], list[float]]:
+        """Chunk sums over the cuts k = 1, 1 + step, ... of the n-grid: the
+        fsums of f'' (under FEJER alone, else none) and of |f''|, appending
+        the |f''| values to store when it is given."""
+        signed = self.theorem is CertTheorem.FEJER
+        sums, sizes = [], []
         for vals in _chunks(self.fn.d2, self.iv, n, step):
-            sums.append(_finite_sum(map(abs, vals), "f''", n))
+            sizes.append(_finite_sum(map(abs, vals), "f''", n))
+            if signed:
+                sums.append(math.fsum(vals))
             if store is not None:
                 store.extend(map(abs, vals))
-        return sums
+        return sums, sizes
 
     def double(self) -> float:
         """Go to 2n subintervals; returns the fsum of |f''| at the new cuts."""
         n = 2 * self.n
-        if self.theorem is CertTheorem.CONVEX_Q1:
-            sums = self._read(n, 2, None)
-            self.sums.extend(sums)
-        else:
+        if self.theorem is CertTheorem.QUASI_Q1:
             odd = array("d")
-            sums = self._read(n, 2, odd)
+            _, sizes = self._read(n, 2, odd)
             finer = array("d", [0.0]) * (n + 1)
             finer[0::2] = self.cuts
             finer[1::2] = odd
             self.cuts = finer
+        else:
+            if self.theorem is CertTheorem.FEJER:
+                # the old midpoints become cuts
+                (sums, sizes), self.mids = self.mids, self._read(2 * n, 2)
+            else:
+                sums, sizes = self._read(n, 2)
+            self.sums.extend(sums)
+            self.sizes.extend(sizes)
         self.n = n
-        return math.fsum(sums)
+        return math.fsum(sizes)
 
     def weight(self) -> float:
         """The sum of each subinterval's endpoint aggregate of |f''| (mean
         under CONVEX_Q1, max under QUASI_Q1), as computed."""
         if self.theorem is CertTheorem.CONVEX_Q1:
-            return math.fsum(chain(self.ends, self.sums))
+            return math.fsum(chain(self.ends, self.sizes))
         g = self.cuts
         return math.fsum(map(max, g, islice(g, 1, None)))
 
+    def bracket(self) -> tuple[Fraction, Fraction]:
+        """Under FEJER, the centre (T + M)/2 and the half-width
+        |T - M|/2 + e_T + e_M of the interval that holds the sum of the
+        exact panel errors over h^3/24."""
+        fraction, u, _, spread, _ = _model()
+        trapezoid = fraction(math.fsum(chain(self.ends, self.sums)))
+        midpoint = fraction(math.fsum(self.mids[0]))
+        sizes = math.fsum(chain(map(abs, self.ends), self.sizes, self.mids[1]))
+        slack = spread * fraction(sizes) + u * (abs(trapezoid) + abs(midpoint))
+        return (trapezoid + midpoint) / 2, abs(trapezoid - midpoint) / 2 + slack
+
     def truncation(self) -> float:
         """h^3/24 times the weight, inflated for the rounding of the |f''|
-        values and their sums, rounded up."""
+        values and their sums, or under FEJER times the bracket's
+        half-width; rounded up."""
         model = _model()
-        return _up((self.span / self.n) ** 3 / 24
-                   * model.fraction(self.weight()) * model.inflation)
+        cube = (self.span / self.n) ** 3 / 24
+        if self.theorem is CertTheorem.FEJER:
+            return _up(cube * self.bracket()[1])
+        return _up(cube * model.fraction(self.weight()) * model.inflation)
 
     def floor(self, odd_sum: float) -> Fraction:
         """Lower bound, for convex |f''|, on the truncation part at
@@ -251,6 +306,8 @@ class _Walk:
         total = fraction(_finite_sum(sums, "f", n))
         h = self.span / n
         exact = h * total
+        if self.theorem is CertTheorem.FEJER:
+            exact += h ** 3 / 24 * self.bracket()[0]
         estimate = float(exact)
         rounding = _up(abs(fraction(estimate) - exact)
                        + h * (spread * fraction(math.fsum(sizes)) + u * abs(total)))
@@ -269,10 +326,11 @@ def integrate_certified(fn: TestFunction, iv: Interval, n: int,
     """Composite midpoint rule over n equal subintervals with an error radius.
 
     Walks from the odd part m of n (m + 1 cuts, then doublings), as
-    ``refine_to_tolerance`` walks from 1: n + 1 f'' and n f evaluations.
-    Raises DomainError when iv leaves fn's domain and HypothesisError when
-    the 64-point sample refutes the theorem's class for |f''| on iv (both
-    from ``Hypothesis.require``), EvaluationError on a non-finite evaluation.
+    ``refine_to_tolerance`` walks from 1: n + 1 f'' and n f evaluations,
+    2n + 1 f'' under FEJER.  Raises DomainError when iv leaves fn's domain
+    and HypothesisError when the 64-point sample refutes the theorem's class
+    on iv (both from ``Hypothesis.require``), EvaluationError on a
+    non-finite evaluation.
     """
     if n < 1:
         raise DomainError(f"need at least one subinterval, got {n}")
@@ -289,11 +347,14 @@ def refine_to_tolerance(fn: TestFunction, iv: Interval, tol: float,
     2^20, whose radius fits the tolerance.
 
     Equal to ``integrate_certified`` at the subinterval count it returns.
-    The search doubles on nested grids and reads |f''| alone, one
+    The search doubles on nested grids and reads f'' alone, one
     evaluation per cut, until the truncation part fits; only then does it
     evaluate f, at that level's midpoints, and accept the level when
     truncation + rounding fits.  The truncation part scales as h^2 for
-    bounded |f''|, so the count grows as O(tol^(-1/2)).
+    bounded |f''|, so the count grows as O(tol^(-1/2)); under FEJER it
+    scales as h^4 for smooth f'', so the count grows as O(tol^(-1/4)), and
+    for linear f'' it is exactly 0 in real arithmetic, leaving the rounding
+    part at n = 1.
 
     Raises DomainError and HypothesisError as ``integrate_certified`` does,
     EvaluationError on a non-finite evaluation, and ConvergenceError when

@@ -34,6 +34,10 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_HYPOTHESIS = 3
 
+#: the rules `hh certify` tries, in order, until one's class check passes:
+#: Fejer's two-sided bracket, then the paper's convex and quasi-convex rules
+_CERTIFY_RULES = (CertTheorem.FEJER, CertTheorem.CONVEX_Q1, CertTheorem.QUASI_Q1)
+
 #: a negative number, exponent form included; argparse's own matcher has
 #: no exponent form and so reads "-1e-3" as an option
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
@@ -139,10 +143,13 @@ def _cmd_means(args: argparse.Namespace) -> int:
 def _cmd_certify(args: argparse.Namespace) -> int:
     fn = _lookup_function(args.function)
     iv = Interval(args.a, args.b)
-    try:
-        result = refine_to_tolerance(fn, iv, args.tol, CertTheorem.CONVEX_Q1)
-    except HypothesisError:
-        result = refine_to_tolerance(fn, iv, args.tol, CertTheorem.QUASI_Q1)
+    for theorem in _CERTIFY_RULES:
+        try:
+            result = refine_to_tolerance(fn, iv, args.tol, theorem)
+            break
+        except HypothesisError:
+            if theorem is _CERTIFY_RULES[-1]:
+                raise
     oracle = integrate(fn.f, iv, min(args.tol * 1e-2, 1e-10))
     enclosed = abs(result.estimate - oracle.value) <= (
         result.error_radius + oracle.est_error)
@@ -152,6 +159,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         "n": result.subintervals,
         "oracle_value": oracle.value,
         "enclosed": enclosed,
+        "theorem": result.theorem_used.value,
+        "truncation_radius": result.truncation_radius,
+        "rounding_radius": result.rounding_radius,
     }], args.csv)
     return EXIT_PASS if enclosed else EXIT_VIOLATION
 

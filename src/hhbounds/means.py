@@ -65,7 +65,10 @@ def _normal(x: float) -> bool:
 
 def arithmetic_mean(a: float, b: float) -> float:
     _validate(a, b)
-    return 0.5 * (a + b)
+    mean = 0.5 * (a + b)
+    if math.isinf(mean):  # a + b overflowed
+        return 0.5 * a + 0.5 * b
+    return mean
 
 
 def geometric_mean(a: float, b: float) -> float:
@@ -82,6 +85,8 @@ def harmonic_mean(a: float, b: float) -> float:
     if _near_equal(a, b):
         return a
     if not _normal(2.0 * a * b):
+        if math.isinf(a + b):
+            return a * (b / arithmetic_mean(a, b))
         return 2.0 * a * (b / (a + b))
     return 2.0 * a * b / (a + b)
 
@@ -99,7 +104,12 @@ def identric_mean(a: float, b: float) -> float:
     _validate(a, b)
     if _near_equal(a, b):
         return a
-    return math.exp((b * math.log(b) - a * math.log(a)) / (b - a) - 1.0)
+    mean = math.exp((b * math.log(b) - a * math.log(a)) / (b - a) - 1.0)
+    if math.isfinite(mean):
+        return mean
+    # b ln b overflowed: ln I = ln b + a (ln b - ln a)/(b - a) - 1
+    log_b = math.log(b)
+    return math.exp(log_b + a * (log_b - math.log(a)) / (b - a) - 1.0)
 
 
 def p_logarithmic_mean(a: float, b: float, p: float) -> float:

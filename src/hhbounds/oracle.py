@@ -161,8 +161,9 @@ def check_quasiconvex_abs_d2(fn: TestFunction, iv: Interval) -> bool:
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """A class for the magnitude of one derivative (a TestFunction attribute);
-    a bound under it aggregates that derivative's endpoint magnitudes.
+    """A class for one derivative (a TestFunction attribute), or for its
+    magnitude; a bound under it aggregates that derivative's endpoint
+    magnitudes.
 
     ``check`` samples the class on an interval; it looks the sampler up
     when called, so a replaced module attribute is the one that runs.
@@ -191,3 +192,9 @@ MONOTONE_D2 = Hypothesis("d2", "|f''|", "monotone",
                          lambda fn, iv: monotone_holds(lambda x: abs(fn.d2(x)), iv))
 CONVEX_D1 = Hypothesis("d1", "|f'|", "convex",
                        lambda fn, iv: midpoint_convexity_holds(lambda x: abs(fn.d1(x)), iv))
+#: signed f'' convex or concave, the class of Fejer's bracket; the concave
+#: sample runs only when the convex one fails
+CONVEX_OR_CONCAVE_F2 = Hypothesis(
+    "d2", "f''", "convex or concave",
+    lambda fn, iv: (midpoint_convexity_holds(fn.d2, iv)
+                    or midpoint_convexity_holds(lambda x: -fn.d2(x), iv)))

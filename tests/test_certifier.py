@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from itertools import chain
 
 import pytest
 
@@ -25,7 +26,8 @@ LN2 = 0.6931471805599453
 
 
 def cli_theorem(fn, iv):
-    """The theorem `hh certify` picks for fn on iv, None if neither holds."""
+    """The paper's rule for fn on iv, in the order `hh certify` tries them
+    after FEJER; None if neither holds."""
     if check_convex_abs_d2(fn, iv):
         return CertTheorem.CONVEX_Q1
     if check_quasiconvex_abs_d2(fn, iv):
@@ -51,6 +53,7 @@ def class_checks_pass(monkeypatch):
     """Class checks that pass without evaluating f'', so counts see the search alone."""
     monkeypatch.setattr(oracle, "check_convex_abs_d2", lambda fn, iv: True)
     monkeypatch.setattr(oracle, "check_quasiconvex_abs_d2", lambda fn, iv: True)
+    monkeypatch.setattr(oracle, "midpoint_convexity_holds", lambda g, iv: True)
 
 
 class TestSingleResolution:
@@ -87,17 +90,23 @@ class TestSingleResolution:
             integrate_certified(by_id["inv_x"], Interval(0.0, 1.0), 4)
 
     def test_refuses_function_without_the_class(self, by_id):
-        fn = by_id["sin"]
+        # on [0, 6], f'' = -sin is neither convex nor concave, and |f''| has
+        # two humps
         for theorem in CertTheorem:
             with pytest.raises(HypothesisError):
-                integrate_certified(fn, fn.window, 4, theorem)
+                integrate_certified(by_id["sin"], Interval(0.0, 6.0), 4, theorem)
 
     def test_class_check_samples_the_64_point_grid(self):
-        # a narrow bump in |f''| at 1/126, the midpoint of the first pair of
-        # the 64-point grid and far from every midpoint of a 33-point grid;
-        # f and f' are never evaluated before the refusal
+        # a narrow bump up in f'' at 1/126 and one down at 125/126, the
+        # midpoints of the first and the last pair of the 64-point grid and
+        # far from every midpoint of a 33-point grid: the first refutes f''
+        # and |f''| as convex, the second f'' as concave; f and f' are never
+        # evaluated before the refusal
+        def bump(x, at):
+            return max(0.0, 1.0 - abs(x - at) / 1e-3)
+
         def d2(x):
-            return 1.0 + max(0.0, 1.0 - abs(x - 1.0 / 126.0) / 1e-3)
+            return 1.0 + bump(x, 1.0 / 126.0) - bump(x, 125.0 / 126.0)
 
         fn = core.TestFunction("bump", lambda x: 0.0, lambda x: 0.0, d2, UNIT)
         for theorem in CertTheorem:
@@ -264,6 +273,7 @@ def exact_integral(fid, a, b):
         "affine": lambda x: 1.5 * x * x + x, "exp": mpmath.exp,
         "inv_x": mpmath.log, "neg_ln": lambda x: x - x * mpmath.log(x),
         "x_5_2": lambda x: x ** mpmath.mpf(3.5) / mpmath.mpf(3.5),
+        "sin": lambda x: -mpmath.cos(x),
     }
     with mpmath.mp.workdps(50):
         big = antiderivatives[fid]
@@ -300,19 +310,30 @@ class TestFloatingPoint:
         fn, seen = recorded(by_id["inv_x"])
         iv = Interval(1.0, 2.0)
         res = integrate_certified(fn, iv, n, theorem)
-        cuts = [iv.a + iv.width * i / n for i in range(n)] + [iv.b]
+        # FEJER reads the midpoints as the odd cuts of the 2n-grid
+        grid = 2 * n if theorem is CertTheorem.FEJER else n
+        cuts = [iv.a + iv.width * i / grid for i in range(grid)] + [iv.b]
         mids = [iv.a + iv.width * k / (2 * n) for k in range(1, 2 * n, 2)]
         assert sorted(seen["d2"]) == cuts
         assert seen["f"] == mids
         # the same certificate, summed at once over the whole grid
-        g = [abs(fn.d2(x)) for x in cuts]
-        if theorem is CertTheorem.CONVEX_Q1:
-            weight = math.fsum([0.5 * g[0], 0.5 * g[-1]] + g[1:-1])
-        else:
-            weight = math.fsum(map(max, g, g[1:]))
         h = iv.width / n
-        assert res.truncation_radius == pytest.approx(h ** 3 / 24 * weight, rel=1e-14)
-        assert res.estimate == pytest.approx(h * math.fsum(map(fn.f, mids)), rel=1e-15)
+        midpoint_sum = h * math.fsum(map(fn.f, mids))
+        if theorem is CertTheorem.FEJER:
+            g = [fn.d2(x) for x in cuts]
+            trapezoid = math.fsum([0.5 * g[0], 0.5 * g[-1]] + g[2:-1:2])
+            midpoint = math.fsum(g[1::2])
+            assert res.truncation_radius == pytest.approx(
+                h ** 3 / 48 * abs(trapezoid - midpoint), rel=1e-12)
+            midpoint_sum += h ** 3 / 48 * (trapezoid + midpoint)
+        else:
+            g = [abs(fn.d2(x)) for x in cuts]
+            if theorem is CertTheorem.CONVEX_Q1:
+                weight = math.fsum([0.5 * g[0], 0.5 * g[-1]] + g[1:-1])
+            else:
+                weight = math.fsum(map(max, g, g[1:]))
+            assert res.truncation_radius == pytest.approx(h ** 3 / 24 * weight, rel=1e-14)
+        assert res.estimate == pytest.approx(midpoint_sum, rel=1e-15)
         assert abs(res.estimate - math.log(2.0)) <= res.error_radius
 
     @pytest.mark.parametrize("theorem", list(CertTheorem))
@@ -322,13 +343,23 @@ class TestFloatingPoint:
         while walk.n <= 2 * CHUNK:
             walk.double()
         n = walk.n
-        g = [abs(fn.d2(iv.a + iv.width * i / n)) for i in range(n)] + [abs(fn.d2(iv.b))]
-        if theorem is CertTheorem.CONVEX_Q1:
-            terms = [0.5 * g[0], 0.5 * g[-1]] + g[1:-1]
+        if theorem is CertTheorem.FEJER:
+            # f'' = exp > 0: the trapezoid sum on the n-grid, and the
+            # midpoint sum on the odd cuts of the 2n-grid
+            g = [fn.d2(iv.a + iv.width * i / (2 * n)) for i in range(2 * n)] + [fn.d2(iv.b)]
+            pairs = [(math.fsum(chain(walk.ends, walk.sums)),
+                      [0.5 * g[0], 0.5 * g[-1]] + g[2:-1:2]),
+                     (math.fsum(walk.mids[0]), g[1::2])]
         else:
-            terms = list(map(max, g, g[1:]))
-        reference = math.fsum(terms)
-        assert abs(walk.weight() - reference) <= 2.0 ** -53 * reference
+            g = [abs(fn.d2(iv.a + iv.width * i / n)) for i in range(n)] + [abs(fn.d2(iv.b))]
+            if theorem is CertTheorem.CONVEX_Q1:
+                terms = [0.5 * g[0], 0.5 * g[-1]] + g[1:-1]
+            else:
+                terms = list(map(max, g, g[1:]))
+            pairs = [(walk.weight(), terms)]
+        for computed, terms in pairs:
+            reference = math.fsum(terms)
+            assert abs(computed - reference) <= 2.0 ** -53 * reference
 
     @pytest.mark.usefixtures("class_checks_pass")
     def test_rounding_part_is_checked_before_the_level_is_taken(self, by_id):
@@ -375,3 +406,95 @@ class TestNonFinite:
             refine_to_tolerance(fn, UNIT, 1e-6)
         with pytest.raises(EvaluationError, match="f is not finite"):
             integrate_certified(fn, UNIT, 4)
+
+
+#: the certify ladder under FEJER with the n each rung takes, and three
+#: requests the paper's rules cannot certify
+FEJER_LADDER = [
+    ("x2", 0.0, 1.0, 1e-6, 1),
+    ("exp", -1.0, 1.0, 1e-8, 64),
+    ("x3", 0.0, 2.0, 1e-8, 1),
+    ("x4", -1.5, 1.5, 1e-8, 256),
+    ("affine", 0.0, 2.0, 1e-12, 1),
+    ("x_5_2", 0.25, 4.0, 1e-9, 256),
+    ("inv_x", 1.0, 2.0, 1e-10, 128),
+    ("x5", 0.5, 1.5, 1e-10, 256),
+    ("neg_ln", 0.5, 3.0, 1e-10, 512),
+    ("x_5_2", 1.0, 2.0, 1e-10, 64),
+    ("x2", 0.0, 1.0, 1e-12, 1),
+    ("inv_x", 1.0, 2.0, 1e-12, 512),
+    ("exp", -1.0, 1.0, 1e-11, 512),
+    ("x4", -1.5, 1.5, 1e-12, 2048),
+    ("sin", 0.0, 3.0, 1e-10, 256),
+    ("x_5_2", 1.0, 2.0, 1e-14, 1024),
+]
+
+
+class TestFejer:
+    @pytest.mark.parametrize("fid, a, b, tol, n", FEJER_LADDER)
+    def test_every_rung_encloses_the_exact_integral(self, by_id, fid, a, b, tol, n):
+        iv = Interval(a, b)
+        res = refine_to_tolerance(by_id[fid], iv, tol, CertTheorem.FEJER)
+        assert res.theorem_used is CertTheorem.FEJER
+        assert res.subintervals == n
+        assert res.error_radius <= tol
+        assert res.error_radius >= res.truncation_radius + res.rounding_radius
+        assert abs(res.estimate - exact_integral(fid, a, b)) <= res.error_radius
+
+    def test_radius_scaled_by_0_79_misses_some_rung(self, by_id):
+        misses = []
+        for fid, a, b, tol, _ in FEJER_LADDER:
+            res = refine_to_tolerance(by_id[fid], Interval(a, b), tol, CertTheorem.FEJER)
+            miss = abs(res.estimate - exact_integral(fid, a, b))
+            misses.append(miss > 0.79 * res.error_radius)
+        assert any(misses)
+
+    @pytest.mark.parametrize("fid, b", [("x2", 1.0), ("x3", 2.0)])
+    def test_linear_second_derivative_takes_one_panel(self, by_id, fid, b):
+        # T = M for linear f'': only the bound on the sums' rounding is left
+        # in the truncation part
+        res = refine_to_tolerance(by_id[fid], Interval(0.0, b), 1e-13, CertTheorem.FEJER)
+        assert res.subintervals == 1
+        assert 0.0 < res.truncation_radius <= 1e-14
+        assert abs(res.estimate - exact_integral(fid, 0.0, b)) <= res.error_radius
+
+    @pytest.mark.parametrize("fid, a, b, tol", [
+        ("exp", -1.0, 1.0, 1e-8),
+        ("x_5_2", 0.25, 4.0, 1e-9),
+        ("inv_x", 1.0, 2.0, 1e-12),
+    ])
+    @pytest.mark.usefixtures("class_checks_pass")
+    def test_reads_f2_at_2n_plus_1_cuts_and_f_at_n_midpoints(self, by_id, fid, a, b, tol):
+        fn, calls = counted(by_id[fid])
+        res = refine_to_tolerance(fn, Interval(a, b), tol, CertTheorem.FEJER)
+        n = res.subintervals
+        assert n > 1
+        assert calls == {"f": n, "d2": 2 * n + 1}
+        for n in (5, 48, 64):
+            fn, calls = counted(by_id[fid])
+            integrate_certified(fn, Interval(a, b), n, CertTheorem.FEJER)
+            assert calls == {"f": n, "d2": 2 * n + 1}
+
+    @pytest.mark.parametrize("fid, a, b, tol", [
+        (fid, a, b, tol) for fid, a, b, tol, n in FEJER_LADDER if n > 1])
+    def test_equals_single_pass_at_the_fewest_doublings(self, by_id, fid, a, b, tol):
+        fn, iv = by_id[fid], Interval(a, b)
+        res = refine_to_tolerance(fn, iv, tol, CertTheorem.FEJER)
+        n = res.subintervals
+        assert res == integrate_certified(fn, iv, n, CertTheorem.FEJER)
+        assert integrate_certified(fn, iv, n // 2, CertTheorem.FEJER).error_radius > tol
+
+    def test_concave_second_derivative_passes_the_class_check(self, by_id):
+        # f'' = 3.75 sqrt(x) is concave; -sin is convex on [0, pi]
+        assert oracle.CONVEX_OR_CONCAVE_F2.check(by_id["x_5_2"], Interval(0.25, 4.0))
+        assert oracle.CONVEX_OR_CONCAVE_F2.check(by_id["sin"], Interval(0.0, 3.0))
+        with pytest.raises(HypothesisError, match="f'' of 'sin' is not convex or concave"):
+            refine_to_tolerance(by_id["sin"], Interval(0.0, 6.0), 1e-6, CertTheorem.FEJER)
+
+    @pytest.mark.usefixtures("class_checks_pass")
+    def test_unreachable_tolerance_searches_to_the_cap(self, by_id, monkeypatch):
+        monkeypatch.setattr(certifier, "MAX_SUBINTERVALS", 1 << 6)
+        fn, calls = counted(by_id["exp"])
+        with pytest.raises(ConvergenceError, match=f"at n={1 << 6}"):
+            refine_to_tolerance(fn, Interval(-1.0, 1.0), 1e-15, CertTheorem.FEJER)
+        assert calls == {"f": 0, "d2": (2 << 6) + 1}

@@ -116,11 +116,20 @@ class TestMeansCommand:
         assert row["H"] == pytest.approx(2e-200 / (1.0 + 1e-10), rel=1e-15)
         assert row["chain"] is True
 
-    def test_broken_chain_exits_one(self):
-        # A = (a + b)/2 overflows near the top of the float range
-        proc = run("means", "1e308", "1.7e308")
-        assert proc.returncode == 1
-        assert json.loads(proc.stdout)["chain"] is False
+    @pytest.mark.parametrize("a, b, means", [
+        # a + b overflows: A, H and I take their fallback forms
+        ("1e308", "1.7e308", {"A": 1.35e308, "H": 1.2592592592592593e308,
+                              "I": 1.33464936541135e308}),
+        # b ln b overflows: I takes its fallback form
+        ("1e300", "1.7e308", {"I": 6.253951197093781e307}),
+    ], ids=["sum-overflows", "b-ln-b-overflows"])
+    def test_pair_near_the_top_of_the_float_range(self, a, b, means):
+        proc = run("means", a, b)
+        assert proc.returncode == 0
+        row = json.loads(proc.stdout)
+        assert row["chain"] is True
+        for key, value in means.items():
+            assert row[key] == pytest.approx(value, rel=1e-13)
 
 
 class TestCertifyCommand:
@@ -128,7 +137,8 @@ class TestCertifyCommand:
         proc = run("certify", "x2", "0", "1", "1e-6")
         assert proc.returncode == 0
         row = json.loads(proc.stdout)
-        assert set(row) == {"estimate", "error_radius", "n", "oracle_value", "enclosed"}
+        assert set(row) == {"estimate", "error_radius", "n", "oracle_value", "enclosed",
+                            "theorem", "truncation_radius", "rounding_radius"}
         assert row["enclosed"] is True
         assert row["error_radius"] <= 1e-6
         assert abs(row["estimate"] - 1.0 / 3.0) <= row["error_radius"] + 1e-10
@@ -144,7 +154,23 @@ class TestCertifyCommand:
         assert run("certify", "x2", "0", "1", "0").returncode == 2
 
     def test_unclassified_function_exits_three(self):
-        assert run("certify", "sin", "0", "3.0", "1e-6").returncode == 3
+        assert run("certify", "sin", "0", "6", "1e-6").returncode == 3
+
+    @pytest.mark.parametrize("args, theorem, n", [
+        # f'' = -sin is convex on [0, pi]
+        (("sin", "0", "3", "1e-10"), "fejer", 256),
+        (("x4", "-1.5", "1.5", "1e-12"), "fejer", 2048),
+        (("x_5_2", "1", "2", "1e-14"), "fejer", 1024),
+        # f'' = 20 x^3 turns at 0, |f''| = 20 |x|^3 is convex
+        (("x5", "-1", "1", "1e-6"), "convex_q1", 2048),
+    ])
+    def test_names_the_rule_and_both_radius_parts(self, args, theorem, n):
+        proc = run("certify", *args)
+        assert proc.returncode == 0
+        row = json.loads(proc.stdout)
+        assert (row["theorem"], row["n"], row["enclosed"]) == (theorem, n, True)
+        assert row["error_radius"] >= row["truncation_radius"] + row["rounding_radius"]
+        assert row["error_radius"] <= float(args[-1])
 
     @pytest.mark.parametrize("args", [("inv_x", "1", "2", "1e-12"), ("exp", "-1", "1", "1e-11")])
     def test_tight_rungs_enclose(self, args):
@@ -249,8 +275,8 @@ def test_overflowing_evaluation_exits_one_without_traceback(args):
      "|f''| of 'sin' is not monotone on [0.0, 3.14159]"),
     (("bound", "sin", "0.2", "1.3", "baseline_q1"),
      "|f'| of 'sin' is not convex on [0.2, 1.3]"),
-    (("certify", "sin", "0", "3", "1e-6"),
-     "|f''| of 'sin' is not quasi-convex on [0.0, 3.0]"),
+    (("certify", "sin", "0", "6", "1e-6"),
+     "|f''| of 'sin' is not quasi-convex on [0.0, 6.0]"),
 ], ids=["bound-convex", "bound-monotone", "bound-monotone-sin", "bound-baseline",
         "certify"])
 def test_class_refusal_names_the_interval(args, refusal):
