@@ -18,6 +18,17 @@ times (1 + 2*ULPS*u/(1 - 2*ULPS*u)) / (1 - u)^2 = 1 + (2*ULPS + 2)*u +
 O(u^2), the stated inflation.  The product by (b - a)^3/(24 n^3) is done
 in exact rational arithmetic and rounded up.
 
+Truncation part under QUASI_Q1.  Let G_0, ..., G_n be the exact |f''| at
+the cuts.  |f''| is quasi-convex on [a, b], so G_l <= max(G_k, G_m) for
+k < l < m: with j the index of a least G, the G fall (weakly) up to j and
+rise after it, so max(G_k, G_k+1) is G_k for k < j and G_k+1 for k >= j,
+and the weight is the sum of every G but G_j.  With g the computed
+values, the sum of every G is at most inflation * S, S the fsum of all g,
+as above; G_j >= g_j / (1 + 2*ULPS*u) >= deflation * g_min, g_min the
+least g read.  So the exact weight is at most inflation*S -
+deflation*g_min, both in exact rationals, and the walk needs only the
+chunk sums and one running minimum, as the convex rule does.
+
 Truncation part under FEJER.  The error of one panel [x, x + h] is the
 integral of K f'', where the peak kernel K >= 0 is symmetric about the
 midpoint m and integrates to h^3/24.  When signed f'' is convex on the
@@ -61,31 +72,32 @@ tracked; a non-finite evaluation or sum raises EvaluationError.
 
 Both entry points run one walk over nested grids: cut i of n subintervals
 is bit-for-bit cut 2i of 2n (scaling by two is exact), so each doubling
-evaluates f'' only at the n new odd cuts, ``CHUNK`` at a time.  Under
-CONVEX_Q1 the trapezoid weight sum 1/2 (g_k + g_k+1) equals g_0/2 + g_N/2
-+ sum of the interior g_k, so the walk keeps only those chunk sums; under
-QUASI_Q1 it keeps every |f''| in one array.  Under FEJER the walk runs one
-grid ahead: at n panels it has read the odd cuts of the 2n-grid too, which
-are the midpoints, so M is the last doubling's chunk sums and T the ends
-plus all earlier ones; n panels cost 2n + 1 f'' evaluations, and f is read
-at those same midpoints.  The radius depends on f'' alone up to the
-rounding part, so ``refine_to_tolerance`` evaluates f only at a level
-whose truncation part already fits.  The new cuts of a doubling are the
-midpoints of the coarser grid, and for convex |f''| the Hermite-Hadamard
-inequality (midpoint sum <= integral <= trapezoid sum) turns their values
-into a lower bound on every finer truncation part; a tolerance below it
-fails at once under CONVEX_Q1.
+evaluates f'' only at the n new odd cuts, ``CHUNK`` at a time.  Every rule
+keeps the same thing: the two end values, and per level (the starting
+grid's interior cuts, then each doubling's odd cuts) the chunk fsums of
+f'' and of |f''|.  Under CONVEX_Q1 the trapezoid weight sum 1/2 (g_k +
+g_k+1) equals g_0/2 + g_N/2 + the sum of the interior g_k; under QUASI_Q1
+the weight is the formula above, which also tracks the least |f''| read.
+Under FEJER the walk reads one level more: at n panels it has read the odd
+cuts of the 2n-grid too, which are the midpoints, so M is that level's
+chunk sums and T the ends plus all earlier ones; n panels cost 2n + 1 f''
+evaluations, and f is read at those same midpoints.  The radius depends on
+f'' alone up to the rounding part, so ``refine_to_tolerance`` evaluates f
+only at a level whose truncation part already fits.  The new cuts of a
+doubling are the midpoints of the coarser grid, and for convex |f''| the
+Hermite-Hadamard inequality (midpoint sum <= integral <= trapezoid sum)
+turns their values into a lower bound on every finer truncation part; a
+tolerance below it fails at once under CONVEX_Q1.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import chain, islice
+from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (
@@ -146,7 +158,7 @@ class _Model(NamedTuple):
     u: Fraction          # unit roundoff of IEEE double
     inflation: Fraction  # exact weight <= computed weight * inflation
     spread: Fraction     # |exact midpoint sum - S~| <= spread * sum |f~| + u * |S~|
-    deflation: Fraction  # exact midpoint sum of |f''| >= computed one * deflation
+    deflation: Fraction  # an exact |f''| sum or value >= computed one * deflation
 
 
 @cache
@@ -183,22 +195,15 @@ def _finite_sum(values: Iterable[float], what: str, n: int) -> float:
     return total
 
 
-def _chunks(ev, iv: Interval, n: int, step: int) -> Iterator[list[float]]:
-    """ev at a + width*k/n for k = 1, 1 + step, ... below n, at most CHUNK
-    values a list."""
-    a, width = iv.a, iv.width
-    divisor = float(n)  # exact; a float spares the int conversion per cut
-    stride = CHUNK * step
-    for lo in range(1, n, stride):
-        yield [ev(a + width * k / divisor) for k in range(lo, min(lo + stride, n), step)]
-
-
 class _Walk:
     """f'' over the cuts of nested grids of n, 2n, 4n, ... subintervals.
 
     Starting at n, it evaluates the n + 1 cuts (the last pinned to b), and
     under FEJER the n midpoints too; each ``double`` evaluates the new odd
-    cuts alone.
+    cuts alone (and the new midpoints).  It keeps the signed end values,
+    the chunk fsums of f'' (``sums``) and |f''| (``sizes``) level after
+    level, where the last level starts (``top``), and under QUASI_Q1 the
+    least |f''| read.
     """
 
     def __init__(self, fn: TestFunction, iv: Interval, theorem: CertTheorem, n: int) -> None:
@@ -207,91 +212,84 @@ class _Walk:
         self.span = fraction(iv.b) - fraction(iv.a)
         first, last = fn.d2(iv.a), fn.d2(iv.b)
         _finite_sum((abs(first), abs(last)), "f''", n)
-        if theorem is CertTheorem.QUASI_Q1:
-            cuts = array("d", [abs(first)])
-            self._read(n, 1, cuts)
-            cuts.append(abs(last))
-            self.cuts = cuts
-            return
+        self.ends = (first, last)
+        self.least = min(abs(first), abs(last))
+        self.sums: list[float] = []
+        self.sizes: list[float] = []
+        self.top = 0
+        self._read(n, 1)
         if theorem is CertTheorem.FEJER:
-            self.ends = (0.5 * first, 0.5 * last)
+            self._read(2 * n, 2)
+
+    def _chunk_sums(self, ev, n: int, step: int,
+                    what: str) -> Iterator[tuple[float, float, list[float]]]:
+        """Per chunk of at most CHUNK values of ev at a + width*k/n, k = 1,
+        1 + step, ... below n: their fsum, the fsum of their magnitudes and
+        the values; raises EvaluationError when the magnitudes' sum is not
+        finite."""
+        a, width = self.iv.a, self.iv.width
+        divisor = float(n)  # exact; a float spares the int conversion per cut
+        stride = CHUNK * step
+        for lo in range(1, n, stride):
+            vals = [ev(a + width * k / divisor) for k in range(lo, min(lo + stride, n), step)]
+            size = _finite_sum(map(abs, vals), what, self.n)
+            yield math.fsum(vals), size, vals
+
+    def _read(self, n: int, step: int) -> None:
+        """Append f'' at the cuts k = 1, 1 + step, ... of the n-grid as the
+        last level."""
+        self.top = len(self.sizes)
+        quasi = self.theorem is CertTheorem.QUASI_Q1
+        for total, size, vals in self._chunk_sums(self.fn.d2, n, step, "f''"):
+            self.sums.append(total)
+            self.sizes.append(size)
+            if quasi:
+                self.least = min(self.least, min(map(abs, vals)))
+
+    def double(self) -> None:
+        """Go to 2n subintervals."""
+        self.n *= 2
+        if self.theorem is CertTheorem.FEJER:
+            self._read(2 * self.n, 2)  # the old midpoints become cuts
         else:
-            self.ends = (0.5 * abs(first), 0.5 * abs(last))
-        self.sums, self.sizes = self._read(n, 1)
-        if theorem is CertTheorem.FEJER:
-            self.mids = self._read(2 * n, 2)
-
-    def _read(self, n: int, step: int,
-              store: array | None = None) -> tuple[list[float], list[float]]:
-        """Chunk sums over the cuts k = 1, 1 + step, ... of the n-grid: the
-        fsums of f'' (under FEJER alone, else none) and of |f''|, appending
-        the |f''| values to store when it is given."""
-        signed = self.theorem is CertTheorem.FEJER
-        sums, sizes = [], []
-        for vals in _chunks(self.fn.d2, self.iv, n, step):
-            sizes.append(_finite_sum(map(abs, vals), "f''", n))
-            if signed:
-                sums.append(math.fsum(vals))
-            if store is not None:
-                store.extend(map(abs, vals))
-        return sums, sizes
-
-    def double(self) -> float:
-        """Go to 2n subintervals; returns the fsum of |f''| at the new cuts."""
-        n = 2 * self.n
-        if self.theorem is CertTheorem.QUASI_Q1:
-            odd = array("d")
-            _, sizes = self._read(n, 2, odd)
-            finer = array("d", [0.0]) * (n + 1)
-            finer[0::2] = self.cuts
-            finer[1::2] = odd
-            self.cuts = finer
-        else:
-            if self.theorem is CertTheorem.FEJER:
-                # the old midpoints become cuts
-                (sums, sizes), self.mids = self.mids, self._read(2 * n, 2)
-            else:
-                sums, sizes = self._read(n, 2)
-            self.sums.extend(sums)
-            self.sizes.extend(sizes)
-        self.n = n
-        return math.fsum(sizes)
-
-    def weight(self) -> float:
-        """The sum of each subinterval's endpoint aggregate of |f''| (mean
-        under CONVEX_Q1, max under QUASI_Q1), as computed."""
-        if self.theorem is CertTheorem.CONVEX_Q1:
-            return math.fsum(chain(self.ends, self.sizes))
-        g = self.cuts
-        return math.fsum(map(max, g, islice(g, 1, None)))
+            self._read(self.n, 2)
 
     def bracket(self) -> tuple[Fraction, Fraction]:
         """Under FEJER, the centre (T + M)/2 and the half-width
         |T - M|/2 + e_T + e_M of the interval that holds the sum of the
         exact panel errors over h^3/24."""
         fraction, u, _, spread, _ = _model()
-        trapezoid = fraction(math.fsum(chain(self.ends, self.sums)))
-        midpoint = fraction(math.fsum(self.mids[0]))
-        sizes = math.fsum(chain(map(abs, self.ends), self.sizes, self.mids[1]))
+        halves = [0.5 * end for end in self.ends]
+        trapezoid = fraction(math.fsum(chain(halves, self.sums[:self.top])))
+        midpoint = fraction(math.fsum(self.sums[self.top:]))
+        sizes = math.fsum(chain(map(abs, halves), self.sizes))
         slack = spread * fraction(sizes) + u * (abs(trapezoid) + abs(midpoint))
         return (trapezoid + midpoint) / 2, abs(trapezoid - midpoint) / 2 + slack
 
     def truncation(self) -> float:
-        """h^3/24 times the weight, inflated for the rounding of the |f''|
-        values and their sums, or under FEJER times the bracket's
-        half-width; rounded up."""
-        model = _model()
+        """h^3/24 times a bound on the exact weight (the sum of each
+        subinterval's endpoint mean of |f''| under CONVEX_Q1, max under
+        QUASI_Q1) or under FEJER on the bracket's half-width; rounded up."""
+        fraction, _, inflation, _, deflation = _model()
         cube = (self.span / self.n) ** 3 / 24
         if self.theorem is CertTheorem.FEJER:
             return _up(cube * self.bracket()[1])
-        return _up(cube * model.fraction(self.weight()) * model.inflation)
+        if self.theorem is CertTheorem.QUASI_Q1:
+            # every cut but a least one is the larger end of some subinterval
+            total = math.fsum(chain(map(abs, self.ends), self.sizes))
+            weight = inflation * fraction(total) - deflation * fraction(self.least)
+        else:
+            total = math.fsum(chain((0.5 * abs(end) for end in self.ends), self.sizes))
+            weight = inflation * fraction(total)
+        return _up(cube * weight)
 
-    def floor(self, odd_sum: float) -> Fraction:
+    def floor(self) -> Fraction:
         """Lower bound, for convex |f''|, on the truncation part at
-        MAX_SUBINTERVALS from ``odd_sum``, the |f''| sum at the new cuts of
-        the last doubling: h of the n/2 grid times it bounds the integral of
-        |f''| from below."""
+        MAX_SUBINTERVALS from the |f''| sum at the new cuts of the last
+        doubling: h of the n/2 grid times it bounds the integral of |f''|
+        from below."""
         model = _model()
+        odd_sum = math.fsum(self.sizes[self.top:])
         return (self.span ** 2 / (24 * MAX_SUBINTERVALS ** 2)
                 * (2 * self.span / self.n) * model.fraction(odd_sum) * model.deflation)
 
@@ -299,9 +297,9 @@ class _Walk:
         """Evaluate f at the n midpoints and close the certificate."""
         n = self.n
         sums, sizes = [], []
-        for vals in _chunks(self.fn.f, self.iv, 2 * n, 2):
-            sums.append(_finite_sum(vals, "f", n))
-            sizes.append(math.fsum(map(abs, vals)))
+        for total, size, _ in self._chunk_sums(self.fn.f, 2 * n, 2, "f"):
+            sums.append(total)
+            sizes.append(size)
         fraction, u, _, spread, _ = _model()
         total = fraction(_finite_sum(sums, "f", n))
         h = self.span / n
@@ -382,12 +380,12 @@ def refine_to_tolerance(fn: TestFunction, iv: Interval, tol: float,
             radius = cert.error_radius
         if n >= MAX_SUBINTERVALS:
             raise ConvergenceError(f"radius {radius} still above {tol} at n={n}")
-        odd_sum = walk.double()
+        walk.double()
         if theorem is CertTheorem.CONVEX_Q1:
             # the new cuts are the midpoints of the n-grid: for convex |f''|
             # their midpoint sum is at most its integral, which is at most
             # the trapezoid sum inside every finer truncation part
-            floor = walk.floor(odd_sum)
+            floor = walk.floor()
             if floor > tol:
                 raise ConvergenceError(
                     f"radius at n={MAX_SUBINTERVALS} is at least {float(floor)} "

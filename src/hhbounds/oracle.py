@@ -139,6 +139,31 @@ def midpoint_quasiconvexity_holds(g: Callable[[float], float], iv: Interval) -> 
     return True
 
 
+def convexity_sign(g: Callable[[float], float], iv: Interval) -> int:
+    """Sampling verdict on the sign of g's bend, from one read of g at the
+    127 points a + k*width/126 (the pair midpoints of the 64-point grid,
+    ends included): 1 when no point lies above the chord of its neighbours
+    by more than tol (convex g), else -1 when none lies below it by more
+    than tol (concave g), else 0 (both refuted)."""
+    tol = CLASS_CHECK_TOL
+    gs = [g(x) for x in _grid(iv, 2 * CLASS_CHECK_GRID - 1)]
+    bends = [mid - 0.5 * (lo + hi) for lo, mid, hi in zip(gs, gs[1:], gs[2:])]
+    if all(bend <= tol for bend in bends):
+        return 1
+    if all(bend >= -tol for bend in bends):
+        return -1
+    return 0
+
+
+def signed_convexity_holds(g: Callable[[float], float], iv: Interval) -> bool:
+    """True iff g or -g passes the midpoint-convexity sampling check on iv,
+    for the one sign that ``convexity_sign`` leaves open."""
+    sign = convexity_sign(g, iv)
+    if sign == 0:
+        return False
+    return midpoint_convexity_holds(g if sign > 0 else lambda x: -g(x), iv)
+
+
 def monotone_holds(g: Callable[[float], float], iv: Interval) -> bool:
     """Sampling verdict: g rises or falls over 65 evenly spaced points of iv
     (ends included), up to 1e-12 * max(1, max g) per step."""
@@ -192,9 +217,7 @@ MONOTONE_D2 = Hypothesis("d2", "|f''|", "monotone",
                          lambda fn, iv: monotone_holds(lambda x: abs(fn.d2(x)), iv))
 CONVEX_D1 = Hypothesis("d1", "|f'|", "convex",
                        lambda fn, iv: midpoint_convexity_holds(lambda x: abs(fn.d1(x)), iv))
-#: signed f'' convex or concave, the class of Fejer's bracket; the concave
-#: sample runs only when the convex one fails
-CONVEX_OR_CONCAVE_F2 = Hypothesis(
-    "d2", "f''", "convex or concave",
-    lambda fn, iv: (midpoint_convexity_holds(fn.d2, iv)
-                    or midpoint_convexity_holds(lambda x: -fn.d2(x), iv)))
+#: signed f'' convex or concave, the class of Fejer's bracket; the pair
+#: sample runs for the one sign the fine grid's bends leave open
+CONVEX_OR_CONCAVE_F2 = Hypothesis("d2", "f''", "convex or concave",
+                                  lambda fn, iv: signed_convexity_holds(fn.d2, iv))

@@ -54,6 +54,7 @@ def class_checks_pass(monkeypatch):
     monkeypatch.setattr(oracle, "check_convex_abs_d2", lambda fn, iv: True)
     monkeypatch.setattr(oracle, "check_quasiconvex_abs_d2", lambda fn, iv: True)
     monkeypatch.setattr(oracle, "midpoint_convexity_holds", lambda g, iv: True)
+    monkeypatch.setattr(oracle, "convexity_sign", lambda g, iv: 1)
 
 
 class TestSingleResolution:
@@ -343,20 +344,25 @@ class TestFloatingPoint:
         while walk.n <= 2 * CHUNK:
             walk.double()
         n = walk.n
+        # every rule keeps the chunk sums of f'' and |f''| level by level;
+        # FEJER's last level is the odd cuts of the 2n-grid, its midpoints
+        grid = 2 * n if theorem is CertTheorem.FEJER else n
+        g = [fn.d2(iv.a + iv.width * i / grid) for i in range(grid)] + [fn.d2(iv.b)]
+        assert walk.ends == (g[0], g[-1])
+        pairs = [(math.fsum(walk.sums), g[1:-1]),
+                 (math.fsum(walk.sizes), [abs(y) for y in g[1:-1]])]
         if theorem is CertTheorem.FEJER:
             # f'' = exp > 0: the trapezoid sum on the n-grid, and the
             # midpoint sum on the odd cuts of the 2n-grid
-            g = [fn.d2(iv.a + iv.width * i / (2 * n)) for i in range(2 * n)] + [fn.d2(iv.b)]
-            pairs = [(math.fsum(chain(walk.ends, walk.sums)),
-                      [0.5 * g[0], 0.5 * g[-1]] + g[2:-1:2]),
-                     (math.fsum(walk.mids[0]), g[1::2])]
+            halves = [0.5 * end for end in walk.ends]
+            pairs += [(math.fsum(chain(halves, walk.sums[:walk.top])),
+                       [0.5 * g[0], 0.5 * g[-1]] + g[2:-1:2]),
+                      (math.fsum(walk.sums[walk.top:]), g[1::2])]
+        elif theorem is CertTheorem.CONVEX_Q1:
+            # the last level is the last doubling's odd cuts
+            pairs.append((math.fsum(walk.sizes[walk.top:]), g[1::2]))
         else:
-            g = [abs(fn.d2(iv.a + iv.width * i / n)) for i in range(n)] + [abs(fn.d2(iv.b))]
-            if theorem is CertTheorem.CONVEX_Q1:
-                terms = [0.5 * g[0], 0.5 * g[-1]] + g[1:-1]
-            else:
-                terms = list(map(max, g, g[1:]))
-            pairs = [(walk.weight(), terms)]
+            assert walk.least == min(g)
         for computed, terms in pairs:
             reference = math.fsum(terms)
             assert abs(computed - reference) <= 2.0 ** -53 * reference
@@ -491,6 +497,19 @@ class TestFejer:
         with pytest.raises(HypothesisError, match="f'' of 'sin' is not convex or concave"):
             refine_to_tolerance(by_id["sin"], Interval(0.0, 6.0), 1e-6, CertTheorem.FEJER)
 
+    def test_one_sided_bump_refutes_both_signs(self):
+        # f'' = 1 + a narrow tent at 1/126, a midpoint of the 64-point grid's
+        # first pair: the tent refutes convex f'', and its neighbours on the
+        # 127-point grid refute concave f'', so neither pair sample runs
+        def d2(x):
+            return 1.0 + max(0.0, 1.0 - abs(x - 1.0 / 126.0) / 1e-3)
+
+        fn = core.TestFunction("bump", lambda x: 0.0, lambda x: 0.0, d2, UNIT)
+        assert oracle.convexity_sign(d2, UNIT) == 0
+        assert not oracle.CONVEX_OR_CONCAVE_F2.check(fn, UNIT)
+        with pytest.raises(HypothesisError, match="f'' of 'bump' is not convex or concave"):
+            refine_to_tolerance(fn, UNIT, 1e-9, CertTheorem.FEJER)
+
     @pytest.mark.usefixtures("class_checks_pass")
     def test_unreachable_tolerance_searches_to_the_cap(self, by_id, monkeypatch):
         monkeypatch.setattr(certifier, "MAX_SUBINTERVALS", 1 << 6)
@@ -498,3 +517,30 @@ class TestFejer:
         with pytest.raises(ConvergenceError, match=f"at n={1 << 6}"):
             refine_to_tolerance(fn, Interval(-1.0, 1.0), 1e-15, CertTheorem.FEJER)
         assert calls == {"f": 0, "d2": (2 << 6) + 1}
+
+
+#: |f''| = |sin| falls to 0 at pi and rises after it: quasi-convex, not convex
+QUASI_IV = Interval(2.0, 4.5)
+
+
+class TestQuasi:
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+    def test_interior_minimum_encloses_the_exact_integral(self, by_id, tol):
+        fn = by_id["sin"]
+        assert cli_theorem(fn, QUASI_IV) is CertTheorem.QUASI_Q1
+        res = refine_to_tolerance(fn, QUASI_IV, tol, CertTheorem.QUASI_Q1)
+        assert res.theorem_used is CertTheorem.QUASI_Q1
+        assert res.error_radius <= tol
+        assert res.error_radius >= res.truncation_radius + res.rounding_radius
+        assert abs(res.estimate - exact_integral("sin", 2.0, 4.5)) <= res.error_radius
+
+    @pytest.mark.parametrize("n", [5, 48, 1000])
+    def test_truncation_is_the_sum_of_the_larger_ends(self, by_id, n):
+        # the sum over all cuts less the least equals the sum of per-panel maxima
+        fn, iv = by_id["sin"], QUASI_IV
+        res = integrate_certified(fn, iv, n, CertTheorem.QUASI_Q1)
+        g = [abs(fn.d2(iv.a + iv.width * i / n)) for i in range(n)] + [abs(fn.d2(iv.b))]
+        h = iv.width / n
+        weight = math.fsum(map(max, g, g[1:]))
+        assert res.truncation_radius == pytest.approx(h ** 3 / 24 * weight, rel=1e-14)
+        assert 0 < g.index(min(g)) < n

@@ -163,6 +163,9 @@ class TestCertifyCommand:
         (("x_5_2", "1", "2", "1e-14"), "fejer", 1024),
         # f'' = 20 x^3 turns at 0, |f''| = 20 |x|^3 is convex
         (("x5", "-1", "1", "1e-6"), "convex_q1", 2048),
+        # f'' = -sin bends both ways around pi, where |f''| = |sin| has its
+        # least value: quasi-convex only
+        (("sin", "2", "4.5", "1e-6"), "quasi_q1", 1024),
     ])
     def test_names_the_rule_and_both_radius_parts(self, args, theorem, n):
         proc = run("certify", *args)

@@ -14,6 +14,7 @@ from hhbounds.oracle import (
     MONOTONE_D2,
     check_convex_abs_d2,
     check_quasiconvex_abs_d2,
+    convexity_sign,
     integrate,
     mean_value,
     midpoint_gap,
@@ -171,6 +172,13 @@ class TestHermiteHadamardProperty:
 def test_generic_convexity_sampler_on_plain_callables():
     assert midpoint_convexity_holds(abs, Interval(-1.0, 1.0))
     assert not midpoint_convexity_holds(lambda x: math.sqrt(abs(x)), Interval(0.0, 1.0))
+
+
+def test_convexity_sign_from_the_fine_grid():
+    assert convexity_sign(lambda x: x * x, UNIT) == 1
+    assert convexity_sign(math.sqrt, UNIT) == -1
+    assert convexity_sign(lambda x: 2.0 * x, UNIT) == 1  # both hold; convex first
+    assert convexity_sign(math.sin, Interval(0.0, 6.0)) == 0
 
 
 def test_generic_monotonicity_sampler_on_plain_callables():
