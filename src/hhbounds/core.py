@@ -144,12 +144,18 @@ class TheoremId(str, Enum):
     PROP_MONOMIAL_QUASI = "prop_monomial_quasi"
 
 
+def slack_is_valid(slack: float) -> bool:
+    """The validity rule of every bound check: bound minus gap is not
+    materially negative, slack >= -VALIDITY_TOL."""
+    return slack >= -VALIDITY_TOL
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """One bound applied to one function and interval.
 
-    ``slack`` is bound minus true gap; ``valid`` means the slack is not
-    materially negative.  ``extras`` carries family-specific diagnostics
+    ``slack`` (bound minus true gap) and ``valid`` (``slack_is_valid``) are
+    derived from the two.  ``extras`` carries family-specific diagnostics
     (e.g. an uncorrected literal constant for comparison).
     """
 
@@ -158,35 +164,16 @@ class BoundReport:
     interval: Interval
     bound: float
     true_gap: float
-    slack: float
-    valid: bool
     exponent: ConjugatePair | float | None = None
     extras: dict = field(default_factory=dict)
 
-    @classmethod
-    def from_values(
-        cls,
-        theorem_id: TheoremId,
-        function_id: str,
-        interval: Interval,
-        bound: float,
-        true_gap: float,
-        *,
-        exponent: ConjugatePair | float | None = None,
-        extras: dict | None = None,
-    ) -> BoundReport:
-        slack = bound - true_gap
-        return cls(
-            theorem_id=theorem_id,
-            function_id=function_id,
-            interval=interval,
-            bound=bound,
-            true_gap=true_gap,
-            slack=slack,
-            valid=slack >= -VALIDITY_TOL,
-            exponent=exponent,
-            extras=extras or {},
-        )
+    @property
+    def slack(self) -> float:
+        return self.bound - self.true_gap
+
+    @property
+    def valid(self) -> bool:
+        return slack_is_valid(self.slack)
 
 
 def polynomial(coeffs: Sequence[float], *, id: str | None = None,

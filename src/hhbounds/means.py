@@ -160,20 +160,37 @@ def _validate_ordered(a: float, b: float) -> Interval:
     return Interval(a, b)
 
 
-def _monomial_coefficient(n: int) -> int:
+def _q_above_one(q: float) -> None:
+    if not q > 1.0:
+        raise DomainError(f"needs q > 1, got {q}")
+
+
+# the generators: each returns (label, closed-form gap, |f''(a)|, |f''(b)|)
+
+def _monomial(a: float, b: float, n: int) -> tuple[str, float, float, float]:
+    """x^n: gap |L_n^n - A^n| (L_n^n is the mean value of x^n over [a, b])
+    and |f''| = |n(n-1)| x^(n-2), for an integer n with |n(n-1)| >= 3."""
     if n != int(n):
         raise DomainError(f"monomial exponent must be an integer, got {n}")
     n = int(n)
     nn = abs(n * (n - 1))
     if nn < 3:
         raise HypothesisError(f"need |n(n-1)| >= 3, got n={n} with |n(n-1)|={nn}")
-    return nn
-
-
-def _monomial_gap(a: float, b: float, n: int) -> float:
-    """|L_n^n - A^n|; L_n^n is the mean value of x^n over [a, b]."""
     mean_power = (b ** (n + 1) - a ** (n + 1)) / ((n + 1) * (b - a))
-    return abs(mean_power - (0.5 * (a + b)) ** n)
+    gap = abs(mean_power - (0.5 * (a + b)) ** n)
+    return f"x^{n}", gap, nn * a ** (n - 2), nn * b ** (n - 2)
+
+
+def _reciprocal(a: float, b: float) -> tuple[str, float, float, float]:
+    """1/x: gap |1/L - 1/A| and |f''| = 2/x^3."""
+    gap = abs(1.0 / logarithmic_mean(a, b) - 1.0 / arithmetic_mean(a, b))
+    return "1/x", gap, 2.0 / a ** 3, 2.0 / b ** 3
+
+
+def _neg_log(a: float, b: float) -> tuple[str, float, float, float]:
+    """-ln x: gap ln(A/I) and |f''| = 1/x^2."""
+    gap = math.log(arithmetic_mean(a, b) / identric_mean(a, b))
+    return "-ln(x)", gap, 1.0 / (a * a), 1.0 / (b * b)
 
 
 def check_prop_monomial_q1(a: float, b: float, n: int) -> BoundReport:
@@ -183,65 +200,50 @@ def check_prop_monomial_q1(a: float, b: float, n: int) -> BoundReport:
     carry the uncorrected /48 variant, which the same n = 3 case refutes.
     """
     iv = _validate_ordered(a, b)
-    nn = _monomial_coefficient(n)
-    n = int(n)
-    gap = _monomial_gap(a, b, n)
-    bound = bound_convex_q1(iv, nn * a ** (n - 2), nn * b ** (n - 2))
+    label, gap, *d2 = _monomial(a, b, n)
+    bound = bound_convex_q1(iv, *d2)
     literal = bound / 2.0  # the uncorrected (b-a)^2/48 constant
-    return BoundReport.from_values(
-        TheoremId.PROP_MONOMIAL_Q1, f"x^{n}", iv, bound, gap,
-        extras={"literal_bound": literal, "literal_valid": literal >= gap},
-    )
+    return BoundReport(TheoremId.PROP_MONOMIAL_Q1, label, iv, bound, gap,
+                       extras={"literal_bound": literal, "literal_valid": literal >= gap})
 
 
 def check_prop_identric(a: float, b: float, pq: ConjugatePair) -> BoundReport:
     """ln(A/I) <= (b-a)^2/(8 a^2 b^2 (2p+1)^(1/p)) * A(a^2q, b^2q)^(1/q)."""
     iv = _validate_ordered(a, b)
-    gap = math.log(arithmetic_mean(a, b) / identric_mean(a, b))
-    bound = bound_convex_holder(iv, 1.0 / (a * a), 1.0 / (b * b), pq)
-    return BoundReport.from_values(
-        TheoremId.PROP_IDENTRIC, "-ln(x)", iv, bound, gap, exponent=pq)
+    label, gap, *d2 = _neg_log(a, b)
+    return BoundReport(TheoremId.PROP_IDENTRIC, label, iv,
+                       bound_convex_holder(iv, *d2, pq), gap, pq)
 
 
 def check_prop_monomial_pm(a: float, b: float, n: int, q: float) -> BoundReport:
     """|L_n^n - A^n| <= |n(n-1)| (b-a)^2/24 * A(a^q(n-2), b^q(n-2))^(1/q), q > 1."""
     iv = _validate_ordered(a, b)
-    if not q > 1.0:
-        raise DomainError(f"needs q > 1, got {q}")
-    nn = _monomial_coefficient(n)
-    n = int(n)
-    gap = _monomial_gap(a, b, n)
-    bound = bound_convex_powermean(iv, nn * a ** (n - 2), nn * b ** (n - 2), q)
-    return BoundReport.from_values(
-        TheoremId.PROP_MONOMIAL_PM, f"x^{n}", iv, bound, gap, exponent=q)
+    _q_above_one(q)
+    label, gap, *d2 = _monomial(a, b, n)
+    return BoundReport(TheoremId.PROP_MONOMIAL_PM, label, iv,
+                       bound_convex_powermean(iv, *d2, q), gap, q)
 
 
 def check_prop_reciprocal_pm(a: float, b: float, q: float) -> BoundReport:
     """|1/L - 1/A| <= (b-a)^2/24 * 2^((q-1)/q)/(a^3 b^3) * (a^3q + b^3q)^(1/q), q > 1."""
     iv = _validate_ordered(a, b)
-    if not q > 1.0:
-        raise DomainError(f"needs q > 1, got {q}")
-    gap = abs(1.0 / logarithmic_mean(a, b) - 1.0 / arithmetic_mean(a, b))
-    bound = bound_convex_powermean(iv, 2.0 / a ** 3, 2.0 / b ** 3, q)
-    return BoundReport.from_values(
-        TheoremId.PROP_RECIPROCAL_PM, "1/x", iv, bound, gap, exponent=q)
+    _q_above_one(q)
+    label, gap, *d2 = _reciprocal(a, b)
+    return BoundReport(TheoremId.PROP_RECIPROCAL_PM, label, iv,
+                       bound_convex_powermean(iv, *d2, q), gap, q)
 
 
 def check_prop_reciprocal_quasi(a: float, b: float, q: float = 1.0) -> BoundReport:
     """|1/L - 1/A| <= (b-a)^2/24 * max(2/a^3, 2/b^3); independent of q >= 1."""
     iv = _validate_ordered(a, b)
-    gap = abs(1.0 / logarithmic_mean(a, b) - 1.0 / arithmetic_mean(a, b))
-    bound = bound_quasi_powermean(iv, 2.0 / a ** 3, 2.0 / b ** 3, q)
-    return BoundReport.from_values(
-        TheoremId.PROP_RECIPROCAL_QUASI, "1/x", iv, bound, gap, exponent=q)
+    label, gap, *d2 = _reciprocal(a, b)
+    return BoundReport(TheoremId.PROP_RECIPROCAL_QUASI, label, iv,
+                       bound_quasi_powermean(iv, *d2, q), gap, q)
 
 
 def check_prop_monomial_quasi(a: float, b: float, n: int, pq: ConjugatePair) -> BoundReport:
     """|L_n^n - A^n| <= |n(n-1)| (b-a)^2/(8(2p+1)^(1/p)) * max(a^(n-2), b^(n-2))."""
     iv = _validate_ordered(a, b)
-    nn = _monomial_coefficient(n)
-    n = int(n)
-    gap = _monomial_gap(a, b, n)
-    bound = bound_quasi_holder(iv, nn * a ** (n - 2), nn * b ** (n - 2), pq)
-    return BoundReport.from_values(
-        TheoremId.PROP_MONOMIAL_QUASI, f"x^{n}", iv, bound, gap, exponent=pq)
+    label, gap, *d2 = _monomial(a, b, n)
+    return BoundReport(TheoremId.PROP_MONOMIAL_QUASI, label, iv,
+                       bound_quasi_holder(iv, *d2, pq), gap, pq)

@@ -29,6 +29,10 @@ MAX_DEPTH = 60
 #: panels are never accepted shallower than this, whatever the estimate says
 _MIN_DEPTH = 2
 
+#: a panel whose estimate is below this share of |left| + |right| (a few
+#: ulp) is accepted whatever its budget: halving cannot beat the rounding
+_ROUNDING_FLOOR = 8e-16
+
 #: points of the interval whose pairs the midpoint-convexity samplers test
 CLASS_CHECK_GRID = 64
 
@@ -48,9 +52,12 @@ def integrate(f: Callable[[float], float], iv: Interval, tol: float) -> Quadratu
 
     Adaptive Simpson with recursive bisection: each panel is accepted once
     the |S_halves - S_whole|/15 estimate fits its share of the error
-    budget, and accepted panels get one Richardson correction.  The
-    returned est_error (sum of accepted panel estimates) never exceeds
-    tol.  Deterministic for fixed inputs.
+    budget, or falls below a few ulp of the panel's own value (a tol
+    below the rounding of the integral cannot be met, and the budget
+    halves at each depth), and accepted panels get one Richardson
+    correction.  The returned est_error is the sum of accepted panel
+    estimates; it stays within tol unless some panel was accepted at the
+    rounding floor.  Deterministic for fixed inputs.
 
     Raises:
         EvaluationError: f returned a non-finite value.
@@ -79,7 +86,8 @@ def integrate(f: Callable[[float], float], iv: Interval, tol: float) -> Quadratu
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         err = (left + right - whole) / 15.0
-        if depth >= _MIN_DEPTH and abs(err) <= budget:
+        if depth >= _MIN_DEPTH and (abs(err) <= budget
+                                    or abs(err) <= _ROUNDING_FLOOR * (abs(left) + abs(right))):
             return left + right + err, abs(err)
         if depth >= MAX_DEPTH:
             raise ConvergenceError(
@@ -143,16 +151,19 @@ def convexity_sign(g: Callable[[float], float], iv: Interval) -> int:
     """Sampling verdict on the sign of g's bend, from one read of g at the
     127 points a + k*width/126 (the pair midpoints of the 64-point grid,
     ends included): 1 when no point lies above the chord of its neighbours
-    by more than tol (convex g), else -1 when none lies below it by more
-    than tol (concave g), else 0 (both refuted)."""
+    by more than tol (convex g), -1 when none lies below it by more than
+    tol (concave g), 0 when both are refuted.  When every bend is within
+    tol, so both stay open, the sign of their sum decides: it telescopes to
+    half the fall in slope across the grid, (g1 - g0) - (g126 - g125), and
+    a tie goes convex."""
     tol = CLASS_CHECK_TOL
     gs = [g(x) for x in _grid(iv, 2 * CLASS_CHECK_GRID - 1)]
     bends = [mid - 0.5 * (lo + hi) for lo, mid, hi in zip(gs, gs[1:], gs[2:])]
-    if all(bend <= tol for bend in bends):
-        return 1
-    if all(bend >= -tol for bend in bends):
-        return -1
-    return 0
+    convex = all(bend <= tol for bend in bends)
+    concave = all(bend >= -tol for bend in bends)
+    if convex and concave:
+        return -1 if (gs[1] - gs[0]) - (gs[-1] - gs[-2]) > 0.0 else 1
+    return 1 if convex else -1 if concave else 0
 
 
 def signed_convexity_holds(g: Callable[[float], float], iv: Interval) -> bool:

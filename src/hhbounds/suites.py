@@ -6,23 +6,24 @@ lines: suite, function, interval, theorem, bound, gap, slack, pass.  For
 bound families pass means slack >= -1e-9; for the identity sweep it means
 |slack| stays below the residual tolerance.  The bound table (``SWEEPS``)
 names each theorem's class hypothesis from ``oracle`` and its exponent
-kind (none, a conjugate pair or a q); the sweeps and the single reports
-(``build_bound_report``) both read it.  A function joins a bound sweep
-when its window passes the first row's hypothesis, and each row runs on
-the intervals where its own hypothesis holds, on the window or else on
-the interval itself.
+kind (none, a conjugate pair or a q, each with the range sweeps draw it
+from); the sweeps and the single reports (``build_bound_report``) both
+read it.  A function joins a bound sweep when its window passes the first
+row's hypothesis, and each row runs on the intervals where its own
+hypothesis holds, on the window or else on the interval itself.  The
+registry ``SUITES`` names every sweep, in the order ``all`` runs them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from types import ModuleType
 
 from . import bounds_convex as bc
 from . import bounds_quasiconvex as bq
 from .core import (
-    VALIDITY_TOL,
     BoundReport,
     ConjugatePair,
     DomainError,
@@ -30,6 +31,7 @@ from .core import (
     TestFunction,
     TheoremId,
     builtin_catalog,
+    slack_is_valid,
 )
 from .identity import identity_lhs, identity_rhs
 from .means import (
@@ -47,10 +49,7 @@ from .means import (
 from .oracle import CONVEX_D1, CONVEX_D2, MONOTONE_D2, QUASICONVEX_D2, Hypothesis, midpoint_gap
 from .rng import SplitMix64
 
-SUITE_NAMES = ("identity", "convex", "quasiconvex", "means", "all")
-
 RESIDUAL_TOL = 1e-9
-GAP_TOL = 1e-10
 
 _SALT = {
     "identity": 0x1D5EED,
@@ -68,8 +67,11 @@ class CheckLine:
     theorem: str
     bound: float
     gap: float
-    slack: float
     passed: bool
+
+    @property
+    def slack(self) -> float:
+        return self.bound - self.gap
 
     def as_dict(self) -> dict:
         return {
@@ -92,7 +94,6 @@ def _line_from_report(suite: str, report: BoundReport) -> CheckLine:
         theorem=report.theorem_id.value,
         bound=report.bound,
         gap=report.true_gap,
-        slack=report.slack,
         passed=report.valid,
     )
 
@@ -107,22 +108,24 @@ def identity_suite(cases: int, seed: int) -> list[CheckLine]:
     lines = []
     for fn in builtin_catalog():
         for iv in _case_intervals(fn, cases, rng):
-            lhs = identity_lhs(fn, iv, GAP_TOL)
-            rhs = identity_rhs(fn, iv, GAP_TOL)
-            slack = rhs - lhs
+            lhs, rhs = identity_lhs(fn, iv), identity_rhs(fn, iv)
             lines.append(CheckLine(
                 suite="identity", function=fn.id, interval=iv, theorem="identity",
-                bound=rhs, gap=lhs, slack=slack, passed=abs(slack) <= RESIDUAL_TOL))
+                bound=rhs, gap=lhs, passed=abs(rhs - lhs) <= RESIDUAL_TOL))
     return lines
 
 
 class Exponent(Enum):
-    """How a bound's exponent is chosen: none, a conjugate pair or a q.
-    A formula with an exponent takes it as a fourth argument."""
+    """How a bound's exponent is chosen: none, a conjugate pair or a q,
+    with the range (``draw``) the sweeps draw q from.  A formula with an
+    exponent takes it as a fourth argument."""
 
-    NONE = "none"
-    PAIR = "conjugate pair (p, q), default (2, 2)"
-    Q = "q >= 1, default 2"
+    NONE = ("none", None)
+    PAIR = ("conjugate pair (p, q), default (2, 2)", (1.25, 4.0))
+    Q = ("q >= 1, default 2", (1.0, 4.0))
+
+    def __init__(self, description: str, draw: tuple[float, float] | None) -> None:
+        self.draw = draw
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,6 @@ class BoundRow:
 
     The formula is ``module.<formula>``, looked up when called, applied to
     the interval and the endpoint magnitudes of the hypothesis's derivative.
-    ``draw`` is the range the sweep draws q from for PAIR and Q exponents.
     """
 
     theorem: TheoremId
@@ -139,7 +141,6 @@ class BoundRow:
     module: ModuleType
     formula: str
     exponent: Exponent = Exponent.NONE
-    draw: tuple[float, float] | None = None
 
 
 #: the bound theorems, grouped by sweep in output order; a function joins a
@@ -147,20 +148,15 @@ class BoundRow:
 SWEEPS: dict[str, tuple[BoundRow, ...]] = {
     "convex": (
         BoundRow(TheoremId.CONVEX_Q1, CONVEX_D2, bc, "bound_convex_q1"),
-        BoundRow(TheoremId.CONVEX_HOLDER, CONVEX_D2, bc, "bound_convex_holder",
-                 Exponent.PAIR, (1.25, 4.0)),
-        BoundRow(TheoremId.CONVEX_PM, CONVEX_D2, bc, "bound_convex_powermean",
-                 Exponent.Q, (1.0, 4.0)),
+        BoundRow(TheoremId.CONVEX_HOLDER, CONVEX_D2, bc, "bound_convex_holder", Exponent.PAIR),
+        BoundRow(TheoremId.CONVEX_PM, CONVEX_D2, bc, "bound_convex_powermean", Exponent.Q),
         BoundRow(TheoremId.BASELINE_Q1, CONVEX_D1, bc, "baseline_first_derivative"),
-        BoundRow(TheoremId.BASELINE_PM, CONVEX_D1, bc, "baseline_first_derivative",
-                 Exponent.Q, (1.0, 4.0)),
+        BoundRow(TheoremId.BASELINE_PM, CONVEX_D1, bc, "baseline_first_derivative", Exponent.Q),
     ),
     "quasiconvex": (
         BoundRow(TheoremId.QUASI_Q1, QUASICONVEX_D2, bq, "bound_quasi_q1"),
-        BoundRow(TheoremId.QUASI_HOLDER, QUASICONVEX_D2, bq, "bound_quasi_holder",
-                 Exponent.PAIR, (1.25, 4.0)),
-        BoundRow(TheoremId.QUASI_PM, QUASICONVEX_D2, bq, "bound_quasi_powermean",
-                 Exponent.Q, (1.0, 4.0)),
+        BoundRow(TheoremId.QUASI_HOLDER, QUASICONVEX_D2, bq, "bound_quasi_holder", Exponent.PAIR),
+        BoundRow(TheoremId.QUASI_PM, QUASICONVEX_D2, bq, "bound_quasi_powermean", Exponent.Q),
         BoundRow(TheoremId.QUASI_MONOTONE, MONOTONE_D2, bq, "bound_quasi_monotone"),
     ),
 }
@@ -223,20 +219,20 @@ def bound_suite(name: str, cases: int, seed: int) -> list[CheckLine]:
         on_window = {h: h is first or h.check(fn, fn.window)
                      for h in dict.fromkeys(row.hypothesis for row in rows)}
         for iv in _case_intervals(fn, cases, rng):
-            qs = [None if row.draw is None else rng.uniform(*row.draw) for row in rows]
+            qs = [None if row.exponent.draw is None else rng.uniform(*row.exponent.draw)
+                  for row in rows]
             holds = {h: ok or (iv != fn.window and h.check(fn, iv))
                      for h, ok in on_window.items()}
-            gap = midpoint_gap(fn, iv, GAP_TOL)
+            gap = midpoint_gap(fn, iv)
             endpoints: dict = {}
             for row, q in zip(rows, qs):
                 if not holds[row.hypothesis]:
                     continue
                 exponent = _exponent(row, q, None)
                 bound = _bound(row, fn, iv, exponent, endpoints)
-                slack = bound - gap
                 lines.append(CheckLine(
                     suite=name, function=fn.id, interval=iv, theorem=row.theorem.value,
-                    bound=bound, gap=gap, slack=slack, passed=slack >= -VALIDITY_TOL))
+                    bound=bound, gap=gap, passed=slack_is_valid(bound - gap)))
     return lines
 
 
@@ -259,13 +255,11 @@ def means_suite(cases: int, seed: int) -> list[CheckLine]:
         m = all_means(a, b)
         lines.append(CheckLine(
             suite="means", function="pair", interval=iv, theorem="means_chain",
-            bound=m["A"], gap=m["H"], slack=m["A"] - m["H"],
-            passed=chain_check(a, b)))
+            bound=m["A"], gap=m["H"], passed=chain_check(a, b)))
         lp = lp_values_on_grid(a, b)
         lines.append(CheckLine(
             suite="means", function="pair", interval=iv, theorem="lp_monotone",
-            bound=lp[-1], gap=lp[0], slack=lp[-1] - lp[0],
-            passed=lp_monotone_nondecreasing(a, b)))
+            bound=lp[-1], gap=lp[0], passed=lp_monotone_nondecreasing(a, b)))
         for report in (
             check_prop_monomial_q1(a, b, n),
             check_prop_identric(a, b, pair),
@@ -278,21 +272,21 @@ def means_suite(cases: int, seed: int) -> list[CheckLine]:
     return lines
 
 
+#: every sweep by name, in the order ``all`` runs them
+SUITES = {"identity": identity_suite,
+          **{name: partial(bound_suite, name) for name in SWEEPS},
+          "means": means_suite}
+
+SUITE_NAMES = (*SUITES, "all")
+
+
 def run_suite(name: str, cases: int, seed: int) -> list[CheckLine]:
     if name not in SUITE_NAMES:
         raise DomainError(f"unknown suite {name!r}")
     if cases < 1:
         raise DomainError(f"need at least one case, got {cases}")
-    if name == "identity":
-        return identity_suite(cases, seed)
-    if name in SWEEPS:
-        return bound_suite(name, cases, seed)
-    if name == "means":
-        return means_suite(cases, seed)
-    lines = []
-    for sub in ("identity", "convex", "quasiconvex", "means"):
-        lines.extend(run_suite(sub, cases, seed))
-    return lines
+    sweeps = SUITES.values() if name == "all" else (SUITES[name],)
+    return [line for sweep in sweeps for line in sweep(cases, seed)]
 
 
 # --- single bound reports (CLI `bound` command) ---------------------------
@@ -321,5 +315,4 @@ def build_bound_report(fn: TestFunction, iv: Interval, theorem: str,
     row.hypothesis.require(fn, iv)
     exponent = _exponent(row, q, p)
     bound = _bound(row, fn, iv, exponent, {})
-    gap = midpoint_gap(fn, iv, GAP_TOL)
-    return BoundReport.from_values(tid, fn.id, iv, bound, gap, exponent=exponent)
+    return BoundReport(tid, fn.id, iv, bound, midpoint_gap(fn, iv), exponent)

@@ -497,6 +497,16 @@ class TestFejer:
         with pytest.raises(HypothesisError, match="f'' of 'sin' is not convex or concave"):
             refine_to_tolerance(by_id["sin"], Interval(0.0, 6.0), 1e-6, CertTheorem.FEJER)
 
+    def test_nearly_linear_concave_second_derivative_takes_fejer(self):
+        # f'' = x - 1e-7 x^2 bends by less than the class tolerance, so the
+        # fine grid leaves both signs open; the slope change says concave
+        fn = core.polynomial([0.0, 0.0, 0.0, 1.0 / 6.0, -1e-7 / 12.0], id="near_linear",
+                             window=UNIT)
+        res = refine_to_tolerance(fn, UNIT, 1e-9, CertTheorem.FEJER)
+        exact = 1.0 / 24.0 - 1e-7 / 60.0
+        assert res.theorem_used is CertTheorem.FEJER
+        assert abs(res.estimate - exact) <= res.error_radius <= 1e-9
+
     def test_one_sided_bump_refutes_both_signs(self):
         # f'' = 1 + a narrow tent at 1/126, a midpoint of the 64-point grid's
         # first pair: the tent refutes convex f'', and its neighbours on the

@@ -166,6 +166,9 @@ class TestCertifyCommand:
         # f'' = -sin bends both ways around pi, where |f''| = |sin| has its
         # least value: quasi-convex only
         (("sin", "2", "4.5", "1e-6"), "quasi_q1", 1024),
+        # f'' = 3.75 sqrt(x) is concave, and so nearly linear here that every
+        # fine-grid bend is within the class tolerance
+        (("x_5_2", "1", "1.001", "1e-14"), "fejer", 1),
     ])
     def test_names_the_rule_and_both_radius_parts(self, args, theorem, n):
         proc = run("certify", *args)

@@ -11,6 +11,7 @@ from hhbounds.core import (
     polynomial,
 )
 from hhbounds.oracle import (
+    CONVEX_OR_CONCAVE_F2,
     MONOTONE_D2,
     check_convex_abs_d2,
     check_quasiconvex_abs_d2,
@@ -102,6 +103,14 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(math.exp, UNIT, 0.0)
 
+    def test_tolerance_below_the_rounding_of_the_integral_ends(self):
+        # `hh bound exp 0 700` asks for 7e-8 on an integral of 1e304: no
+        # halving of the budget reaches it, so panels stop at the rounding
+        # floor (about 2.1 million evaluations) instead of running for minutes
+        res = integrate(math.exp, Interval(0.0, 700.0), 1e-10 * 700.0)
+        assert res.evaluations < 2_500_000
+        assert res.value == pytest.approx(math.expm1(700.0), rel=1e-13)
+
 
 class TestMidpointGap:
     def test_square_on_unit_interval(self, by_id):
@@ -179,6 +188,19 @@ def test_convexity_sign_from_the_fine_grid():
     assert convexity_sign(math.sqrt, UNIT) == -1
     assert convexity_sign(lambda x: 2.0 * x, UNIT) == 1  # both hold; convex first
     assert convexity_sign(math.sin, Interval(0.0, 6.0)) == 0
+
+
+def test_convexity_sign_of_a_nearly_linear_concave_function():
+    # every fine-grid bend of x - 1e-7 x^2 (about 6e-12) is within tol, so
+    # both signs stay open; the slope falls across the grid, so concave
+    def g(x):
+        return x - 1e-7 * x * x
+
+    assert convexity_sign(g, UNIT) == -1
+    assert convexity_sign(lambda x: -g(x), UNIT) == 1
+    fn = polynomial([0.0, 0.0, 0.0, 1.0 / 6.0, -1e-7 / 12.0], id="near_linear",
+                    window=UNIT)
+    assert CONVEX_OR_CONCAVE_F2.check(fn, UNIT)
 
 
 def test_generic_monotonicity_sampler_on_plain_callables():

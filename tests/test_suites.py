@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -24,7 +26,7 @@ from hhbounds.core import (
     polynomial,
 )
 from hhbounds.oracle import CONVEX_D1, MONOTONE_D2, midpoint_gap
-from hhbounds.suites import BOUND_ROWS, bound_suite, build_bound_report
+from hhbounds.suites import BOUND_ROWS, bound_suite, build_bound_report, run_suite
 
 PQ2 = ConjugatePair(2.0, 2.0)
 UNIT = Interval(0.0, 1.0)
@@ -147,3 +149,19 @@ class TestSweepGating:
                 mixed += 1
                 assert "quasi_monotone" not in by_theorem, (fid, iv)
         assert mixed > 0
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (7, "a859df969506ae88a126dd1a6079f6645abc1067c3ec0b7f1bd38678e41347c4"),
+    (1, "eecbeb38f87c122b3713227eac639712f5c5debe6142862ab6d9e35b7a05cca3"),
+])
+def test_seeded_sweep_bytes(seed, digest):
+    """The bytes `hh verify --suite all --cases 100 --seed <seed>` prints.
+
+    The digests were taken with glibc 2.36's libm; another libm may round
+    exp, log or pow differently in the last bit and so change them without
+    a change in this program.
+    """
+    text = "".join(json.dumps(line.as_dict(), sort_keys=True) + "\n"
+                   for line in run_suite("all", 100, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
