@@ -15,7 +15,9 @@ def power_mean(x: float, y: float, q: float) -> float:
     """q-power mean ((x^q + y^q)/2)^(1/q) of two nonnegative numbers.
 
     Nondecreasing in q; scaled by max(x, y) so large exponents cannot
-    overflow.
+    overflow, and q = inf gives max(x, y) exactly.  Every bound formula
+    aggregates its endpoint values here, so this is where their
+    magnitudes and q are checked.
     """
     if x < 0.0 or y < 0.0:
         raise DomainError(f"power mean needs nonnegative inputs, got ({x}, {y})")
@@ -28,11 +30,6 @@ def power_mean(x: float, y: float, q: float) -> float:
         return 0.0
     r = min(x, y) / m
     return m * (0.5 * (1.0 + r ** q)) ** (1.0 / q)
-
-
-def _check_nonneg(va: float, vb: float) -> None:
-    if va < 0.0 or vb < 0.0:
-        raise DomainError(f"endpoint derivative magnitudes must be nonnegative, got ({va}, {vb})")
 
 
 def _prefactor_24(iv: Interval) -> float:
@@ -55,8 +52,7 @@ def bound_convex_q1(iv: Interval, d2a: float, d2b: float) -> float:
     Valid when |f''| is convex on the interval; attained exactly by any f
     with linear f'' of constant sign (quadratics, one-signed cubics).
     """
-    _check_nonneg(d2a, d2b)
-    return _prefactor_24(iv) * (0.5 * (d2a + d2b))
+    return _prefactor_24(iv) * power_mean(d2a, d2b, 1.0)
 
 
 def bound_convex_holder(iv: Interval, d2a: float, d2b: float, pq: ConjugatePair) -> float:
@@ -64,7 +60,6 @@ def bound_convex_holder(iv: Interval, d2a: float, d2b: float, pq: ConjugatePair)
 
     The Hoelder route; valid when |f''|^q is convex, q > 1.
     """
-    _check_nonneg(d2a, d2b)
     return _prefactor_holder(iv, pq) * power_mean(d2a, d2b, pq.q)
 
 
@@ -74,11 +69,6 @@ def bound_convex_powermean(iv: Interval, d2a: float, d2b: float, q: float) -> fl
     Strictly sharper prefactor than the Hoelder route for every q > 1;
     at q = 1 it reduces (bit for bit) to bound_convex_q1.
     """
-    if not q >= 1.0:
-        raise DomainError(f"power-mean bound needs q >= 1, got {q}")
-    if q == 1.0:
-        return bound_convex_q1(iv, d2a, d2b)
-    _check_nonneg(d2a, d2b)
     return _prefactor_24(iv) * power_mean(d2a, d2b, q)
 
 
@@ -88,9 +78,6 @@ def baseline_first_derivative(iv: Interval, d1a: float, d1b: float, q: float = 1
     The first-derivative baseline bound (valid when |f'|^q is convex);
     the second-derivative bounds improve on it as the width shrinks.
     """
-    if not q >= 1.0:
-        raise DomainError(f"baseline bound needs q >= 1, got {q}")
-    _check_nonneg(d1a, d1b)
     return iv.width / 4.0 * power_mean(d1a, d1b, q)
 
 

@@ -7,6 +7,14 @@ the gaps |L_n^n - A^n|, |1/L - 1/A| and ln(A/I) generated by x^n, 1/x and
 -ln x.  Each inequality is one of the bound formulas applied to its
 generator's endpoint |f''| values: |n(n-1)| x^(n-2), 2/x^3 and 1/x^2.
 
+L, I, L_p and the mean value L_n^n of x^n all come from one routine,
+``_mean_power``, written in the log-ratio r = ln(hi/lo) and the relative
+steps of the pair.  They stay within a few ulps of the exact values from
+nearly equal arguments to arguments at opposite ends of the float range,
+and only exactly equal arguments are a special case: every mean returns
+them.  The chain and the monotonicity of L_p in p are checked by one
+ordering rule with the relative slack ORDER_TOL.
+
 Two of these constants are easy to get wrong, so the checkers pin them
 down numerically:
 
@@ -34,27 +42,18 @@ from .core import (
     TheoremId,
 )
 
-#: relative endpoint separation below which all means collapse to a
-NEAR_EQUAL_REL = 1e-12
-
 #: p-grid on which the p-logarithmic mean is checked to be nondecreasing
 LP_MONOTONE_GRID = (-5.0, -4.0, -3.0, -2.0, -1.01, -1.0, -0.5, 0.0, 0.5,
                     1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0)
 
-#: slack per step of L_p on LP_MONOTONE_GRID, relative to max(1, |L_p|)
-LP_MONOTONE_TOL = 1e-12
-
-#: slack per link of the mean chain H <= G <= L <= I <= A
-CHAIN_TOL = 1e-12
+#: slack per step of an ordering check (the mean chain, L_p along
+#: LP_MONOTONE_GRID), relative to max(1, |smaller value|)
+ORDER_TOL = 1e-12
 
 
 def _validate(a: float, b: float) -> None:
     if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0 or b <= 0.0:
         raise DomainError(f"means need positive finite arguments, got ({a}, {b})")
-
-
-def _near_equal(a: float, b: float) -> bool:
-    return abs(b - a) < NEAR_EQUAL_REL * max(a, b)
 
 
 def _normal(x: float) -> bool:
@@ -73,7 +72,7 @@ def arithmetic_mean(a: float, b: float) -> float:
 
 def geometric_mean(a: float, b: float) -> float:
     _validate(a, b)
-    if _near_equal(a, b):
+    if a == b:
         return a
     if not _normal(a * b):
         return math.sqrt(a) * math.sqrt(b)
@@ -82,49 +81,69 @@ def geometric_mean(a: float, b: float) -> float:
 
 def harmonic_mean(a: float, b: float) -> float:
     _validate(a, b)
-    if _near_equal(a, b):
+    if a == b:
         return a
     if not _normal(2.0 * a * b):
-        if math.isinf(a + b):
-            return a * (b / arithmetic_mean(a, b))
-        return 2.0 * a * (b / (a + b))
+        return min(a, b) * (max(a, b) / arithmetic_mean(a, b))
     return 2.0 * a * b / (a + b)
 
 
 def logarithmic_mean(a: float, b: float) -> float:
-    """(b-a)/(ln b - ln a) for a != b, a for coincident arguments."""
-    _validate(a, b)
-    if _near_equal(a, b):
-        return a
-    return (b - a) / (math.log(b) - math.log(a))
+    """(b-a)/(ln b - ln a) for a != b, a for coincident arguments: L_{-1}."""
+    return p_logarithmic_mean(a, b, -1.0)
 
 
 def identric_mean(a: float, b: float) -> float:
-    """(1/e)(b^b/a^a)^(1/(b-a)), computed in log form for stability."""
-    _validate(a, b)
-    if _near_equal(a, b):
-        return a
-    mean = math.exp((b * math.log(b) - a * math.log(a)) / (b - a) - 1.0)
-    if math.isfinite(mean):
-        return mean
-    # b ln b overflowed: ln I = ln b + a (ln b - ln a)/(b - a) - 1
-    log_b = math.log(b)
-    return math.exp(log_b + a * (log_b - math.log(a)) / (b - a) - 1.0)
+    """(1/e)(b^b/a^a)^(1/(b-a)) for a != b, a for coincident arguments: L_0."""
+    return p_logarithmic_mean(a, b, 0.0)
+
+
+def _mean_power(a: float, b: float, p: float) -> tuple[float, float]:
+    """(c, m) with L_p(a, b) = c m^(1/p) for a != b, so that L_p^p, the
+    mean value of x^p over [a, b], is c^p m.
+
+    With lo < hi, every case is written in the relative step
+    t = (hi-lo)/lo and the log-ratio r = ln(hi/lo) = log1p(t), so no
+    difference of nearly equal powers or logarithms is ever taken:
+
+    * L = (hi-lo)/r and I = hi exp(r/t - 1), each as c with m = 1;
+    * c = hi and m = -expm1(-(p+1)r)/((p+1)s) for p > -1, with the other
+      relative step s = (hi-lo)/hi;
+    * c = lo and m = expm1((p+1)r)/((p+1)t) for p < -1.  This m lies near
+      1/t, so it leaves the normal range when hi/lo passes about 1e307.
+      m then keeps only the numerator, and c takes the rest as powers of
+      hi - lo and of lo, the split a sum of logarithms would give.
+
+    hi - lo is exact for close arguments (Sterbenz), and t overflows only
+    when hi/lo does; r is then ln hi - ln lo, which cannot cancel there.
+    """
+    lo, hi = min(a, b), max(a, b)
+    t = (hi - lo) / lo
+    r = math.log1p(t) if t < math.inf else math.log(hi) - math.log(lo)
+    if p == -1.0:
+        return (hi - lo) / r, 1.0
+    if p == 0.0:
+        return hi * math.exp(r / t - 1.0), 1.0
+    if p > -1.0:
+        return hi, -math.expm1(-(p + 1.0) * r) / ((p + 1.0) * ((hi - lo) / hi))
+    x = math.expm1((p + 1.0) * r) / (p + 1.0)
+    if _normal(x / t):
+        return lo, x / t
+    return (hi - lo) ** (-1.0 / p) * lo ** (1.0 + 1.0 / p), x
 
 
 def p_logarithmic_mean(a: float, b: float, p: float) -> float:
     """((b^(p+1)-a^(p+1))/((p+1)(b-a)))^(1/p); L_{-1} is L and L_0 is I.
 
-    Nondecreasing in p for fixed arguments.
+    Nondecreasing in p for fixed arguments.  Computed by ``_mean_power``,
+    accurate from nearly equal arguments to opposite ends of the float
+    range.
     """
     _validate(a, b)
-    if p == -1.0:
-        return logarithmic_mean(a, b)
-    if p == 0.0:
-        return identric_mean(a, b)
-    if _near_equal(a, b):
+    if a == b:
         return a
-    return ((b ** (p + 1.0) - a ** (p + 1.0)) / ((p + 1.0) * (b - a))) ** (1.0 / p)
+    c, m = _mean_power(a, b, p)
+    return c if m == 1.0 else c * m ** (1.0 / p)  # L and I come with m = 1; 1^(1/p) = 1
 
 
 def all_means(a: float, b: float) -> dict[str, float]:
@@ -134,11 +153,16 @@ def all_means(a: float, b: float) -> dict[str, float]:
             "I": identric_mean(a, b)}
 
 
+def _nondecreasing(values: list[float]) -> bool:
+    """True iff each value is at least its predecessor, up to ORDER_TOL."""
+    return all(hi >= lo - ORDER_TOL * max(1.0, abs(lo))
+               for lo, hi in zip(values, values[1:]))
+
+
 def chain_check(a: float, b: float) -> bool:
-    """True iff H <= G <= L <= I <= A holds within CHAIN_TOL slack per link."""
-    vals = [harmonic_mean(a, b), geometric_mean(a, b), logarithmic_mean(a, b),
-            identric_mean(a, b), arithmetic_mean(a, b)]
-    return all(lo <= hi + CHAIN_TOL for lo, hi in zip(vals, vals[1:]))
+    """True iff H <= G <= L <= I <= A holds, each link up to ORDER_TOL."""
+    mean_of = all_means(a, b)
+    return _nondecreasing([mean_of[kind] for kind in "HGLIA"])
 
 
 def lp_values_on_grid(a: float, b: float) -> list[float]:
@@ -146,17 +170,14 @@ def lp_values_on_grid(a: float, b: float) -> list[float]:
 
 
 def lp_monotone_nondecreasing(a: float, b: float) -> bool:
-    vals = lp_values_on_grid(a, b)
-    return all(hi >= lo - LP_MONOTONE_TOL * max(1.0, abs(lo))
-               for lo, hi in zip(vals, vals[1:]))
+    return _nondecreasing(lp_values_on_grid(a, b))
 
 
 # --- inequality checkers -------------------------------------------------
 
 def _validate_ordered(a: float, b: float) -> Interval:
+    """[a, b] for 0 < a < b; Interval itself refuses a >= b."""
     _validate(a, b)
-    if not a < b:
-        raise DomainError(f"need 0 < a < b, got ({a}, {b})")
     return Interval(a, b)
 
 
@@ -176,8 +197,8 @@ def _monomial(a: float, b: float, n: int) -> tuple[str, float, float, float]:
     nn = abs(n * (n - 1))
     if nn < 3:
         raise HypothesisError(f"need |n(n-1)| >= 3, got n={n} with |n(n-1)|={nn}")
-    mean_power = (b ** (n + 1) - a ** (n + 1)) / ((n + 1) * (b - a))
-    gap = abs(mean_power - (0.5 * (a + b)) ** n)
+    c, m = _mean_power(a, b, n)
+    gap = abs(c ** n * m - (0.5 * (a + b)) ** n)
     return f"x^{n}", gap, nn * a ** (n - 2), nn * b ** (n - 2)
 
 

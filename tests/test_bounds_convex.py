@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -99,6 +101,11 @@ class TestPowerMeanHelper:
 
     def test_q_one_is_arithmetic_mean(self):
         assert power_mean(3.0, 5.0, 1.0) == 4.0
+
+    @given(st.floats(min_value=0.0, max_value=1e308), st.floats(min_value=0.0, max_value=1e308))
+    def test_q_infinite_is_the_maximum_bit_for_bit(self, x, y):
+        # the quasi-convex bounds aggregate with q = inf
+        assert power_mean(x, y, math.inf).hex() == max(x, y).hex()
 
 
 class TestBaseline:

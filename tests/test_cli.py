@@ -117,19 +117,30 @@ class TestMeansCommand:
         assert row["chain"] is True
 
     @pytest.mark.parametrize("a, b, means", [
-        # a + b overflows: A, H and I take their fallback forms
+        # a + b overflows: A and H take their fallback forms
         ("1e308", "1.7e308", {"A": 1.35e308, "H": 1.2592592592592593e308,
-                              "I": 1.33464936541135e308}),
-        # b ln b overflows: I takes its fallback form
-        ("1e300", "1.7e308", {"I": 6.253951197093781e307}),
+                              "I": 1.3346493654114548e308}),
+        # b ln b would overflow; I never forms it
+        ("1e300", "1.7e308", {"I": 6.253951197094258e307}),
     ], ids=["sum-overflows", "b-ln-b-overflows"])
     def test_pair_near_the_top_of_the_float_range(self, a, b, means):
+        # the expected values are the mpmath means, correctly rounded
         proc = run("means", a, b)
         assert proc.returncode == 0
         row = json.loads(proc.stdout)
         assert row["chain"] is True
         for key, value in means.items():
-            assert row[key] == pytest.approx(value, rel=1e-13)
+            assert row[key] == pytest.approx(value, rel=1e-15)
+
+    @pytest.mark.parametrize("a, b", [("7.3", "7.3000001"), ("3", "3.0000000003"),
+                                      ("1e6", "1.000000001e6")])
+    def test_close_pair(self, a, b):
+        proc = run("means", a, b)
+        assert proc.returncode == 0
+        row = json.loads(proc.stdout)
+        assert row["chain"] is True
+        assert float(a) <= row["L"] <= float(b)
+        assert float(a) <= row["I"] <= float(b)
 
 
 class TestCertifyCommand:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -38,7 +39,7 @@ PQ2 = ConjugatePair(2.0, 2.0)
 pair_strategy = st.tuples(
     st.floats(min_value=0.05, max_value=50.0),
     st.floats(min_value=0.05, max_value=50.0),
-).filter(lambda ab: abs(ab[0] - ab[1]) > 1e-6 * max(ab))
+).filter(lambda ab: ab[0] != ab[1])
 
 KINDS = ("A", "G", "H", "L", "I")
 
@@ -103,6 +104,52 @@ class TestMeanValues:
             assert lo - 1e-12 * hi <= value <= hi + 1e-12 * hi
 
 
+def _close_pairs(seed: int, count: int):
+    """Seeded pairs in [0.1, 10] whose relative separation is 1e-12 to 1e-4."""
+    rng = SplitMix64(seed)
+    for _ in range(count):
+        a = rng.uniform(0.1, 10.0)
+        yield a, a * (1.0 + 10.0 ** rng.uniform(-12.0, -4.0))
+
+
+def _mp_p_logarithmic(a, b, p):
+    """L_p(a, b) from its definition in 60-digit mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    a, b, p = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(p)
+    with mpmath.mp.workdps(60):
+        if p == -1:
+            return (b - a) / (mpmath.log(b) - mpmath.log(a))
+        if p == 0:
+            return mpmath.exp((b * mpmath.log(b) - a * mpmath.log(a)) / (b - a) - 1)
+        return ((b ** (p + 1) - a ** (p + 1)) / ((p + 1) * (b - a))) ** (1 / p)
+
+
+#: log-spaced scales and relative separations: each scale paired with itself
+#: times 1 + each separation, and every two scales paired with each other
+_SCALES = [10.0 ** k for k in range(-300, 301, 20)]
+_GRID_PAIRS = ([(a, a * (1.0 + 10.0 ** k)) for a in _SCALES for k in range(-15, 4)]
+               + list(itertools.combinations(_SCALES, 2)))
+
+
+class TestAccuracy:
+    """L, I and L_p against mpmath, from nearly equal arguments to arguments
+    at opposite ends of the float range."""
+
+    @pytest.mark.parametrize("p", sorted(set(LP_MONOTONE_GRID) | {-4.0, -3.0, -2.0, 3.0,
+                                                                    4.0, 5.0, 6.0}))
+    def test_p_logarithmic_on_a_log_spaced_grid(self, p):
+        for a, b in _GRID_PAIRS:
+            got = p_logarithmic_mean(a, b, p)
+            exact = _mp_p_logarithmic(a, b, p)
+            assert abs(got - exact) <= 1e-13 * exact, (a, b, p, got, exact)
+
+    def test_equal_arguments_return_the_argument(self):
+        rng = SplitMix64(1729)
+        for a in _SCALES + [10.0 ** rng.uniform(-300.0, 300.0) for _ in range(2000)]:
+            assert all(value == a for value in all_means(a, a).values()), a
+            assert all(p_logarithmic_mean(a, a, p) == a for p in LP_MONOTONE_GRID), a
+
+
 class TestChain:
     def test_one_two(self):
         ms = all_means(1.0, 2.0)
@@ -119,6 +166,10 @@ class TestChain:
     @given(pair_strategy)
     def test_holds_generally(self, ab):
         assert chain_check(*ab)
+
+    def test_close_pairs(self):
+        for a, b in _close_pairs(4242, 2000):
+            assert chain_check(a, b), (a, b)
 
 
 class TestPLogarithmicMonotonicity:
@@ -199,6 +250,9 @@ class TestIdentricProposition:
         assert report.bound == pytest.approx(0.010814174654442665, rel=1e-12)
         assert report.valid
 
+    def test_close_pair(self):
+        assert check_prop_identric(7.3, 7.3000001, PQ2).valid
+
     def test_degenerate_limit(self):
         report = check_prop_identric(1.0, 1.0 + 1e-6, PQ2)
         assert report.true_gap == pytest.approx(0.0, abs=1e-10)
@@ -249,6 +303,10 @@ class TestReciprocalPropositions:
         assert report.bound == pytest.approx(1.0 / 12.0, abs=1e-16)
         assert report.true_gap == pytest.approx(0.026480513893278643, rel=1e-12)
         assert report.valid
+
+    def test_close_pair(self):
+        assert check_prop_reciprocal_pm(7.3, 7.3000001, 2.0).valid
+        assert check_prop_reciprocal_quasi(7.3, 7.3000001, 1.0).valid
 
     def test_quasi_variant_is_q_independent(self):
         assert check_prop_reciprocal_quasi(1.0, 2.0, 7.0).bound == \
@@ -316,6 +374,15 @@ class TestAgreementWithGeneralBounds:
             pair = ConjugatePair.from_q(q)
             assert check_prop_identric(a, b, pair).bound == pytest.approx(
                 bound_convex_holder(iv, 1.0 / (a * a), 1.0 / (b * b), pair), rel=1e-12)
+
+    def test_every_proposition_holds_on_close_pairs(self):
+        for a, b in _close_pairs(777, 500):
+            for report in (check_prop_monomial_q1(a, b, 6), check_prop_identric(a, b, PQ2),
+                           check_prop_monomial_pm(a, b, -2, 2.0),
+                           check_prop_reciprocal_pm(a, b, 2.0),
+                           check_prop_reciprocal_quasi(a, b, 1.0),
+                           check_prop_monomial_quasi(a, b, 4, PQ2)):
+                assert report.valid, (a, b, report)
 
     def test_gaps_match_quadrature_oracle(self):
         rng = SplitMix64(515253)
