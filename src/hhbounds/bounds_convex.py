@@ -8,7 +8,7 @@ the bound table in ``suites`` and the special-means inequalities.
 
 from __future__ import annotations
 
-from .core import ConjugatePair, DomainError, Interval
+from .core import ConjugatePair, DomainError, Interval, conjugate_of, power_exponent
 
 
 def power_mean(x: float, y: float, q: float) -> float:
@@ -21,9 +21,7 @@ def power_mean(x: float, y: float, q: float) -> float:
     """
     if x < 0.0 or y < 0.0:
         raise DomainError(f"power mean needs nonnegative inputs, got ({x}, {y})")
-    if not q >= 1.0:
-        raise DomainError(f"power mean exponent must be >= 1, got {q}")
-    if q == 1.0:
+    if power_exponent(q) == 1.0:
         return 0.5 * (x + y)
     m = max(x, y)
     if m == 0.0:
@@ -87,8 +85,7 @@ def constant_comparison(p: float) -> tuple[float, float, bool]:
     Returns (1/24, Hoelder constant, first < second).  The comparison
     holds for every p > 1 since 3^p > 2p + 1 there.
     """
-    if not p > 1.0:
-        raise DomainError(f"comparison needs p > 1, got {p}")
+    conjugate_of(p)  # the Hoelder exponent rule: a finite p > 1
     lhs = 1.0 / 24.0
     rhs = 1.0 / _holder_denominator(p)
     return lhs, rhs, lhs < rhs

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .bounds_convex import _prefactor_24, _prefactor_holder, power_mean
-from .core import ConjugatePair, DomainError, Interval
+from .core import ConjugatePair, Interval, power_exponent
 
 
 def bound_quasi_q1(iv: Interval, d2a: float, d2b: float) -> float:
@@ -36,6 +36,5 @@ def bound_quasi_powermean(iv: Interval, d2a: float, d2b: float, q: float) -> flo
     Numerically independent of q: the endpoint sup commutes with the
     q-th power.  At q = 1 this is exactly bound_quasi_q1.
     """
-    if not q >= 1.0:
-        raise DomainError(f"power-mean bound needs q >= 1, got {q}")
+    power_exponent(q)
     return bound_quasi_q1(iv, d2a, d2b)

@@ -43,46 +43,43 @@ _CERTIFY_RULES = (CertTheorem.FEJER, CertTheorem.CONVEX_Q1, CertTheorem.QUASI_Q1
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
-def _add_format_flags(sub: argparse.ArgumentParser) -> None:
-    fmt = sub.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON lines output (default)")
-    fmt.add_argument("--csv", action="store_true", help="CSV output, keys as header row")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hh",
         description="Midpoint-rule error bounds, their verification sweeps, "
                     "special means, and certified composite integration.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the output format flags, shared by every subcommand
+    formats = argparse.ArgumentParser(add_help=False)
+    fmt = formats.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true", help="JSON lines output (default)")
+    fmt.add_argument("--csv", action="store_true", help="CSV output, keys as header row")
 
-    v = sub.add_parser("verify", help="run a named verification sweep")
+    v = sub.add_parser("verify", parents=[formats], help="run a named verification sweep")
     v.add_argument("--suite", required=True, choices=SUITE_NAMES)
     v.add_argument("--cases", type=int, default=50,
                    help="random subintervals per function (>= 1)")
     v.add_argument("--seed", type=int, default=0)
-    _add_format_flags(v)
 
-    b = sub.add_parser("bound", help="evaluate one bound on a catalog function")
+    b = sub.add_parser("bound", parents=[formats],
+                       help="evaluate one bound on a catalog function")
     b.add_argument("function", help="catalog function id, e.g. x2, inv_x")
     b.add_argument("a", type=float)
     b.add_argument("b", type=float)
     b.add_argument("theorem", help="one of: " + ", ".join(BOUND_THEOREMS))
     b.add_argument("--q", type=float, help="power-mean or conjugate exponent q")
     b.add_argument("--p", type=float, help="conjugate exponent p")
-    _add_format_flags(b)
 
-    m = sub.add_parser("means", help="print the special means of a pair")
+    m = sub.add_parser("means", parents=[formats], help="print the special means of a pair")
     m.add_argument("a", type=float)
     m.add_argument("b", type=float)
-    _add_format_flags(m)
 
-    c = sub.add_parser("certify", help="composite midpoint integral with error radius")
+    c = sub.add_parser("certify", parents=[formats],
+                       help="composite midpoint integral with error radius")
     c.add_argument("function")
     c.add_argument("a", type=float)
     c.add_argument("b", type=float)
     c.add_argument("tol", type=float)
-    _add_format_flags(c)
 
     # no hh option looks like a number, so a negative number is always a value
     for subparser in sub.choices.values():

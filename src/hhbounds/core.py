@@ -48,6 +48,10 @@ class Interval:
             raise DomainError(f"interval endpoints must be finite, got [{self.a}, {self.b}]")
         if not self.a < self.b:
             raise DomainError(f"interval requires a < b, got [{self.a}, {self.b}]")
+        if not (math.isfinite(self.b - self.a) and math.isfinite(self.a + self.b)):
+            # the width and the midpoint would be infinite
+            raise DomainError(f"interval [{self.a}, {self.b}] overflows: b - a or a + b "
+                              "is not finite")
         mid = 0.5 * (self.a + self.b)
         if not (self.a < mid < self.b):
             # adjacent floats: no representable interior point
@@ -65,13 +69,24 @@ class Interval:
         return self.a <= other.a and other.b <= self.b
 
 
+def power_exponent(q: float) -> float:
+    """q itself, once checked to be a power-mean or Lp exponent: q >= 1.
+
+    q = inf is allowed: the power mean is then the max.
+    """
+    if not q >= 1.0:
+        raise DomainError(f"power exponent needs q >= 1, got {q}")
+    return q
+
+
 def conjugate_of(p: float) -> float:
     """Conjugate exponent q = p/(p-1), so that 1/p + 1/q = 1.
 
-    Requires p > 1; the map is an involution (q's conjugate is p again).
+    Requires a finite p > 1, since inf has the conjugate 1; the map is an
+    involution (q's conjugate is p again).
     """
-    if not p > 1.0:
-        raise DomainError(f"conjugate exponent needs p > 1, got {p}")
+    if not 1.0 < p < math.inf:
+        raise DomainError(f"a conjugate exponent must lie in (1, inf), got {p}")
     return p / (p - 1.0)
 
 

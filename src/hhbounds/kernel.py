@@ -9,7 +9,7 @@ constant in the bound formulas: the L1 mass 1/12, the Lp mass
 
 from __future__ import annotations
 
-from .core import DomainError
+from .core import DomainError, power_exponent
 
 
 def peak_kernel(t: float) -> float:
@@ -28,8 +28,7 @@ def peak_kernel(t: float) -> float:
 
 def lp_norm_integral(p: float) -> float:
     """Integral of peak_kernel^p over [0, 1]: 1 / (4^p (2p+1)), p >= 1."""
-    if p < 1.0:
-        raise DomainError(f"Lp moment needs p >= 1, got {p}")
+    power_exponent(p)
     return 1.0 / (4.0 ** p * (2.0 * p + 1.0))
 
 

@@ -6,12 +6,16 @@ lines: suite, function, interval, theorem, bound, gap, slack, pass.  For
 bound families pass means slack >= -1e-9; for the identity sweep it means
 |slack| stays below the residual tolerance.  The bound table (``SWEEPS``)
 names each theorem's class hypothesis from ``oracle`` and its exponent
-kind (none, a conjugate pair or a q, each with the range sweeps draw it
+kind (none, a conjugate pair or a q, each with the range sweeps draw q
 from); the sweeps and the single reports (``build_bound_report``) both
-read it.  A function joins a bound sweep when its window passes the first
-row's hypothesis, and each row runs on the intervals where its own
-hypothesis holds, on the window or else on the interval itself.  The
-registry ``SUITES`` names every sweep, in the order ``all`` runs them.
+read it.  ``Exponent.resolve`` is the one exponent rule: the defaults,
+the pair from q, p or both, and the refusal of any exponent a theorem
+does not take.  Single reports apply it before the class check, so a bad
+exponent is refused before f, f' or f'' is evaluated.  A function joins
+a bound sweep when its window passes the first row's hypothesis, and each
+row runs on the intervals where its own hypothesis holds, on the window
+or else on the interval itself.  The registry ``SUITES`` names every
+sweep, in the order ``all`` runs them.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .core import (
     TestFunction,
     TheoremId,
     builtin_catalog,
+    power_exponent,
     slack_is_valid,
 )
 from .identity import identity_lhs, identity_rhs
@@ -116,16 +121,30 @@ def identity_suite(cases: int, seed: int) -> list[CheckLine]:
 
 
 class Exponent(Enum):
-    """How a bound's exponent is chosen: none, a conjugate pair or a q,
-    with the range (``draw``) the sweeps draw q from.  A formula with an
-    exponent takes it as a fourth argument."""
+    """How a bound takes its exponent: none, a conjugate pair (p, q) or a
+    power-mean q.  Each member's value is the range the sweeps draw q from.
+    A formula with an exponent takes it as a fourth argument."""
 
-    NONE = ("none", None)
-    PAIR = ("conjugate pair (p, q), default (2, 2)", (1.25, 4.0))
-    Q = ("q >= 1, default 2", (1.0, 4.0))
+    NONE = None
+    PAIR = (1.25, 4.0)
+    Q = (1.0, 4.0)
 
-    def __init__(self, description: str, draw: tuple[float, float] | None) -> None:
-        self.draw = draw
+    def resolve(self, theorem: str, q: float | None = None, p: float | None = None):
+        """The exponent a bound of this kind uses, from q and p (None when
+        not given): a pair from q, from p or from both, default (2, 2); a
+        q >= 1, default 2; or None.  The one exponent rule: raises
+        DomainError for an exponent the theorem does not take."""
+        if self is Exponent.PAIR:
+            if p is None:
+                return ConjugatePair.from_q(2.0 if q is None else q)
+            return ConjugatePair.from_p(p) if q is None else ConjugatePair(p, q)
+        if self is Exponent.NONE:
+            if q is not None or p is not None:
+                raise DomainError(f"{theorem!r} takes no exponent; drop q and p")
+            return None
+        if p is not None:
+            raise DomainError(f"{theorem!r} takes no exponent p; give q alone")
+        return power_exponent(2.0 if q is None else q)
 
 
 @dataclass(frozen=True)
@@ -166,25 +185,6 @@ BOUND_ROWS = {row.theorem: row for rows in SWEEPS.values() for row in rows}
 BOUND_THEOREMS = tuple(sorted(t.value for t in BOUND_ROWS))
 
 
-def _resolve_pair(q: float | None, p: float | None) -> ConjugatePair:
-    if q is None and p is None:
-        return ConjugatePair(2.0, 2.0)
-    if q is not None and p is not None:
-        return ConjugatePair(p, q)
-    if q is not None:
-        return ConjugatePair.from_q(q)
-    return ConjugatePair.from_p(p)
-
-
-def _exponent(row: BoundRow, q: float | None, p: float | None):
-    """The row's exponent from q and p, or their defaults when both are None."""
-    if row.exponent is Exponent.PAIR:
-        return _resolve_pair(q, p)
-    if row.exponent is Exponent.Q:
-        return 2.0 if q is None else q
-    return None
-
-
 def _bound(row: BoundRow, fn: TestFunction, iv: Interval, exponent,
            endpoints: dict) -> float:
     """The row's formula on iv; ``endpoints`` caches each derivative's
@@ -219,7 +219,7 @@ def bound_suite(name: str, cases: int, seed: int) -> list[CheckLine]:
         on_window = {h: h is first or h.check(fn, fn.window)
                      for h in dict.fromkeys(row.hypothesis for row in rows)}
         for iv in _case_intervals(fn, cases, rng):
-            qs = [None if row.exponent.draw is None else rng.uniform(*row.exponent.draw)
+            qs = [None if row.exponent.value is None else rng.uniform(*row.exponent.value)
                   for row in rows]
             holds = {h: ok or (iv != fn.window and h.check(fn, iv))
                      for h, ok in on_window.items()}
@@ -228,7 +228,7 @@ def bound_suite(name: str, cases: int, seed: int) -> list[CheckLine]:
             for row, q in zip(rows, qs):
                 if not holds[row.hypothesis]:
                     continue
-                exponent = _exponent(row, q, None)
+                exponent = row.exponent.resolve(row.theorem.value, q)
                 bound = _bound(row, fn, iv, exponent, endpoints)
                 lines.append(CheckLine(
                     suite=name, function=fn.id, interval=iv, theorem=row.theorem.value,
@@ -295,11 +295,11 @@ def build_bound_report(fn: TestFunction, iv: Interval, theorem: str,
                        q: float | None = None, p: float | None = None) -> BoundReport:
     """Evaluate one named bound on one catalog function and interval.
 
-    Requires the theorem's class hypothesis (``Hypothesis.require``), so
-    raises HypothesisError when the sample refutes it and DomainError for
-    an interval outside the function's domain; also DomainError for
-    unknown theorems, bad exponents, q or p given to a theorem that takes
-    no exponent, or p given to a power-mean theorem.
+    Raises DomainError for an unknown theorem or an exponent it does not
+    take (``Exponent.resolve``), before any evaluation.  Then requires the
+    theorem's class hypothesis (``Hypothesis.require``), so raises
+    DomainError for an interval outside the function's domain and
+    HypothesisError when the sample refutes the class.
     """
     try:
         tid = TheoremId(theorem)
@@ -308,11 +308,7 @@ def build_bound_report(fn: TestFunction, iv: Interval, theorem: str,
     row = BOUND_ROWS.get(tid)
     if row is None:
         raise DomainError(f"{theorem!r} is not a bound theorem")
-    if row.exponent is Exponent.NONE and (q is not None or p is not None):
-        raise DomainError(f"{theorem!r} takes no exponent; drop q and p")
-    if row.exponent is Exponent.Q and p is not None:
-        raise DomainError(f"{theorem!r} takes no exponent p; give q alone")
+    exponent = row.exponent.resolve(theorem, q, p)
     row.hypothesis.require(fn, iv)
-    exponent = _exponent(row, q, p)
     bound = _bound(row, fn, iv, exponent, {})
     return BoundReport(tid, fn.id, iv, bound, midpoint_gap(fn, iv), exponent)

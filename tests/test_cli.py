@@ -79,6 +79,39 @@ class TestBoundCommand:
         assert proc.stdout == ""
 
 
+    @pytest.mark.parametrize("theorem, exponents", [
+        ("convex_pm", ("--q", "0.5")),
+        ("convex_pm", ("--p", "0.5")),
+        ("convex_holder", ("--p", "0.5")),
+        ("convex_holder", ("--q", "0.5")),
+        ("convex_holder", ("--q", "inf")),
+    ])
+    def test_bad_exponent_exits_two_before_the_class_check(self, theorem, exponents):
+        # |f''| = sin is not convex on [0, 3]: the class check would exit 3
+        proc = run("bound", "sin", "0", "3", theorem, *exponents)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "class check" not in proc.stderr
+
+    def test_infinite_exponent_named_on_a_pair(self):
+        proc = run("bound", "x2", "0", "1", "convex_holder", "--q", "inf")
+        assert proc.returncode == 2
+        assert "got inf" in proc.stderr
+
+    def test_infinite_power_mean_exponent_is_the_max(self):
+        proc = run("bound", "x2", "0", "1", "convex_pm", "--q", "inf")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["bound"] == pytest.approx(1.0 / 12.0, rel=1e-15)
+
+    @pytest.mark.parametrize("command, tail", [("bound", ("convex_q1",)),
+                                               ("certify", ("1e-3",))])
+    @pytest.mark.parametrize("a, b", [("-1.7e308", "1.7e308"), ("1e308", "1.7e308")])
+    def test_overflowing_interval_exits_two(self, command, tail, a, b):
+        proc = run(command, "x2", a, b, *tail)
+        assert proc.returncode == 2
+        assert "overflows" in proc.stderr
+
+
 class TestMeansCommand:
     def test_one_two(self):
         proc = run("means", "1", "2")

@@ -30,6 +30,12 @@ class TestInterval:
         with pytest.raises(DomainError):
             Interval(math.nan, 1.0)
 
+    @pytest.mark.parametrize("a,b", [(-1.7e308, 1.7e308), (1e308, 1.7e308)],
+                             ids=["width", "midpoint"])
+    def test_rejects_interval_whose_arithmetic_overflows(self, a, b):
+        with pytest.raises(DomainError, match="overflows"):
+            Interval(a, b)
+
     def test_rejects_interval_without_interior(self):
         with pytest.raises(DomainError):
             Interval(1.0, math.nextafter(1.0, 2.0))
@@ -51,6 +57,11 @@ class TestConjugate:
     @pytest.mark.parametrize("p", [1.0, 0.5, -3.0])
     def test_rejects_p_at_most_one(self, p):
         with pytest.raises(DomainError):
+            conjugate_of(p)
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_rejects_non_finite_p(self, p):
+        with pytest.raises(DomainError, match=r"\(1, inf\), got (inf|nan)"):
             conjugate_of(p)
 
     @given(st.floats(min_value=1.0001, max_value=1000.0))

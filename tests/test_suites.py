@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -26,7 +27,14 @@ from hhbounds.core import (
     polynomial,
 )
 from hhbounds.oracle import CONVEX_D1, MONOTONE_D2, midpoint_gap
-from hhbounds.suites import BOUND_ROWS, bound_suite, build_bound_report, run_suite
+from hhbounds.suites import (
+    BOUND_ROWS,
+    SWEEPS,
+    Exponent,
+    bound_suite,
+    build_bound_report,
+    run_suite,
+)
 
 PQ2 = ConjugatePair(2.0, 2.0)
 UNIT = Interval(0.0, 1.0)
@@ -92,6 +100,30 @@ class TestBoundTable:
                 build_bound_report(fn, Interval(0.0, 1.0), theorem.value)
         assert calls == []
 
+    @pytest.mark.parametrize("row", [row for rows in SWEEPS.values() for row in rows],
+                             ids=lambda row: row.theorem.value)
+    @pytest.mark.parametrize("fid, a, b", [("x3", 1.0, 2.0), ("sin", 0.0, 3.0)],
+                             ids=["class-holds", "class-fails"])
+    def test_bad_exponent_refused_before_any_evaluation(self, by_id, row, fid, a, b):
+        calls = []
+
+        def count(ev):
+            def counted(x):
+                calls.append(x)
+                return ev(x)
+            return counted
+
+        base = by_id[fid]
+        fn = dataclasses.replace(base, f=count(base.f), d1=count(base.d1), d2=count(base.d2))
+        bad = [{"q": 0.5}, {"q": math.nan}, {"p": 0.5}, {"p": 2.0, "q": 3.0}]
+        bad += {Exponent.NONE: [{"q": 3.0}, {"p": 7.0}, {"q": math.inf}],
+                Exponent.Q: [{"p": 7.0}, {"p": 2.0, "q": 2.0}],
+                Exponent.PAIR: [{"q": math.inf}, {"p": math.inf}]}[row.exponent]
+        for exponents in bad:
+            with pytest.raises(DomainError):
+                build_bound_report(fn, Interval(a, b), row.theorem.value, **exponents)
+        assert calls == []
+
     def test_monotone_query_samples_its_class_once(self, by_id):
         # 65 f'' evaluations for the monotone sample, 2 for the endpoint values
         calls = []
@@ -108,6 +140,30 @@ class TestBoundTable:
     def test_rejects_names_outside_the_table(self, by_id, theorem):
         with pytest.raises(DomainError):
             build_bound_report(by_id["x2"], UNIT, theorem)
+
+
+@pytest.mark.parametrize("kind, q, p, expected", [
+    (Exponent.NONE, None, None, None),
+    (Exponent.NONE, 2.0, None, DomainError),
+    (Exponent.NONE, None, 2.0, DomainError),
+    (Exponent.NONE, 2.0, 2.0, DomainError),
+    (Exponent.Q, None, None, 2.0),
+    (Exponent.Q, 3.0, None, 3.0),
+    (Exponent.Q, math.inf, None, math.inf),
+    (Exponent.Q, None, 3.0, DomainError),
+    (Exponent.Q, 3.0, 1.5, DomainError),
+    (Exponent.PAIR, None, None, ConjugatePair(2.0, 2.0)),
+    (Exponent.PAIR, 4.0, None, ConjugatePair(4.0 / 3.0, 4.0)),
+    (Exponent.PAIR, None, 3.0, ConjugatePair(3.0, 1.5)),
+    (Exponent.PAIR, 1.5, 3.0, ConjugatePair(3.0, 1.5)),
+    (Exponent.PAIR, 3.0, 3.0, DomainError),
+])
+def test_exponent_resolve(kind, q, p, expected):
+    if expected is DomainError:
+        with pytest.raises(DomainError):
+            kind.resolve("t", q, p)
+    else:
+        assert kind.resolve("t", q, p) == expected
 
 
 class TestSweepGating:
