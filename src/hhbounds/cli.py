@@ -147,7 +147,12 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         except HypothesisError:
             if theorem is _CERTIFY_RULES[-1]:
                 raise
-    oracle = integrate(fn.f, iv, min(args.tol * 1e-2, 1e-10))
+    # the oracle's own error estimate is added to the radius below, so it
+    # must stay a small share of that radius, or it could hide a miss
+    oracle_tol = min(args.tol * 1e-2, 1e-10)
+    if result.error_radius > 0.0:
+        oracle_tol = min(oracle_tol, result.error_radius * 1e-2)
+    oracle = integrate(fn.f, iv, oracle_tol)
     enclosed = abs(result.estimate - oracle.value) <= (
         result.error_radius + oracle.est_error)
     _emit([{

@@ -1,8 +1,12 @@
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+
+from hhbounds import cli
 
 CMD = [sys.executable, "-m", "hhbounds"]
 
@@ -227,6 +231,37 @@ class TestCertifyCommand:
         proc = run("certify", *args)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["enclosed"] is True
+
+    @pytest.mark.parametrize("args", [("x_5_2", "1", "2", "1e-14"), ("inv_x", "1", "2", "1e-8")])
+    def test_a_miss_past_the_radius_is_not_enclosed(self, args, monkeypatch, capsys):
+        # `enclosed` adds the oracle's error estimate to the radius, so the
+        # oracle must be asked for a small share of the radius: an estimate
+        # moved 1.05 radii away from the oracle value must fail
+        asked = []
+        oracle = cli.integrate
+        monkeypatch.setattr(cli, "integrate",
+                            lambda f, iv, tol: asked.append(tol) or oracle(f, iv, tol))
+        assert cli.main(["certify", *args]) == 0
+        row = json.loads(capsys.readouterr().out)
+        assert asked == [min(1e-2 * float(args[-1]), 1e-10, 1e-2 * row["error_radius"])]
+        away = math.copysign(1.05 * row["error_radius"], row["estimate"] - row["oracle_value"])
+        certify = cli.refine_to_tolerance
+
+        def shifted(*call):
+            result = certify(*call)
+            return dataclasses.replace(result, estimate=result.estimate + away)
+
+        monkeypatch.setattr(cli, "refine_to_tolerance", shifted)
+        assert cli.main(["certify", *args]) == 1
+        assert json.loads(capsys.readouterr().out)["enclosed"] is False
+
+    def test_a_zero_radius_still_asks_the_oracle_for_a_positive_tolerance(self, monkeypatch,
+                                                                          capsys):
+        certify = cli.refine_to_tolerance
+        monkeypatch.setattr(cli, "refine_to_tolerance",
+                            lambda *call: dataclasses.replace(certify(*call), error_radius=0.0))
+        assert cli.main(["certify", "x2", "0", "1", "1e-6"]) in (0, 1)
+        assert json.loads(capsys.readouterr().out)["error_radius"] == 0.0
 
     def test_tolerance_below_the_rounding_floor_exits_one(self):
         proc = run("certify", "affine", "0", "2", "1e-16")

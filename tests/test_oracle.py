@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import pytest
 
-from hhbounds import core
+from hhbounds import core, oracle
 from hhbounds.core import (
     ConvergenceError,
     DomainError,
@@ -12,7 +14,9 @@ from hhbounds.core import (
 )
 from hhbounds.oracle import (
     CONVEX_OR_CONCAVE_F2,
+    MAX_PANELS,
     MONOTONE_D2,
+    QuadratureResult,
     check_convex_abs_d2,
     check_quasiconvex_abs_d2,
     convexity_sign,
@@ -26,6 +30,52 @@ from hhbounds.rng import SplitMix64
 
 LN2 = 0.6931471805599453
 UNIT = Interval(0.0, 1.0)
+
+
+def adaptive_simpson(f, iv: Interval, tol: float) -> QuadratureResult:
+    """Recursive adaptive Simpson, the oracle before G7K15, kept as an
+    independent cross-check.
+
+    A panel is accepted from depth 2 on once |S_halves - S_whole|/15 fits
+    its budget, or falls below 8e-16 of |left| + |right|; accepted panels
+    get one Richardson correction, and each depth halves the budget.
+    """
+    count = 0
+
+    def feval(x):
+        nonlocal count
+        count += 1
+        return f(x)
+
+    def recurse(a, b, fa, fm, fb, whole, budget, depth):
+        m = 0.5 * (a + b)
+        flm = feval(0.5 * (a + m))
+        frm = feval(0.5 * (m + b))
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        err = (left + right - whole) / 15.0
+        if depth >= 2 and (abs(err) <= budget or abs(err) <= 8e-16 * (abs(left) + abs(right))):
+            return left + right + err, abs(err)
+        if depth >= 60:
+            raise ConvergenceError(f"no convergence at depth 60 on [{a}, {b}]")
+        lv, le = recurse(a, m, fa, flm, fm, left, 0.5 * budget, depth + 1)
+        rv, re = recurse(m, b, fm, frm, fb, right, 0.5 * budget, depth + 1)
+        return lv + rv, le + re
+
+    fa, fm, fb = feval(iv.a), feval(iv.midpoint), feval(iv.b)
+    value, est = recurse(iv.a, iv.b, fa, fm, fb, iv.width / 6.0 * (fa + 4.0 * fm + fb), tol, 0)
+    return QuadratureResult(value=value, est_error=est, evaluations=count)
+
+
+def kronrod_rules() -> dict[str, list[tuple[Fraction, Fraction]]]:
+    """The committed K15 and G7 rules on [-1, 1] as exact (node, weight) pairs."""
+    rules = {"K15": [(Fraction(0), Fraction(oracle._WK_CENTRE))],
+             "G7": [(Fraction(0), Fraction(oracle._WG_CENTRE))]}
+    for x, wk, wg in oracle._NODES:
+        for name, w in (("K15", wk), ("G7", wg)):
+            if w:
+                rules[name] += [(Fraction(x), Fraction(w)), (-Fraction(x), Fraction(w))]
+    return rules
 
 
 def derivative_consistency(fn: core.TestFunction, points: int = 100,
@@ -70,7 +120,7 @@ class TestIntegrate:
         assert res.value == pytest.approx(8.0, abs=1e-13)
 
     def test_exact_on_random_cubics(self):
-        # Simpson's rule integrates degree <= 3 exactly; only rounding remains
+        # one K15 panel integrates degree <= 23 exactly; only rounding remains
         rng = SplitMix64(314159)
         for _ in range(100):
             cs = [rng.uniform(-3.0, 3.0) for _ in range(4)]
@@ -93,11 +143,28 @@ class TestIntegrate:
         with pytest.raises(EvaluationError):
             integrate(lambda x: math.inf if abs(x - 0.5) < 0.3 else 1.0, UNIT, 1e-6)
 
+    def test_panel_sums_past_the_float_range_raise(self):
+        # the integral, e^709.7 - e^705, is a float, but sums of two f values
+        # near e^709.7 are not
+        with pytest.raises(OverflowError):
+            integrate(math.exp, Interval(705.0, 709.7), 1e-6)
+
     def test_unreachable_budget_raises(self):
-        # oscillation no bisection depth can resolve: the first panel to
-        # reach the depth cap still misses its budget and must raise
+        # oscillation that only panels about 2^-57 wide resolve: bisection
+        # reaches the panel cap first and must raise
         with pytest.raises(ConvergenceError):
             integrate(lambda x: math.sin(2.0 ** 60 * x), UNIT, 1e-6)
+        # and it gives up within the cap's evaluations
+        count = 0
+
+        def counted(x):
+            nonlocal count
+            count += 1
+            return math.sin(2.0 ** 60 * x)
+
+        with pytest.raises(ConvergenceError):
+            integrate(counted, UNIT, 1e-6)
+        assert count <= 15 * MAX_PANELS
 
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(DomainError):
@@ -106,10 +173,43 @@ class TestIntegrate:
     def test_tolerance_below_the_rounding_of_the_integral_ends(self):
         # `hh bound exp 0 700` asks for 7e-8 on an integral of 1e304: no
         # halving of the budget reaches it, so panels stop at the rounding
-        # floor (about 2.1 million evaluations) instead of running for minutes
+        # floor (4,405 panels, 66,075 evaluations) instead of running for minutes
         res = integrate(math.exp, Interval(0.0, 700.0), 1e-10 * 700.0)
-        assert res.evaluations < 2_500_000
+        assert res.evaluations < 200_000
         assert res.value == pytest.approx(math.expm1(700.0), rel=1e-13)
+
+
+class TestKronrodRule:
+    @pytest.mark.parametrize("name, points, degree, missed", [("K15", 15, 22, 24),
+                                                              ("G7", 7, 13, 14)])
+    def test_committed_nodes_meet_the_exact_moments(self, name, points, degree, missed):
+        # K15 is exact to degree 3*7 + 1 = 22 (23 by symmetry), G7 to 13;
+        # from the rounded literals, to a few ulp of the integral of |x|^k,
+        # and the next even degree misses by far more
+        rule = kronrod_rules()[name]
+        eps = Fraction(2) ** -52
+
+        def miss(k):
+            exact = Fraction(2, k + 1) if k % 2 == 0 else Fraction(0)
+            return abs(sum(w * x ** k for x, w in rule) - exact) / Fraction(2, k + 1)
+
+        assert len(rule) == points
+        assert all(miss(k) <= 4 * eps for k in range(degree + 1))
+        assert miss(missed) > 1e6 * eps
+
+
+class TestSimpsonCrossCheck:
+    def test_both_rules_agree_with_mpmath_on_every_window(self, catalog):
+        tol = 1e-10
+        for fn in catalog:
+            iv = fn.window
+            with mpmath.workdps(30):
+                exact = float(mpmath.quad(lambda t: fn.f(float(t)), [iv.a, iv.b]))
+            gk = integrate(fn.f, iv, tol).value
+            simpson = adaptive_simpson(fn.f, iv, tol).value
+            assert abs(gk - simpson) <= tol, fn.id
+            assert abs(gk - exact) <= tol, fn.id
+            assert abs(simpson - exact) <= tol, fn.id
 
 
 class TestMidpointGap:

@@ -208,8 +208,8 @@ class TestSweepGating:
 
 
 @pytest.mark.parametrize("seed, digest", [
-    (7, "ec18afe79f727f38b6cc6cdd5c908e386a216c8ef1c20e4aeea80f75f615319f"),
-    (1, "54607f83896e1018a00d093723eafeda96a44d7bcd24ff47a51d9ec4854d8e3d"),
+    (7, "d022348738d572bf417d54acac91fcce2cd053368467536bb5389ce32560a578"),
+    (1, "588c44807b81016d7926f47aa3ef0d148767b0d03b462416905f7f54d5dec0d7"),
 ])
 def test_seeded_sweep_bytes(seed, digest):
     """The bytes `hh verify --suite all --cases 100 --seed <seed>` prints.
