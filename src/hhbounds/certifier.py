@@ -326,9 +326,9 @@ def integrate_certified(fn: TestFunction, iv: Interval, n: int,
     Walks from the odd part m of n (m + 1 cuts, then doublings), as
     ``refine_to_tolerance`` walks from 1: n + 1 f'' and n f evaluations,
     2n + 1 f'' under FEJER.  Raises DomainError when iv leaves fn's domain
-    and HypothesisError when the 64-point sample refutes the theorem's class
-    on iv (both from ``Hypothesis.require``), EvaluationError on a
-    non-finite evaluation.
+    and HypothesisError when the sample of the 64-point grid's pairs refutes
+    the theorem's class on iv (both from ``Hypothesis.require``),
+    EvaluationError on a non-finite evaluation.
     """
     if n < 1:
         raise DomainError(f"need at least one subinterval, got {n}")

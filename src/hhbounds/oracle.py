@@ -7,6 +7,14 @@ hypotheses the bounds and the certifier are stated under
 (``Hypothesis``), whose ``require`` is the one place a request is refused
 for its class.  The class checks are falsifiers, not provers: they can
 refute a class on a grid but cannot certify it.
+
+The convexity and quasi-convexity checks test every pair of a 64-point
+grid at the pair's midpoint.  Those midpoints are the 127-point fine grid
+a + k*width/126, so the checks of signed f'' (``CONVEX_OR_CONCAVE_F2``),
+of |f''| for quasi-convexity and of |f'| read the derivative there once,
+127 evaluations, and test the pairs on those values.  The check of |f''|
+for convexity (``CONVEX_D2``) still evaluates each pair's midpoint anew,
+64 + 2,016 evaluations.
 """
 
 from __future__ import annotations
@@ -49,7 +57,8 @@ _NODES = (
 _WK_CENTRE = 0.20948214108472782
 _WG_CENTRE = 0.4179591836734694
 
-#: points of the interval whose pairs the midpoint-convexity samplers test
+#: points of the interval, a + k*width/63, whose pairs the class samplers
+#: test; ``fine_grid_sample`` reads them and every pair's midpoint at once
 CLASS_CHECK_GRID = 64
 
 #: additive slack used by the midpoint-convexity samplers
@@ -160,45 +169,68 @@ def midpoint_convexity_holds(g: Callable[[float], float], iv: Interval) -> bool:
     return True
 
 
-def midpoint_quasiconvexity_holds(g: Callable[[float], float], iv: Interval) -> bool:
-    """Sampling verdict: g((x+y)/2) <= max(g(x), g(y)) + tol over all grid pairs."""
-    grid, tol = CLASS_CHECK_GRID, CLASS_CHECK_TOL
-    xs = _grid(iv, grid)
-    gs = [g(x) for x in xs]
-    for i in range(grid):
-        for j in range(i + 1, grid):
-            bigger = gs[i] if gs[i] > gs[j] else gs[j]
-            if g(0.5 * (xs[i] + xs[j])) > bigger + tol:
+def fine_grid_sample(g: Callable[[float], float], iv: Interval) -> list[float]:
+    """g at the 127 points a + k*width/126, ends included: the one read of g
+    behind the fine-grid class checks.  Entry 2i is g at point i of the
+    64-point class grid, bit for bit (width/126 is exactly half of
+    width/63), and entry i + j is g at the midpoint of points i and j, the
+    point off by at most 2 ulp of max(|a|, |b|)."""
+    return [g(x) for x in _grid(iv, 2 * CLASS_CHECK_GRID - 1)]
+
+
+def pairs_hold(fine: list[float], quasi: bool = False) -> bool:
+    """Sampling verdict from a ``fine_grid_sample``: for every pair i < j of
+    the 64-point grid, the midpoint value fine[i + j] is at most the pair's
+    mean (convex) or larger value (quasi-convex), fine[2i] and fine[2j], plus
+    tol.  The pairs of ``midpoint_convexity_holds``, read from the sample
+    instead of evaluating each midpoint; a NaN value refutes nothing.
+
+    Rounding x + tol is monotone in x, so max(u, v) + tol rounds to the
+    larger of u + tol and v + tol, and the quasi-convex test compares each
+    midpoint with both ends' sums instead of forming the max."""
+    tol = CLASS_CHECK_TOL  # locals: the pair loop is hot
+    gs = fine[::2]
+    n = len(gs)
+    if quasi:
+        tops = [g + tol for g in gs]
+        for i, ti in enumerate(tops):
+            for mid, tj in zip(fine[2 * i + 1:i + n], tops[i + 1:]):
+                if mid > ti and mid > tj:
+                    return False
+        return True
+    for i, gi in enumerate(gs):
+        for mid, gj in zip(fine[2 * i + 1:i + n], gs[i + 1:]):
+            if mid > 0.5 * (gi + gj) + tol:
                 return False
     return True
 
 
-def convexity_sign(g: Callable[[float], float], iv: Interval) -> int:
-    """Sampling verdict on the sign of g's bend, from one read of g at the
-    127 points a + k*width/126 (the pair midpoints of the 64-point grid,
-    ends included): 1 when no point lies above the chord of its neighbours
-    by more than tol (convex g), -1 when none lies below it by more than
-    tol (concave g), 0 when both are refuted.  When every bend is within
-    tol, so both stay open, the sign of their sum decides: it telescopes to
-    half the fall in slope across the grid, (g1 - g0) - (g126 - g125), and
-    a tie goes convex."""
+def convexity_sign(fine: list[float]) -> int:
+    """Sampling verdict on the sign of g's bend, from a ``fine_grid_sample``
+    of g (the pair midpoints of the 64-point grid, ends included): 1 when no
+    point lies above the chord of its neighbours by more than tol (convex
+    g), -1 when none lies below it by more than tol (concave g), 0 when both
+    are refuted.  When every bend is within tol, so both stay open, the sign
+    of their sum decides: it telescopes to half the fall in slope across the
+    grid, (g1 - g0) - (g126 - g125), and a tie goes convex."""
     tol = CLASS_CHECK_TOL
-    gs = [g(x) for x in _grid(iv, 2 * CLASS_CHECK_GRID - 1)]
-    bends = [mid - 0.5 * (lo + hi) for lo, mid, hi in zip(gs, gs[1:], gs[2:])]
+    bends = [mid - 0.5 * (lo + hi) for lo, mid, hi in zip(fine, fine[1:], fine[2:])]
     convex = all(bend <= tol for bend in bends)
     concave = all(bend >= -tol for bend in bends)
     if convex and concave:
-        return -1 if (gs[1] - gs[0]) - (gs[-1] - gs[-2]) > 0.0 else 1
+        return -1 if (fine[1] - fine[0]) - (fine[-1] - fine[-2]) > 0.0 else 1
     return 1 if convex else -1 if concave else 0
 
 
 def signed_convexity_holds(g: Callable[[float], float], iv: Interval) -> bool:
-    """True iff g or -g passes the midpoint-convexity sampling check on iv,
-    for the one sign that ``convexity_sign`` leaves open."""
-    sign = convexity_sign(g, iv)
+    """True iff g or -g passes the midpoint-convexity pair check on iv, for
+    the one sign that ``convexity_sign`` leaves open; both verdicts come
+    from one ``fine_grid_sample`` of g."""
+    fine = fine_grid_sample(g, iv)
+    sign = convexity_sign(fine)
     if sign == 0:
         return False
-    return midpoint_convexity_holds(g if sign > 0 else lambda x: -g(x), iv)
+    return pairs_hold(fine if sign > 0 else [-v for v in fine])
 
 
 def monotone_holds(g: Callable[[float], float], iv: Interval) -> bool:
@@ -217,8 +249,9 @@ def check_convex_abs_d2(fn: TestFunction, iv: Interval) -> bool:
 
 
 def check_quasiconvex_abs_d2(fn: TestFunction, iv: Interval) -> bool:
-    """True iff |f''| passes the 64-point midpoint-quasi-convexity sampling check on iv."""
-    return midpoint_quasiconvexity_holds(lambda x: abs(fn.d2(x)), iv)
+    """True iff |f''| passes the 64-point midpoint-quasi-convexity sampling
+    check on iv, read from one fine-grid sample."""
+    return pairs_hold(fine_grid_sample(lambda x: abs(fn.d2(x)), iv), quasi=True)
 
 
 @dataclass(frozen=True)
@@ -253,8 +286,8 @@ QUASICONVEX_D2 = Hypothesis("d2", "|f''|", "quasi-convex",
 MONOTONE_D2 = Hypothesis("d2", "|f''|", "monotone",
                          lambda fn, iv: monotone_holds(lambda x: abs(fn.d2(x)), iv))
 CONVEX_D1 = Hypothesis("d1", "|f'|", "convex",
-                       lambda fn, iv: midpoint_convexity_holds(lambda x: abs(fn.d1(x)), iv))
+                       lambda fn, iv: pairs_hold(fine_grid_sample(lambda x: abs(fn.d1(x)), iv)))
 #: signed f'' convex or concave, the class of Fejer's bracket; the pair
-#: sample runs for the one sign the fine grid's bends leave open
+#: check runs for the one sign the fine grid's bends leave open
 CONVEX_OR_CONCAVE_F2 = Hypothesis("d2", "f''", "convex or concave",
                                   lambda fn, iv: signed_convexity_holds(fn.d2, iv))

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hhbounds import core, oracle
 from hhbounds.core import (
@@ -13,18 +16,25 @@ from hhbounds.core import (
     polynomial,
 )
 from hhbounds.oracle import (
+    CLASS_CHECK_GRID,
+    CLASS_CHECK_TOL,
+    CONVEX_D1,
+    CONVEX_D2,
     CONVEX_OR_CONCAVE_F2,
     MAX_PANELS,
     MONOTONE_D2,
+    QUASICONVEX_D2,
     QuadratureResult,
     check_convex_abs_d2,
     check_quasiconvex_abs_d2,
     convexity_sign,
+    fine_grid_sample,
     integrate,
     mean_value,
     midpoint_gap,
     midpoint_convexity_holds,
     monotone_holds,
+    pairs_hold,
 )
 from hhbounds.rng import SplitMix64
 
@@ -65,6 +75,37 @@ def adaptive_simpson(f, iv: Interval, tol: float) -> QuadratureResult:
     fa, fm, fb = feval(iv.a), feval(iv.midpoint), feval(iv.b)
     value, est = recurse(iv.a, iv.b, fa, fm, fb, iv.width / 6.0 * (fa + 4.0 * fm + fb), tol, 0)
     return QuadratureResult(value=value, est_error=est, evaluations=count)
+
+
+def per_pair_sampler(g, iv: Interval, quasi: bool = False) -> bool:
+    """The pair samplers before the fine-grid read, kept as an independent
+    cross-check: g at the 64 grid points a + i*width/63, then at the
+    midpoint of each of the 2,016 grid pairs, which must not exceed the
+    pair's mean (convex) or larger value (quasi-convex) by more than tol."""
+    step = iv.width / (CLASS_CHECK_GRID - 1)
+    xs = [iv.a + i * step for i in range(CLASS_CHECK_GRID)]
+    xs[-1] = iv.b
+    gs = [g(x) for x in xs]
+    for i in range(CLASS_CHECK_GRID):
+        for j in range(i + 1, CLASS_CHECK_GRID):
+            if quasi:
+                bound = gs[i] if gs[i] > gs[j] else gs[j]
+            else:
+                bound = 0.5 * (gs[i] + gs[j])
+            if g(0.5 * (xs[i] + xs[j])) > bound + CLASS_CHECK_TOL:
+                return False
+    return True
+
+
+def tent(x: float, at: float, height: float = 1.0) -> float:
+    """A tent of the given height at `at`, falling to 0 within 1e-3."""
+    return height * max(0.0, 1.0 - abs(x - at) / 1e-3)
+
+
+def bump_d2(x: float) -> float:
+    """f'' = 1 with a tent up at 1/126 and one down at 125/126, the
+    midpoints of the first and the last pair of the 64-point grid on [0, 1]."""
+    return 1.0 + tent(x, 1.0 / 126.0) - tent(x, 125.0 / 126.0)
 
 
 def kronrod_rules() -> dict[str, list[tuple[Fraction, Fraction]]]:
@@ -255,6 +296,70 @@ class TestClassChecks:
             assert verdicts == expected.get(fn.id, (True, True, True)), fn.id
 
 
+class TestFineGridClassChecks:
+    @staticmethod
+    def recorded(fn):
+        """fn with d1 and d2 replaced by evaluators that record their points."""
+        points = []
+
+        def record(ev):
+            def wrapped(x):
+                points.append(x)
+                return ev(x)
+            return wrapped
+
+        return dataclasses.replace(fn, d1=record(fn.d1), d2=record(fn.d2)), points
+
+    @pytest.mark.parametrize("hypothesis, fid", [
+        (CONVEX_OR_CONCAVE_F2, "x4"),    # f'' convex
+        (CONVEX_OR_CONCAVE_F2, "x_5_2"),  # f'' concave: the negated sample
+        (QUASICONVEX_D2, "x3"),
+        (CONVEX_D1, "x4"),
+    ])
+    def test_a_passing_check_reads_the_fine_grid_once(self, by_id, hypothesis, fid):
+        fn, points = self.recorded(by_id[fid])
+        iv = fn.window
+        assert hypothesis.check(fn, iv)
+        assert points == oracle._grid(iv, 2 * CLASS_CHECK_GRID - 1)
+
+    def test_the_convex_abs_d2_check_evaluates_every_pair_midpoint(self, by_id):
+        fn, points = self.recorded(by_id["x4"])
+        assert CONVEX_D2.check(fn, fn.window)
+        assert len(points) == 64 + 64 * 63 // 2
+
+    @given(st.floats(-1e6, 1e6), st.floats(1e-6, 1e6))
+    def test_even_fine_points_are_the_class_grid(self, a, width):
+        iv = Interval(a, a + width)
+        fine = oracle._grid(iv, 2 * CLASS_CHECK_GRID - 1)
+        assert fine[::2] == oracle._grid(iv, CLASS_CHECK_GRID)
+
+    @pytest.mark.parametrize("fid", sorted(core.catalog_by_id()))
+    @settings(max_examples=15)
+    @given(st.floats(0.0, 0.9), st.floats(0.05, 1.0))
+    def test_grid_verdicts_match_the_per_pair_sampler(self, fid, start, share):
+        fn = core.catalog_by_id()[fid]
+        w = fn.window
+        a = w.a + start * w.width
+        iv = Interval(a, min(a + share * w.width, w.b))
+        for g in (lambda x: abs(fn.d2(x)), lambda x: abs(fn.d1(x)), fn.d2,
+                  lambda x: -fn.d2(x)):
+            fine = fine_grid_sample(g, iv)
+            for quasi in (False, True):
+                assert pairs_hold(fine, quasi) == per_pair_sampler(g, iv, quasi), (fid, iv)
+
+    @pytest.mark.parametrize("g, refuted", [
+        (bump_d2, True), (lambda x: -bump_d2(x), True), (lambda x: abs(bump_d2(x)), True),
+        # a tent on 0 just above and just below tol, between the first pair
+        (lambda x: tent(x, 1.0 / 126.0, 1.5 * CLASS_CHECK_TOL), True),
+        (lambda x: tent(x, 1.0 / 126.0, 0.5 * CLASS_CHECK_TOL), False),
+    ])
+    def test_bumps_between_class_grid_points_refute_as_before(self, g, refuted):
+        fine = fine_grid_sample(g, UNIT)
+        for quasi in (False, True):
+            assert per_pair_sampler(g, UNIT, quasi) is not refuted
+            assert pairs_hold(fine, quasi) == per_pair_sampler(g, UNIT, quasi)
+
+
 class TestDerivativeConsistency:
     def test_catalog_derivatives_match_finite_differences(self, catalog):
         for fn in catalog:
@@ -284,10 +389,11 @@ def test_generic_convexity_sampler_on_plain_callables():
 
 
 def test_convexity_sign_from_the_fine_grid():
-    assert convexity_sign(lambda x: x * x, UNIT) == 1
-    assert convexity_sign(math.sqrt, UNIT) == -1
-    assert convexity_sign(lambda x: 2.0 * x, UNIT) == 1  # both hold; convex first
-    assert convexity_sign(math.sin, Interval(0.0, 6.0)) == 0
+    assert convexity_sign(fine_grid_sample(lambda x: x * x, UNIT)) == 1
+    assert convexity_sign(fine_grid_sample(math.sqrt, UNIT)) == -1
+    # both hold; convex first
+    assert convexity_sign(fine_grid_sample(lambda x: 2.0 * x, UNIT)) == 1
+    assert convexity_sign(fine_grid_sample(math.sin, Interval(0.0, 6.0))) == 0
 
 
 def test_convexity_sign_of_a_nearly_linear_concave_function():
@@ -296,8 +402,8 @@ def test_convexity_sign_of_a_nearly_linear_concave_function():
     def g(x):
         return x - 1e-7 * x * x
 
-    assert convexity_sign(g, UNIT) == -1
-    assert convexity_sign(lambda x: -g(x), UNIT) == 1
+    assert convexity_sign(fine_grid_sample(g, UNIT)) == -1
+    assert convexity_sign(fine_grid_sample(lambda x: -g(x), UNIT)) == 1
     fn = polynomial([0.0, 0.0, 0.0, 1.0 / 6.0, -1e-7 / 12.0], id="near_linear",
                     window=UNIT)
     assert CONVEX_OR_CONCAVE_F2.check(fn, UNIT)

@@ -208,8 +208,10 @@ class TestSweepGating:
 
 
 @pytest.mark.parametrize("seed, digest", [
-    (7, "d022348738d572bf417d54acac91fcce2cd053368467536bb5389ce32560a578"),
-    (1, "588c44807b81016d7926f47aa3ef0d148767b0d03b462416905f7f54d5dec0d7"),
+    pytest.param(7, "d022348738d572bf417d54acac91fcce2cd053368467536bb5389ce32560a578",
+                 id="seed7"),
+    pytest.param(1, "588c44807b81016d7926f47aa3ef0d148767b0d03b462416905f7f54d5dec0d7",
+                 id="seed1"),
 ])
 def test_seeded_sweep_bytes(seed, digest):
     """The bytes `hh verify --suite all --cases 100 --seed <seed>` prints.
