@@ -179,8 +179,11 @@ def _model() -> _Model:
 
 
 def _up(x: Fraction) -> float:
-    """The least float not below x."""
-    y = float(x)
+    """The least float not below x, +inf above the float range."""
+    try:
+        y = float(x)
+    except OverflowError:
+        return math.inf
     return y if y >= x else math.nextafter(y, math.inf)
 
 

@@ -112,8 +112,8 @@ def _lookup_function(name: str):
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     lines = run_suite(args.suite, args.cases, args.seed)
-    _emit([line.as_dict() for line in lines], args.csv)
-    return EXIT_PASS if all(line.passed for line in lines) else EXIT_VIOLATION
+    _emit(lines, args.csv)
+    return EXIT_PASS if all(line["pass"] for line in lines) else EXIT_VIOLATION
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:

@@ -86,12 +86,14 @@ def _panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, floa
         k15 += wk * (lo + hi)
         g7 += wg * (lo + hi)
         mass += wk * (abs(lo) + abs(hi))
+    # h * mass bounds |h * K15|: a finite one keeps an accepted value finite
+    mass *= h
     if not math.isfinite(mass):
         for x, y in zip(xs, ys):
             if not math.isfinite(y):
                 raise EvaluationError(f"integrand returned {y} at x={x}")
-        raise OverflowError(f"the integrand's panel sum overflows on [{a}, {b}]")
-    return h * k15, h * abs(k15 - g7), h * mass
+        raise OverflowError(f"the integral of |f| over the panel [{a}, {b}] overflows")
+    return h * k15, h * abs(k15 - g7), mass
 
 
 def integrate(f: Callable[[float], float], iv: Interval, tol: float) -> QuadratureResult:
@@ -110,7 +112,7 @@ def integrate(f: Callable[[float], float], iv: Interval, tol: float) -> Quadratu
 
     Raises:
         EvaluationError: f returned a non-finite value.
-        OverflowError: a panel's sum of |f| values left the float range.
+        OverflowError: a panel's integral of |f| left the float range.
         ConvergenceError: bisecting a rejected panel would take the count
             of panels past MAX_PANELS.
     """

@@ -1,21 +1,22 @@
 """Named verification sweeps shared by the CLI and the test suite.
 
 Each sweep walks the built-in catalog (window first, then seeded random
-subintervals), evaluates one family of checks, and yields schema-stable
-lines: suite, function, interval, theorem, bound, gap, slack, pass.  For
-bound families pass means slack >= -1e-9; for the identity sweep it means
-|slack| stays below the residual tolerance.  The bound table (``SWEEPS``)
-names each theorem's class hypothesis from ``oracle`` and its exponent
-kind (none, a conjugate pair or a q, each with the range sweeps draw q
-from); the sweeps and the single reports (``build_bound_report``) both
-read it.  ``Exponent.resolve`` is the one exponent rule: the defaults,
+subintervals), evaluates one family of checks, and returns its lines as
+the rows ``hh verify`` prints: suite, function, interval, theorem, bound,
+gap, slack = bound - gap, and pass.  Every pass reads
+``core.slack_is_valid``: for bound families on the slack, for the
+identity sweep on the slack and its negation, so |slack| <= 1e-9.  The
+bound table (``SWEEPS``) names each theorem's class hypothesis from
+``oracle`` and its exponent kind (none, a conjugate pair or a q, each
+with the range sweeps draw q from); the sweeps and the single reports
+(``build_bound_report``) both read it.  ``Exponent.resolve`` is the one exponent rule: the defaults,
 the pair from q, p or both, and the refusal of any exponent a theorem
 does not take.  Single reports apply it before the class check, so a bad
 exponent is refused before f, f' or f'' is evaluated.  A function joins
 a bound sweep when its window passes the first row's hypothesis, and each
 row runs on the intervals where its own hypothesis holds, on the window
 or else on the interval itself.  The registry ``SUITES`` names every
-sweep, in the order ``all`` runs them.
+sweep, in the order ``all`` runs them, with the salt of its seed.
 """
 
 from __future__ import annotations
@@ -54,69 +55,26 @@ from .means import (
 from .oracle import CONVEX_D1, CONVEX_D2, MONOTONE_D2, QUASICONVEX_D2, Hypothesis, midpoint_gap
 from .rng import SplitMix64
 
-RESIDUAL_TOL = 1e-9
-
-_SALT = {
-    "identity": 0x1D5EED,
-    "convex": 0xC07F5EED,
-    "quasiconvex": 0x9A5EED,
-    "means": 0x3EA5EED,
-}
-
-
-@dataclass(frozen=True)
-class CheckLine:
-    suite: str
-    function: str
-    interval: Interval
-    theorem: str
-    bound: float
-    gap: float
-    passed: bool
-
-    @property
-    def slack(self) -> float:
-        return self.bound - self.gap
-
-    def as_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "function": self.function,
-            "interval": [self.interval.a, self.interval.b],
-            "theorem": self.theorem,
-            "bound": self.bound,
-            "gap": self.gap,
-            "slack": self.slack,
-            "pass": self.passed,
-        }
-
-
-def _line_from_report(suite: str, report: BoundReport) -> CheckLine:
-    return CheckLine(
-        suite=suite,
-        function=report.function_id,
-        interval=report.interval,
-        theorem=report.theorem_id.value,
-        bound=report.bound,
-        gap=report.true_gap,
-        passed=report.valid,
-    )
+def _line(suite: str, function: str, iv: Interval, theorem: str,
+          bound: float, gap: float, passed: bool) -> dict:
+    """One sweep line, as the row ``hh verify`` prints."""
+    return {"suite": suite, "function": function, "interval": [iv.a, iv.b],
+            "theorem": theorem, "bound": bound, "gap": gap,
+            "slack": bound - gap, "pass": passed}
 
 
 def _case_intervals(fn: TestFunction, cases: int, rng: SplitMix64) -> list[Interval]:
     return [fn.window] + [rng.subinterval(fn.window) for _ in range(cases)]
 
 
-def identity_suite(cases: int, seed: int) -> list[CheckLine]:
+def identity_suite(cases: int, rng: SplitMix64) -> list[dict]:
     """Residual of the kernel identity over the catalog and random subintervals."""
-    rng = SplitMix64(seed ^ _SALT["identity"])
     lines = []
     for fn in builtin_catalog():
         for iv in _case_intervals(fn, cases, rng):
             lhs, rhs = identity_lhs(fn, iv), identity_rhs(fn, iv)
-            lines.append(CheckLine(
-                suite="identity", function=fn.id, interval=iv, theorem="identity",
-                bound=rhs, gap=lhs, passed=abs(rhs - lhs) <= RESIDUAL_TOL))
+            valid = slack_is_valid(rhs - lhs) and slack_is_valid(lhs - rhs)
+            lines.append(_line("identity", fn.id, iv, "identity", rhs, lhs, valid))
     return lines
 
 
@@ -197,7 +155,7 @@ def _bound(row: BoundRow, fn: TestFunction, iv: Interval, exponent,
     return getattr(row.module, row.formula)(iv, *args)
 
 
-def bound_suite(name: str, cases: int, seed: int) -> list[CheckLine]:
+def bound_suite(name: str, cases: int, rng: SplitMix64) -> list[dict]:
     """Validity sweep of the bound rows of ``SWEEPS[name]``.
 
     One gating rule serves every row.  A function joins the sweep when its
@@ -210,7 +168,6 @@ def bound_suite(name: str, cases: int, seed: int) -> list[CheckLine]:
     left out.
     """
     rows = SWEEPS[name]
-    rng = SplitMix64(seed ^ _SALT[name])
     lines = []
     for fn in builtin_catalog():
         first = rows[0].hypothesis
@@ -230,15 +187,13 @@ def bound_suite(name: str, cases: int, seed: int) -> list[CheckLine]:
                     continue
                 exponent = row.exponent.resolve(row.theorem.value, q)
                 bound = _bound(row, fn, iv, exponent, endpoints)
-                lines.append(CheckLine(
-                    suite=name, function=fn.id, interval=iv, theorem=row.theorem.value,
-                    bound=bound, gap=gap, passed=slack_is_valid(bound - gap)))
+                lines.append(_line(name, fn.id, iv, row.theorem.value, bound, gap,
+                                   slack_is_valid(bound - gap)))
     return lines
 
 
-def means_suite(cases: int, seed: int) -> list[CheckLine]:
+def means_suite(cases: int, rng: SplitMix64) -> list[dict]:
     """Mean-chain, p-logarithmic monotonicity, and the six gap inequalities."""
-    rng = SplitMix64(seed ^ _SALT["means"])
     lines = []
     for _ in range(cases):
         while True:
@@ -253,14 +208,12 @@ def means_suite(cases: int, seed: int) -> list[CheckLine]:
         pair = ConjugatePair.from_q(q)
 
         m = all_means(a, b)
-        lines.append(CheckLine(
-            suite="means", function="pair", interval=iv, theorem="means_chain",
-            bound=m["A"], gap=m["H"], passed=chain_check(a, b)))
+        lines.append(_line("means", "pair", iv, "means_chain", m["A"], m["H"],
+                           chain_check(a, b)))
         lp = lp_values_on_grid(a, b)
-        lines.append(CheckLine(
-            suite="means", function="pair", interval=iv, theorem="lp_monotone",
-            bound=lp[-1], gap=lp[0], passed=lp_monotone_nondecreasing(a, b)))
-        for report in (
+        lines.append(_line("means", "pair", iv, "lp_monotone", lp[-1], lp[0],
+                           lp_monotone_nondecreasing(a, b)))
+        for r in (
             check_prop_monomial_q1(a, b, n),
             check_prop_identric(a, b, pair),
             check_prop_monomial_pm(a, b, n, q),
@@ -268,25 +221,31 @@ def means_suite(cases: int, seed: int) -> list[CheckLine]:
             check_prop_reciprocal_quasi(a, b, q_quasi),
             check_prop_monomial_quasi(a, b, n, pair),
         ):
-            lines.append(_line_from_report("means", report))
+            lines.append(_line("means", r.function_id, r.interval, r.theorem_id.value,
+                               r.bound, r.true_gap, r.valid))
     return lines
 
 
-#: every sweep by name, in the order ``all`` runs them
-SUITES = {"identity": identity_suite,
-          **{name: partial(bound_suite, name) for name in SWEEPS},
-          "means": means_suite}
+#: every sweep by name, in the order ``all`` runs them, with the salt that
+#: seeds it; a salt fixes its sweep's seeded bytes
+SUITES = {"identity": (0x1D5EED, identity_suite),
+          "convex": (0xC07F5EED, partial(bound_suite, "convex")),
+          "quasiconvex": (0x9A5EED, partial(bound_suite, "quasiconvex")),
+          "means": (0x3EA5EED, means_suite)}
 
 SUITE_NAMES = (*SUITES, "all")
 
 
-def run_suite(name: str, cases: int, seed: int) -> list[CheckLine]:
+def run_suite(name: str, cases: int, seed: int) -> list[dict]:
+    """The rows of sweep ``name`` (or of every sweep, for "all"), each sweep
+    drawing from its own generator, seeded with seed ^ its salt."""
     if name not in SUITE_NAMES:
         raise DomainError(f"unknown suite {name!r}")
     if cases < 1:
         raise DomainError(f"need at least one case, got {cases}")
     sweeps = SUITES.values() if name == "all" else (SUITES[name],)
-    return [line for sweep in sweeps for line in sweep(cases, seed)]
+    return [line for salt, sweep in sweeps
+            for line in sweep(cases, SplitMix64(seed ^ salt))]
 
 
 # --- single bound reports (CLI `bound` command) ---------------------------

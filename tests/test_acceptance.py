@@ -37,7 +37,7 @@ from hhbounds.oracle import (
     midpoint_gap,
 )
 from hhbounds.rng import SplitMix64
-from hhbounds.suites import bound_suite, identity_suite
+from hhbounds.suites import run_suite
 
 UNIT = Interval(0.0, 1.0)
 
@@ -48,10 +48,10 @@ def _report(num: int, name: str) -> None:
 
 def test_criterion_1_identity_residuals(by_id):
     start = time.monotonic()
-    lines = identity_suite(200, seed=11)
+    lines = run_suite("identity", 200, 11)
     elapsed = time.monotonic() - start
     assert len(lines) >= 2000
-    worst = max(abs(line.slack) for line in lines)
+    worst = max(abs(line["slack"]) for line in lines)
     assert worst < 1e-9, f"worst residual {worst}"
     assert elapsed < 10.0, f"identity sweep took {elapsed:.1f}s"
 
@@ -86,12 +86,12 @@ def test_criterion_3_sharpness_for_linear_second_derivative(by_id):
 
 
 def test_criterion_4_validity_sweep():
-    lines = bound_suite("convex", 200, seed=44) + bound_suite("quasiconvex", 200, seed=44)
-    failures = [line for line in lines if not line.passed]
+    lines = run_suite("convex", 200, 44) + run_suite("quasiconvex", 200, 44)
+    failures = [line for line in lines if not line["pass"]]
     assert not failures, failures[:3]
     per_theorem: dict[str, int] = {}
     for line in lines:
-        per_theorem[line.theorem] = per_theorem.get(line.theorem, 0) + 1
+        per_theorem[line["theorem"]] = per_theorem.get(line["theorem"], 0) + 1
     expected = {"convex_q1", "convex_holder", "convex_pm", "baseline_q1",
                 "baseline_pm", "quasi_q1", "quasi_monotone", "quasi_holder",
                 "quasi_pm"}

@@ -508,6 +508,14 @@ class TestFejer:
         assert res.theorem_used is CertTheorem.FEJER
         assert abs(res.estimate - exact) <= res.error_radius <= 1e-9
 
+    def test_truncation_part_past_the_float_range_doubles_on(self, by_id):
+        # at n = 1 the truncation part of exp over [0, 700] is above the
+        # float range: it counts as +inf, and a finer grid meets the tolerance
+        res = refine_to_tolerance(by_id["exp"], Interval(0.0, 700.0), 1e300,
+                                  CertTheorem.FEJER)
+        assert res.subintervals > 1
+        assert abs(res.estimate - math.expm1(700.0)) <= res.error_radius <= 1e300
+
     def test_one_sided_bump_refutes_both_signs(self):
         # f'' = 1 + a narrow tent at 1/126, a midpoint of the 64-point grid's
         # first pair: the tent refutes convex f'', and its neighbours on the

@@ -270,6 +270,13 @@ class TestCertifyCommand:
         assert "rounding part" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_truncation_part_past_the_float_range_doubles_on(self):
+        proc = run("certify", "exp", "0", "700", "1e300")
+        assert proc.returncode == 0
+        row = json.loads(proc.stdout)
+        assert row["enclosed"] is True
+        assert row["n"] > 1 and row["error_radius"] <= 1e300
+
     def test_negative_tolerance_in_exponent_form_reaches_the_certifier(self):
         proc = run("certify", "x2", "0", "1", "-1e-3")
         assert proc.returncode == 2
@@ -343,10 +350,13 @@ class TestVerifyCommand:
 @pytest.mark.parametrize("args", [
     ("bound", "exp", "0", "800", "convex_q1"),
     ("certify", "exp", "0", "800", "1e-6"),
+    # the integrand is a float everywhere, its integral is not
+    ("bound", "x2", "1e150", "1.5e150", "convex_q1"),
 ])
 def test_overflowing_evaluation_exits_one_without_traceback(args):
     proc = run(*args)
     assert proc.returncode == 1
+    assert proc.stdout == ""
     assert "overflowed" in proc.stderr
     assert "Traceback" not in proc.stderr
 

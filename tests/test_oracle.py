@@ -190,6 +190,12 @@ class TestIntegrate:
         with pytest.raises(OverflowError):
             integrate(math.exp, Interval(705.0, 709.7), 1e-6)
 
+    def test_panel_integral_past_the_float_range_raises(self):
+        # every x^2 and their sums are floats near 1e300, but times the
+        # half-width 2.5e149 the panel's integral is not
+        with pytest.raises(OverflowError):
+            integrate(lambda x: x * x, Interval(1e150, 1.5e150), 5e139)
+
     def test_unreachable_budget_raises(self):
         # oscillation that only panels about 2^-57 wide resolve: bisection
         # reaches the panel cap first and must raise

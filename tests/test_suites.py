@@ -30,8 +30,8 @@ from hhbounds.oracle import CONVEX_D1, MONOTONE_D2, midpoint_gap
 from hhbounds.suites import (
     BOUND_ROWS,
     SWEEPS,
+    SUITES,
     Exponent,
-    bound_suite,
     build_bound_report,
     run_suite,
 )
@@ -168,7 +168,7 @@ def test_exponent_resolve(kind, q, p, expected):
 
 class TestSweepGating:
     def test_convex_sweep_leaves_out_functions_outside_the_class(self):
-        functions = {line.function for line in bound_suite("convex", 5, seed=3)}
+        functions = {line["function"] for line in run_suite("convex", 5, 3)}
         assert "x_5_2" not in functions and "sin" not in functions
         assert {"x2", "x3", "inv_x", "neg_ln", "exp"} <= functions
 
@@ -178,8 +178,8 @@ class TestSweepGating:
         fn = polynomial([0.0, -3.0, 0.0, 1.0], id="w", window=Interval(-2.0, 2.0))
         monkeypatch.setattr(suites, "builtin_catalog", lambda: [fn])
         cases: dict = {}
-        for line in bound_suite("convex", 40, seed=3):
-            cases.setdefault(line.interval, set()).add(line.theorem)
+        for line in run_suite("convex", 40, 3):
+            cases.setdefault(Interval(*line["interval"]), set()).add(line["theorem"])
         kinds = set()
         for iv, theorems in cases.items():
             convex_d1 = CONVEX_D1.check(fn, iv)
@@ -190,16 +190,17 @@ class TestSweepGating:
         assert kinds == {True, False}
 
     def test_monotone_lines_only_where_sampled_monotone(self, by_id):
-        lines = bound_suite("quasiconvex", 20, seed=3)
+        lines = run_suite("quasiconvex", 20, 3)
         cases: dict = {}
         for line in lines:
-            cases.setdefault((line.function, line.interval), {})[line.theorem] = line
+            key = (line["function"], Interval(*line["interval"]))
+            cases.setdefault(key, {})[line["theorem"]] = line
         mixed = 0
         for (fid, iv), by_theorem in cases.items():
             assert {"quasi_q1", "quasi_holder", "quasi_pm"} <= set(by_theorem)
             if MONOTONE_D2.check(by_id[fid], iv):
                 d2 = by_id[fid].d2
-                assert by_theorem["quasi_monotone"].bound == bound_quasi_monotone(
+                assert by_theorem["quasi_monotone"]["bound"] == bound_quasi_monotone(
                     iv, abs(d2(iv.a)), abs(d2(iv.b)))
             else:
                 mixed += 1
@@ -220,6 +221,15 @@ def test_seeded_sweep_bytes(seed, digest):
     exp, log or pow differently in the last bit and so change them without
     a change in this program.
     """
-    text = "".join(json.dumps(line.as_dict(), sort_keys=True) + "\n"
+    text = "".join(json.dumps(line, sort_keys=True) + "\n"
                    for line in run_suite("all", 100, seed))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("name", list(SUITES))
+def test_single_suite_is_its_slice_of_all(name, seed):
+    """Each sweep seeds its own generator, so a run of one sweep prints
+    the very rows that sweep contributes to ``all``."""
+    lines = run_suite("all", 3, seed)
+    assert run_suite(name, 3, seed) == [line for line in lines if line["suite"] == name]
