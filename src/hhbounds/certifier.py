@@ -47,47 +47,90 @@ the same centre and half-width for either sign.  T - M is O(h) for smooth
 f'', so this radius is O(h^4); for linear f'' T = M and it is exactly 0 in
 real arithmetic.
 
+Truncation part under CORRECTED.  The estimate adds the Euler-Maclaurin
+end correction h^2/24 (f'(b) - f'(a)) to the midpoint sum: the sum over
+the panels of h^2/24 (f'(x + h) - f'(x)), whose inner terms cancel.  On
+one panel, the integral minus h f(m) minus that term is the integral of
+(K - h^2/24) f'', and two integrations by parts make it the integral of
+L f'''', where L'' = K - h^2/24 and L and L' vanish at both ends of the
+panel.  With t the distance from the nearer end, L = t^4/24 - h^2 t^2/48:
+it is <= 0, even about m, and integrates to -7h^5/5760 (Davis and
+Rabinowitz, *Methods of Numerical Integration*, 1984, on Peano kernels;
+for f = x^4 on [0, 1] the error is 1/5 - 1/16 - 1/6 = -7/240 = 24 * -7/5760).
+So -L is a non-negative weight symmetric about m, and Fejer's inequality
+holds for it as for K: when f'''' is convex on the panel, the error lies
+between -7h^5/5760 f''''(m) and -7h^5/5760 (f''''(x) + f''''(x + h))/2,
+and when it is concave the two ends swap.  This is the FEJER bracket with
+f'''' for f'' and -7h^5/5760 for h^3/24: the estimate adds the centre
+-7h^5/11520 (T + M), now of f'''', and the truncation part is
+7h^5/5760 (|T - M|/2 + e_T + e_M), under one check
+(``oracle.CONVEX_OR_CONCAVE_F4``) on [a, b].  It is O(h^6) for smooth
+f'''' and exactly 0 in real arithmetic for linear f'''' (every polynomial
+of degree at most 5).  A function that declares no f'''' is refused.
+
 Rounding part.  The estimate E is h times the fsum of the computed f
-values at the midpoints (plus, under FEJER, the centre above).  Against
-the exact midpoint sum it can be off by
-(Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 4):
+values at the midpoints (plus, under FEJER and CORRECTED, the centre
+above, and under CORRECTED the end correction).  Against the exact sum it
+can be off by (Higham, *Accuracy and Stability of Numerical Algorithms*,
+ch. 4):
   - 2*ULPS*u/(1 - 2*ULPS*u) times |f~| per evaluation, the error model;
   - u times the |f~| of each chunk, for the chunk's correctly rounded sum;
   - u times |S~| for the final fsum S~ over the chunks;
 all times h, with sum |f~| read from its own chunked fsum and divided by
-(1 - u)^2.  b - a and the product by h are not rounded at all: h is exact
-as a rational, E is the exact value rounded to nearest, and their
-difference is added exactly.
+(1 - u)^2; and under CORRECTED h^2/24 times the same per-evaluation share
+of |f'~(a)| + |f'~(b)|.  b - a, the product by h and the correction are
+not rounded at all: h is exact as a rational, E is the exact value rounded
+to nearest, and their difference is added exactly.
 
-Assumptions.  ``ULPS`` bounds the error of each evaluation of f and f'';
-the libm routines the catalog calls (exp, log, pow, sin, sqrt) are
-accurate to within about one ulp, and the catalog's formulas add at most
-two correctly rounded operations without cancellation.  An evaluator that
-cancels (a Horner polynomial near a root, say) can break it.  The cuts
-and midpoints are computed as a + width*k/m; the certificate covers them
-only when that is exact, so that the computed nodes are the real ones, as
-they are for endpoints and widths with few significant bits and a
-power-of-two grid (every benchmark rung).  Underflow to subnormals is not
-tracked; a non-finite evaluation or sum raises EvaluationError.
+Assumptions.  ``ULPS`` bounds the error of each evaluation of f, f', f''
+and f''''; the libm routines the catalog calls (exp, log, pow, sin, cos,
+sqrt) are accurate to within about one ulp, and the catalog's formulas add
+at most two correctly rounded operations without cancellation.  An
+evaluator that cancels (a Horner polynomial near a root, say) can break
+it.  The cuts and midpoints are computed as a + width*k/m; the certificate
+covers them only when that is exact, so that the computed nodes are the
+real ones, as they are for endpoints and widths with few significant bits
+and a power-of-two grid (every benchmark rung).  Underflow to subnormals
+is not tracked; a non-finite evaluation or sum raises EvaluationError.
 
 Both entry points run one walk over nested grids: cut i of n subintervals
 is bit-for-bit cut 2i of 2n (scaling by two is exact), so each doubling
-evaluates f'' only at the n new odd cuts, ``CHUNK`` at a time.  Every rule
-keeps the same thing: the two end values, and per level (the starting
-grid's interior cuts, then each doubling's odd cuts) the chunk fsums of
-f'' and of |f''|.  Under CONVEX_Q1 the trapezoid weight sum 1/2 (g_k +
-g_k+1) equals g_0/2 + g_N/2 + the sum of the interior g_k; under QUASI_Q1
-the weight is the formula above, which also tracks the least |f''| read.
-Under FEJER the walk reads one level more: at n panels it has read the odd
-cuts of the 2n-grid too, which are the midpoints, so M is that level's
-chunk sums and T the ends plus all earlier ones; n panels cost 2n + 1 f''
-evaluations, and f is read at those same midpoints.  The radius depends on
-f'' alone up to the rounding part, so ``refine_to_tolerance`` evaluates f
-only at a level whose truncation part already fits.  The new cuts of a
-doubling are the midpoints of the coarser grid, and for convex |f''| the
-Hermite-Hadamard inequality (midpoint sum <= integral <= trapezoid sum)
-turns their values into a lower bound on every finer truncation part; a
-tolerance below it fails at once under CONVEX_Q1.
+evaluates the rule's derivative (f'', or f'''' under CORRECTED) only at
+the n new odd cuts, ``CHUNK`` at a time.  Every rule keeps the same
+thing: the two end values, and per level (the starting grid's interior
+cuts, then each doubling's odd cuts) the chunk fsums of the derivative
+and of its magnitude.  Under CONVEX_Q1 the trapezoid weight sum
+1/2 (g_k + g_k+1) equals g_0/2 + g_N/2 + the sum of the interior g_k;
+under QUASI_Q1 the weight is the formula above, which also tracks the
+least |f''| read.  The bracketed rules (FEJER, CORRECTED) read one level
+more: at n panels they have read the odd cuts of the 2n-grid too, which
+are the midpoints, so M is that level's chunk sums and T the ends plus all
+earlier ones; n panels cost 2n + 1 derivative evaluations, and f is read
+at those same midpoints (and f' at a and b under CORRECTED).  The radius
+depends on the derivative alone up to the rounding part, so
+``refine_to_tolerance`` evaluates f only at a level whose truncation part
+already fits.
+
+Floors.  A floor is a lower bound on the truncation part at every level
+from the current one up to ``MAX_SUBINTERVALS``.  At each level whose
+truncation part is above the tolerance (the floor can exceed it only
+there), ``refine_to_tolerance`` refuses, before it reads f, once the
+floor is above the tolerance:
+  - CONVEX_Q1: the new cuts of a doubling are the midpoints of the coarser
+    grid, and for convex |f''| the Hermite-Hadamard inequality (midpoint
+    sum <= integral <= trapezoid sum) turns their values into a lower bound
+    on every finer trapezoid weight, hence on every finer truncation part;
+  - FEJER and CORRECTED: the half-width |T - M|/2 + spread * S +
+    u (|T| + |M|) is at least spread * S, S the fsum of the magnitudes read
+    so far (the halved ends and every chunk).  Grids nest, so a finer
+    level's S sums the same terms and more, all non-negative; fsum rounds
+    correctly, and rounding is monotone, so S never shrinks.  The
+    truncation part at n' <= MAX_SUBINTERVALS panels is C (span/n')^k
+    times the half-width, rounded up, with C, k = 1/24, 3 (FEJER) or
+    7/5760, 5 (CORRECTED), and span/n' >= span/MAX_SUBINTERVALS; so at this
+    level and every later one it is at least
+    C (span/MAX_SUBINTERVALS)^k * spread * S, S as read now;
+  - QUASI_Q1 has none, and the search runs to 2^20 on f'' alone.
 """
 
 from __future__ import annotations
@@ -107,7 +150,7 @@ from .core import (
     Interval,
     TestFunction,
 )
-from .oracle import CONVEX_D2, CONVEX_OR_CONCAVE_F2, QUASICONVEX_D2
+from .oracle import CONVEX_D2, CONVEX_OR_CONCAVE_F2, CONVEX_OR_CONCAVE_F4, QUASICONVEX_D2
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -120,8 +163,8 @@ MAX_SUBINTERVALS = 1 << 20
 #: at once (a level of 2^19 floats in lists is 16 MB more at peak)
 CHUNK = 4096
 
-#: assumed error bound, in ulp of the exact value, of each evaluation of f
-#: and f'': about one ulp from libm and at most two more roundings
+#: assumed error bound, in ulp of the exact value, of each evaluation of f,
+#: f', f'' and f'''': about one ulp from libm and at most two more roundings
 ULPS = 2
 
 
@@ -129,11 +172,31 @@ class CertTheorem(str, Enum):
     CONVEX_Q1 = "convex_q1"
     QUASI_Q1 = "quasi_q1"
     FEJER = "fejer"
+    CORRECTED = "corrected_fejer"
 
 
-#: the class of f'' each theorem is stated under
+#: the class each theorem is stated under
 _HYPOTHESIS = {CertTheorem.CONVEX_Q1: CONVEX_D2, CertTheorem.QUASI_Q1: QUASICONVEX_D2,
-               CertTheorem.FEJER: CONVEX_OR_CONCAVE_F2}
+               CertTheorem.FEJER: CONVEX_OR_CONCAVE_F2,
+               CertTheorem.CORRECTED: CONVEX_OR_CONCAVE_F4}
+
+
+class _Kernel(NamedTuple):
+    """A bracketed rule's panel error is the integral of a kernel of one
+    sign, even about the panel's midpoint, times the derivative its class
+    is stated for; over a panel of width h the kernel integrates to
+    numerator/denominator h^power."""
+
+    numerator: int
+    denominator: int
+    power: int
+
+
+_KERNELS = {CertTheorem.FEJER: _Kernel(1, 24, 3),
+            CertTheorem.CORRECTED: _Kernel(-7, 5760, 5)}
+
+#: the derivatives a walk reads (``Hypothesis.derivative``), as messages name them
+_DERIVATIVE_NAMES = {"d2": "f''", "d4": "f''''"}
 
 
 @dataclass(frozen=True)
@@ -156,6 +219,7 @@ class _Model(NamedTuple):
 
     fraction: type[Fraction]
     u: Fraction          # unit roundoff of IEEE double
+    share: Fraction      # one evaluation's error <= share * |its computed value|
     inflation: Fraction  # exact weight <= computed weight * inflation
     spread: Fraction     # |exact midpoint sum - S~| <= spread * sum |f~| + u * |S~|
     deflation: Fraction  # an exact |f''| sum or value >= computed one * deflation
@@ -168,10 +232,11 @@ def _model() -> _Model:
     from fractions import Fraction
 
     u = Fraction(1, 1 << 53)
-    share = 2 * ULPS * u / (1 - 2 * ULPS * u)  # one evaluation's error / its value
+    share = 2 * ULPS * u / (1 - 2 * ULPS * u)
     return _Model(
         fraction=Fraction,
         u=u,
+        share=share,
         inflation=(1 + share) / (1 - u) ** 2,
         spread=(share + u) / (1 - u) ** 2,
         deflation=1 / ((1 + 2 * ULPS * u) * (1 + u) ** 2),
@@ -199,30 +264,35 @@ def _finite_sum(values: Iterable[float], what: str, n: int) -> float:
 
 
 class _Walk:
-    """f'' over the cuts of nested grids of n, 2n, 4n, ... subintervals.
+    """The rule's derivative over the cuts of nested grids of n, 2n, 4n, ...
+    subintervals: f'', or f'''' under CORRECTED.
 
     Starting at n, it evaluates the n + 1 cuts (the last pinned to b), and
-    under FEJER the n midpoints too; each ``double`` evaluates the new odd
-    cuts alone (and the new midpoints).  It keeps the signed end values,
-    the chunk fsums of f'' (``sums``) and |f''| (``sizes``) level after
-    level, where the last level starts (``top``), and under QUASI_Q1 the
-    least |f''| read.
+    under a bracketed rule the n midpoints too; each ``double`` evaluates
+    the new odd cuts alone (and the new midpoints).  It keeps the signed end
+    values, the chunk fsums of the derivative (``sums``) and its magnitude
+    (``sizes``) level after level, where the last level starts (``top``),
+    and under QUASI_Q1 the least |f''| read.
     """
 
     def __init__(self, fn: TestFunction, iv: Interval, theorem: CertTheorem, n: int) -> None:
         self.fn, self.iv, self.theorem, self.n = fn, iv, theorem, n
+        self.kernel = _KERNELS.get(theorem)
+        derivative = _HYPOTHESIS[theorem].derivative
+        self.derivative, self.what = getattr(fn, derivative), _DERIVATIVE_NAMES[derivative]
         fraction = _model().fraction
         self.span = fraction(iv.b) - fraction(iv.a)
-        first, last = fn.d2(iv.a), fn.d2(iv.b)
-        _finite_sum((abs(first), abs(last)), "f''", n)
+        first, last = self.derivative(iv.a), self.derivative(iv.b)
+        _finite_sum((abs(first), abs(last)), self.what, n)
         self.ends = (first, last)
         self.least = min(abs(first), abs(last))
         self.sums: list[float] = []
         self.sizes: list[float] = []
         self.top = 0
         self._read(n, 1)
-        if theorem is CertTheorem.FEJER:
+        if self.kernel is not None:
             self._read(2 * n, 2)
+            self.scale = fraction(self.kernel.numerator, self.kernel.denominator)
 
     def _chunk_sums(self, ev, n: int, step: int,
                     what: str) -> Iterator[tuple[float, float, list[float]]]:
@@ -239,11 +309,12 @@ class _Walk:
             yield math.fsum(vals), size, vals
 
     def _read(self, n: int, step: int) -> None:
-        """Append f'' at the cuts k = 1, 1 + step, ... of the n-grid as the
-        last level."""
+        """Append the derivative at the cuts k = 1, 1 + step, ... of the
+        n-grid as the last level."""
         self.top = len(self.sizes)
+        self._bracket = None
         quasi = self.theorem is CertTheorem.QUASI_Q1
-        for total, size, vals in self._chunk_sums(self.fn.d2, n, step, "f''"):
+        for total, size, vals in self._chunk_sums(self.derivative, n, step, self.what):
             self.sums.append(total)
             self.sizes.append(size)
             if quasi:
@@ -252,66 +323,92 @@ class _Walk:
     def double(self) -> None:
         """Go to 2n subintervals."""
         self.n *= 2
-        if self.theorem is CertTheorem.FEJER:
+        if self.kernel is not None:
             self._read(2 * self.n, 2)  # the old midpoints become cuts
         else:
             self._read(self.n, 2)
 
+    def _weight(self, n: int) -> Fraction:
+        """The signed integral of the bracketed rule's kernel over one panel
+        of the n-grid."""
+        return self.scale * (self.span / n) ** self.kernel.power
+
+    def _size(self) -> float:
+        """fsum of the magnitudes read: the halved ends and every chunk."""
+        return math.fsum(chain((0.5 * abs(end) for end in self.ends), self.sizes))
+
     def bracket(self) -> tuple[Fraction, Fraction]:
-        """Under FEJER, the centre (T + M)/2 and the half-width
+        """Under a bracketed rule, the centre (T + M)/2 and the half-width
         |T - M|/2 + e_T + e_M of the interval that holds the sum of the
-        exact panel errors over h^3/24."""
-        fraction, u, _, spread, _ = _model()
+        exact panel errors over the kernel's integral; made once per level."""
+        if self._bracket is not None:
+            return self._bracket
+        model = _model()
+        fraction, u = model.fraction, model.u
         halves = [0.5 * end for end in self.ends]
         trapezoid = fraction(math.fsum(chain(halves, self.sums[:self.top])))
         midpoint = fraction(math.fsum(self.sums[self.top:]))
-        sizes = math.fsum(chain(map(abs, halves), self.sizes))
-        slack = spread * fraction(sizes) + u * (abs(trapezoid) + abs(midpoint))
-        return (trapezoid + midpoint) / 2, abs(trapezoid - midpoint) / 2 + slack
+        slack = model.spread * fraction(self._size()) + u * (abs(trapezoid) + abs(midpoint))
+        self._bracket = (trapezoid + midpoint) / 2, abs(trapezoid - midpoint) / 2 + slack
+        return self._bracket
 
     def truncation(self) -> float:
         """h^3/24 times a bound on the exact weight (the sum of each
         subinterval's endpoint mean of |f''| under CONVEX_Q1, max under
-        QUASI_Q1) or under FEJER on the bracket's half-width; rounded up."""
-        fraction, _, inflation, _, deflation = _model()
+        QUASI_Q1), or under a bracketed rule the kernel's |integral| times
+        the bracket's half-width; rounded up."""
+        model = _model()
+        if self.kernel is not None:
+            return _up(abs(self._weight(self.n)) * self.bracket()[1])
         cube = (self.span / self.n) ** 3 / 24
-        if self.theorem is CertTheorem.FEJER:
-            return _up(cube * self.bracket()[1])
         if self.theorem is CertTheorem.QUASI_Q1:
             # every cut but a least one is the larger end of some subinterval
             total = math.fsum(chain(map(abs, self.ends), self.sizes))
-            weight = inflation * fraction(total) - deflation * fraction(self.least)
+            weight = (model.inflation * model.fraction(total)
+                      - model.deflation * model.fraction(self.least))
         else:
-            total = math.fsum(chain((0.5 * abs(end) for end in self.ends), self.sizes))
-            weight = inflation * fraction(total)
+            weight = model.inflation * model.fraction(self._size())
         return _up(cube * weight)
 
     def floor(self) -> Fraction:
-        """Lower bound, for convex |f''|, on the truncation part at
-        MAX_SUBINTERVALS from the |f''| sum at the new cuts of the last
-        doubling: h of the n/2 grid times it bounds the integral of |f''|
-        from below."""
+        """Lower bound on the truncation part at every level from this one
+        to MAX_SUBINTERVALS (see Floors in the module docstring); 0 under
+        QUASI_Q1.  Under CONVEX_Q1 it reads the |f''| sum at the new cuts
+        of the last doubling: h of the n/2 grid times it bounds the integral
+        of |f''| from below (0 before the first doubling)."""
         model = _model()
+        if self.kernel is not None:
+            return (abs(self._weight(MAX_SUBINTERVALS)) * model.spread
+                    * model.fraction(self._size()))
+        if self.theorem is CertTheorem.QUASI_Q1:
+            return model.fraction(0)
         odd_sum = math.fsum(self.sizes[self.top:])
         return (self.span ** 2 / (24 * MAX_SUBINTERVALS ** 2)
                 * (2 * self.span / self.n) * model.fraction(odd_sum) * model.deflation)
 
     def certificate(self, truncation: float) -> CertifiedIntegral:
-        """Evaluate f at the n midpoints and close the certificate."""
+        """Evaluate f at the n midpoints (and f' at a and b under CORRECTED)
+        and close the certificate."""
         n = self.n
         sums, sizes = [], []
         for total, size, _ in self._chunk_sums(self.fn.f, 2 * n, 2, "f"):
             sums.append(total)
             sizes.append(size)
-        fraction, u, _, spread, _ = _model()
+        model = _model()
+        fraction, u = model.fraction, model.u
         total = fraction(_finite_sum(sums, "f", n))
         h = self.span / n
         exact = h * total
-        if self.theorem is CertTheorem.FEJER:
-            exact += h ** 3 / 24 * self.bracket()[0]
+        error = h * (model.spread * fraction(math.fsum(sizes)) + u * abs(total))
+        if self.kernel is not None:
+            exact += self._weight(n) * self.bracket()[0]
+        if self.theorem is CertTheorem.CORRECTED:
+            left, right = self.fn.d1(self.iv.a), self.fn.d1(self.iv.b)
+            _finite_sum((abs(left), abs(right)), "f'", n)
+            exact += h * h / 24 * (fraction(right) - fraction(left))
+            error += h * h / 24 * model.share * (fraction(abs(left)) + fraction(abs(right)))
         estimate = float(exact)
-        rounding = _up(abs(fraction(estimate) - exact)
-                       + h * (spread * fraction(math.fsum(sizes)) + u * abs(total)))
+        rounding = _up(abs(fraction(estimate) - exact) + error)
         return CertifiedIntegral(
             estimate=estimate,
             error_radius=_up(fraction(truncation) + fraction(rounding)),
@@ -328,10 +425,11 @@ def integrate_certified(fn: TestFunction, iv: Interval, n: int,
 
     Walks from the odd part m of n (m + 1 cuts, then doublings), as
     ``refine_to_tolerance`` walks from 1: n + 1 f'' and n f evaluations,
-    2n + 1 f'' under FEJER.  Raises DomainError when iv leaves fn's domain
-    and HypothesisError when the sample of the 64-point grid's pairs refutes
-    the theorem's class on iv (both from ``Hypothesis.require``),
-    EvaluationError on a non-finite evaluation.
+    2n + 1 f'' under FEJER, and 2n + 1 f'''' and 2 f' under CORRECTED.
+    Raises DomainError when iv leaves fn's domain and HypothesisError when
+    the sample of the 64-point grid's pairs refutes the theorem's class on
+    iv, or under CORRECTED when fn declares no f'''' (both from
+    ``Hypothesis.require``), EvaluationError on a non-finite evaluation.
     """
     if n < 1:
         raise DomainError(f"need at least one subinterval, got {n}")
@@ -348,23 +446,24 @@ def refine_to_tolerance(fn: TestFunction, iv: Interval, tol: float,
     2^20, whose radius fits the tolerance.
 
     Equal to ``integrate_certified`` at the subinterval count it returns.
-    The search doubles on nested grids and reads f'' alone, one
-    evaluation per cut, until the truncation part fits; only then does it
-    evaluate f, at that level's midpoints, and accept the level when
-    truncation + rounding fits.  The truncation part scales as h^2 for
-    bounded |f''|, so the count grows as O(tol^(-1/2)); under FEJER it
-    scales as h^4 for smooth f'', so the count grows as O(tol^(-1/4)), and
-    for linear f'' it is exactly 0 in real arithmetic, leaving the rounding
-    part at n = 1.
+    The search doubles on nested grids and reads the rule's derivative
+    alone, one evaluation per cut, until the truncation part fits; only
+    then does it evaluate f, at that level's midpoints, and accept the
+    level when truncation + rounding fits.  The truncation part scales as
+    h^2 for bounded |f''|, so the count grows as O(tol^(-1/2)); under FEJER
+    it scales as h^4 for smooth f'', so the count grows as O(tol^(-1/4)),
+    and under CORRECTED as h^6 for smooth f'''', O(tol^(-1/6)).  For linear
+    f'' (FEJER) or f'''' (CORRECTED) it is exactly 0 in real arithmetic,
+    leaving the rounding part at n = 1.
 
     Raises DomainError and HypothesisError as ``integrate_certified`` does,
     EvaluationError on a non-finite evaluation, and ConvergenceError when
-    the radius is still above tol at 2^20 subintervals, under CONVEX_Q1 as
-    soon as the Hermite-Hadamard floor of the truncation part at 2^20 is
-    above tol, and as soon as the rounding part alone is above tol.  That last one is a
-    refusal, not a proof that no grid fits: a finer grid moves the rounding
-    part only through the midpoint sum of |f| and through |E|, which
-    approach fixed values, so it does not shrink with h.
+    the radius is still above tol at 2^20 subintervals, as soon as the
+    rule's floor (all but QUASI_Q1; see Floors in the module docstring) is
+    above tol, and as soon as the rounding part alone is above tol.  That
+    last one is a refusal, not a proof that no grid fits: a finer grid
+    moves the rounding part only through the midpoint sum of |f| and
+    through |E|, which approach fixed values, so it does not shrink with h.
     """
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
@@ -381,15 +480,14 @@ def refine_to_tolerance(fn: TestFunction, iv: Interval, tol: float,
                 raise ConvergenceError(
                     f"rounding part {cert.rounding_radius} alone is above {tol} at n={n}")
             radius = cert.error_radius
-        if n >= MAX_SUBINTERVALS:
-            raise ConvergenceError(f"radius {radius} still above {tol} at n={n}")
-        walk.double()
-        if theorem is CertTheorem.CONVEX_Q1:
-            # the new cuts are the midpoints of the n-grid: for convex |f''|
-            # their midpoint sum is at most its integral, which is at most
-            # the trapezoid sum inside every finer truncation part
+        else:
+            # the floor is at most this level's truncation part, so it can
+            # refuse only here
             floor = walk.floor()
             if floor > tol:
                 raise ConvergenceError(
                     f"radius at n={MAX_SUBINTERVALS} is at least {float(floor)} "
-                    f"(Hermite-Hadamard floor from the cuts at n={2 * n}), above {tol}")
+                    f"(floor from the {walk.what} read up to n={n}), above {tol}")
+        if n >= MAX_SUBINTERVALS:
+            raise ConvergenceError(f"radius {radius} still above {tol} at n={n}")
+        walk.double()

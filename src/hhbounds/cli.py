@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import re
@@ -35,8 +36,10 @@ EXIT_USAGE = 2
 EXIT_HYPOTHESIS = 3
 
 #: the rules `hh certify` tries, in order, until one's class check passes:
-#: Fejer's two-sided bracket, then the paper's convex and quasi-convex rules
-_CERTIFY_RULES = (CertTheorem.FEJER, CertTheorem.CONVEX_Q1, CertTheorem.QUASI_Q1)
+#: Fejer's two-sided bracket on the corrected midpoint rule, then on the
+#: plain one, then the paper's convex and quasi-convex rules
+_CERTIFY_RULES = (CertTheorem.CORRECTED, CertTheorem.FEJER, CertTheorem.CONVEX_Q1,
+                  CertTheorem.QUASI_Q1)
 
 #: a negative number, exponent form included; argparse's own matcher has
 #: no exponent form and so reads "-1e-3" as an option
@@ -44,6 +47,7 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the hh command line (``main`` builds one per process)."""
     parser = argparse.ArgumentParser(
         prog="hh",
         description="Midpoint-rule error bounds, their verification sweeps, "
@@ -176,9 +180,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call of this process shares: built on the
+    first call, not at import, and never changed by parsing."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except HypothesisError as exc:

@@ -114,10 +114,13 @@ class ConjugatePair:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """An evaluable (f, f', f'') triple over a declared domain.
+    """An evaluable (f, f', f'') triple, with f'''' when known, over a
+    declared domain.
 
-    ``domain`` is None when the function is defined on all reals; bounded
-    domains keep singular functions (1/x, ln x) away from their poles.
+    ``d4`` is None when no f'''' is given; the certifier's corrected rule
+    then refuses the function.  ``domain`` is None when the function is
+    defined on all reals; bounded domains keep singular functions (1/x,
+    ln x) away from their poles.
     ``window`` is the canonical interval that sweeps sample subintervals
     from; for bounded domains it coincides with the domain.  It declares no
     class: whether |f''| is convex or quasi-convex on an interval is decided
@@ -130,6 +133,7 @@ class TestFunction:
     d2: Evaluator
     window: Interval
     domain: Interval | None = None
+    d4: Evaluator | None = None
 
     def __post_init__(self) -> None:
         if self.domain is not None and not self.domain.contains(self.window):
@@ -195,13 +199,14 @@ def polynomial(coeffs: Sequence[float], *, id: str | None = None,
                window: Interval | None = None) -> TestFunction:
     """Build a TestFunction from polynomial coefficients (constant first).
 
-    Derivatives are exact.
+    Derivatives (f', f'' and f'''') are exact.
     """
     cs = [float(c) for c in coeffs]
     if not cs:
         raise DomainError("need at least one coefficient")
     d1cs = [i * c for i, c in enumerate(cs)][1:]
     d2cs = [i * c for i, c in enumerate(d1cs)][1:]
+    d4cs = [i * (i - 1) * (i - 2) * (i - 3) * c for i, c in enumerate(cs)][4:]
 
     def horner(coefs: list[float]) -> Evaluator:
         def ev(x: float) -> float:
@@ -218,11 +223,12 @@ def polynomial(coeffs: Sequence[float], *, id: str | None = None,
         d2=horner(d2cs) if d2cs else (lambda x: 0.0),
         window=window or Interval(-1.0, 1.0),
         domain=None,
+        d4=horner(d4cs) if d4cs else (lambda x: 0.0),
     )
 
 
 def builtin_catalog() -> list[TestFunction]:
-    """Reference functions with exact closed-form first and second derivatives.
+    """Reference functions with exact closed-form derivatives f', f'' and f''''.
 
     The positive-domain entries (1/x, -ln x, x^(5/2)) are restricted to
     [1/4, 4] so every evaluator is total on its declared domain.
@@ -230,28 +236,28 @@ def builtin_catalog() -> list[TestFunction]:
     pos = Interval(0.25, 4.0)
     return [
         TestFunction("x2", lambda x: x * x, lambda x: 2.0 * x, lambda x: 2.0,
-                     window=Interval(-1.5, 1.5)),
+                     window=Interval(-1.5, 1.5), d4=lambda x: 0.0),
         TestFunction("x3", lambda x: x ** 3, lambda x: 3.0 * x * x, lambda x: 6.0 * x,
-                     window=Interval(0.0, 2.0)),
+                     window=Interval(0.0, 2.0), d4=lambda x: 0.0),
         TestFunction("x4", lambda x: x ** 4, lambda x: 4.0 * x ** 3, lambda x: 12.0 * x * x,
-                     window=Interval(-1.5, 1.5)),
+                     window=Interval(-1.5, 1.5), d4=lambda x: 24.0),
         TestFunction("x5", lambda x: x ** 5, lambda x: 5.0 * x ** 4, lambda x: 20.0 * x ** 3,
-                     window=Interval(-1.5, 1.5)),
+                     window=Interval(-1.5, 1.5), d4=lambda x: 120.0 * x),
         TestFunction("inv_x", lambda x: 1.0 / x, lambda x: -1.0 / (x * x), lambda x: 2.0 / x ** 3,
-                     window=pos, domain=pos),
+                     window=pos, domain=pos, d4=lambda x: 24.0 / x ** 5),
         TestFunction("neg_ln", lambda x: -math.log(x), lambda x: -1.0 / x, lambda x: 1.0 / (x * x),
-                     window=pos, domain=pos),
+                     window=pos, domain=pos, d4=lambda x: 6.0 / x ** 4),
         TestFunction("exp", math.exp, math.exp, math.exp,
-                     window=Interval(-1.0, 1.0)),
+                     window=Interval(-1.0, 1.0), d4=math.exp),
         TestFunction("affine", lambda x: 3.0 * x + 1.0, lambda x: 3.0, lambda x: 0.0,
-                     window=Interval(0.0, 2.0)),
+                     window=Interval(0.0, 2.0), d4=lambda x: 0.0),
         # |f''| = 3.75*sqrt(x): increasing (quasi-convex) but strictly concave
         TestFunction("x_5_2", lambda x: x ** 2.5, lambda x: 2.5 * x ** 1.5,
                      lambda x: 3.75 * math.sqrt(x),
-                     window=pos, domain=pos),
+                     window=pos, domain=pos, d4=lambda x: -0.9375 / x ** 1.5),
         # |f''| = sin on [0, pi] is concave with interior peak: neither class
         TestFunction("sin", math.sin, math.cos, lambda x: -math.sin(x),
-                     window=Interval(0.0, math.pi)),
+                     window=Interval(0.0, math.pi), d4=math.sin),
     ]
 
 

@@ -10,8 +10,9 @@ refute a class on a grid but cannot certify it.
 
 The convexity and quasi-convexity checks test every pair of a 64-point
 grid at the pair's midpoint.  Those midpoints are the 127-point fine grid
-a + k*width/126, so the checks of signed f'' (``CONVEX_OR_CONCAVE_F2``),
-of |f''| for quasi-convexity and of |f'| read the derivative there once,
+a + k*width/126, so the checks of signed f'' and f''''
+(``CONVEX_OR_CONCAVE_F2``, ``CONVEX_OR_CONCAVE_F4``), of |f''| for
+quasi-convexity and of |f'| read the derivative there once,
 127 evaluations, and test the pairs on those values.  The check of |f''|
 for convexity (``CONVEX_D2``) still evaluates each pair's midpoint anew,
 64 + 2,016 evaluations.
@@ -273,9 +274,13 @@ class Hypothesis:
 
     def require(self, fn: TestFunction, iv: Interval) -> None:
         """Raise DomainError when iv leaves fn's domain, HypothesisError
-        when the sample refutes the class on iv."""
+        when fn declares no such derivative (an optional ``d4`` left None)
+        or the sample refutes the class on iv."""
         if not fn.defined_on(iv):
             raise DomainError(f"[{iv.a}, {iv.b}] is outside the domain of {fn.id!r}")
+        if getattr(fn, self.derivative) is None:
+            raise HypothesisError(f"class check failed: {fn.id!r} declares no "
+                                  f"{self.magnitude}")
         if not self.check(fn, iv):
             raise HypothesisError(f"class check failed: {self.magnitude} of {fn.id!r} "
                                   f"is not {self.kind} on [{iv.a}, {iv.b}]")
@@ -293,3 +298,6 @@ CONVEX_D1 = Hypothesis("d1", "|f'|", "convex",
 #: check runs for the one sign the fine grid's bends leave open
 CONVEX_OR_CONCAVE_F2 = Hypothesis("d2", "f''", "convex or concave",
                                   lambda fn, iv: signed_convexity_holds(fn.d2, iv))
+#: signed f'''' convex or concave, the class of the corrected rule's bracket
+CONVEX_OR_CONCAVE_F4 = Hypothesis("d4", "f''''", "convex or concave",
+                                  lambda fn, iv: signed_convexity_holds(fn.d4, iv))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 from itertools import chain
 
 import pytest
@@ -35,9 +36,15 @@ def cli_theorem(fn, iv):
     return None
 
 
-def counted(fn):
-    """fn with f and f'' replaced by evaluators that count their calls."""
-    calls = {"f": 0, "d2": 0}
+#: the rules that read f'', whose walk tests below read ``fn.d2``;
+#: ``TestCorrected`` has their counterparts for the rule that reads f''''
+F2_RULES = [CertTheorem.CONVEX_Q1, CertTheorem.QUASI_Q1, CertTheorem.FEJER]
+
+
+def counted(fn, *keys):
+    """fn with f and f'' (or the evaluators named) replaced by evaluators
+    that count their calls."""
+    calls = dict.fromkeys(keys or ("f", "d2"), 0)
 
     def count(key, ev):
         def wrapped(x):
@@ -45,7 +52,7 @@ def counted(fn):
             return ev(x)
         return wrapped
 
-    return dataclasses.replace(fn, f=count("f", fn.f), d2=count("d2", fn.d2)), calls
+    return dataclasses.replace(fn, **{key: count(key, getattr(fn, key)) for key in calls}), calls
 
 
 @pytest.fixture
@@ -282,9 +289,10 @@ def exact_integral(fid, a, b):
         return big(mpmath.mpf(b)) - big(mpmath.mpf(a))
 
 
-def recorded(fn):
-    """fn with f and f'' replaced by evaluators that record their arguments."""
-    seen = {"f": [], "d2": []}
+def recorded(fn, *keys):
+    """fn with f and f'' (or the evaluators named) replaced by evaluators
+    that record their arguments."""
+    seen = {key: [] for key in keys or ("f", "d2")}
 
     def record(key, ev):
         def wrapped(x):
@@ -292,7 +300,7 @@ def recorded(fn):
             return ev(x)
         return wrapped
 
-    return dataclasses.replace(fn, f=record("f", fn.f), d2=record("d2", fn.d2)), seen
+    return dataclasses.replace(fn, **{key: record(key, getattr(fn, key)) for key in seen}), seen
 
 
 class TestFloatingPoint:
@@ -306,7 +314,7 @@ class TestFloatingPoint:
         assert res.error_radius >= res.truncation_radius + res.rounding_radius
 
     @pytest.mark.parametrize("n", [5, 3 << 4])
-    @pytest.mark.parametrize("theorem", list(CertTheorem))
+    @pytest.mark.parametrize("theorem", F2_RULES)
     @pytest.mark.usefixtures("class_checks_pass")
     def test_walk_from_the_odd_part_reads_every_cut_once(self, by_id, n, theorem):
         fn, seen = recorded(by_id["inv_x"])
@@ -338,7 +346,7 @@ class TestFloatingPoint:
         assert res.estimate == pytest.approx(midpoint_sum, rel=1e-15)
         assert abs(res.estimate - math.log(2.0)) <= res.error_radius
 
-    @pytest.mark.parametrize("theorem", list(CertTheorem))
+    @pytest.mark.parametrize("theorem", F2_RULES)
     def test_level_above_chunk_weight_matches_one_fsum(self, by_id, theorem):
         fn, iv = by_id["exp"], Interval(-1.0, 1.0)
         walk = certifier._Walk(fn, iv, theorem, 1)
@@ -392,7 +400,7 @@ def _function(f=lambda x: x * x, d2=lambda x: 2.0):
 
 
 class TestNonFinite:
-    @pytest.mark.parametrize("theorem", list(CertTheorem))
+    @pytest.mark.parametrize("theorem", F2_RULES)
     @pytest.mark.usefixtures("class_checks_pass")
     def test_nan_second_derivative_fails_at_the_first_level(self, theorem):
         fn, calls = counted(_function(d2=lambda x: math.nan))
@@ -563,3 +571,246 @@ class TestQuasi:
         weight = math.fsum(map(max, g, g[1:]))
         assert res.truncation_radius == pytest.approx(h ** 3 / 24 * weight, rel=1e-14)
         assert 0 < g.index(min(g)) < n
+
+
+def peano_kernel(t, h):
+    """The corrected midpoint rule's Peano kernel L on the panel [0, h]: the
+    panel's error is the integral of L f''''.  L'' is the midpoint rule's
+    peak kernel minus h^2/24, and L and L' vanish at both ends."""
+    s = min(t, h - t)
+    return s ** 4 / 24 - h * h * s * s / 48
+
+
+def kernel_moment(g, h):
+    """The exact integral over [0, h] of L times the polynomial with
+    rational coefficients g (constant first): by the symmetry of L, the
+    integral over [0, h/2] of L(s) (g(s) + g(h - s))."""
+    n = len(g)
+    # g(s) + g(h - s), expanded in powers of s
+    both = [g[j] + sum(g[i] * math.comb(i, j) * h ** (i - j) * (-1) ** j for i in range(j, n))
+            for j in range(n)]
+    left = [Fraction(0)] * 2 + [-h * h / 48] + [Fraction(0), Fraction(1, 24)]  # L on [0, h/2]
+    product = [Fraction(0)] * (len(left) + n - 1)
+    for i, p in enumerate(left):
+        for j, q in enumerate(both):
+            product[i + j] += p * q
+    return sum(c * (h / 2) ** (k + 1) / (k + 1) for k, c in enumerate(product))
+
+
+#: the certify ladder under CORRECTED with the n each rung takes (390 in
+#: all, against 2,564 under FEJER), then requests that take hundreds to
+#: thousands of panels under the other rules
+CORRECTED_LADDER = [
+    ("x2", 0.0, 1.0, 1e-6, 1),
+    ("exp", -1.0, 1.0, 1e-8, 16),
+    ("x3", 0.0, 2.0, 1e-8, 1),
+    ("x4", -1.5, 1.5, 1e-8, 1),
+    ("affine", 0.0, 2.0, 1e-12, 1),
+    ("x_5_2", 0.25, 4.0, 1e-9, 64),
+    ("inv_x", 1.0, 2.0, 1e-10, 32),
+    ("x5", 0.5, 1.5, 1e-10, 1),
+    ("neg_ln", 0.5, 3.0, 1e-10, 128),
+    ("x_5_2", 1.0, 2.0, 1e-10, 16),
+    ("x2", 0.0, 1.0, 1e-12, 1),
+    ("inv_x", 1.0, 2.0, 1e-12, 64),
+    ("exp", -1.0, 1.0, 1e-11, 64),
+    ("x4", -1.5, 1.5, 1e-12, 1),
+    ("sin", 0.0, 3.0, 1e-10, 64),
+    ("x_5_2", 1.0, 2.0, 1e-14, 64),
+    ("x5", -1.0, 1.0, 1e-6, 1),
+    ("inv_x", 0.25, 4.0, 1e-13, 1024),
+]
+
+
+def _with_d4(d4, f=lambda x: x * x, d1=lambda x: 2.0 * x):
+    return core.TestFunction("custom", f, d1, lambda x: 2.0, UNIT, d4=d4)
+
+
+class TestCorrected:
+    def test_peano_kernel_in_fractions(self):
+        kernel = certifier._KERNELS[CertTheorem.CORRECTED]
+        weight = Fraction(kernel.numerator, kernel.denominator)
+        assert (weight, kernel.power) == (Fraction(-7, 5760), 5)
+        # x^4 on [0, 1]: 1/5 - 1/16 (midpoint) - 1/6 (end correction)
+        assert Fraction(1, 5) - Fraction(1, 16) - Fraction(4, 24) == Fraction(-7, 240) == 24 * weight
+        for h in (Fraction(1), Fraction(3, 2)):
+            assert all(peano_kernel(h * k / 96, h) <= 0 for k in range(97))
+            assert kernel_moment([Fraction(1)], h) == weight * h ** 5
+            # L is the kernel: for f = x^k on [0, h], the panel's error (the
+            # integral minus h f(h/2) minus h^2/24 (f'(h) - f'(0))) is the
+            # integral of L f''''
+            for k in range(4, 9):
+                error = h ** (k + 1) / (k + 1) - h * (h / 2) ** k - h * h / 24 * k * h ** (k - 1)
+                f4 = [Fraction(0)] * (k - 4) + [Fraction(k * (k - 1) * (k - 2) * (k - 3))]
+                assert kernel_moment(f4, h) == error, (h, k)
+
+    @pytest.mark.parametrize("fid, a, b, tol, n", CORRECTED_LADDER)
+    def test_every_rung_encloses_the_exact_integral(self, by_id, fid, a, b, tol, n):
+        res = refine_to_tolerance(by_id[fid], Interval(a, b), tol, CertTheorem.CORRECTED)
+        assert res.theorem_used is CertTheorem.CORRECTED
+        assert res.subintervals == n
+        assert res.error_radius <= tol
+        assert res.error_radius >= res.truncation_radius + res.rounding_radius
+        assert abs(res.estimate - exact_integral(fid, a, b)) <= res.error_radius
+
+    def test_radius_scaled_by_0_75_misses_some_rung(self, by_id):
+        misses = []
+        for fid, a, b, tol, _ in CORRECTED_LADDER:
+            res = refine_to_tolerance(by_id[fid], Interval(a, b), tol, CertTheorem.CORRECTED)
+            miss = abs(res.estimate - exact_integral(fid, a, b))
+            misses.append(miss > 0.75 * res.error_radius)
+        assert any(misses)
+
+    @pytest.mark.parametrize("fid, a, b, tol", [
+        (fid, a, b, tol) for fid, a, b, tol, _ in CORRECTED_LADDER])
+    def test_equals_single_pass_at_the_fewest_doublings(self, by_id, fid, a, b, tol):
+        fn, iv = by_id[fid], Interval(a, b)
+        res = refine_to_tolerance(fn, iv, tol, CertTheorem.CORRECTED)
+        n = res.subintervals
+        assert res == integrate_certified(fn, iv, n, CertTheorem.CORRECTED)
+        if n > 1:
+            assert integrate_certified(fn, iv, n // 2, CertTheorem.CORRECTED).error_radius > tol
+
+    @pytest.mark.parametrize("fid, a, b, tol", [
+        ("exp", -1.0, 1.0, 1e-8),
+        ("x_5_2", 0.25, 4.0, 1e-9),
+        ("inv_x", 1.0, 2.0, 1e-12),
+    ])
+    @pytest.mark.usefixtures("class_checks_pass")
+    def test_reads_f4_at_2n_plus_1_cuts_f_at_n_midpoints_and_f1_at_the_ends(
+            self, by_id, fid, a, b, tol):
+        fn, calls = counted(by_id[fid], "f", "d1", "d2", "d4")
+        res = refine_to_tolerance(fn, Interval(a, b), tol, CertTheorem.CORRECTED)
+        n = res.subintervals
+        assert n > 1
+        assert calls == {"f": n, "d1": 2, "d2": 0, "d4": 2 * n + 1}
+        for n in (5, 48, 64):
+            fn, calls = counted(by_id[fid], "f", "d1", "d2", "d4")
+            integrate_certified(fn, Interval(a, b), n, CertTheorem.CORRECTED)
+            assert calls == {"f": n, "d1": 2, "d2": 0, "d4": 2 * n + 1}
+
+    @pytest.mark.parametrize("n", [5, 3 << 4])
+    @pytest.mark.usefixtures("class_checks_pass")
+    def test_walk_from_the_odd_part_reads_every_cut_once(self, by_id, n):
+        fn, seen = recorded(by_id["inv_x"], "f", "d1", "d4")
+        iv = Interval(1.0, 2.0)
+        res = integrate_certified(fn, iv, n, CertTheorem.CORRECTED)
+        cuts = [iv.a + iv.width * i / (2 * n) for i in range(2 * n)] + [iv.b]
+        mids = cuts[1::2]
+        assert sorted(seen["d4"]) == cuts
+        assert seen["f"] == mids
+        assert seen["d1"] == [iv.a, iv.b]
+        # the same certificate, summed at once over the whole grid
+        h = iv.width / n
+        g = [fn.d4(x) for x in cuts]
+        trapezoid = math.fsum([0.5 * g[0], 0.5 * g[-1]] + g[2:-1:2])
+        midpoint = math.fsum(g[1::2])
+        weight = 7 * h ** 5 / 5760
+        assert res.truncation_radius == pytest.approx(
+            weight * abs(trapezoid - midpoint) / 2, rel=1e-12)
+        estimate = (h * math.fsum(map(fn.f, mids)) + h * h / 24 * (fn.d1(iv.b) - fn.d1(iv.a))
+                    - weight * (trapezoid + midpoint) / 2)
+        assert res.estimate == pytest.approx(estimate, rel=1e-15)
+        assert abs(res.estimate - math.log(2.0)) <= res.error_radius
+
+    def test_level_above_chunk_weight_matches_one_fsum(self, by_id):
+        fn, iv = by_id["exp"], Interval(-1.0, 1.0)
+        walk = certifier._Walk(fn, iv, CertTheorem.CORRECTED, 1)
+        while walk.n <= 2 * CHUNK:
+            walk.double()
+        grid = 2 * walk.n
+        g = [fn.d4(iv.a + iv.width * i / grid) for i in range(grid)] + [fn.d4(iv.b)]
+        assert walk.ends == (g[0], g[-1])
+        halves = [0.5 * end for end in walk.ends]
+        pairs = [(math.fsum(walk.sums), g[1:-1]),
+                 (math.fsum(walk.sizes), [abs(y) for y in g[1:-1]]),
+                 (math.fsum(chain(halves, walk.sums[:walk.top])),
+                  [0.5 * g[0], 0.5 * g[-1]] + g[2:-1:2]),
+                 (math.fsum(walk.sums[walk.top:]), g[1::2])]
+        for computed, terms in pairs:
+            reference = math.fsum(terms)
+            assert abs(computed - reference) <= 2.0 ** -53 * reference
+
+    def test_end_correction(self, by_id):
+        # x2 on [0, 1] at n = 1: Q = 1/4 + 1/24 (2 - 0) = 1/3, exact
+        res = integrate_certified(by_id["x2"], UNIT, 1, CertTheorem.CORRECTED)
+        assert res.estimate == 1.0 / 3.0
+        assert res.truncation_radius == 0.0
+
+    @pytest.mark.usefixtures("class_checks_pass")
+    def test_rounding_part_holds_the_two_f1_reads(self):
+        # f = 0 and f'''' = 0 leave only the error bound of the two f'
+        # reads, h^2/24 * share * (|f'(a)| + |f'(b)|), in the rounding part
+        fn = _with_d4(lambda x: 0.0, f=lambda x: 0.0, d1=lambda x: 1e6)
+        share = certifier._model().share
+        for n in (1, 4):
+            res = integrate_certified(fn, UNIT, n, CertTheorem.CORRECTED)
+            assert res.estimate == 0.0 == res.truncation_radius
+            assert res.rounding_radius == certifier._up(
+                Fraction(1, 24 * n * n) * share * 2 * 10 ** 6)
+
+    def test_refuses_a_function_without_f4_before_any_evaluation(self):
+        fn, calls = counted(_function(), "f", "d1", "d2")
+        assert fn.d4 is None
+        for call in (lambda: refine_to_tolerance(fn, UNIT, 1e-6, CertTheorem.CORRECTED),
+                     lambda: integrate_certified(fn, UNIT, 4, CertTheorem.CORRECTED)):
+            with pytest.raises(HypothesisError, match="'custom' declares no f''''"):
+                call()
+        assert calls == {"f": 0, "d1": 0, "d2": 0}
+
+    def test_refuses_where_f4_changes_convexity(self, by_id):
+        # f'''' = sin and f'' = -sin both bend both ways around pi: the CLI
+        # falls back to quasi_q1 there
+        for theorem, derivative in ((CertTheorem.CORRECTED, "f''''"),
+                                    (CertTheorem.FEJER, "f''")):
+            with pytest.raises(HypothesisError,
+                               match=f"{derivative} of 'sin' is not convex or concave"):
+                refine_to_tolerance(by_id["sin"], QUASI_IV, 1e-8, theorem)
+
+    @pytest.mark.usefixtures("class_checks_pass")
+    def test_nan_fourth_derivative_fails_at_the_first_level(self):
+        fn, calls = counted(_with_d4(lambda x: math.nan), "f", "d4")
+        with pytest.raises(EvaluationError, match="f'''' is not finite"):
+            refine_to_tolerance(fn, UNIT, 1e-6, CertTheorem.CORRECTED)
+        assert calls == {"f": 0, "d4": 2}
+        with pytest.raises(EvaluationError):
+            integrate_certified(fn, UNIT, 64, CertTheorem.CORRECTED)
+
+    @pytest.mark.usefixtures("class_checks_pass")
+    def test_non_finite_first_derivative_gives_no_certificate(self):
+        fn = _with_d4(lambda x: 0.0, d1=lambda x: math.inf)
+        with pytest.raises(EvaluationError, match="f' is not finite"):
+            refine_to_tolerance(fn, UNIT, 1e-6, CertTheorem.CORRECTED)
+
+    @pytest.mark.parametrize("theorem, derivative", [(CertTheorem.CORRECTED, "d4"),
+                                                     (CertTheorem.FEJER, "d2")])
+    @pytest.mark.usefixtures("class_checks_pass")
+    def test_floor_refuses_before_reading_f(self, by_id, theorem, derivative):
+        # exp over [0, 700]: the rounding slack of the sums read at n = 1
+        # already puts every truncation part up to 2^20 above the tolerance
+        fn, calls = counted(by_id["exp"], "f", derivative)
+        with pytest.raises(ConvergenceError, match="at least"):
+            refine_to_tolerance(fn, Interval(0.0, 700.0), 1e-6, theorem)
+        assert calls == {"f": 0, derivative: 3}
+
+    @pytest.mark.parametrize("theorem", [CertTheorem.CORRECTED, CertTheorem.FEJER])
+    # x4 and x5 (FEJER: x2, x3) have T = M, so the half-width is the slack
+    # alone and the floor is within a few u of it at the cap
+    @pytest.mark.parametrize("fid, a, b", [("exp", -1.0, 1.0), ("inv_x", 1.0, 2.0),
+                                           ("exp", 0.0, 700.0), ("x4", -1.5, 1.5),
+                                           ("x5", 0.5, 1.5), ("x3", 0.0, 2.0)])
+    def test_floor_bounds_every_finer_truncation_part(self, by_id, monkeypatch,
+                                                      theorem, fid, a, b):
+        monkeypatch.setattr(certifier, "MAX_SUBINTERVALS", 1 << 8)
+        walk = certifier._Walk(by_id[fid], Interval(a, b), theorem, 1)
+        floors, parts = [], []
+        while True:
+            floors.append(walk.floor())
+            parts.append(walk.truncation())
+            if walk.n == 1 << 8:
+                break
+            walk.double()
+        assert floors == sorted(floors)
+        # a part past the float range reads +inf, above every floor
+        assert all(floor <= Fraction(part) for level, floor in enumerate(floors)
+                   for part in parts[level:] if part < math.inf)

@@ -205,18 +205,18 @@ class TestCertifyCommand:
         assert run("certify", "sin", "0", "6", "1e-6").returncode == 3
 
     @pytest.mark.parametrize("args, theorem, n", [
-        # f'' = -sin is convex on [0, pi]
-        (("sin", "0", "3", "1e-10"), "fejer", 256),
-        (("x4", "-1.5", "1.5", "1e-12"), "fejer", 2048),
-        (("x_5_2", "1", "2", "1e-14"), "fejer", 1024),
-        # f'' = 20 x^3 turns at 0, |f''| = 20 |x|^3 is convex
-        (("x5", "-1", "1", "1e-6"), "convex_q1", 2048),
-        # f'' = -sin bends both ways around pi, where |f''| = |sin| has its
-        # least value: quasi-convex only
+        # f'''' = sin is convex on [0, pi]
+        (("sin", "0", "3", "1e-10"), "corrected_fejer", 64),
+        # f'''' is constant (x4) or linear (x5): only rounding is left at n = 1
+        (("x4", "-1.5", "1.5", "1e-12"), "corrected_fejer", 1),
+        (("x5", "-1", "1", "1e-6"), "corrected_fejer", 1),
+        (("x_5_2", "1", "2", "1e-14"), "corrected_fejer", 64),
+        # f'''' = sin and f'' = -sin bend both ways around pi, where
+        # |f''| = |sin| has its least value: quasi-convex only
         (("sin", "2", "4.5", "1e-6"), "quasi_q1", 1024),
-        # f'' = 3.75 sqrt(x) is concave, and so nearly linear here that every
-        # fine-grid bend is within the class tolerance
-        (("x_5_2", "1", "1.001", "1e-14"), "fejer", 1),
+        # f'''' = -0.9375 x^-1.5 is concave, and so nearly linear here that
+        # every fine-grid bend is within the class tolerance
+        (("x_5_2", "1", "1.001", "1e-14"), "corrected_fejer", 1),
     ])
     def test_names_the_rule_and_both_radius_parts(self, args, theorem, n):
         proc = run("certify", *args)
@@ -225,6 +225,30 @@ class TestCertifyCommand:
         assert (row["theorem"], row["n"], row["enclosed"]) == (theorem, n, True)
         assert row["error_radius"] >= row["truncation_radius"] + row["rounding_radius"]
         assert row["error_radius"] <= float(args[-1])
+
+    @pytest.mark.parametrize("args, theorem, n", [
+        # f'' = 12 x^2 is convex
+        (("x4", "-1.5", "1.5", "1e-12"), "fejer", 2048),
+        # f'' = 20 x^3 turns at 0, |f''| = 20 |x|^3 is convex
+        (("x5", "-1", "1", "1e-6"), "convex_q1", 2048),
+    ])
+    def test_a_function_without_f4_falls_back_to_the_next_rule(self, args, theorem, n,
+                                                                 monkeypatch, capsys):
+        catalog = cli.catalog_by_id()
+        monkeypatch.setattr(cli, "catalog_by_id", lambda: {
+            fid: dataclasses.replace(fn, d4=None) for fid, fn in catalog.items()})
+        assert cli.main(["certify", *args]) == 0
+        row = json.loads(capsys.readouterr().out)
+        assert (row["theorem"], row["n"], row["enclosed"]) == (theorem, n, True)
+
+    def test_tolerance_below_every_grid_fails_fast(self):
+        # exp over [0, 700]: the rounding slack of the f'''' sums at n = 1
+        # already puts the radius at 2^20 panels above 1e-6
+        proc = run("certify", "exp", "0", "700", "1e-6")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "is at least" in proc.stderr and "n=1)" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("args", [("inv_x", "1", "2", "1e-12"), ("exp", "-1", "1", "1e-11")])
     def test_tight_rungs_enclose(self, args):
@@ -398,3 +422,30 @@ def test_startup_loads_the_standard_library_alone_and_no_fractions():
     third_party, deferred = json.loads(proc.stdout)
     assert third_party == []
     assert deferred == []
+
+
+def test_parser_is_built_once_and_reused_after_a_usage_error(capsys):
+    # one process, as the benchmark and library callers run hh: the output
+    # of each call is that of a fresh `hh` run
+    calls = [["means", "1", "2"], ["certify", "x2", "0"],
+             ["certify", "x4", "-1.5", "1.5", "1e-12", "--csv"], ["means", "1", "2"]]
+    outputs = []
+    for argv in calls:
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            rc = exc.code
+        captured = capsys.readouterr()
+        outputs.append((rc, captured.out, captured.err))
+    assert [rc for rc, _, _ in outputs] == [0, 2, 0, 0]
+    for argv, output in zip(calls, outputs):
+        proc = run(*argv)
+        assert output == (proc.returncode, proc.stdout, proc.stderr)
+    assert cli._parser() is cli._parser()
+
+
+def test_import_builds_no_parser():
+    code = "import hhbounds.cli as cli; print(cli._parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"

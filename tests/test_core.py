@@ -1,9 +1,12 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hhbounds.certifier import ULPS
 from hhbounds.core import (
     ConjugatePair,
     DomainError,
@@ -123,3 +126,77 @@ class TestPolynomial:
     def test_rejects_empty_coefficients(self):
         with pytest.raises(DomainError):
             polynomial([])
+
+
+#: the catalog's f' and f'''' in mpmath, written from the calculus
+def _exact_derivatives(mp):
+    three_halves = mp.mpf(3) / 2
+    return {
+        "x2": (lambda x: 2 * x, lambda x: mp.mpf(0)),
+        "x3": (lambda x: 3 * x ** 2, lambda x: mp.mpf(0)),
+        "x4": (lambda x: 4 * x ** 3, lambda x: mp.mpf(24)),
+        "x5": (lambda x: 5 * x ** 4, lambda x: 120 * x),
+        "inv_x": (lambda x: -1 / x ** 2, lambda x: 24 / x ** 5),
+        "neg_ln": (lambda x: -1 / x, lambda x: 6 / x ** 4),
+        "exp": (mp.exp, mp.exp),
+        "affine": (lambda x: mp.mpf(3), lambda x: mp.mpf(0)),
+        "x_5_2": (lambda x: mp.mpf(5) / 2 * x ** three_halves,
+                  lambda x: -mp.mpf(15) / 16 / x ** three_halves),
+        "sin": (mp.cos, mp.sin),
+    }
+
+
+def _exact_functions(mp):
+    return {"x2": lambda x: x ** 2, "x3": lambda x: x ** 3, "x4": lambda x: x ** 4,
+            "x5": lambda x: x ** 5, "inv_x": lambda x: 1 / x, "neg_ln": lambda x: -mp.log(x),
+            "exp": mp.exp, "affine": lambda x: 3 * x + 1,
+            "x_5_2": lambda x: x ** (mp.mpf(5) / 2), "sin": mp.sin}
+
+
+class TestCatalogDerivatives:
+    """f' and f'''' of every catalog entry: the closed forms are the
+    derivatives of f, and each evaluation is within the certifier's ``ULPS``
+    ulp of the exact value (its evaluation-error model)."""
+
+    def test_closed_forms_are_the_derivatives_of_f(self, catalog):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        with mp.workdps(50):
+            exact = _exact_derivatives(mp)
+            functions = _exact_functions(mp)
+            for fn in catalog:
+                for x in (fn.window.a + 0.3 * fn.window.width, fn.window.midpoint):
+                    for order, ref in zip((1, 4), exact[fn.id]):
+                        numeric = mp.diff(functions[fn.id], mp.mpf(x), order)
+                        assert abs(numeric - ref(mp.mpf(x))) <= mp.mpf(10) ** -30, (fn.id, order)
+
+    def test_evaluations_within_ulps_of_50_digit_values(self, catalog):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        rng = random.Random(2021)
+        with mp.workdps(50):
+            exact = _exact_derivatives(mp)
+            for fn in catalog:
+                xs = [rng.uniform(fn.window.a, fn.window.b) for _ in range(400)]
+                for name, ref in zip(("d1", "d4"), exact[fn.id]):
+                    evaluate = getattr(fn, name)
+                    for x in xs:
+                        want = ref(mp.mpf(x))
+                        got = evaluate(x)
+                        excess = abs(mp.mpf(got) - want) - ULPS * math.ulp(float(want))
+                        assert excess <= 0, (fn.id, name, x, got, float(want))
+
+
+class TestPolynomialFourthDerivative:
+    def test_exact_from_the_coefficients(self):
+        cs = [3.0, -1.0, 0.5, 2.0, -0.25, 1.5, 0.75]
+        fn = polynomial(cs)
+        # f'''' = sum over i >= 4 of i(i-1)(i-2)(i-3) c_i x^(i-4), in rationals
+        for x in (-1.5, -0.375, 0.0, 0.5, 1.25):
+            exact = sum(Fraction(i * (i - 1) * (i - 2) * (i - 3)) * Fraction(c)
+                        * Fraction(x) ** (i - 4) for i, c in enumerate(cs) if i >= 4)
+            assert fn.d4(x) == exact
+
+    def test_degree_below_four_has_zero_fourth_derivative(self):
+        for cs in ([7.0], [1.0, 2.0], [1.0, -2.0, 0.5, 4.0]):
+            assert polynomial(cs).d4(0.3) == 0.0

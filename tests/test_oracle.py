@@ -21,6 +21,7 @@ from hhbounds.oracle import (
     CONVEX_D1,
     CONVEX_D2,
     CONVEX_OR_CONCAVE_F2,
+    CONVEX_OR_CONCAVE_F4,
     MAX_PANELS,
     MONOTONE_D2,
     QUASICONVEX_D2,
@@ -300,6 +301,14 @@ class TestClassChecks:
                         check_quasiconvex_abs_d2(fn, fn.window),
                         MONOTONE_D2.check(fn, fn.window))
             assert verdicts == expected.get(fn.id, (True, True, True)), fn.id
+
+    def test_signed_fourth_derivative_class_on_every_window(self, catalog, by_id):
+        # f'''' is constant, linear, a power of x, exp or sin on [0, pi]:
+        # convex or concave on every window; sin bends both ways at pi
+        for fn in catalog:
+            assert CONVEX_OR_CONCAVE_F4.check(fn, fn.window), fn.id
+        for b in (4.5, 6.0):
+            assert not CONVEX_OR_CONCAVE_F4.check(by_id["sin"], Interval(2.0, b))
 
 
 class TestFineGridClassChecks:
