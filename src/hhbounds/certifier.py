@@ -131,6 +131,24 @@ floor is above the tolerance:
     level and every later one it is at least
     C (span/MAX_SUBINTERVALS)^k * spread * S, S as read now;
   - QUASI_Q1 has none, and the search runs to 2^20 on f'' alone.
+
+Decisions in floats.  Most levels of a search are rejected, and pricing
+one in exact rationals costs far more than the reads it decides on.  So
+``_Walk.screen`` first encloses the exact value that the truncation part
+rounds up, and the exact floor, in floats: the same formulas on the same
+computed sums, each operation rounded to nearest and stepped one float
+outward with ``math.nextafter`` (the rounding is within half a step;
+Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 2).  The
+rational constants are rounded outward once: spread, u, inflation and
+deflation per process, C span^k per walk (the floor's factor follows from
+it by outward operations).  The least term QUASI_Q1 subtracts is bounded
+the other way.  On the catalog's windows up to n = 2^10 the upper end of
+each enclosure is within 27u of its lower end.  A level whose truncation
+part is above the tolerance in floats, and whose floor is at most the
+tolerance in floats, is rejected without its rationals; a level at 2^20,
+the accepted level, any undecided one, and every number that is printed
+or raised still come from the exact code, so outputs and evaluation
+counts are those of the exact search.
 """
 
 from __future__ import annotations
@@ -252,6 +270,52 @@ def _up(x: Fraction) -> float:
     return y if y >= x else math.nextafter(y, math.inf)
 
 
+#: a float enclosure (lo, hi) of a real number >= 0, with 0 <= lo <= hi
+_Enclosure = tuple[float, float]
+
+
+def _enclose(x: Fraction) -> _Enclosure:
+    """The greatest float not above x >= 0 and the least not below it; the
+    greatest finite float and +inf above the float range."""
+    try:
+        y = float(x)
+    except OverflowError:
+        return math.nextafter(math.inf, 0.0), math.inf
+    if y == x:
+        return y, y
+    return (y, math.nextafter(y, math.inf)) if y < x else (math.nextafter(y, -math.inf), y)
+
+
+# Each operation on enclosures rounds to nearest and then steps one float
+# outward; a rounded value is within half a step of the exact one, so the
+# step covers it.  Lower ends step towards 0 and so stay >= 0.
+
+def _rounded(x: float) -> _Enclosure:
+    """An enclosure of the exact result >= 0 of an operation that rounded to x."""
+    return math.nextafter(x, 0.0), math.nextafter(x, math.inf)
+
+
+def _add(x: _Enclosure, y: _Enclosure) -> _Enclosure:
+    return math.nextafter(x[0] + y[0], 0.0), math.nextafter(x[1] + y[1], math.inf)
+
+
+def _mul(x: _Enclosure, y: _Enclosure) -> _Enclosure:
+    return math.nextafter(x[0] * y[0], 0.0), math.nextafter(x[1] * y[1], math.inf)
+
+
+def _div(x: _Enclosure, d: int) -> _Enclosure:
+    """x over d > 0."""
+    return math.nextafter(x[0] / d, 0.0), math.nextafter(x[1] / d, math.inf)
+
+
+@cache
+def _model_enclosures() -> dict[str, _Enclosure]:
+    """The model's constants the screen reads, each rounded outward once."""
+    model = _model()
+    return {name: _enclose(getattr(model, name))
+            for name in ("u", "spread", "inflation", "deflation")}
+
+
 def _finite_sum(values: Iterable[float], what: str, n: int) -> float:
     """fsum of values, refusing a NaN or infinite total."""
     try:
@@ -289,6 +353,7 @@ class _Walk:
         self.sums: list[float] = []
         self.sizes: list[float] = []
         self.top = 0
+        self._factors: tuple[_Enclosure, _Enclosure] | None = None
         self._read(n, 1)
         if self.kernel is not None:
             self._read(2 * n, 2)
@@ -337,6 +402,16 @@ class _Walk:
         """fsum of the magnitudes read: the halved ends and every chunk."""
         return math.fsum(chain((0.5 * abs(end) for end in self.ends), self.sizes))
 
+    def _total(self) -> float:
+        """fsum of the magnitudes read, the ends whole (QUASI_Q1's weight)."""
+        return math.fsum(chain(map(abs, self.ends), self.sizes))
+
+    def _sides(self) -> tuple[float, float]:
+        """Under a bracketed rule, T and M as computed: the fsums of the
+        derivative at the cuts, trapezoid-weighted, and at the midpoints."""
+        return (math.fsum(chain((0.5 * end for end in self.ends), self.sums[:self.top])),
+                math.fsum(self.sums[self.top:]))
+
     def bracket(self) -> tuple[Fraction, Fraction]:
         """Under a bracketed rule, the centre (T + M)/2 and the half-width
         |T - M|/2 + e_T + e_M of the interval that holds the sum of the
@@ -345,9 +420,7 @@ class _Walk:
             return self._bracket
         model = _model()
         fraction, u = model.fraction, model.u
-        halves = [0.5 * end for end in self.ends]
-        trapezoid = fraction(math.fsum(chain(halves, self.sums[:self.top])))
-        midpoint = fraction(math.fsum(self.sums[self.top:]))
+        trapezoid, midpoint = map(fraction, self._sides())
         slack = model.spread * fraction(self._size()) + u * (abs(trapezoid) + abs(midpoint))
         self._bracket = (trapezoid + midpoint) / 2, abs(trapezoid - midpoint) / 2 + slack
         return self._bracket
@@ -363,8 +436,7 @@ class _Walk:
         cube = (self.span / self.n) ** 3 / 24
         if self.theorem is CertTheorem.QUASI_Q1:
             # every cut but a least one is the larger end of some subinterval
-            total = math.fsum(chain(map(abs, self.ends), self.sizes))
-            weight = (model.inflation * model.fraction(total)
+            weight = (model.inflation * model.fraction(self._total())
                       - model.deflation * model.fraction(self.least))
         else:
             weight = model.inflation * model.fraction(self._size())
@@ -385,6 +457,56 @@ class _Walk:
         odd_sum = math.fsum(self.sizes[self.top:])
         return (self.span ** 2 / (24 * MAX_SUBINTERVALS ** 2)
                 * (2 * self.span / self.n) * model.fraction(odd_sum) * model.deflation)
+
+    def _outward_factors(self) -> tuple[_Enclosure, _Enclosure]:
+        """The factors of ``truncation`` and ``floor`` that depend on the
+        interval alone, made once per walk from C span^k (1/24 span^3 under
+        the Q1 rules, the kernel's |integral| at h = span otherwise) rounded
+        outward: the truncation part is the first over n^k times the weight,
+        the floor is the second times S (bracketed rules) or over n times
+        the odd cuts' sum (CONVEX_Q1)."""
+        model = _model_enclosures()
+        if self.kernel is not None:
+            part = _enclose(abs(self.scale) * self.span ** self.kernel.power)
+            return part, _mul(_div(part, MAX_SUBINTERVALS ** self.kernel.power),
+                              model["spread"])
+        part = _enclose(self.span ** 3 / 24)
+        if self.theorem is CertTheorem.QUASI_Q1:
+            return part, (0.0, 0.0)
+        # span^2/(24 MAX^2) * 2 span/n, the Hermite-Hadamard factor of floor
+        return (_mul(part, model["inflation"]),
+                _mul(_div(part, MAX_SUBINTERVALS ** 2 // 2), model["deflation"]))
+
+    def screen(self) -> tuple[_Enclosure, _Enclosure]:
+        """Float enclosures of the exact value that ``truncation`` rounds up
+        and of ``floor``: the same formulas on the same computed sums, with
+        every operation stepped outward (see Decisions in floats)."""
+        if self._factors is None:
+            self._factors = self._outward_factors()
+        part, floor = self._factors
+        model = _model_enclosures()
+        if self.kernel is not None:
+            trapezoid, midpoint = self._sides()
+            size = self._size()
+            half_width = _add(
+                _add(_mul((0.5, 0.5), _rounded(abs(trapezoid - midpoint))),
+                     _mul(model["spread"], (size, size))),
+                _mul(model["u"], _rounded(abs(trapezoid) + abs(midpoint))))
+            return (_div(_mul(part, half_width), self.n ** self.kernel.power),
+                    _mul(floor, (size, size)))
+        cubed = self.n ** 3
+        if self.theorem is CertTheorem.QUASI_Q1:
+            total, least = self._total(), self.least
+            inflated = _mul(model["inflation"], (total, total))
+            deflated = _mul(model["deflation"], (least, least))
+            # the least term is bounded the other way; the exact weight is
+            # >= 0, since total holds least
+            weight = (max(0.0, math.nextafter(inflated[0] - deflated[1], -math.inf)),
+                      math.nextafter(inflated[1] - deflated[0], math.inf))
+            return _div(_mul(part, weight), cubed), floor
+        size, odd_sum = self._size(), math.fsum(self.sizes[self.top:])
+        return (_div(_mul(part, (size, size)), cubed),
+                _div(_mul(floor, (odd_sum, odd_sum)), self.n))
 
     def certificate(self, truncation: float) -> CertifiedIntegral:
         """Evaluate f at the n midpoints (and f' at a and b under CORRECTED)
@@ -449,7 +571,9 @@ def refine_to_tolerance(fn: TestFunction, iv: Interval, tol: float,
     The search doubles on nested grids and reads the rule's derivative
     alone, one evaluation per cut, until the truncation part fits; only
     then does it evaluate f, at that level's midpoints, and accept the
-    level when truncation + rounding fits.  The truncation part scales as
+    level when truncation + rounding fits.  A level whose float enclosures
+    already reject it skips the exact rationals (see Decisions in floats
+    in the module docstring).  The truncation part scales as
     h^2 for bounded |f''|, so the count grows as O(tol^(-1/2)); under FEJER
     it scales as h^4 for smooth f'', so the count grows as O(tol^(-1/4)),
     and under CORRECTED as h^6 for smooth f'''', O(tol^(-1/6)).  For linear
@@ -471,6 +595,13 @@ def refine_to_tolerance(fn: TestFunction, iv: Interval, tol: float,
     walk = _Walk(fn, iv, theorem, 1)
     while True:
         n = walk.n
+        # a level whose truncation part is above tol in floats, below the
+        # cap and with its floor at most tol, doubles without the exact
+        # values; any other level decides on them
+        (low, _), (_, ceiling) = walk.screen()
+        if low > tol and ceiling <= tol and n < MAX_SUBINTERVALS:
+            walk.double()
+            continue
         radius = walk.truncation()
         if radius <= tol:
             cert = walk.certificate(radius)

@@ -16,13 +16,25 @@ quasi-convexity and of |f'| read the derivative there once,
 127 evaluations, and test the pairs on those values.  The check of |f''|
 for convexity (``CONVEX_D2``) still evaluates each pair's midpoint anew,
 64 + 2,016 evaluations.
+
+The pairs i + j = s of one anti-diagonal share their midpoint, so the
+sample refutes s iff that value is above the least of their thresholds.
+When the 64 grid values are convex in real arithmetic (every second
+difference is >= 0, a sign ``math.fsum`` gets exactly), g_i + g_{s-i} is
+convex and symmetric in i, so it is least at the innermost pair, and the
+threshold, a chain of monotone roundings of that sum, is least there too.
+When g + tol falls weakly to a least value and then rises weakly, the
+larger end of a pair is least at the innermost pair as well.  So
+``pairs_hold`` decides such samples on the 125 innermost pairs, with the
+verdict of all 2,016, and runs the full loop on any other sample.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 from .core import (
     ConvergenceError,
@@ -181,6 +193,36 @@ def fine_grid_sample(g: Callable[[float], float], iv: Interval) -> list[float]:
     return [g(x) for x in _grid(iv, 2 * CLASS_CHECK_GRID - 1)]
 
 
+def _convex(gs: list[float]) -> bool:
+    """True when gs is convex in real arithmetic: every second difference
+    g[k-1] + g[k+1] - 2 g[k] is >= 0, its sign exact through ``math.fsum``
+    (the doubling is exact).  False on a non-finite value or an overflow
+    in the doubling or in ``fsum``."""
+    try:
+        return math.isfinite(math.fsum(gs)) and min(map(
+            math.fsum, zip(gs, gs[2:], [-2.0 * g for g in gs[1:-1]]))) >= 0.0
+    except (OverflowError, ValueError):  # an intermediate overflow; inf - inf
+        return False
+
+
+def _valley(tops: list[float]) -> bool:
+    """True when tops falls weakly to a least value, then rises weakly:
+    a quasi-convex sequence.  Comparisons only, so a NaN makes it False."""
+    k, n = 1, len(tops)
+    while k < n and tops[k] <= tops[k - 1]:
+        k += 1
+    while k < n and tops[k] >= tops[k - 1]:
+        k += 1
+    return k == n
+
+
+def _innermost_pairs(fine: list[float], ends: list[float]) -> Iterator[tuple[float, ...]]:
+    """(fine[s], ends[i], ends[j]) for each s = 1 ... len(fine) - 2 and its
+    innermost pair j = s//2 + 1, i = s - j of the class grid: the
+    neighbours k, k + 1 for s = 2k + 1, and k - 1, k + 1 for s = 2k."""
+    return chain(zip(fine[1::2], ends, ends[1:]), zip(fine[2:-1:2], ends, ends[2:]))
+
+
 def pairs_hold(fine: list[float], quasi: bool = False) -> bool:
     """Sampling verdict from a ``fine_grid_sample``: for every pair i < j of
     the 64-point grid, the midpoint value fine[i + j] is at most the pair's
@@ -190,17 +232,40 @@ def pairs_hold(fine: list[float], quasi: bool = False) -> bool:
 
     Rounding x + tol is monotone in x, so max(u, v) + tol rounds to the
     larger of u + tol and v + tol, and the quasi-convex test compares each
-    midpoint with both ends' sums instead of forming the max."""
+    midpoint with both ends' sums instead of forming the max.
+
+    The pairs of one anti-diagonal i + j = s share their midpoint value,
+    so s is refuted iff fine[s] exceeds the least threshold over its pairs.
+    The 125 innermost pairs (``_innermost_pairs``) give the verdict of all
+    2,016 when the sample lets the least threshold be named:
+      - convex: the threshold 0.5 (g_i + g_j) + tol is made of roundings,
+        each monotone, of the exact sum g_i + g_j.  When the grid values g
+        are convex in real arithmetic (``_convex``), so is i -> g_i +
+        g_{s-i}, and it is symmetric about s/2; so it falls as i moves in
+        towards s/2, and the least sum, hence the least threshold, is the
+        innermost pair's;
+      - quasi-convex: when tops = g + tol falls weakly to a least value,
+        then rises weakly (``_valley``), every tops_k with i <= k <= s - i
+        is at most max(tops_i, tops_{s-i}), so that max is least at the
+        innermost pair; comparisons are exact, infinities included.
+    Any other sample (a non-finite grid value under the convex test, an
+    overflow, or one that is neither) runs the loop over every pair."""
     tol = CLASS_CHECK_TOL  # locals: the pair loop is hot
     gs = fine[::2]
     n = len(gs)
     if quasi:
         tops = [g + tol for g in gs]
+        if _valley(tops):
+            return not any(mid > ti and mid > tj
+                           for mid, ti, tj in _innermost_pairs(fine, tops))
         for i, ti in enumerate(tops):
             for mid, tj in zip(fine[2 * i + 1:i + n], tops[i + 1:]):
                 if mid > ti and mid > tj:
                     return False
         return True
+    if _convex(gs):
+        return not any(mid > 0.5 * (gi + gj) + tol
+                       for mid, gi, gj in _innermost_pairs(fine, gs))
     for i, gi in enumerate(gs):
         for mid, gj in zip(fine[2 * i + 1:i + n], gs[i + 1:]):
             if mid > 0.5 * (gi + gj) + tol:

@@ -814,3 +814,52 @@ class TestCorrected:
         # a part past the float range reads +inf, above every floor
         assert all(floor <= Fraction(part) for level, floor in enumerate(floors)
                    for part in parts[level:] if part < math.inf)
+
+
+class TestScreen:
+    """``_Walk.screen`` decides in floats what the exact values would."""
+
+    @pytest.mark.parametrize("theorem", list(CertTheorem))
+    def test_encloses_the_exact_truncation_part_and_floor(self, catalog, theorem,
+                                                          monkeypatch):
+        # with _up the identity, truncation() is the exact value it rounds up
+        monkeypatch.setattr(certifier, "_up", lambda x: x)
+        u = Fraction(1, 1 << 53)
+        for fn in catalog:
+            walk = certifier._Walk(fn, fn.window, theorem, 1)
+            while True:
+                for (low, high), exact in zip(walk.screen(), (walk.truncation(), walk.floor())):
+                    assert 0 <= Fraction(low) <= exact <= Fraction(high), (fn.id, walk.n)
+                    if exact > 0:
+                        assert Fraction(high) <= (1 + 64 * u) * Fraction(low), (fn.id, walk.n)
+                    else:
+                        # f'' or f'''' is 0 (affine, x2, x3) or no doubling has
+                        # happened (CONVEX_Q1's floor): subnormal noise at most
+                        assert low == 0.0 and high <= 1e-320, (fn.id, walk.n)
+                if walk.n == 1 << 10:
+                    break
+                walk.double()
+
+    @pytest.mark.parametrize("tol", [1e300, 1e-4, 1e-8, 1e-12, 1e-300])
+    @pytest.mark.parametrize("theorem", list(CertTheorem))
+    def test_changes_no_outcome_and_no_evaluation(self, catalog, by_id, theorem, tol,
+                                                  monkeypatch):
+        # a lower cap keeps the QUASI_Q1 searches, which have no floor, short
+        monkeypatch.setattr(certifier, "MAX_SUBINTERVALS", 1 << 12)
+
+        def outcome(fn, iv):
+            fn, calls = counted(fn, "f", "d1", "d2", "d4")
+            try:
+                result = refine_to_tolerance(fn, iv, tol, theorem)
+            except (ConvergenceError, HypothesisError) as exc:
+                result = (type(exc), str(exc))
+            return result, calls
+
+        undecided = ((-math.inf, math.inf), (-math.inf, math.inf))
+        # exp over [0, 700]: truncation parts past the float range
+        requests = [(fn, fn.window) for fn in catalog] + [(by_id["exp"], Interval(0.0, 700.0))]
+        for fn, iv in requests:
+            screened = outcome(fn, iv)
+            with monkeypatch.context() as patch:
+                patch.setattr(certifier._Walk, "screen", lambda walk: undecided)
+                assert outcome(fn, iv) == screened, (fn.id, iv, theorem, tol)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import subprocess
@@ -287,6 +288,20 @@ class TestCertifyCommand:
         assert cli.main(["certify", "x2", "0", "1", "1e-6"]) in (0, 1)
         assert json.loads(capsys.readouterr().out)["error_radius"] == 0.0
 
+    def test_a_subnormal_radius_asks_the_oracle_for_the_least_positive_tolerance(
+            self, monkeypatch, capsys):
+        # x^2 over [0, 1e-160] certifies with radius 5e-324, and a hundredth
+        # of that rounds to 0, a tolerance the oracle refuses
+        asked = []
+        oracle = cli.integrate
+        monkeypatch.setattr(cli, "integrate",
+                            lambda f, iv, tol: asked.append(tol) or oracle(f, iv, tol))
+        assert cli.main(["certify", "x2", "0", "1e-160", "1e-6"]) == 0
+        captured = capsys.readouterr()
+        row = json.loads(captured.out)
+        assert (row["error_radius"], row["enclosed"], captured.err) == (math.ulp(0.0), True, "")
+        assert asked == [math.ulp(0.0)]
+
     def test_tolerance_below_the_rounding_floor_exits_one(self):
         proc = run("certify", "affine", "0", "2", "1e-16")
         assert proc.returncode == 1
@@ -369,6 +384,74 @@ class TestVerifyCommand:
     def test_json_and_csv_flags_conflict(self):
         assert run("verify", "--suite", "means", "--cases", "1",
                    "--json", "--csv").returncode == 2
+
+
+#: sha256 of json.dumps([exit status, stdout, stderr]) of `hh certify` on
+#: the 13 benchmark ladder rungs, five rungs that reach each rule's
+#: regime, and four refusals (no class, the floor, the rounding part, the
+#: floor at a tolerance far below it)
+CERTIFY_BYTES = [
+    (("x2", "0", "1", "1e-6"),
+     "4e19390c44f5c04f9c78cb03dc816b270ed73405d8f2b24ef544aedf98d47177"),
+    (("exp", "-1", "1", "1e-8"),
+     "37bb721a64a9138b13f8ee49f5ecad87ecda8f5605eef2ea0f676cf67b319099"),
+    (("x3", "0", "2", "1e-8"),
+     "d62647f03a1000ab8eb00d3356be94b0b2d944911776ab27128529c56eef1ba0"),
+    (("x4", "-1.5", "1.5", "1e-8"),
+     "4f9d3b6e79296eb27fc45a472d45375ac26901f21e69c80f91cf3f2736e20352"),
+    (("affine", "0", "2", "1e-12"),
+     "28c682e5cf94f59df803da5a548c6bf096b2db368054d0091c8c3dc65870998c"),
+    (("x_5_2", "0.25", "4", "1e-9"),
+     "502d575f4b7affacdbdfc9b8196c2ec411ff4ba8b4d21515db935d464ac1a453"),
+    (("inv_x", "1", "2", "1e-10"),
+     "3d247f52b97e4e050d3ce40fd208aea3c22bafd14df812e817cf0e21f3f78bb3"),
+    (("x5", "0.5", "1.5", "1e-10"),
+     "6470d5c08c05a9fe962112cb2e0916d4d7ce16e0ec894bbd38fd074b16db3030"),
+    (("neg_ln", "0.5", "3", "1e-10"),
+     "d432b0c72de94af8c9dae846ad7738bde7c2f37cbccca1a08261f040ec80edcc"),
+    (("x_5_2", "1", "2", "1e-10"),
+     "eda6a53a937ead2b32515cca597f11946f0eb2e9791a44e48647da3b31654ae2"),
+    (("x2", "0", "1", "1e-12"),
+     "4e19390c44f5c04f9c78cb03dc816b270ed73405d8f2b24ef544aedf98d47177"),
+    (("inv_x", "1", "2", "1e-12"),
+     "1298dc0878dcab5678c43069a4a4629d5c1f227364be28d7af0b1f235fe8cadc"),
+    (("exp", "-1", "1", "1e-11"),
+     "e5e4376b63de99187cdaf4e05acfcc5f35d733d16b2a69f409e264f7998885cc"),
+    (("x4", "-1.5", "1.5", "1e-12"),
+     "4f9d3b6e79296eb27fc45a472d45375ac26901f21e69c80f91cf3f2736e20352"),
+    (("sin", "0", "3", "1e-10"),
+     "e2168dee5ac40756c578bcd012ce65c4b65dd8fb9f032ed914a6cccc961ff71c"),
+    (("x_5_2", "1", "2", "1e-14"),
+     "e492d244473b7e0053ff52ccb52e102c549f3096afc223b107c2d6eea47c5479"),
+    (("x5", "-1", "1", "1e-6"),
+     "0bc7cd6d947abdb8c1acf0ca1a80f1bf2108d3ce00ab43843802a00b8d65e1a4"),
+    (("sin", "2", "4.5", "1e-8"),
+     "247af14bc2dace80460082165d87929be73eb79c91358340c2a9c485cd9f4fd4"),
+    (("sin", "0", "6", "1e-6"),
+     "727a218884455ba7a2f546365b3fd16fc4aa26c104c7e287f0abffc08b35a902"),
+    (("exp", "0", "700", "1e-6"),
+     "6ed50bf80123109f2275291db7bedcb6ad0ddbf4fe644e8cf8d2acbc426151d5"),
+    (("x2", "0", "1", "1e-300"),
+     "ee35ad66c36e6c76308256afe2dc62d251f09ebbe8ac13e43aa0cf893f3a2bb1"),
+    (("inv_x", "0.25", "4", "1e-300"),
+     "b231f0261a7ef7818155a42812ececcd15c5bf1f89e174a8bf3ac311ffb403eb"),
+]
+
+
+@pytest.mark.parametrize("args, digest", CERTIFY_BYTES,
+                         ids=[" ".join(args) for args, _ in CERTIFY_BYTES])
+def test_certify_bytes(args, digest, capsys):
+    """The bytes and the exit status of `hh certify`, in-process (the same
+    as a fresh run's; see the parser test below).
+
+    The digests were taken with glibc 2.36's libm; another libm may round
+    exp, log, pow or sin differently in the last bit and so change them
+    without a change in this program.
+    """
+    rc = cli.main(["certify", *args])
+    captured = capsys.readouterr()
+    text = json.dumps([rc, captured.out, captured.err])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("args", [

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -96,6 +97,94 @@ def per_pair_sampler(g, iv: Interval, quasi: bool = False) -> bool:
             if g(0.5 * (xs[i] + xs[j])) > bound + CLASS_CHECK_TOL:
                 return False
     return True
+
+
+def all_pairs(fine: list[float], quasi: bool = False) -> bool:
+    """The verdict of ``pairs_hold`` by its loop over all 2,016 pairs, the
+    one every sample took before the innermost-pair reduction, kept as the
+    reference for it."""
+    tol = CLASS_CHECK_TOL
+    gs = fine[::2]
+    n = len(gs)
+    if quasi:
+        tops = [g + tol for g in gs]
+        for i, ti in enumerate(tops):
+            for mid, tj in zip(fine[2 * i + 1:i + n], tops[i + 1:]):
+                if mid > ti and mid > tj:
+                    return False
+        return True
+    for i, gi in enumerate(gs):
+        for mid, gj in zip(fine[2 * i + 1:i + n], gs[i + 1:]):
+            if mid > 0.5 * (gi + gj) + tol:
+                return False
+    return True
+
+
+#: the kinds of fine samples ``built_sample`` makes
+SAMPLE_KINDS = ("convex", "negated_concave", "constant", "linear_noise", "bumps",
+                "far_pair", "non_finite", "huge")
+
+
+def built_sample(kind: str, seed: int) -> list[float]:
+    """A 127-value fine sample of the given kind, drawn from seed:
+      - convex: 2^e (k - c)^2 + 2^e' |k - c'|, integers, so exactly convex;
+      - negated_concave: -sqrt or -log1p of a scaled index, as
+        ``signed_convexity_holds`` negates a concave sample;
+      - constant; linear_noise: a line with each value moved by -1, 0 or 1 ulp;
+      - bumps: a convex sample with values moved by up to 2 tol;
+      - far_pair: flat but for both ends dipping (under the convex test
+        only pairs with an end can violate), or a concave hill whose pair
+        (i, j) bends by (j - i)^2 tol/10 or tol/5, so that the innermost
+        pair of every anti-diagonal holds and pairs far apart violate;
+      - non_finite: a convex sample with NaN, inf or -inf put in;
+      - huge: a convex sample near 1e308, whose doubling or sums overflow."""
+    rng = random.Random(seed)
+    size = 2 * CLASS_CHECK_GRID - 1
+    tol = CLASS_CHECK_TOL
+
+    def convex() -> list[float]:
+        c, c2 = rng.randrange(-20, 150), rng.randrange(0, 127)
+        e, e2 = rng.randrange(-60, 20), rng.randrange(-60, 20)
+        return [2.0 ** e * (k - c) ** 2 + 2.0 ** e2 * abs(k - c2) for k in range(size)]
+
+    if kind == "convex":
+        return convex()
+    if kind == "negated_concave":
+        scale = 10.0 ** rng.uniform(-12, 3)
+        step = rng.uniform(1e-3, 1.0)
+        g = rng.choice((math.sqrt, math.log1p))
+        return [-scale * g(1.0 + step * k) for k in range(size)]
+    if kind == "constant":
+        return [rng.uniform(-1e3, 1e3)] * size
+    if kind == "linear_noise":
+        a, b = rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)
+        line = [a * k + b for k in range(size)]
+        return [v + rng.choice((-1, 0, 1)) * math.ulp(v) for v in line]
+    if kind == "bumps":
+        sample = convex()
+        for _ in range(rng.randrange(1, 6)):
+            k = rng.randrange(size)
+            sample[k] += rng.choice((-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)) * tol
+        return sample
+    if kind == "far_pair":
+        level = rng.uniform(-1.0, 1.0)
+        if rng.random() < 0.5:
+            bend = rng.choice((0.1, 0.2)) * tol
+            return [level - bend * (k - size // 2) ** 2 for k in range(size)]
+        sample = [level] * size
+        depth = rng.choice((0.5, 2.0, 10.0)) * tol
+        sample[0] = sample[-1] = level - depth
+        return sample
+    if kind == "non_finite":
+        sample = convex()
+        for _ in range(rng.randrange(1, 3)):
+            sample[rng.randrange(size)] = rng.choice((math.nan, math.inf, -math.inf))
+        return sample
+    if kind == "huge":
+        c = rng.randrange(0, 127)
+        top = rng.choice((0.5, 0.9, 1.7)) * 1e308
+        return [top * ((k - c) / 126.0) ** 2 for k in range(size)]
+    raise ValueError(kind)
 
 
 def tent(x: float, at: float, height: float = 1.0) -> float:
@@ -374,6 +463,60 @@ class TestFineGridClassChecks:
             assert per_pair_sampler(g, UNIT, quasi) is not refuted
             assert pairs_hold(fine, quasi) == per_pair_sampler(g, UNIT, quasi)
 
+    @settings(max_examples=400)
+    @given(st.sampled_from(SAMPLE_KINDS), st.integers(0, 2 ** 32), st.booleans())
+    def test_the_verdict_is_the_loop_over_all_pairs(self, kind, seed, quasi):
+        fine = built_sample(kind, seed)
+        assert pairs_hold(fine, quasi) == all_pairs(fine, quasi)
+
+    @pytest.mark.parametrize("quasi", [False, True])
+    def test_built_samples_reach_both_branches_and_both_verdicts(self, quasi):
+        seen = set()
+        for kind in SAMPLE_KINDS:
+            for seed in range(20):
+                fine = built_sample(kind, seed)
+                gs = fine[::2]
+                short = (oracle._valley([g + CLASS_CHECK_TOL for g in gs]) if quasi
+                         else oracle._convex(gs))
+                verdict = pairs_hold(fine, quasi)
+                assert verdict == all_pairs(fine, quasi), (kind, seed)
+                seen.add((short, verdict))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_innermost_pairs_are_the_middle_pair_of_each_anti_diagonal(self):
+        size = 2 * CLASS_CHECK_GRID - 1
+        fine = list(range(size))
+        grid = list(range(CLASS_CHECK_GRID))
+        expected = {(s, s - (s // 2 + 1), s // 2 + 1) for s in range(1, size - 1)}
+        assert set(oracle._innermost_pairs(fine, grid)) == expected
+        assert len(expected) == 125
+
+    @pytest.mark.parametrize("values, convex", [
+        ([1.0, 0.0, 1.0], True),
+        ([0.0, 0.0, 0.0], True),
+        # the float second difference (1 - 2^-54) - 2 * 0.5 rounds to 0;
+        # the exact one is -2^-54
+        ([1.0, 0.5, -2.0 ** -54], False),
+        ([0.0, math.nan, 0.0], False),
+        ([math.inf, 0.0, 0.0], False),
+        # -2 g overflows
+        ([1.7e308, 1e308, 1.7e308], False),
+        # the exact sum of the grid is finite, fsum's running one is not
+        ([1.7e308, 1.7e308, -1.7e308], False),
+    ])
+    def test_convexity_of_the_grid_is_decided_exactly(self, values, convex):
+        assert oracle._convex(values) is convex
+
+    @pytest.mark.parametrize("values, valley", [
+        ([3.0, 1.0, 1.0, 2.0], True),
+        ([1.0, 1.0], True),
+        ([-math.inf, 0.0, math.inf], True),
+        ([1.0, 2.0, 1.0], False),
+        ([1.0, math.nan, 2.0], False),
+        ([math.nan, 1.0], False),
+    ])
+    def test_valley_by_comparisons(self, values, valley):
+        assert oracle._valley(values) is valley
 
 class TestDerivativeConsistency:
     def test_catalog_derivatives_match_finite_differences(self, catalog):
