@@ -46,6 +46,10 @@ _CERTIFY_RULES = (CertTheorem.CORRECTED, CertTheorem.FEJER, CertTheorem.CONVEX_Q
 #: no exponent form and so reads "-1e-3" as an option
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
+#: what ``json.dumps(obj, sort_keys=True)`` would build anew for every row
+#: and every CSV cell, built once
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
 
 def build_parser() -> argparse.ArgumentParser:
     """A new parser of the hh command line (``main`` builds one per process)."""
@@ -96,7 +100,7 @@ def _emit(rows: list[dict], as_csv: bool) -> None:
     out = sys.stdout
     if not as_csv:
         for row in rows:
-            out.write(json.dumps(row, sort_keys=True) + "\n")
+            out.write(_ENCODER.encode(row) + "\n")
         return
     if not rows:
         return
@@ -104,7 +108,7 @@ def _emit(rows: list[dict], as_csv: bool) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(keys)
     for row in rows:
-        writer.writerow([json.dumps(row[k], sort_keys=True) for k in keys])
+        writer.writerow([_ENCODER.encode(row[k]) for k in keys])
 
 
 def _lookup_function(name: str):

@@ -13,9 +13,10 @@ grid at the pair's midpoint.  Those midpoints are the 127-point fine grid
 a + k*width/126, so the checks of signed f'' and f''''
 (``CONVEX_OR_CONCAVE_F2``, ``CONVEX_OR_CONCAVE_F4``), of |f''| for
 quasi-convexity and of |f'| read the derivative there once,
-127 evaluations, and test the pairs on those values.  The check of |f''|
-for convexity (``CONVEX_D2``) still evaluates each pair's midpoint anew,
-64 + 2,016 evaluations.
+127 evaluations, and test the pairs on those values, taking the magnitude
+after the read.  The check of |f''| for convexity (``CONVEX_D2``) still
+evaluates each pair's midpoint anew, 64 + 2,016 evaluations of f'': it
+calls f'' directly and takes the magnitude in its loop.
 
 The pairs i + j = s of one anti-diagonal share their midpoint, so the
 sample refutes s iff that value is above the least of their thresholds.
@@ -172,14 +173,18 @@ def _grid(iv: Interval, n: int) -> list[float]:
     return xs
 
 
-def midpoint_convexity_holds(g: Callable[[float], float], iv: Interval) -> bool:
-    """Sampling verdict: g((x+y)/2) <= (g(x)+g(y))/2 + tol over all grid pairs."""
+def midpoint_convexity_holds(d: Callable[[float], float], iv: Interval) -> bool:
+    """Sampling verdict on the magnitude of d: |d((x+y)/2)| <= (|d(x)| +
+    |d(y)|)/2 + tol over all grid pairs, d read at the 64 grid points, then
+    anew at each pair's midpoint, row by row, until the first refuted pair.
+    Taking abs here, not in a wrapper around d, saves a Python call per read."""
     grid, tol = CLASS_CHECK_GRID, CLASS_CHECK_TOL  # locals: the pair loop is hot
     xs = _grid(iv, grid)
-    gs = [g(x) for x in xs]
+    gs = [abs(d(x)) for x in xs]
     for i in range(grid):
+        xi, gi = xs[i], gs[i]
         for j in range(i + 1, grid):
-            if g(0.5 * (xs[i] + xs[j])) > 0.5 * (gs[i] + gs[j]) + tol:
+            if abs(d(0.5 * (xi + xs[j]))) > 0.5 * (gi + gs[j]) + tol:
                 return False
     return True
 
@@ -313,13 +318,13 @@ def monotone_holds(g: Callable[[float], float], iv: Interval) -> bool:
 
 def check_convex_abs_d2(fn: TestFunction, iv: Interval) -> bool:
     """True iff |f''| passes the 64-point midpoint-convexity sampling check on iv."""
-    return midpoint_convexity_holds(lambda x: abs(fn.d2(x)), iv)
+    return midpoint_convexity_holds(fn.d2, iv)
 
 
 def check_quasiconvex_abs_d2(fn: TestFunction, iv: Interval) -> bool:
     """True iff |f''| passes the 64-point midpoint-quasi-convexity sampling
     check on iv, read from one fine-grid sample."""
-    return pairs_hold(fine_grid_sample(lambda x: abs(fn.d2(x)), iv), quasi=True)
+    return pairs_hold(list(map(abs, fine_grid_sample(fn.d2, iv))), quasi=True)
 
 
 @dataclass(frozen=True)
@@ -358,7 +363,7 @@ QUASICONVEX_D2 = Hypothesis("d2", "|f''|", "quasi-convex",
 MONOTONE_D2 = Hypothesis("d2", "|f''|", "monotone",
                          lambda fn, iv: monotone_holds(lambda x: abs(fn.d2(x)), iv))
 CONVEX_D1 = Hypothesis("d1", "|f'|", "convex",
-                       lambda fn, iv: pairs_hold(fine_grid_sample(lambda x: abs(fn.d1(x)), iv)))
+                       lambda fn, iv: pairs_hold(list(map(abs, fine_grid_sample(fn.d1, iv)))))
 #: signed f'' convex or concave, the class of Fejer's bracket; the pair
 #: check runs for the one sign the fine grid's bends leave open
 CONVEX_OR_CONCAVE_F2 = Hypothesis("d2", "f''", "convex or concave",

@@ -454,6 +454,19 @@ def test_certify_bytes(args, digest, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_seeded_csv_bytes(capsys):
+    """The bytes `hh verify --suite all --cases 3 --seed 7 --csv` prints:
+    a header, then one row of JSON-encoded cells per sweep line.
+
+    Taken with glibc 2.36's libm, as the digests of the JSON-lines sweep.
+    """
+    assert cli.main(["verify", "--suite", "all", "--cases", "3", "--seed", "7", "--csv"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 363
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "195f870f59e36476979a9e2ba68b9ba844d71315b4f5de72c8a08fa65e2537b6")
+
+
 @pytest.mark.parametrize("args", [
     ("bound", "exp", "0", "800", "convex_q1"),
     ("certify", "exp", "0", "800", "1e-6"),

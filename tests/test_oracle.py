@@ -518,6 +518,99 @@ class TestFineGridClassChecks:
     def test_valley_by_comparisons(self, values, valley):
         assert oracle._valley(values) is valley
 
+
+def recording(ev):
+    """ev wrapped to record the points it is read at, and that list."""
+    points = []
+
+    def recorded(x):
+        points.append(x)
+        return ev(x)
+
+    return recorded, points
+
+
+#: f'' = 1 with a tent up between the first pair of the unit grid
+BUMP = core.TestFunction("bump", lambda x: 0.0, lambda x: 0.0, bump_d2, UNIT)
+
+
+class TestConvexAbsD2Reads:
+    """``CONVEX_D2`` reads f'' where and as often as the per-pair reference
+    reads |f''|: 64 grid points, then each pair's midpoint until the first
+    refuted pair, 2,080 reads in all when none is."""
+
+    @staticmethod
+    def reads(fn, iv):
+        """(verdict, points read) of ``CONVEX_D2`` and of the reference."""
+        d2, points = recording(fn.d2)
+        verdict = CONVEX_D2.check(dataclasses.replace(fn, d2=d2), iv)
+        d2, expected = recording(fn.d2)
+        return (verdict, points), (per_pair_sampler(lambda x: abs(d2(x)), iv, False), expected)
+
+    def test_every_catalog_window(self, catalog):
+        passed = 0
+        for fn in catalog:
+            (verdict, points), reference = self.reads(fn, fn.window)
+            assert (verdict, points) == reference, fn.id
+            assert (len(points) == 64 + 64 * 63 // 2) is verdict, fn.id
+            passed += verdict
+        assert 0 < passed < len(catalog)
+
+    @pytest.mark.parametrize("fid, iv", [
+        ("sin", None), ("x_5_2", None), ("sin", Interval(2.0, 4.5)), ("bump", UNIT)])
+    def test_a_refutation_stops_at_the_reference_read(self, by_id, fid, iv):
+        fn = BUMP if fid == "bump" else by_id[fid]
+        (verdict, points), reference = self.reads(fn, iv or fn.window)
+        assert (verdict, points) == reference
+        assert not verdict
+        assert 64 < len(points) < 64 + 64 * 63 // 2
+
+    @pytest.mark.parametrize("fid", sorted(core.catalog_by_id()))
+    @settings(max_examples=15)
+    @given(st.floats(0.0, 0.9), st.floats(0.05, 1.0))
+    def test_subintervals(self, fid, start, share):
+        fn = core.catalog_by_id()[fid]
+        w = fn.window
+        a = w.a + start * w.width
+        iv = Interval(a, min(a + share * w.width, w.b))
+        (verdict, points), reference = self.reads(fn, iv)
+        assert (verdict, points) == reference, iv
+        if verdict:
+            assert len(points) == 64 + 64 * 63 // 2
+
+    @pytest.mark.parametrize("hypothesis, key", [(QUASICONVEX_D2, "d2"), (CONVEX_D1, "d1")])
+    def test_the_fine_grid_checks_read_127_points(self, catalog, hypothesis, key):
+        for fn in catalog + [BUMP]:
+            ev, points = recording(getattr(fn, key))
+            hypothesis.check(dataclasses.replace(fn, **{key: ev}), fn.window)
+            assert len(points) == 2 * CLASS_CHECK_GRID - 1, fn.id
+
+
+class TestMidpointConvexityOfTheMagnitude:
+    """``midpoint_convexity_holds`` tests |d|, whatever the sign of d."""
+
+    def test_a_convex_d_whose_magnitude_is_not(self):
+        iv = Interval(-1.0, 1.0)
+        assert per_pair_sampler(lambda x: x * x - 0.25, iv)
+        assert not midpoint_convexity_holds(lambda x: x * x - 0.25, iv)
+
+    def test_a_concave_d_whose_magnitude_is_convex(self):
+        iv = Interval(-1.0, 1.0)
+        assert not per_pair_sampler(lambda x: -(x * x), iv)
+        assert midpoint_convexity_holds(lambda x: -(x * x), iv)
+
+    def test_a_nan_midpoint_refutes_nothing(self):
+        xs = oracle._grid(UNIT, CLASS_CHECK_GRID)
+        mid = 0.5 * (xs[0] + xs[1])  # on no other pair and no grid point
+
+        def spike(value):
+            return lambda x: value if x == mid else x * x
+
+        assert not midpoint_convexity_holds(spike(1e6), UNIT)
+        d, points = recording(spike(math.nan))
+        assert midpoint_convexity_holds(d, UNIT)
+        assert len(points) == 64 + 64 * 63 // 2
+
 class TestDerivativeConsistency:
     def test_catalog_derivatives_match_finite_differences(self, catalog):
         for fn in catalog:
