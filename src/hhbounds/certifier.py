@@ -15,8 +15,8 @@ the weight sums them with ``math.fsum`` (Shewchuk 1997), correctly rounded
 per chunk of at most ``CHUNK`` terms and once more over the chunks.  All
 its terms are non-negative, so the exact weight is at most the computed one
 times (1 + 2*ULPS*u/(1 - 2*ULPS*u)) / (1 - u)^2 = 1 + (2*ULPS + 2)*u +
-O(u^2), the stated inflation.  The product by (b - a)^3/(24 n^3) is done
-in exact rational arithmetic and rounded up.
+O(u^2), the stated inflation.  The product by (b - a)^3/(24 n^3) is
+bounded above in floats (see Arithmetic below).
 
 Truncation part under QUASI_Q1.  Let G_0, ..., G_n be the exact |f''| at
 the cuts.  |f''| is quasi-convex on [a, b], so G_l <= max(G_k, G_m) for
@@ -26,8 +26,8 @@ and the weight is the sum of every G but G_j.  With g the computed
 values, the sum of every G is at most inflation * S, S the fsum of all g,
 as above; G_j >= g_j / (1 + 2*ULPS*u) >= deflation * g_min, g_min the
 least g read.  So the exact weight is at most inflation*S -
-deflation*g_min, both in exact rationals, and the walk needs only the
-chunk sums and one running minimum, as the convex rule does.
+deflation*g_min, and the walk needs only the chunk sums and one running
+minimum, as the convex rule does.
 
 Truncation part under FEJER.  The error of one panel [x, x + h] is the
 integral of K f'', where the peak kernel K >= 0 is symmetric about the
@@ -125,30 +125,56 @@ floor is above the tolerance:
     so far (the halved ends and every chunk).  Grids nest, so a finer
     level's S sums the same terms and more, all non-negative; fsum rounds
     correctly, and rounding is monotone, so S never shrinks.  The
-    truncation part at n' <= MAX_SUBINTERVALS panels is C (span/n')^k
-    times the half-width, rounded up, with C, k = 1/24, 3 (FEJER) or
+    truncation part at n' <= MAX_SUBINTERVALS panels is an upper bound of
+    C (span/n')^k times the half-width, with C, k = 1/24, 3 (FEJER) or
     7/5760, 5 (CORRECTED), and span/n' >= span/MAX_SUBINTERVALS; so at this
     level and every later one it is at least
     C (span/MAX_SUBINTERVALS)^k * spread * S, S as read now;
   - QUASI_Q1 has none, and the search runs to 2^20 on f'' alone.
 
-Decisions in floats.  Most levels of a search are rejected, and pricing
-one in exact rationals costs far more than the reads it decides on.  So
-``_Walk.screen`` first encloses the exact value that the truncation part
-rounds up, and the exact floor, in floats: the same formulas on the same
-computed sums, each operation rounded to nearest and stepped one float
-outward with ``math.nextafter`` (the rounding is within half a step;
-Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 2).  The
-rational constants are rounded outward once: spread, u, inflation and
-deflation per process, C span^k per walk (the floor's factor follows from
-it by outward operations).  The least term QUASI_Q1 subtracts is bounded
-the other way.  On the catalog's windows up to n = 2^10 the upper end of
-each enclosure is within 27u of its lower end.  A level whose truncation
-part is above the tolerance in floats, and whose floor is at most the
-tolerance in floats, is rejected without its rationals; a level at 2^20,
-the accepted level, any undecided one, and every number that is printed
-or raised still come from the exact code, so outputs and evaluation
-counts are those of the exact search.
+Arithmetic.  The truncation part and the floor are bounded in floats,
+with directed rounding: each operation rounds to nearest, within half a
+step of the exact result (Higham, *Accuracy and Stability of Numerical
+Algorithms*, ch. 2), and then steps one float up with ``math.nextafter``
+(towards 0 for the floor), so each result bounds the exact one on its
+side.  A result of 0 is kept only where it is exact: a product with a
+factor 0, a sum of two zeros, or |T - M| where T == M (with gradual
+underflow a sum or difference of floats rounds to 0 only when it is
+exactly 0; a product of non-zero factors can underflow to 0, and then
+steps to the least subnormal).  So f'' that reads 0 at every cut, or
+f'''' under CORRECTED (x2, x3 and affine), still gives a truncation part
+of exactly 0.  ``_model`` makes the model's constants in exact rationals.
+Per walk, the interval's factor C span^k / m^k is made in exact
+rationals and rounded up once, where m is the walk's first n, and C, k
+are inflation/24, 3 under the Q1 rules (so the CONVEX_Q1 weight is S
+itself), or under a bracketed rule half the kernel's |integral| at h = 1
+and its power (the float bound then takes twice the half-width,
+|T - M| + 2 spread S + 2u (|T| + |M|)).  The floor's factor, deflation
+or spread included, is rounded down once per walk.  Per process, spread
+is rounded up and deflation/inflation down.  Four points keep the bounds
+sound and finite:
+  - the walk's factor is divided by (n/m)^k before it multiplies the
+    weight.  The weight of exp over [0, 700] is near 1e304 and the factor
+    above 1e7, so their product is +inf at every level; dividing first
+    brings the truncation part back into the float range as n grows;
+  - floats divide only by the powers of two n/m, exact except in the
+    subnormal range.  m^k need not be a float (m = 1,701 and k = 5 give
+    more than 2^53), so it is folded into the exact factor;
+  - |T - M| is rounded like any difference and stepped up unless 0, so
+    T == M keeps its exact 0 and T != M is never priced below its gap;
+  - under QUASI_Q1 the weight over inflation is the sum of every |f''|
+    read less a lower bound of deflation/inflation * least: subtracting
+    an upper bound could cut it below the exact one.  The difference is
+    > 0 whenever the sum is, since the sum holds the least term.
+A truncation part past the float range reads +inf, and a floor past it
+the greatest finite float.  Every step adds at most 1.5 ulp, and each
+bound takes few of them: on the catalog's windows the truncation part is
+within 64u above the exact value of the formulas above on the computed
+sums, and the floor within 64u below.  ``refine_to_tolerance`` decides on
+these bounds and prints them, so a certificate's truncation part is never
+below the exact one and a refusal's floor never above it.  Exact
+rationals are left for ``certificate``: the estimate, its rounding to
+nearest and the rounding part.
 """
 
 from __future__ import annotations
@@ -270,50 +296,41 @@ def _up(x: Fraction) -> float:
     return y if y >= x else math.nextafter(y, math.inf)
 
 
-#: a float enclosure (lo, hi) of a real number >= 0, with 0 <= lo <= hi
-_Enclosure = tuple[float, float]
-
-
-def _enclose(x: Fraction) -> _Enclosure:
-    """The greatest float not above x >= 0 and the least not below it; the
-    greatest finite float and +inf above the float range."""
+def _down(x: Fraction) -> float:
+    """The greatest float not above x >= 0, the greatest finite float above
+    the float range."""
     try:
         y = float(x)
     except OverflowError:
-        return math.nextafter(math.inf, 0.0), math.inf
-    if y == x:
-        return y, y
-    return (y, math.nextafter(y, math.inf)) if y < x else (math.nextafter(y, -math.inf), y)
-
-
-# Each operation on enclosures rounds to nearest and then steps one float
-# outward; a rounded value is within half a step of the exact one, so the
-# step covers it.  Lower ends step towards 0 and so stay >= 0.
-
-def _rounded(x: float) -> _Enclosure:
-    """An enclosure of the exact result >= 0 of an operation that rounded to x."""
-    return math.nextafter(x, 0.0), math.nextafter(x, math.inf)
-
-
-def _add(x: _Enclosure, y: _Enclosure) -> _Enclosure:
-    return math.nextafter(x[0] + y[0], 0.0), math.nextafter(x[1] + y[1], math.inf)
-
-
-def _mul(x: _Enclosure, y: _Enclosure) -> _Enclosure:
-    return math.nextafter(x[0] * y[0], 0.0), math.nextafter(x[1] * y[1], math.inf)
-
-
-def _div(x: _Enclosure, d: int) -> _Enclosure:
-    """x over d > 0."""
-    return math.nextafter(x[0] / d, 0.0), math.nextafter(x[1] / d, math.inf)
+        return math.nextafter(math.inf, 0.0)
+    return y if y <= x else math.nextafter(y, 0.0)
 
 
 @cache
-def _model_enclosures() -> dict[str, _Enclosure]:
-    """The model's constants the screen reads, each rounded outward once."""
+def _float_model() -> tuple[float, float]:
+    """spread rounded up and deflation/inflation rounded down."""
     model = _model()
-    return {name: _enclose(getattr(model, name))
-            for name in ("u", "spread", "inflation", "deflation")}
+    return _up(model.spread), _down(model.deflation / model.inflation)
+
+
+# Bounds in floats (see Arithmetic in the module docstring): a rounded
+# result is within half a step of the exact one, so one float further out
+# bounds it.
+
+def _sum_up(x: float) -> float:
+    """An upper bound of the exact sum or difference, >= 0, of two floats
+    that rounded to x; 0 only where that is exact."""
+    return math.nextafter(x, math.inf) if x else 0.0
+
+
+def _product_up(x: float, y: float) -> float:
+    """An upper bound of x * y for x, y >= 0; 0 only where a factor is 0."""
+    return math.nextafter(x * y, math.inf) if x and y else 0.0
+
+
+def _product_down(x: float, y: float) -> float:
+    """A lower bound, >= 0, of x * y for x, y >= 0."""
+    return math.nextafter(x * y, 0.0)
 
 
 def _finite_sum(values: Iterable[float], what: str, n: int) -> float:
@@ -340,12 +357,26 @@ class _Walk:
     """
 
     def __init__(self, fn: TestFunction, iv: Interval, theorem: CertTheorem, n: int) -> None:
-        self.fn, self.iv, self.theorem, self.n = fn, iv, theorem, n
+        self.fn, self.iv, self.theorem, self.n, self.start = fn, iv, theorem, n, n
         self.kernel = _KERNELS.get(theorem)
         derivative = _HYPOTHESIS[theorem].derivative
         self.derivative, self.what = getattr(fn, derivative), _DERIVATIVE_NAMES[derivative]
-        fraction = _model().fraction
-        self.span = fraction(iv.b) - fraction(iv.a)
+        model = _model()
+        fraction = model.fraction
+        self.span = span = fraction(iv.b) - fraction(iv.a)
+        # the factors of the truncation part and the floor that depend on the
+        # interval alone (see Arithmetic in the module docstring)
+        if self.kernel is None:
+            self.power = 3
+            self.part = _up(span ** 3 * model.inflation / (24 * n ** 3))
+            # span^2/(24 MAX^2) * 2 span/n times the odd cuts' sum; 0 under QUASI_Q1
+            self.below = (0.0 if theorem is CertTheorem.QUASI_Q1 else
+                          _down(span ** 3 * model.deflation / (12 * MAX_SUBINTERVALS ** 2 * n)))
+        else:
+            self.power = power = self.kernel.power
+            size = fraction(abs(self.kernel.numerator), self.kernel.denominator) * span ** power
+            self.part = _up(size / (2 * n ** power))
+            self.below = _down(size * model.spread / MAX_SUBINTERVALS ** power)
         first, last = self.derivative(iv.a), self.derivative(iv.b)
         _finite_sum((abs(first), abs(last)), self.what, n)
         self.ends = (first, last)
@@ -353,11 +384,9 @@ class _Walk:
         self.sums: list[float] = []
         self.sizes: list[float] = []
         self.top = 0
-        self._factors: tuple[_Enclosure, _Enclosure] | None = None
         self._read(n, 1)
         if self.kernel is not None:
             self._read(2 * n, 2)
-            self.scale = fraction(self.kernel.numerator, self.kernel.denominator)
 
     def _chunk_sums(self, ev, n: int, step: int,
                     what: str) -> Iterator[tuple[float, float, list[float]]]:
@@ -377,7 +406,6 @@ class _Walk:
         """Append the derivative at the cuts k = 1, 1 + step, ... of the
         n-grid as the last level."""
         self.top = len(self.sizes)
-        self._bracket = None
         quasi = self.theorem is CertTheorem.QUASI_Q1
         for total, size, vals in self._chunk_sums(self.derivative, n, step, self.what):
             self.sums.append(total)
@@ -393,11 +421,6 @@ class _Walk:
         else:
             self._read(self.n, 2)
 
-    def _weight(self, n: int) -> Fraction:
-        """The signed integral of the bracketed rule's kernel over one panel
-        of the n-grid."""
-        return self.scale * (self.span / n) ** self.kernel.power
-
     def _size(self) -> float:
         """fsum of the magnitudes read: the halved ends and every chunk."""
         return math.fsum(chain((0.5 * abs(end) for end in self.ends), self.sizes))
@@ -412,101 +435,37 @@ class _Walk:
         return (math.fsum(chain((0.5 * end for end in self.ends), self.sums[:self.top])),
                 math.fsum(self.sums[self.top:]))
 
-    def bracket(self) -> tuple[Fraction, Fraction]:
-        """Under a bracketed rule, the centre (T + M)/2 and the half-width
-        |T - M|/2 + e_T + e_M of the interval that holds the sum of the
-        exact panel errors over the kernel's integral; made once per level."""
-        if self._bracket is not None:
-            return self._bracket
-        model = _model()
-        fraction, u = model.fraction, model.u
-        trapezoid, midpoint = map(fraction, self._sides())
-        slack = model.spread * fraction(self._size()) + u * (abs(trapezoid) + abs(midpoint))
-        self._bracket = (trapezoid + midpoint) / 2, abs(trapezoid - midpoint) / 2 + slack
-        return self._bracket
-
     def truncation(self) -> float:
-        """h^3/24 times a bound on the exact weight (the sum of each
-        subinterval's endpoint mean of |f''| under CONVEX_Q1, max under
-        QUASI_Q1), or under a bracketed rule the kernel's |integral| times
-        the bracket's half-width; rounded up."""
-        model = _model()
+        """An upper bound of h^3/24 times a bound on the exact weight (the
+        sum of each subinterval's endpoint mean of |f''| under CONVEX_Q1,
+        max under QUASI_Q1), or under a bracketed rule of the kernel's
+        |integral| times the bracket's half-width |T - M|/2 + e_T + e_M."""
+        spread, shrink = _float_model()
+        part = math.nextafter(self.part / (self.n // self.start) ** self.power, math.inf)
         if self.kernel is not None:
-            return _up(abs(self._weight(self.n)) * self.bracket()[1])
-        cube = (self.span / self.n) ** 3 / 24
+            trapezoid, midpoint = self._sides()
+            # |T - M| + 2 spread S + 2u (|T| + |M|): twice the half-width, as
+            # part holds half the kernel's |integral|
+            width = _sum_up(_sum_up(_sum_up(abs(trapezoid - midpoint))
+                                    + _product_up(2.0 * spread, self._size()))
+                            + _product_up(2.0 ** -52, _sum_up(abs(trapezoid) + abs(midpoint))))
+            return _product_up(part, width)
         if self.theorem is CertTheorem.QUASI_Q1:
             # every cut but a least one is the larger end of some subinterval
-            weight = (model.inflation * model.fraction(self._total())
-                      - model.deflation * model.fraction(self.least))
-        else:
-            weight = model.inflation * model.fraction(self._size())
-        return _up(cube * weight)
+            return _product_up(part, _sum_up(self._total()
+                                             - math.nextafter(shrink * self.least, 0.0)))
+        return _product_up(part, self._size())
 
-    def floor(self) -> Fraction:
-        """Lower bound on the truncation part at every level from this one
+    def floor(self) -> float:
+        """A lower bound of the truncation part at every level from this one
         to MAX_SUBINTERVALS (see Floors in the module docstring); 0 under
         QUASI_Q1.  Under CONVEX_Q1 it reads the |f''| sum at the new cuts
         of the last doubling: h of the n/2 grid times it bounds the integral
         of |f''| from below (0 before the first doubling)."""
-        model = _model()
         if self.kernel is not None:
-            return (abs(self._weight(MAX_SUBINTERVALS)) * model.spread
-                    * model.fraction(self._size()))
-        if self.theorem is CertTheorem.QUASI_Q1:
-            return model.fraction(0)
-        odd_sum = math.fsum(self.sizes[self.top:])
-        return (self.span ** 2 / (24 * MAX_SUBINTERVALS ** 2)
-                * (2 * self.span / self.n) * model.fraction(odd_sum) * model.deflation)
-
-    def _outward_factors(self) -> tuple[_Enclosure, _Enclosure]:
-        """The factors of ``truncation`` and ``floor`` that depend on the
-        interval alone, made once per walk from C span^k (1/24 span^3 under
-        the Q1 rules, the kernel's |integral| at h = span otherwise) rounded
-        outward: the truncation part is the first over n^k times the weight,
-        the floor is the second times S (bracketed rules) or over n times
-        the odd cuts' sum (CONVEX_Q1)."""
-        model = _model_enclosures()
-        if self.kernel is not None:
-            part = _enclose(abs(self.scale) * self.span ** self.kernel.power)
-            return part, _mul(_div(part, MAX_SUBINTERVALS ** self.kernel.power),
-                              model["spread"])
-        part = _enclose(self.span ** 3 / 24)
-        if self.theorem is CertTheorem.QUASI_Q1:
-            return part, (0.0, 0.0)
-        # span^2/(24 MAX^2) * 2 span/n, the Hermite-Hadamard factor of floor
-        return (_mul(part, model["inflation"]),
-                _mul(_div(part, MAX_SUBINTERVALS ** 2 // 2), model["deflation"]))
-
-    def screen(self) -> tuple[_Enclosure, _Enclosure]:
-        """Float enclosures of the exact value that ``truncation`` rounds up
-        and of ``floor``: the same formulas on the same computed sums, with
-        every operation stepped outward (see Decisions in floats)."""
-        if self._factors is None:
-            self._factors = self._outward_factors()
-        part, floor = self._factors
-        model = _model_enclosures()
-        if self.kernel is not None:
-            trapezoid, midpoint = self._sides()
-            size = self._size()
-            half_width = _add(
-                _add(_mul((0.5, 0.5), _rounded(abs(trapezoid - midpoint))),
-                     _mul(model["spread"], (size, size))),
-                _mul(model["u"], _rounded(abs(trapezoid) + abs(midpoint))))
-            return (_div(_mul(part, half_width), self.n ** self.kernel.power),
-                    _mul(floor, (size, size)))
-        cubed = self.n ** 3
-        if self.theorem is CertTheorem.QUASI_Q1:
-            total, least = self._total(), self.least
-            inflated = _mul(model["inflation"], (total, total))
-            deflated = _mul(model["deflation"], (least, least))
-            # the least term is bounded the other way; the exact weight is
-            # >= 0, since total holds least
-            weight = (max(0.0, math.nextafter(inflated[0] - deflated[1], -math.inf)),
-                      math.nextafter(inflated[1] - deflated[0], math.inf))
-            return _div(_mul(part, weight), cubed), floor
-        size, odd_sum = self._size(), math.fsum(self.sizes[self.top:])
-        return (_div(_mul(part, (size, size)), cubed),
-                _div(_mul(floor, (odd_sum, odd_sum)), self.n))
+            return _product_down(self.below, self._size())
+        return _product_down(math.nextafter(self.below / (self.n // self.start), 0.0),
+                             math.fsum(self.sizes[self.top:]))
 
     def certificate(self, truncation: float) -> CertifiedIntegral:
         """Evaluate f at the n midpoints (and f' at a and b under CORRECTED)
@@ -523,7 +482,9 @@ class _Walk:
         exact = h * total
         error = h * (model.spread * fraction(math.fsum(sizes)) + u * abs(total))
         if self.kernel is not None:
-            exact += self._weight(n) * self.bracket()[0]
+            trapezoid, midpoint = map(fraction, self._sides())
+            exact += (fraction(self.kernel.numerator, self.kernel.denominator)
+                      * h ** self.kernel.power * (trapezoid + midpoint) / 2)
         if self.theorem is CertTheorem.CORRECTED:
             left, right = self.fn.d1(self.iv.a), self.fn.d1(self.iv.b)
             _finite_sum((abs(left), abs(right)), "f'", n)
@@ -571,9 +532,9 @@ def refine_to_tolerance(fn: TestFunction, iv: Interval, tol: float,
     The search doubles on nested grids and reads the rule's derivative
     alone, one evaluation per cut, until the truncation part fits; only
     then does it evaluate f, at that level's midpoints, and accept the
-    level when truncation + rounding fits.  A level whose float enclosures
-    already reject it skips the exact rationals (see Decisions in floats
-    in the module docstring).  The truncation part scales as
+    level when truncation + rounding fits.  It decides on float bounds of
+    the truncation part and the floor (see Arithmetic in the module
+    docstring).  The truncation part scales as
     h^2 for bounded |f''|, so the count grows as O(tol^(-1/2)); under FEJER
     it scales as h^4 for smooth f'', so the count grows as O(tol^(-1/4)),
     and under CORRECTED as h^6 for smooth f'''', O(tol^(-1/6)).  For linear
@@ -595,13 +556,6 @@ def refine_to_tolerance(fn: TestFunction, iv: Interval, tol: float,
     walk = _Walk(fn, iv, theorem, 1)
     while True:
         n = walk.n
-        # a level whose truncation part is above tol in floats, below the
-        # cap and with its floor at most tol, doubles without the exact
-        # values; any other level decides on them
-        (low, _), (_, ceiling) = walk.screen()
-        if low > tol and ceiling <= tol and n < MAX_SUBINTERVALS:
-            walk.double()
-            continue
         radius = walk.truncation()
         if radius <= tol:
             cert = walk.certificate(radius)
@@ -617,7 +571,7 @@ def refine_to_tolerance(fn: TestFunction, iv: Interval, tol: float,
             floor = walk.floor()
             if floor > tol:
                 raise ConvergenceError(
-                    f"radius at n={MAX_SUBINTERVALS} is at least {float(floor)} "
+                    f"radius at n={MAX_SUBINTERVALS} is at least {floor} "
                     f"(floor from the {walk.what} read up to n={n}), above {tol}")
         if n >= MAX_SUBINTERVALS:
             raise ConvergenceError(f"radius {radius} still above {tol} at n={n}")

@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
 import math
+import re
+import sys
 from fractions import Fraction
 from itertools import chain
 
@@ -793,9 +796,11 @@ class TestCorrected:
             refine_to_tolerance(fn, Interval(0.0, 700.0), 1e-6, theorem)
         assert calls == {"f": 0, derivative: 3}
 
-    @pytest.mark.parametrize("theorem", [CertTheorem.CORRECTED, CertTheorem.FEJER])
+    @pytest.mark.parametrize("theorem", [CertTheorem.CORRECTED, CertTheorem.FEJER,
+                                         CertTheorem.CONVEX_Q1])
     # x4 and x5 (FEJER: x2, x3) have T = M, so the half-width is the slack
-    # alone and the floor is within a few u of it at the cap
+    # alone and the floor is within a few u of it at the cap; every |f''|
+    # here is convex, as the CONVEX_Q1 floor needs
     @pytest.mark.parametrize("fid, a, b", [("exp", -1.0, 1.0), ("inv_x", 1.0, 2.0),
                                            ("exp", 0.0, 700.0), ("x4", -1.5, 1.5),
                                            ("x5", 0.5, 1.5), ("x3", 0.0, 2.0)])
@@ -812,54 +817,165 @@ class TestCorrected:
             walk.double()
         assert floors == sorted(floors)
         # a part past the float range reads +inf, above every floor
-        assert all(floor <= Fraction(part) for level, floor in enumerate(floors)
-                   for part in parts[level:] if part < math.inf)
+        assert all(floor <= part for level, floor in enumerate(floors)
+                   for part in parts[level:])
 
 
-class TestScreen:
-    """``_Walk.screen`` decides in floats what the exact values would."""
+def kernel_integral(walk, n):
+    """The signed integral of the walk's kernel over one panel of the n-grid."""
+    kernel = walk.kernel
+    return Fraction(kernel.numerator, kernel.denominator) * (walk.span / n) ** kernel.power
 
+
+def reference_truncation(walk):
+    """The exact value that ``_Walk.truncation`` bounds from above: its
+    formulas in exact rationals, on the walk's computed sums."""
+    model = certifier._model()
+    if walk.kernel is not None:
+        trapezoid, midpoint = map(Fraction, walk._sides())
+        half_width = (abs(trapezoid - midpoint) / 2 + model.spread * Fraction(walk._size())
+                      + model.u * (abs(trapezoid) + abs(midpoint)))
+        return abs(kernel_integral(walk, walk.n)) * half_width
+    if walk.theorem is CertTheorem.QUASI_Q1:
+        weight = (model.inflation * Fraction(walk._total())
+                  - model.deflation * Fraction(walk.least))
+    else:
+        weight = model.inflation * Fraction(walk._size())
+    return (walk.span / walk.n) ** 3 / 24 * weight
+
+
+def reference_floor(walk):
+    """The exact value that ``_Walk.floor`` bounds from below."""
+    model, cap = certifier._model(), certifier.MAX_SUBINTERVALS
+    if walk.kernel is not None:
+        return abs(kernel_integral(walk, cap)) * model.spread * Fraction(walk._size())
+    if walk.theorem is CertTheorem.QUASI_Q1:
+        return Fraction(0)
+    odd_sum = Fraction(math.fsum(walk.sizes[walk.top:]))
+    return walk.span ** 2 / (24 * cap ** 2) * (2 * walk.span / walk.n) * odd_sum * model.deflation
+
+
+U = Fraction(1, 1 << 53)
+
+#: a bound below the normal range keeps its side but not its relative
+#: accuracy: x2 over [0, 1e-160] has truncation parts near 1e-480, and the
+#: least subnormal times the weight bounds them
+TINY = Fraction(2.0 ** -1022)
+
+
+def assert_bounds_within_64u(walk):
+    """The float truncation part is within 64u above the exact formulas,
+    and exactly 0 where they are; the float floor is within 64u below."""
+    where = (walk.fn.id, walk.iv, walk.theorem, walk.n)
+    part, exact = walk.truncation(), reference_truncation(walk)
+    if exact == 0:
+        assert part == 0.0, where
+    elif part == math.inf:
+        assert (1 + 64 * U) * exact > Fraction(sys.float_info.max), where
+    else:
+        assert exact <= Fraction(part) <= (1 + 64 * U) * exact + TINY, where
+    floor, exact = walk.floor(), reference_floor(walk)
+    assert (1 - 64 * U) * exact - TINY <= Fraction(floor) <= exact, where
+
+
+#: every catalog window; exp over [0, 700], whose truncation parts are past
+#: the float range at n = 1; x2 over [0, 1e-160], whose are below it
+BOUND_REQUESTS = [(fn.id, fn.window) for fn in core.builtin_catalog()] + [
+    ("exp", Interval(0.0, 700.0)), ("x2", Interval(0.0, 1e-160))]
+
+
+class TestFloatBounds:
+    """``_Walk.truncation`` and ``_Walk.floor`` bound the exact formulas in
+    floats with directed rounding (see Arithmetic in the module docstring)."""
+
+    @pytest.mark.parametrize("fid, iv", BOUND_REQUESTS,
+                             ids=[f"{fid}-{iv.a}-{iv.b}" for fid, iv in BOUND_REQUESTS])
     @pytest.mark.parametrize("theorem", list(CertTheorem))
-    def test_encloses_the_exact_truncation_part_and_floor(self, catalog, theorem,
-                                                          monkeypatch):
-        # with _up the identity, truncation() is the exact value it rounds up
-        monkeypatch.setattr(certifier, "_up", lambda x: x)
-        u = Fraction(1, 1 << 53)
+    def test_within_64u_of_the_exact_formulas(self, by_id, theorem, fid, iv):
+        walk = certifier._Walk(by_id[fid], iv, theorem, 1)
+        while True:
+            assert_bounds_within_64u(walk)
+            if walk.n == 1 << 10:
+                break
+            walk.double()
+
+    @pytest.mark.parametrize("n", [1701, 3003])
+    @pytest.mark.parametrize("theorem", list(CertTheorem))
+    def test_within_64u_from_an_odd_start(self, catalog, theorem, n):
+        # integrate_certified walks from the odd part of n; 1701^5 and
+        # 3003^5 are past 2^53, so they stay in the exact factor
         for fn in catalog:
-            walk = certifier._Walk(fn, fn.window, theorem, 1)
-            while True:
-                for (low, high), exact in zip(walk.screen(), (walk.truncation(), walk.floor())):
-                    assert 0 <= Fraction(low) <= exact <= Fraction(high), (fn.id, walk.n)
-                    if exact > 0:
-                        assert Fraction(high) <= (1 + 64 * u) * Fraction(low), (fn.id, walk.n)
-                    else:
-                        # f'' or f'''' is 0 (affine, x2, x3) or no doubling has
-                        # happened (CONVEX_Q1's floor): subnormal noise at most
-                        assert low == 0.0 and high <= 1e-320, (fn.id, walk.n)
-                if walk.n == 1 << 10:
-                    break
-                walk.double()
-
-    @pytest.mark.parametrize("tol", [1e300, 1e-4, 1e-8, 1e-12, 1e-300])
-    @pytest.mark.parametrize("theorem", list(CertTheorem))
-    def test_changes_no_outcome_and_no_evaluation(self, catalog, by_id, theorem, tol,
-                                                  monkeypatch):
-        # a lower cap keeps the QUASI_Q1 searches, which have no floor, short
-        monkeypatch.setattr(certifier, "MAX_SUBINTERVALS", 1 << 12)
-
-        def outcome(fn, iv):
-            fn, calls = counted(fn, "f", "d1", "d2", "d4")
+            walk = certifier._Walk(fn, fn.window, theorem, n)
+            assert_bounds_within_64u(walk)
             try:
-                result = refine_to_tolerance(fn, iv, tol, theorem)
-            except (ConvergenceError, HypothesisError) as exc:
-                result = (type(exc), str(exc))
-            return result, calls
+                res = integrate_certified(fn, fn.window, n, theorem)
+            except HypothesisError:
+                continue
+            assert res.truncation_radius == walk.truncation()
 
-        undecided = ((-math.inf, math.inf), (-math.inf, math.inf))
-        # exp over [0, 700]: truncation parts past the float range
-        requests = [(fn, fn.window) for fn in catalog] + [(by_id["exp"], Interval(0.0, 700.0))]
-        for fn, iv in requests:
-            screened = outcome(fn, iv)
-            with monkeypatch.context() as patch:
-                patch.setattr(certifier._Walk, "screen", lambda walk: undecided)
-                assert outcome(fn, iv) == screened, (fn.id, iv, theorem, tol)
+    def test_zero_only_where_exact(self, by_id):
+        # a derivative that reads 0 at every cut gives exactly 0; a product
+        # that underflows to 0 steps to a subnormal
+        for fid in ("x2", "x3", "affine"):
+            fn = by_id[fid]
+            res = integrate_certified(fn, fn.window, 64, CertTheorem.CORRECTED)
+            assert res.truncation_radius == 0.0
+        affine = by_id["affine"]
+        assert integrate_certified(affine, affine.window, 4).truncation_radius == 0.0
+        res = integrate_certified(by_id["x2"], Interval(0.0, 1e-160), 1 << 10)
+        assert 0.0 < res.truncation_radius < 1e-300
+
+    @pytest.mark.parametrize("fid, a, b, tol, theorem", [
+        ("exp", 0.0, 700.0, 1e-6, CertTheorem.CORRECTED),
+        ("inv_x", 0.25, 4.0, 1e-300, CertTheorem.CORRECTED),
+        ("exp", 0.0, 700.0, 1e-6, CertTheorem.FEJER),
+        ("x4", -1.5, 1.5, 1e-12, CertTheorem.CONVEX_Q1),
+        ("x2", 0.0, 1.0, 1e-15, CertTheorem.CONVEX_Q1),
+    ])
+    def test_refusal_prints_a_lower_bound_of_the_floor(self, by_id, fid, a, b, tol, theorem):
+        fn, iv = by_id[fid], Interval(a, b)
+        with pytest.raises(ConvergenceError, match="at least") as caught:
+            refine_to_tolerance(fn, iv, tol, theorem)
+        found = re.search(r"at least (\S+) \(floor from the \S+ read up to n=(\d+)\)",
+                          str(caught.value))
+        printed, n = Fraction(float(found[1])), int(found[2])
+        walk = certifier._Walk(fn, iv, theorem, 1)
+        while walk.n < n:
+            walk.double()
+        assert tol < printed <= reference_floor(walk)
+        if theorem is CertTheorem.CORRECTED:
+            # `hh certify`'s two refusals: the exact floor rounded to
+            # nearest, as they printed it before, is above the exact floor
+            rounded = {"exp": 4.5357985832159197e+269, "inv_x": 4.849687504218322e-42}[fid]
+            assert rounded == float(reference_floor(walk))
+            assert Fraction(rounded) > reference_floor(walk)
+
+
+#: sha256 of the records of ``test_pinned_outcomes_and_evaluations``, taken
+#: while the truncation part and the floor were still priced in exact
+#: rationals (with glibc 2.36's libm, as the `hh certify` digests)
+OUTCOMES_DIGEST = "f046048e8fd38b2294b4fa98fd1f5f667a9b9af424f473251b124c8cdff12404"
+
+
+def test_pinned_outcomes_and_evaluations(catalog, by_id, monkeypatch):
+    """Every rule on every catalog window and exp over [0, 700], at five
+    tolerances: n, theorem, the estimate and the rounding part (or the
+    exception's type) and the f, f', f'' and f'''' evaluation counts."""
+    # a lower cap keeps the QUASI_Q1 searches, which have no floor, short
+    monkeypatch.setattr(certifier, "MAX_SUBINTERVALS", 1 << 12)
+    requests = [(fn, fn.window) for fn in catalog] + [(by_id["exp"], Interval(0.0, 700.0))]
+    records = []
+    for theorem in CertTheorem:
+        for tol in (1e300, 1e-4, 1e-8, 1e-12, 1e-300):
+            for fn, iv in requests:
+                counted_fn, calls = counted(fn, "f", "d1", "d2", "d4")
+                try:
+                    res = refine_to_tolerance(counted_fn, iv, tol, theorem)
+                    outcome = (res.subintervals, res.theorem_used.value, res.estimate.hex(),
+                               res.rounding_radius.hex())
+                except (ConvergenceError, EvaluationError, HypothesisError) as exc:
+                    outcome = type(exc).__name__
+                records.append((fn.id, iv.a, iv.b, theorem.value, tol, outcome,
+                                sorted(calls.items())))
+    assert len(records) == 220
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == OUTCOMES_DIGEST

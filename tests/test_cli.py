@@ -394,47 +394,47 @@ CERTIFY_BYTES = [
     (("x2", "0", "1", "1e-6"),
      "4e19390c44f5c04f9c78cb03dc816b270ed73405d8f2b24ef544aedf98d47177"),
     (("exp", "-1", "1", "1e-8"),
-     "37bb721a64a9138b13f8ee49f5ecad87ecda8f5605eef2ea0f676cf67b319099"),
+     "680c205456779056acf22f294acc51f44c0c90a057e1d10a2bc93b08e6ecf746"),
     (("x3", "0", "2", "1e-8"),
      "d62647f03a1000ab8eb00d3356be94b0b2d944911776ab27128529c56eef1ba0"),
     (("x4", "-1.5", "1.5", "1e-8"),
-     "4f9d3b6e79296eb27fc45a472d45375ac26901f21e69c80f91cf3f2736e20352"),
+     "9024571d3d9a7d38e68cd9c7e78f15b912526af466b485974080f8772e414682"),
     (("affine", "0", "2", "1e-12"),
      "28c682e5cf94f59df803da5a548c6bf096b2db368054d0091c8c3dc65870998c"),
     (("x_5_2", "0.25", "4", "1e-9"),
-     "502d575f4b7affacdbdfc9b8196c2ec411ff4ba8b4d21515db935d464ac1a453"),
+     "1a9cd85558c922ce5d0a906003ea1290f9e3b7264da43b64c4e08e400bf3c3c4"),
     (("inv_x", "1", "2", "1e-10"),
-     "3d247f52b97e4e050d3ce40fd208aea3c22bafd14df812e817cf0e21f3f78bb3"),
+     "b291fe33008c40dca5ca1870dd423a2f8f34c3f61c42a9ba8a19bfde89101936"),
     (("x5", "0.5", "1.5", "1e-10"),
-     "6470d5c08c05a9fe962112cb2e0916d4d7ce16e0ec894bbd38fd074b16db3030"),
+     "3c7b875b78cb2ddb9957ceca67fee1155b2f7d2c2526fbdcfc1686503167d1bb"),
     (("neg_ln", "0.5", "3", "1e-10"),
-     "d432b0c72de94af8c9dae846ad7738bde7c2f37cbccca1a08261f040ec80edcc"),
+     "d4cb963abfb9c3bd21830e8e7801074db01e9cc5ea99cae9bc83b01e4929effe"),
     (("x_5_2", "1", "2", "1e-10"),
-     "eda6a53a937ead2b32515cca597f11946f0eb2e9791a44e48647da3b31654ae2"),
+     "b927be61021a812c13db38902dc314d721096dd2d28c4ad62b57955012f24b4e"),
     (("x2", "0", "1", "1e-12"),
      "4e19390c44f5c04f9c78cb03dc816b270ed73405d8f2b24ef544aedf98d47177"),
     (("inv_x", "1", "2", "1e-12"),
-     "1298dc0878dcab5678c43069a4a4629d5c1f227364be28d7af0b1f235fe8cadc"),
+     "916995f58b69c136320d8ba1c14c1bd1542c89cdaeb0c09d939c54caa1904ca8"),
     (("exp", "-1", "1", "1e-11"),
-     "e5e4376b63de99187cdaf4e05acfcc5f35d733d16b2a69f409e264f7998885cc"),
+     "2af92917d45c0f658e710b465568b22b90c5948852e3c20fc03115539569e863"),
     (("x4", "-1.5", "1.5", "1e-12"),
-     "4f9d3b6e79296eb27fc45a472d45375ac26901f21e69c80f91cf3f2736e20352"),
+     "9024571d3d9a7d38e68cd9c7e78f15b912526af466b485974080f8772e414682"),
     (("sin", "0", "3", "1e-10"),
-     "e2168dee5ac40756c578bcd012ce65c4b65dd8fb9f032ed914a6cccc961ff71c"),
+     "6e22abb3c978ac834fa60c6956d50dbaac70082caf379432d5b35bd331a68558"),
     (("x_5_2", "1", "2", "1e-14"),
-     "e492d244473b7e0053ff52ccb52e102c549f3096afc223b107c2d6eea47c5479"),
+     "23425b12779c5705cbaeed83eed4fb4167ba55a6ff75772556e7d2889ef63e25"),
     (("x5", "-1", "1", "1e-6"),
-     "0bc7cd6d947abdb8c1acf0ca1a80f1bf2108d3ce00ab43843802a00b8d65e1a4"),
+     "c6ae13b606c037851a671dc4caf67eb22dd600656f8c824ce881392182184f1a"),
     (("sin", "2", "4.5", "1e-8"),
-     "247af14bc2dace80460082165d87929be73eb79c91358340c2a9c485cd9f4fd4"),
+     "564fa16ea08360d119108df70b8a94cc9fc9171f6e12b24d740b1c567153bb34"),
     (("sin", "0", "6", "1e-6"),
      "727a218884455ba7a2f546365b3fd16fc4aa26c104c7e287f0abffc08b35a902"),
     (("exp", "0", "700", "1e-6"),
-     "6ed50bf80123109f2275291db7bedcb6ad0ddbf4fe644e8cf8d2acbc426151d5"),
+     "7a571c06b48d2921d08637661085d05a4b14fa0ceb1b29808e84bac6b0fee416"),
     (("x2", "0", "1", "1e-300"),
      "ee35ad66c36e6c76308256afe2dc62d251f09ebbe8ac13e43aa0cf893f3a2bb1"),
     (("inv_x", "0.25", "4", "1e-300"),
-     "b231f0261a7ef7818155a42812ececcd15c5bf1f89e174a8bf3ac311ffb403eb"),
+     "fc32cae499507093cb1f7312c7ddf857e4017a3f1a5e2e1da052a43183ffc288"),
 ]
 
 
