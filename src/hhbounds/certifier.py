@@ -119,18 +119,26 @@ floor is above the tolerance:
   - CONVEX_Q1: the new cuts of a doubling are the midpoints of the coarser
     grid, and for convex |f''| the Hermite-Hadamard inequality (midpoint
     sum <= integral <= trapezoid sum) turns their values into a lower bound
-    on every finer trapezoid weight, hence on every finer truncation part;
-  - FEJER and CORRECTED: the half-width |T - M|/2 + spread * S +
-    u (|T| + |M|) is at least spread * S, S the fsum of the magnitudes read
-    so far (the halved ends and every chunk).  Grids nest, so a finer
-    level's S sums the same terms and more, all non-negative; fsum rounds
-    correctly, and rounding is monotone, so S never shrinks.  The
-    truncation part at n' <= MAX_SUBINTERVALS panels is an upper bound of
-    C (span/n')^k times the half-width, with C, k = 1/24, 3 (FEJER) or
-    7/5760, 5 (CORRECTED), and span/n' >= span/MAX_SUBINTERVALS; so at this
-    level and every later one it is at least
-    C (span/MAX_SUBINTERVALS)^k * spread * S, S as read now;
-  - QUASI_Q1 has none, and the search runs to 2^20 on f'' alone.
+    on every finer trapezoid weight, hence on every finer truncation part
+    (0 before the first doubling, whose cuts are no midpoints);
+  - every other rule reads S, the fsum of the magnitudes read so far (the
+    halved ends and every chunk).  Grids nest, so a finer level's S sums
+    the same terms and more, all non-negative; fsum rounds correctly, and
+    rounding is monotone, so S never shrinks.  The truncation part at
+    n' <= MAX_SUBINTERVALS panels is an upper bound of C (span/n')^k times
+    a weight w, with C, k the kernel's (1/24, 3, or 7/5760, 5 under
+    CORRECTED) and span/n' >= span/MAX_SUBINTERVALS; so once w >= c S, at
+    this level and every later one it is at least
+    C (span/MAX_SUBINTERVALS)^k * c * S, S as read now.  Under FEJER and
+    CORRECTED w is the half-width |T - M|/2 + spread * S + u (|T| + |M|),
+    and c = spread.  Under QUASI_Q1 c = 1: each panel's larger end is at
+    least the mean of its two ends, so the weight is at least the
+    trapezoid sum.  That holds for the computed w = inflation * S~ -
+    deflation * least too, S~ the fsum with the ends whole: the exact sums
+    X behind S~ and Y behind S differ by the mean of the two end values,
+    at least the least value read; fsum is within a relative u of each,
+    and inflation >= 1/(1 - u)^2, so w >= X (1 + u) - least >= Y (1 + u)
+    >= S.
 
 Arithmetic.  The truncation part and the floor are bounded in floats,
 with directed rounding: each operation rounds to nearest, within half a
@@ -146,11 +154,12 @@ f'''' under CORRECTED (x2, x3 and affine), still gives a truncation part
 of exactly 0.  ``_model`` makes the model's constants in exact rationals.
 Per walk, the interval's factor C span^k / m^k is made in exact
 rationals and rounded up once, where m is the walk's first n, and C, k
-are inflation/24, 3 under the Q1 rules (so the CONVEX_Q1 weight is S
-itself), or under a bracketed rule half the kernel's |integral| at h = 1
-and its power (the float bound then takes twice the half-width,
-|T - M| + 2 spread S + 2u (|T| + |M|)).  The floor's factor, deflation
-or spread included, is rounded down once per walk.  Per process, spread
+come from the rule's kernel record (``_RULES``): the |integral| at h = 1
+and the power.  The Q1 rules take C times inflation (so the CONVEX_Q1
+weight is S itself), a bracketed rule half of C (the float bound then
+takes twice the half-width, |T - M| + 2 spread S + 2u (|T| + |M|)).  The
+floor's factor, deflation (CONVEX_Q1) or spread (FEJER, CORRECTED)
+included, is rounded down once per walk.  Per process, spread
 is rounded up and deflation/inflation down.  Four points keep the bounds
 sound and finite:
   - the walk's factor is divided by (n/m)^k before it multiplies the
@@ -199,6 +208,8 @@ from .oracle import CONVEX_D2, CONVEX_OR_CONCAVE_F2, CONVEX_OR_CONCAVE_F4, QUASI
 if TYPE_CHECKING:
     from fractions import Fraction
 
+    from .oracle import Hypothesis
+
 #: refinement cap for refine_to_tolerance
 MAX_SUBINTERVALS = 1 << 20
 
@@ -219,16 +230,10 @@ class CertTheorem(str, Enum):
     CORRECTED = "corrected_fejer"
 
 
-#: the class each theorem is stated under
-_HYPOTHESIS = {CertTheorem.CONVEX_Q1: CONVEX_D2, CertTheorem.QUASI_Q1: QUASICONVEX_D2,
-               CertTheorem.FEJER: CONVEX_OR_CONCAVE_F2,
-               CertTheorem.CORRECTED: CONVEX_OR_CONCAVE_F4}
-
-
 class _Kernel(NamedTuple):
-    """A bracketed rule's panel error is the integral of a kernel of one
-    sign, even about the panel's midpoint, times the derivative its class
-    is stated for; over a panel of width h the kernel integrates to
+    """A panel's error is the integral of a kernel of one sign, even about
+    the panel's midpoint, times the derivative the rule's class is stated
+    for; over a panel of width h the kernel integrates to
     numerator/denominator h^power."""
 
     numerator: int
@@ -236,11 +241,24 @@ class _Kernel(NamedTuple):
     power: int
 
 
-_KERNELS = {CertTheorem.FEJER: _Kernel(1, 24, 3),
-            CertTheorem.CORRECTED: _Kernel(-7, 5760, 5)}
+#: the midpoint rule's peak kernel K, of integral h^3/24: the paper's two
+#: theorems and Fejer's bracket all bound a panel through it
+_PEAK = _Kernel(1, 24, 3)
 
-#: the derivatives a walk reads (``Hypothesis.derivative``), as messages name them
-_DERIVATIVE_NAMES = {"d2": "f''", "d4": "f''''"}
+
+class _Rule(NamedTuple):
+    """A theorem's class, its kernel, and whether it brackets the panel
+    error (the estimate adds the bracket's centre) or bounds its size."""
+
+    hypothesis: Hypothesis
+    kernel: _Kernel
+    bracketed: bool
+
+
+_RULES = {CertTheorem.CONVEX_Q1: _Rule(CONVEX_D2, _PEAK, False),
+          CertTheorem.QUASI_Q1: _Rule(QUASICONVEX_D2, _PEAK, False),
+          CertTheorem.FEJER: _Rule(CONVEX_OR_CONCAVE_F2, _PEAK, True),
+          CertTheorem.CORRECTED: _Rule(CONVEX_OR_CONCAVE_F4, _Kernel(-7, 5760, 5), True)}
 
 
 @dataclass(frozen=True)
@@ -261,7 +279,6 @@ class CertifiedIntegral:
 class _Model(NamedTuple):
     """The error model in exact rationals."""
 
-    fraction: type[Fraction]
     u: Fraction          # unit roundoff of IEEE double
     share: Fraction      # one evaluation's error <= share * |its computed value|
     inflation: Fraction  # exact weight <= computed weight * inflation
@@ -278,7 +295,6 @@ def _model() -> _Model:
     u = Fraction(1, 1 << 53)
     share = 2 * ULPS * u / (1 - 2 * ULPS * u)
     return _Model(
-        fraction=Fraction,
         u=u,
         share=share,
         inflation=(1 + share) / (1 - u) ** 2,
@@ -357,26 +373,28 @@ class _Walk:
     """
 
     def __init__(self, fn: TestFunction, iv: Interval, theorem: CertTheorem, n: int) -> None:
+        from fractions import Fraction
+
         self.fn, self.iv, self.theorem, self.n, self.start = fn, iv, theorem, n, n
-        self.kernel = _KERNELS.get(theorem)
-        derivative = _HYPOTHESIS[theorem].derivative
-        self.derivative, self.what = getattr(fn, derivative), _DERIVATIVE_NAMES[derivative]
+        self.rule = rule = _RULES[theorem]
+        hypothesis, (numerator, denominator, power) = rule.hypothesis, rule.kernel
+        self.derivative = getattr(fn, hypothesis.derivative)
+        self.what, self.power = hypothesis.magnitude.strip("|"), power
         model = _model()
-        fraction = model.fraction
-        self.span = span = fraction(iv.b) - fraction(iv.a)
-        # the factors of the truncation part and the floor that depend on the
-        # interval alone (see Arithmetic in the module docstring)
-        if self.kernel is None:
-            self.power = 3
-            self.part = _up(span ** 3 * model.inflation / (24 * n ** 3))
-            # span^2/(24 MAX^2) * 2 span/n times the odd cuts' sum; 0 under QUASI_Q1
-            self.below = (0.0 if theorem is CertTheorem.QUASI_Q1 else
-                          _down(span ** 3 * model.deflation / (12 * MAX_SUBINTERVALS ** 2 * n)))
-        else:
-            self.power = power = self.kernel.power
-            size = fraction(abs(self.kernel.numerator), self.kernel.denominator) * span ** power
+        self.span = span = Fraction(iv.b) - Fraction(iv.a)
+        # the kernel's |integral| over [a, b] as one panel, and the factors of
+        # the truncation part and the floor that depend on the interval alone
+        # (see Arithmetic in the module docstring)
+        size = Fraction(abs(numerator), denominator) * span ** power
+        if rule.bracketed:
             self.part = _up(size / (2 * n ** power))
             self.below = _down(size * model.spread / MAX_SUBINTERVALS ** power)
+        else:
+            self.part = _up(size * model.inflation / n ** power)
+            # CONVEX_Q1: span^2/(24 MAX^2) * 2 span/n times the odd cuts' sum
+            self.below = _down(size / MAX_SUBINTERVALS ** power
+                               if theorem is CertTheorem.QUASI_Q1 else
+                               2 * size * model.deflation / (MAX_SUBINTERVALS ** (power - 1) * n))
         first, last = self.derivative(iv.a), self.derivative(iv.b)
         _finite_sum((abs(first), abs(last)), self.what, n)
         self.ends = (first, last)
@@ -385,7 +403,7 @@ class _Walk:
         self.sizes: list[float] = []
         self.top = 0
         self._read(n, 1)
-        if self.kernel is not None:
+        if rule.bracketed:
             self._read(2 * n, 2)
 
     def _chunk_sums(self, ev, n: int, step: int,
@@ -416,7 +434,7 @@ class _Walk:
     def double(self) -> None:
         """Go to 2n subintervals."""
         self.n *= 2
-        if self.kernel is not None:
+        if self.rule.bracketed:
             self._read(2 * self.n, 2)  # the old midpoints become cuts
         else:
             self._read(self.n, 2)
@@ -442,7 +460,7 @@ class _Walk:
         |integral| times the bracket's half-width |T - M|/2 + e_T + e_M."""
         spread, shrink = _float_model()
         part = math.nextafter(self.part / (self.n // self.start) ** self.power, math.inf)
-        if self.kernel is not None:
+        if self.rule.bracketed:
             trapezoid, midpoint = self._sides()
             # |T - M| + 2 spread S + 2u (|T| + |M|): twice the half-width, as
             # part holds half the kernel's |integral|
@@ -458,43 +476,46 @@ class _Walk:
 
     def floor(self) -> float:
         """A lower bound of the truncation part at every level from this one
-        to MAX_SUBINTERVALS (see Floors in the module docstring); 0 under
-        QUASI_Q1.  Under CONVEX_Q1 it reads the |f''| sum at the new cuts
-        of the last doubling: h of the n/2 grid times it bounds the integral
-        of |f''| from below (0 before the first doubling)."""
-        if self.kernel is not None:
-            return _product_down(self.below, self._size())
-        return _product_down(math.nextafter(self.below / (self.n // self.start), 0.0),
-                             math.fsum(self.sizes[self.top:]))
+        to MAX_SUBINTERVALS (see Floors in the module docstring).  Under
+        CONVEX_Q1 it reads the |f''| sum at the new cuts of the last
+        doubling: h of the n/2 grid times it bounds the integral of |f''|
+        from below (0 before the first doubling); every other rule reads
+        the sum of the magnitudes read, ``_size``."""
+        if self.theorem is CertTheorem.CONVEX_Q1:
+            # a walk from an odd n > 1 starts with cuts that are no midpoints
+            new = math.fsum(self.sizes[self.top:]) if self.n > self.start else 0.0
+            return _product_down(math.nextafter(self.below / (self.n // self.start), 0.0), new)
+        return _product_down(self.below, self._size())
 
     def certificate(self, truncation: float) -> CertifiedIntegral:
         """Evaluate f at the n midpoints (and f' at a and b under CORRECTED)
         and close the certificate."""
+        from fractions import Fraction
+
         n = self.n
         sums, sizes = [], []
         for total, size, _ in self._chunk_sums(self.fn.f, 2 * n, 2, "f"):
             sums.append(total)
             sizes.append(size)
         model = _model()
-        fraction, u = model.fraction, model.u
-        total = fraction(_finite_sum(sums, "f", n))
+        total = Fraction(_finite_sum(sums, "f", n))
         h = self.span / n
         exact = h * total
-        error = h * (model.spread * fraction(math.fsum(sizes)) + u * abs(total))
-        if self.kernel is not None:
-            trapezoid, midpoint = map(fraction, self._sides())
-            exact += (fraction(self.kernel.numerator, self.kernel.denominator)
-                      * h ** self.kernel.power * (trapezoid + midpoint) / 2)
+        error = h * (model.spread * Fraction(math.fsum(sizes)) + model.u * abs(total))
+        if self.rule.bracketed:
+            trapezoid, midpoint = map(Fraction, self._sides())
+            numerator, denominator, power = self.rule.kernel
+            exact += Fraction(numerator, denominator) * h ** power * (trapezoid + midpoint) / 2
         if self.theorem is CertTheorem.CORRECTED:
             left, right = self.fn.d1(self.iv.a), self.fn.d1(self.iv.b)
             _finite_sum((abs(left), abs(right)), "f'", n)
-            exact += h * h / 24 * (fraction(right) - fraction(left))
-            error += h * h / 24 * model.share * (fraction(abs(left)) + fraction(abs(right)))
+            exact += h * h / 24 * (Fraction(right) - Fraction(left))
+            error += h * h / 24 * model.share * (Fraction(abs(left)) + Fraction(abs(right)))
         estimate = float(exact)
-        rounding = _up(abs(fraction(estimate) - exact) + error)
+        rounding = _up(abs(Fraction(estimate) - exact) + error)
         return CertifiedIntegral(
             estimate=estimate,
-            error_radius=_up(fraction(truncation) + fraction(rounding)),
+            error_radius=_up(Fraction(truncation) + Fraction(rounding)),
             subintervals=n,
             theorem_used=self.theorem,
             truncation_radius=truncation,
@@ -516,7 +537,7 @@ def integrate_certified(fn: TestFunction, iv: Interval, n: int,
     """
     if n < 1:
         raise DomainError(f"need at least one subinterval, got {n}")
-    _HYPOTHESIS[theorem].require(fn, iv)
+    _RULES[theorem].hypothesis.require(fn, iv)
     walk = _Walk(fn, iv, theorem, n // (n & -n))
     while walk.n < n:
         walk.double()
@@ -544,15 +565,15 @@ def refine_to_tolerance(fn: TestFunction, iv: Interval, tol: float,
     Raises DomainError and HypothesisError as ``integrate_certified`` does,
     EvaluationError on a non-finite evaluation, and ConvergenceError when
     the radius is still above tol at 2^20 subintervals, as soon as the
-    rule's floor (all but QUASI_Q1; see Floors in the module docstring) is
-    above tol, and as soon as the rounding part alone is above tol.  That
-    last one is a refusal, not a proof that no grid fits: a finer grid
-    moves the rounding part only through the midpoint sum of |f| and
-    through |E|, which approach fixed values, so it does not shrink with h.
+    rule's floor (see Floors in the module docstring) is above tol, and
+    as soon as the rounding part alone is above tol.  That last one is a
+    refusal, not a proof that no grid fits: a finer grid moves the
+    rounding part only through the midpoint sum of |f| and through |E|,
+    which approach fixed values, so it does not shrink with h.
     """
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    _HYPOTHESIS[theorem].require(fn, iv)
+    _RULES[theorem].hypothesis.require(fn, iv)
     walk = _Walk(fn, iv, theorem, 1)
     while True:
         n = walk.n

@@ -156,13 +156,11 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         except HypothesisError:
             if theorem is _CERTIFY_RULES[-1]:
                 raise
-    # the oracle's own error estimate is added to the radius below, so it
-    # must stay a small share of that radius, or it could hide a miss; a
-    # share of a subnormal radius can round to 0, which the oracle refuses
-    oracle_tol = min(args.tol * 1e-2, 1e-10)
-    if result.error_radius > 0.0:
-        oracle_tol = max(min(oracle_tol, result.error_radius * 1e-2), math.ulp(0.0))
-    oracle = integrate(fn.f, iv, oracle_tol)
+    # the oracle's own error estimate is added to the radius (at most tol)
+    # below, so it must stay a small share of that radius, or it could hide
+    # a miss; a share of a subnormal radius can round to 0, which the oracle
+    # refuses
+    oracle = integrate(fn.f, iv, max(min(result.error_radius * 1e-2, 1e-10), math.ulp(0.0)))
     enclosed = abs(result.estimate - oracle.value) <= (
         result.error_radius + oracle.est_error)
     _emit([{

@@ -219,11 +219,11 @@ def polynomial(coeffs: Sequence[float], *, id: str | None = None,
     return TestFunction(
         id=id or f"poly{len(cs) - 1}",
         f=horner(cs),
-        d1=horner(d1cs) if d1cs else (lambda x: 0.0),
-        d2=horner(d2cs) if d2cs else (lambda x: 0.0),
+        d1=horner(d1cs),
+        d2=horner(d2cs),
         window=window or Interval(-1.0, 1.0),
         domain=None,
-        d4=horner(d4cs) if d4cs else (lambda x: 0.0),
+        d4=horner(d4cs),
     )
 
 

@@ -234,14 +234,16 @@ class TestNestedSearch:
         assert calls["f"] == 0
         assert calls["d2"] < 100
 
+    @pytest.mark.parametrize("tol, n", [(1e-15, 4096), (1e-20, 1)])
     @pytest.mark.usefixtures("class_checks_pass")
-    def test_quasi_searches_to_the_cap_on_d2_alone(self, by_id, monkeypatch):
-        # no floor exists without convexity; a lower cap keeps the full search short
-        monkeypatch.setattr(certifier, "MAX_SUBINTERVALS", 1 << 10)
-        fn, calls = counted(by_id["x2"])
-        with pytest.raises(ConvergenceError, match=f"at n={1 << 10}"):
-            refine_to_tolerance(fn, UNIT, 1e-15, CertTheorem.QUASI_Q1)
-        assert calls == {"f": 0, "d2": (1 << 10) + 1}
+    def test_quasi_floor_fails_fast_without_evaluating_f(self, by_id, tol, n):
+        # every panel's larger |f''| end is at least the mean of its ends, so
+        # the trapezoid sum of |f''| read so far bounds every finer weight
+        fn, calls = counted(by_id["sin"])
+        with pytest.raises(ConvergenceError,
+                           match=rf"at least \S+ \(floor from the f'' read up to n={n}\)"):
+            refine_to_tolerance(fn, Interval(2.0, 4.5), tol, CertTheorem.QUASI_Q1)
+        assert calls == {"f": 0, "d2": n + 1}
 
 
 class TestAgainstOracle:
@@ -630,8 +632,18 @@ def _with_d4(d4, f=lambda x: x * x, d1=lambda x: 2.0 * x):
 
 
 class TestCorrected:
+    def test_one_peak_kernel_under_the_h3_rules(self):
+        # the peak kernel is t^2/2 at distance t from the nearer end of the
+        # panel, so its integral is 2 (h/2)^3/6 = h^3/24
+        rules = certifier._RULES
+        assert [theorem for theorem in CertTheorem if rules[theorem].kernel is certifier._PEAK] == [
+            CertTheorem.CONVEX_Q1, CertTheorem.QUASI_Q1, CertTheorem.FEJER]
+        assert certifier._PEAK == (1, 24, 3)
+        assert [theorem for theorem in CertTheorem if rules[theorem].bracketed] == [
+            CertTheorem.FEJER, CertTheorem.CORRECTED]
+
     def test_peano_kernel_in_fractions(self):
-        kernel = certifier._KERNELS[CertTheorem.CORRECTED]
+        kernel = certifier._RULES[CertTheorem.CORRECTED].kernel
         weight = Fraction(kernel.numerator, kernel.denominator)
         assert (weight, kernel.power) == (Fraction(-7, 5760), 5)
         # x^4 on [0, 1]: 1/5 - 1/16 (midpoint) - 1/6 (end correction)
@@ -796,8 +808,11 @@ class TestCorrected:
             refine_to_tolerance(fn, Interval(0.0, 700.0), 1e-6, theorem)
         assert calls == {"f": 0, derivative: 3}
 
-    @pytest.mark.parametrize("theorem", [CertTheorem.CORRECTED, CertTheorem.FEJER,
-                                         CertTheorem.CONVEX_Q1])
+    # a walk from 255 has one level, at 255 of the 256 panels the cap allows:
+    # there a floor read from the starting grid's cuts would be twice the
+    # truncation part under CONVEX_Q1
+    @pytest.mark.parametrize("start", [1, 3, 255])
+    @pytest.mark.parametrize("theorem", list(CertTheorem))
     # x4 and x5 (FEJER: x2, x3) have T = M, so the half-width is the slack
     # alone and the floor is within a few u of it at the cap; every |f''|
     # here is convex, as the CONVEX_Q1 floor needs
@@ -805,14 +820,14 @@ class TestCorrected:
                                            ("exp", 0.0, 700.0), ("x4", -1.5, 1.5),
                                            ("x5", 0.5, 1.5), ("x3", 0.0, 2.0)])
     def test_floor_bounds_every_finer_truncation_part(self, by_id, monkeypatch,
-                                                      theorem, fid, a, b):
+                                                      theorem, start, fid, a, b):
         monkeypatch.setattr(certifier, "MAX_SUBINTERVALS", 1 << 8)
-        walk = certifier._Walk(by_id[fid], Interval(a, b), theorem, 1)
+        walk = certifier._Walk(by_id[fid], Interval(a, b), theorem, start)
         floors, parts = [], []
         while True:
             floors.append(walk.floor())
             parts.append(walk.truncation())
-            if walk.n == 1 << 8:
+            if 2 * walk.n > 1 << 8:
                 break
             walk.double()
         assert floors == sorted(floors)
@@ -823,15 +838,15 @@ class TestCorrected:
 
 def kernel_integral(walk, n):
     """The signed integral of the walk's kernel over one panel of the n-grid."""
-    kernel = walk.kernel
-    return Fraction(kernel.numerator, kernel.denominator) * (walk.span / n) ** kernel.power
+    numerator, denominator, power = walk.rule.kernel
+    return Fraction(numerator, denominator) * (walk.span / n) ** power
 
 
 def reference_truncation(walk):
     """The exact value that ``_Walk.truncation`` bounds from above: its
     formulas in exact rationals, on the walk's computed sums."""
     model = certifier._model()
-    if walk.kernel is not None:
+    if walk.rule.bracketed:
         trapezoid, midpoint = map(Fraction, walk._sides())
         half_width = (abs(trapezoid - midpoint) / 2 + model.spread * Fraction(walk._size())
                       + model.u * (abs(trapezoid) + abs(midpoint)))
@@ -847,9 +862,11 @@ def reference_truncation(walk):
 def reference_floor(walk):
     """The exact value that ``_Walk.floor`` bounds from below."""
     model, cap = certifier._model(), certifier.MAX_SUBINTERVALS
-    if walk.kernel is not None:
+    if walk.rule.bracketed:
         return abs(kernel_integral(walk, cap)) * model.spread * Fraction(walk._size())
     if walk.theorem is CertTheorem.QUASI_Q1:
+        return kernel_integral(walk, cap) * Fraction(walk._size())
+    if walk.n == walk.start:
         return Fraction(0)
     odd_sum = Fraction(math.fsum(walk.sizes[walk.top:]))
     return walk.span ** 2 / (24 * cap ** 2) * (2 * walk.span / walk.n) * odd_sum * model.deflation
@@ -951,17 +968,18 @@ class TestFloatBounds:
             assert Fraction(rounded) > reference_floor(walk)
 
 
-#: sha256 of the records of ``test_pinned_outcomes_and_evaluations``, taken
-#: while the truncation part and the floor were still priced in exact
-#: rationals (with glibc 2.36's libm, as the `hh certify` digests)
-OUTCOMES_DIGEST = "f046048e8fd38b2294b4fa98fd1f5f667a9b9af424f473251b124c8cdff12404"
+#: sha256 of the records of ``test_pinned_outcomes_and_evaluations`` (with
+#: glibc 2.36's libm, as the `hh certify` digests), restated when QUASI_Q1
+#: gained its floor: only its 29 refusals moved, each still a
+#: ConvergenceError after fewer f'' reads
+OUTCOMES_DIGEST = "03246cf511a9e27446eef835e11f06ed533c141ae757be4c54bc03dce0f09b2c"
 
 
 def test_pinned_outcomes_and_evaluations(catalog, by_id, monkeypatch):
     """Every rule on every catalog window and exp over [0, 700], at five
     tolerances: n, theorem, the estimate and the rounding part (or the
     exception's type) and the f, f', f'' and f'''' evaluation counts."""
-    # a lower cap keeps the QUASI_Q1 searches, which have no floor, short
+    # a lower cap keeps the searches that no floor stops short
     monkeypatch.setattr(certifier, "MAX_SUBINTERVALS", 1 << 12)
     requests = [(fn, fn.window) for fn in catalog] + [(by_id["exp"], Interval(0.0, 700.0))]
     records = []
