@@ -16,7 +16,15 @@ quasi-convexity and of |f'| read the derivative there once,
 127 evaluations, and test the pairs on those values, taking the magnitude
 after the read.  The check of |f''| for convexity (``CONVEX_D2``) still
 evaluates each pair's midpoint anew, 64 + 2,016 evaluations of f'': it
-calls f'' directly and takes the magnitude in its loop.
+calls f'' directly and takes the magnitude in its loop.  The check of
+|f''| for monotonicity (``MONOTONE_D2``) reads f'' on the same 64-point
+grid and tests its 63 steps.
+
+The class decision is stated once: one grid, ``CLASS_CHECK_GRID``, one
+read, of the derivative itself with the magnitude taken after it, and one
+slack, ``_slack``: ``CLASS_CHECK_REL`` = 2^-44 times the largest finite
+|value| among the sample's 64 grid values.  Scaling g by 2^j scales every
+value and the slack exactly, so no verdict depends on g's units.
 
 The pairs i + j = s of one anti-diagonal share their midpoint, so the
 sample refutes s iff that value is above the least of their thresholds.
@@ -75,8 +83,16 @@ _WG_CENTRE = 0.4179591836734694
 #: test; ``fine_grid_sample`` reads them and every pair's midpoint at once
 CLASS_CHECK_GRID = 64
 
-#: additive slack used by the midpoint-convexity samplers
-CLASS_CHECK_TOL = 1e-9
+#: the class samplers' slack relative to the largest finite |value| G of
+#: the sample's class grid (``_slack``): 2^-44 = 512 u, u = 2^-53.  A value
+#: within ``certifier.ULPS`` = 2 ulp of the exact one is off by at most
+#: 4u G, so the values of one bend, mid - (lo + hi)/2, or of one step,
+#: hi - lo, are off by at most 8u G together, and the bend's few roundings
+#: (the sum, the half, adding the slack) by about 3u G more; 512 u leaves a
+#: factor above 40.  It holds no term for the rounding of the nodes, about
+#: |g'| ulp(x): that can refute a true class on a very narrow interval,
+#: but a term for it would pass false classes where |x| is large
+CLASS_CHECK_REL = 2.0 ** -44
 
 
 @dataclass(frozen=True)
@@ -166,6 +182,18 @@ def midpoint_gap(fn: TestFunction, iv: Interval, tol: float = 1e-10) -> float:
     return abs(mean_value(fn, iv, tol) - fn.f(iv.midpoint))
 
 
+def _slack(gs: list[float]) -> float:
+    """The class samplers' one slack: ``CLASS_CHECK_REL`` times the largest
+    finite |g| of the class grid's values gs, 0 when none is finite; an
+    inf or NaN never makes it inf or NaN, so it never passes every pair.
+    ``max`` and ``min`` skip a NaN that is not first, so a finite top is
+    the largest |g|, read without a Python call per value."""
+    top = max(max(gs), -min(gs))
+    if not top < math.inf:
+        top = max(map(abs, filter(math.isfinite, gs)), default=0.0)
+    return CLASS_CHECK_REL * top
+
+
 def _grid(iv: Interval, n: int) -> list[float]:
     step = iv.width / (n - 1)
     xs = [iv.a + i * step for i in range(n)]
@@ -176,11 +204,13 @@ def _grid(iv: Interval, n: int) -> list[float]:
 def midpoint_convexity_holds(d: Callable[[float], float], iv: Interval) -> bool:
     """Sampling verdict on the magnitude of d: |d((x+y)/2)| <= (|d(x)| +
     |d(y)|)/2 + tol over all grid pairs, d read at the 64 grid points, then
-    anew at each pair's midpoint, row by row, until the first refuted pair.
-    Taking abs here, not in a wrapper around d, saves a Python call per read."""
-    grid, tol = CLASS_CHECK_GRID, CLASS_CHECK_TOL  # locals: the pair loop is hot
+    anew at each pair's midpoint, row by row, until the first refuted pair;
+    tol is the grid values' ``_slack``.  Taking abs here, not in a wrapper
+    around d, saves a Python call per read."""
+    grid = CLASS_CHECK_GRID  # a local: the pair loop is hot
     xs = _grid(iv, grid)
     gs = [abs(d(x)) for x in xs]
+    tol = _slack(gs)
     for i in range(grid):
         xi, gi = xs[i], gs[i]
         for j in range(i + 1, grid):
@@ -232,8 +262,9 @@ def pairs_hold(fine: list[float], quasi: bool = False) -> bool:
     """Sampling verdict from a ``fine_grid_sample``: for every pair i < j of
     the 64-point grid, the midpoint value fine[i + j] is at most the pair's
     mean (convex) or larger value (quasi-convex), fine[2i] and fine[2j], plus
-    tol.  The pairs of ``midpoint_convexity_holds``, read from the sample
-    instead of evaluating each midpoint; a NaN value refutes nothing.
+    tol, the grid values' ``_slack``.  The pairs of
+    ``midpoint_convexity_holds``, read from the sample instead of
+    evaluating each midpoint; a NaN value refutes nothing.
 
     Rounding x + tol is monotone in x, so max(u, v) + tol rounds to the
     larger of u + tol and v + tol, and the quasi-convex test compares each
@@ -255,9 +286,8 @@ def pairs_hold(fine: list[float], quasi: bool = False) -> bool:
         innermost pair; comparisons are exact, infinities included.
     Any other sample (a non-finite grid value under the convex test, an
     overflow, or one that is neither) runs the loop over every pair."""
-    tol = CLASS_CHECK_TOL  # locals: the pair loop is hot
     gs = fine[::2]
-    n = len(gs)
+    n, tol = len(gs), _slack(gs)  # locals: the pair loop is hot
     if quasi:
         tops = [g + tol for g in gs]
         if _valley(tops):
@@ -283,10 +313,11 @@ def convexity_sign(fine: list[float]) -> int:
     of g (the pair midpoints of the 64-point grid, ends included): 1 when no
     point lies above the chord of its neighbours by more than tol (convex
     g), -1 when none lies below it by more than tol (concave g), 0 when both
-    are refuted.  When every bend is within tol, so both stay open, the sign
-    of their sum decides: it telescopes to half the fall in slope across the
-    grid, (g1 - g0) - (g126 - g125), and a tie goes convex."""
-    tol = CLASS_CHECK_TOL
+    are refuted; tol is the class grid values' ``_slack``.  When every bend
+    is within tol, so both stay open, the sign of their sum decides: it
+    telescopes to half the fall in slope across the grid, (g1 - g0) -
+    (g126 - g125), and a tie goes convex."""
+    tol = _slack(fine[::2])
     bends = [mid - 0.5 * (lo + hi) for lo, mid, hi in zip(fine, fine[1:], fine[2:])]
     convex = all(bend <= tol for bend in bends)
     concave = all(bend >= -tol for bend in bends)
@@ -306,11 +337,11 @@ def signed_convexity_holds(g: Callable[[float], float], iv: Interval) -> bool:
     return pairs_hold(fine if sign > 0 else [-v for v in fine])
 
 
-def monotone_holds(g: Callable[[float], float], iv: Interval) -> bool:
-    """Sampling verdict: g rises or falls over 65 evenly spaced points of iv
-    (ends included), up to 1e-12 * max(1, max g) per step."""
-    gs = [g(x) for x in _grid(iv, 65)]
-    tol = 1e-12 * max(1.0, max(gs))
+def monotone_holds(d: Callable[[float], float], iv: Interval) -> bool:
+    """Sampling verdict on the magnitude of d: |d| rises or falls over the
+    64-point class grid, up to the grid values' ``_slack`` per step."""
+    gs = [abs(d(x)) for x in _grid(iv, CLASS_CHECK_GRID)]
+    tol = _slack(gs)
     steps = list(zip(gs, gs[1:]))
     return (all(hi >= lo - tol for lo, hi in steps)
             or all(hi <= lo + tol for lo, hi in steps))
@@ -361,7 +392,7 @@ CONVEX_D2 = Hypothesis("d2", "|f''|", "convex",
 QUASICONVEX_D2 = Hypothesis("d2", "|f''|", "quasi-convex",
                             lambda fn, iv: check_quasiconvex_abs_d2(fn, iv))
 MONOTONE_D2 = Hypothesis("d2", "|f''|", "monotone",
-                         lambda fn, iv: monotone_holds(lambda x: abs(fn.d2(x)), iv))
+                         lambda fn, iv: monotone_holds(fn.d2, iv))
 CONVEX_D1 = Hypothesis("d1", "|f'|", "convex",
                        lambda fn, iv: pairs_hold(list(map(abs, fine_grid_sample(fn.d1, iv)))))
 #: signed f'' convex or concave, the class of Fejer's bracket; the pair

@@ -968,6 +968,145 @@ class TestFloatBounds:
             assert Fraction(rounded) > reference_floor(walk)
 
 
+class Replay:
+    """Float operations of the certifier's bounds, each checked against the
+    exact value of the expression it stands for: an upper bound must be at
+    least it, a lower bound at most it."""
+
+    def __init__(self, where):
+        self.where, self.steps = where, 0
+
+    def up(self, value, exact):
+        self.steps += 1
+        assert value == math.inf or Fraction(value) >= exact, (self.where, self.steps)
+        return value
+
+    def down(self, value, exact):
+        self.steps += 1
+        assert 0.0 <= value and Fraction(value) <= exact, (self.where, self.steps)
+        return value
+
+    def least_above(self, value, exact):
+        """value is the least float not below exact."""
+        self.up(value, exact)
+        assert value == 0.0 or Fraction(math.nextafter(value, -math.inf)) < exact, self.where
+        return value
+
+    def greatest_below(self, value, exact):
+        """value is the greatest float not above exact."""
+        self.down(value, exact)
+        assert (value == sys.float_info.max
+                or Fraction(math.nextafter(value, math.inf)) > exact), self.where
+        return value
+
+
+def stepped_up(x):
+    """x, the rounded result of a sum or difference, one float up unless 0."""
+    return math.nextafter(x, math.inf) if x else 0.0
+
+
+def product_up(x, y):
+    return math.nextafter(x * y, math.inf) if x and y else 0.0
+
+
+def walk_factors(walk):
+    """The exact factors the walk's ``part`` and ``below`` round: the
+    kernel's |integral| over [a, b] as one panel, over the start's n^k
+    (halved under a bracketed rule, times inflation under a Q1 rule), and
+    that |integral| at the cap times spread (bracketed), 1 (QUASI_Q1) or
+    2 deflation cap/start (CONVEX_Q1)."""
+    model, cap = certifier._model(), certifier.MAX_SUBINTERVALS
+    numerator, denominator, power = walk.rule.kernel
+    size = Fraction(abs(numerator), denominator) * walk.span ** power
+    if walk.rule.bracketed:
+        return size / (2 * walk.start ** power), size * model.spread / cap ** power
+    if walk.theorem is CertTheorem.QUASI_Q1:
+        return size * model.inflation / walk.start ** power, size / cap ** power
+    return (size * model.inflation / walk.start ** power,
+            2 * size * model.deflation / (cap ** (power - 1) * walk.start))
+
+
+def replay_truncation(walk, check):
+    """``_Walk.truncation`` one float operation at a time, each paired with
+    its exact value on the walk's computed sums; the last exact value is
+    ``reference_truncation``."""
+    model = certifier._model()
+    spread, shrink = certifier._float_model()
+    check.up(spread, model.spread)
+    check.down(shrink, model.deflation / model.inflation)
+    factor = walk_factors(walk)[0]
+    check.least_above(walk.part, factor)
+    levels = (walk.n // walk.start) ** walk.power
+    exact_part = factor / levels
+    part = check.up(math.nextafter(walk.part / levels, math.inf), exact_part)
+    if walk.rule.bracketed:
+        trapezoid, midpoint = walk._sides()
+        size = walk._size()
+        t, m, s = Fraction(trapezoid), Fraction(midpoint), Fraction(size)
+        gap = abs(t - m)
+        slack = 2 * model.spread * s
+        sides = abs(t) + abs(m)
+        exact = gap + slack + 2 * model.u * sides
+        width = check.up(stepped_up(
+            check.up(stepped_up(check.up(stepped_up(abs(trapezoid - midpoint)), gap)
+                                + check.up(product_up(2.0 * spread, size), slack)),
+                     gap + slack)
+            + check.up(product_up(2.0 ** -52, check.up(stepped_up(abs(trapezoid)
+                                                                  + abs(midpoint)), sides)),
+                       2 * model.u * sides)), exact)
+    elif walk.theorem is CertTheorem.QUASI_Q1:
+        total = walk._total()
+        least = check.down(math.nextafter(shrink * walk.least, 0.0),
+                           model.deflation / model.inflation * Fraction(walk.least))
+        exact = Fraction(total) - model.deflation / model.inflation * Fraction(walk.least)
+        width = check.up(stepped_up(total - least), exact)
+    else:
+        width = walk._size()
+        exact = Fraction(width)
+    exact *= exact_part
+    assert exact == reference_truncation(walk)
+    return check.up(product_up(part, width), exact)
+
+
+def replay_floor(walk, check):
+    """``_Walk.floor`` one float operation at a time, as
+    ``replay_truncation``; the last exact value is ``reference_floor``."""
+    factor = walk_factors(walk)[1]
+    check.greatest_below(walk.below, factor)
+    if walk.theorem is CertTheorem.CONVEX_Q1:
+        size = math.fsum(walk.sizes[walk.top:]) if walk.n > walk.start else 0.0
+        levels = walk.n // walk.start
+        factor /= levels
+        below = check.down(math.nextafter(walk.below / levels, 0.0), factor)
+    else:
+        size, below = walk._size(), walk.below
+    exact = factor * Fraction(size)
+    assert exact == reference_floor(walk)
+    return check.down(math.nextafter(below * size, 0.0), exact)
+
+
+class TestOpByOp:
+    """Each float operation of ``_Walk.truncation`` and ``_Walk.floor``, and
+    the walk's ``part`` and ``below`` factors, bound their exact values on
+    the stated side, and the walk computes exactly these operations: a step
+    left out would leave the final bound on the right side of the exact one
+    most of the time, but not its bits."""
+
+    @pytest.mark.parametrize("start", [1, 3, 255])
+    @pytest.mark.parametrize("theorem", list(CertTheorem))
+    def test_each_operation_bounds_its_exact_value(self, by_id, theorem, start):
+        steps = 0
+        for fid, iv in BOUND_REQUESTS:
+            walk = certifier._Walk(by_id[fid], iv, theorem, start)
+            for _ in range(4):
+                check = Replay((fid, iv, walk.n))
+                assert walk.truncation() == replay_truncation(walk, check), check.where
+                assert walk.floor() == replay_floor(walk, check), check.where
+                steps += check.steps
+                walk.double()
+        assert steps > 0
+
+
 #: sha256 of the records of ``test_pinned_outcomes_and_evaluations`` (with
 #: glibc 2.36's libm, as the `hh certify` digests), restated when QUASI_Q1
 #: gained its floor: only its 29 refusals moved, each still a

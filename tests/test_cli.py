@@ -215,8 +215,9 @@ class TestCertifyCommand:
         # f'''' = sin and f'' = -sin bend both ways around pi, where
         # |f''| = |sin| has its least value: quasi-convex only
         (("sin", "2", "4.5", "1e-6"), "quasi_q1", 1024),
-        # f'''' = -0.9375 x^-1.5 is concave, and so nearly linear here that
-        # every fine-grid bend is within the class tolerance
+        # f'''' = -0.9375 x^-1.5 is concave: every fine-grid bend, about
+        # 1.1e-10, lies above its chord by more than the slack, 2^-44 of
+        # |f''''| (5.3e-14)
         (("x_5_2", "1", "1.001", "1e-14"), "corrected_fejer", 1),
     ])
     def test_names_the_rule_and_both_radius_parts(self, args, theorem, n):
@@ -225,6 +226,21 @@ class TestCertifyCommand:
         row = json.loads(proc.stdout)
         assert (row["theorem"], row["n"], row["enclosed"]) == (theorem, n, True)
         assert row["error_radius"] >= row["truncation_radius"] + row["rounding_radius"]
+        assert row["error_radius"] <= float(args[-1])
+
+    @pytest.mark.parametrize("args", [
+        # f'''' = 120 x is linear, with an ulp of 1.9e-9 here
+        ("x5", "1e5", "1.1e5", "1e20"),
+        # f'''' = f'' = e^x near 1.8e10
+        ("exp", "23.63423741971625", "23.63424507752042", "1e-6"),
+    ])
+    def test_large_derivative_values_keep_their_class(self, args):
+        # the class slack scales with the sample: rounding noise in values
+        # far above 1 refutes no class, so the first rule certifies
+        proc = run("certify", *args)
+        assert proc.returncode == 0
+        row = json.loads(proc.stdout)
+        assert (row["theorem"], row["n"], row["enclosed"]) == ("corrected_fejer", 1, True)
         assert row["error_radius"] <= float(args[-1])
 
     @pytest.mark.parametrize("args, theorem, n", [

@@ -18,7 +18,6 @@ from hhbounds.core import (
 )
 from hhbounds.oracle import (
     CLASS_CHECK_GRID,
-    CLASS_CHECK_TOL,
     CONVEX_D1,
     CONVEX_D2,
     CONVEX_OR_CONCAVE_F2,
@@ -79,22 +78,34 @@ def adaptive_simpson(f, iv: Interval, tol: float) -> QuadratureResult:
     return QuadratureResult(value=value, est_error=est, evaluations=count)
 
 
+#: the class samplers' slack relative to the largest finite |value| of the
+#: class grid, 512 u
+SLACK_REL = 2.0 ** -44
+
+
+def reference_slack(gs: list[float]) -> float:
+    """2^-44 times the largest finite |g| of the class grid's values gs."""
+    return SLACK_REL * max((abs(g) for g in gs if math.isfinite(g)), default=0.0)
+
+
 def per_pair_sampler(g, iv: Interval, quasi: bool = False) -> bool:
     """The pair samplers before the fine-grid read, kept as an independent
     cross-check: g at the 64 grid points a + i*width/63, then at the
     midpoint of each of the 2,016 grid pairs, which must not exceed the
-    pair's mean (convex) or larger value (quasi-convex) by more than tol."""
+    pair's mean (convex) or larger value (quasi-convex) by more than tol,
+    2^-44 times the largest finite |g| at the grid points."""
     step = iv.width / (CLASS_CHECK_GRID - 1)
     xs = [iv.a + i * step for i in range(CLASS_CHECK_GRID)]
     xs[-1] = iv.b
     gs = [g(x) for x in xs]
+    tol = reference_slack(gs)
     for i in range(CLASS_CHECK_GRID):
         for j in range(i + 1, CLASS_CHECK_GRID):
             if quasi:
                 bound = gs[i] if gs[i] > gs[j] else gs[j]
             else:
                 bound = 0.5 * (gs[i] + gs[j])
-            if g(0.5 * (xs[i] + xs[j])) > bound + CLASS_CHECK_TOL:
+            if g(0.5 * (xs[i] + xs[j])) > bound + tol:
                 return False
     return True
 
@@ -102,9 +113,10 @@ def per_pair_sampler(g, iv: Interval, quasi: bool = False) -> bool:
 def all_pairs(fine: list[float], quasi: bool = False) -> bool:
     """The verdict of ``pairs_hold`` by its loop over all 2,016 pairs, the
     one every sample took before the innermost-pair reduction, kept as the
-    reference for it."""
-    tol = CLASS_CHECK_TOL
+    reference for it; tol is 2^-44 times the largest finite |value| of the
+    class grid."""
     gs = fine[::2]
+    tol = reference_slack(gs)
     n = len(gs)
     if quasi:
         tops = [g + tol for g in gs]
@@ -131,16 +143,18 @@ def built_sample(kind: str, seed: int) -> list[float]:
       - negated_concave: -sqrt or -log1p of a scaled index, as
         ``signed_convexity_holds`` negates a concave sample;
       - constant; linear_noise: a line with each value moved by -1, 0 or 1 ulp;
-      - bumps: a convex sample with values moved by up to 2 tol;
-      - far_pair: flat but for both ends dipping (under the convex test
-        only pairs with an end can violate), or a concave hill whose pair
-        (i, j) bends by (j - i)^2 tol/10 or tol/5, so that the innermost
-        pair of every anti-diagonal holds and pairs far apart violate;
+      - bumps: a convex sample with values moved by up to 2 tol, tol =
+        2^-44 times its grid's largest |value|;
+      - far_pair: flat at 1 but for both ends dipping (under the convex
+        test only pairs with an end can violate), or a concave hill of top
+        1 whose pair (i, j) bends by (j - i)^2 tol/10 or tol/5, so that the
+        innermost pair of every anti-diagonal holds and pairs far apart
+        violate; tol = 2^-44, the slack of a sample whose largest |value|
+        is 1;
       - non_finite: a convex sample with NaN, inf or -inf put in;
       - huge: a convex sample near 1e308, whose doubling or sums overflow."""
     rng = random.Random(seed)
     size = 2 * CLASS_CHECK_GRID - 1
-    tol = CLASS_CHECK_TOL
 
     def convex() -> list[float]:
         c, c2 = rng.randrange(-20, 150), rng.randrange(0, 127)
@@ -162,18 +176,19 @@ def built_sample(kind: str, seed: int) -> list[float]:
         return [v + rng.choice((-1, 0, 1)) * math.ulp(v) for v in line]
     if kind == "bumps":
         sample = convex()
+        tol = reference_slack(sample[::2])
         for _ in range(rng.randrange(1, 6)):
             k = rng.randrange(size)
             sample[k] += rng.choice((-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)) * tol
         return sample
     if kind == "far_pair":
-        level = rng.uniform(-1.0, 1.0)
+        tol = SLACK_REL
         if rng.random() < 0.5:
             bend = rng.choice((0.1, 0.2)) * tol
-            return [level - bend * (k - size // 2) ** 2 for k in range(size)]
-        sample = [level] * size
+            return [1.0 - bend * (k - size // 2) ** 2 for k in range(size)]
+        sample = [1.0] * size
         depth = rng.choice((0.5, 2.0, 10.0)) * tol
-        sample[0] = sample[-1] = level - depth
+        sample[0] = sample[-1] = 1.0 - depth
         return sample
     if kind == "non_finite":
         sample = convex()
@@ -453,9 +468,10 @@ class TestFineGridClassChecks:
 
     @pytest.mark.parametrize("g, refuted", [
         (bump_d2, True), (lambda x: -bump_d2(x), True), (lambda x: abs(bump_d2(x)), True),
-        # a tent on 0 just above and just below tol, between the first pair
-        (lambda x: tent(x, 1.0 / 126.0, 1.5 * CLASS_CHECK_TOL), True),
-        (lambda x: tent(x, 1.0 / 126.0, 0.5 * CLASS_CHECK_TOL), False),
+        # a tent on a base of 1 just above and just below the slack, 2^-44
+        # of the grid's largest value 1, between the first pair
+        (lambda x: 1.0 + tent(x, 1.0 / 126.0, 1.5 * SLACK_REL), True),
+        (lambda x: 1.0 + tent(x, 1.0 / 126.0, 0.5 * SLACK_REL), False),
     ])
     def test_bumps_between_class_grid_points_refute_as_before(self, g, refuted):
         fine = fine_grid_sample(g, UNIT)
@@ -476,12 +492,24 @@ class TestFineGridClassChecks:
             for seed in range(20):
                 fine = built_sample(kind, seed)
                 gs = fine[::2]
-                short = (oracle._valley([g + CLASS_CHECK_TOL for g in gs]) if quasi
-                         else oracle._convex(gs))
+                tops = [g + reference_slack(gs) for g in gs]
+                short = oracle._valley(tops) if quasi else oracle._convex(gs)
                 verdict = pairs_hold(fine, quasi)
                 assert verdict == all_pairs(fine, quasi), (kind, seed)
                 seen.add((short, verdict))
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("quasi", [False, True])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_a_non_finite_value_leaves_the_slack_finite(self, value, quasi):
+        # the midpoint of the first pair is 2 slacks above a flat 1; an inf
+        # or NaN at the far grid point must not make the slack inf or NaN,
+        # which would pass every pair
+        fine = [1.0] * (2 * CLASS_CHECK_GRID - 1)
+        fine[1] += 2.0 * SLACK_REL
+        fine[-1] = value
+        assert not pairs_hold(fine, quasi)
+        assert pairs_hold([1.0] * (len(fine) - 1) + [value], quasi)
 
     def test_innermost_pairs_are_the_middle_pair_of_each_anti_diagonal(self):
         size = 2 * CLASS_CHECK_GRID - 1
@@ -648,14 +676,18 @@ def test_convexity_sign_from_the_fine_grid():
 
 
 def test_convexity_sign_of_a_nearly_linear_concave_function():
-    # every fine-grid bend of x - 1e-7 x^2 (about 6e-12) is within tol, so
-    # both signs stay open; the slope falls across the grid, so concave
+    # every fine-grid bend of x - 1e-10 x^2 (about 6e-15) is within the
+    # slack, 2^-44 of the largest value (about 1), so both signs stay open;
+    # the slope falls across the grid, so concave
     def g(x):
-        return x - 1e-7 * x * x
+        return x - 1e-10 * x * x
 
-    assert convexity_sign(fine_grid_sample(g, UNIT)) == -1
+    fine = fine_grid_sample(g, UNIT)
+    assert max(abs(mid - 0.5 * (lo + hi))
+               for lo, mid, hi in zip(fine, fine[1:], fine[2:])) <= SLACK_REL * max(fine)
+    assert convexity_sign(fine) == -1
     assert convexity_sign(fine_grid_sample(lambda x: -g(x), UNIT)) == 1
-    fn = polynomial([0.0, 0.0, 0.0, 1.0 / 6.0, -1e-7 / 12.0], id="near_linear",
+    fn = polynomial([0.0, 0.0, 0.0, 1.0 / 6.0, -1e-10 / 12.0], id="near_linear",
                     window=UNIT)
     assert CONVEX_OR_CONCAVE_F2.check(fn, UNIT)
 
@@ -663,7 +695,8 @@ def test_convexity_sign_of_a_nearly_linear_concave_function():
 def test_generic_monotonicity_sampler_on_plain_callables():
     assert monotone_holds(math.exp, UNIT)
     assert monotone_holds(lambda x: -x, UNIT)
-    # a dip in a constant sample: 1e-13 is within the tolerance, 1e-9 is not
-    assert monotone_holds(lambda x: 1.0 - (1e-13 if 0.4 < x < 0.6 else 0.0), UNIT)
-    assert not monotone_holds(lambda x: 1.0 - (1e-9 if 0.4 < x < 0.6 else 0.0), UNIT)
+    # a dip in a sample of size 1: half the slack, 2^-44, is within it,
+    # twice the slack is not
+    assert monotone_holds(lambda x: 1.0 - (0.5 * SLACK_REL if 0.4 < x < 0.6 else 0.0), UNIT)
+    assert not monotone_holds(lambda x: 1.0 - (2.0 * SLACK_REL if 0.4 < x < 0.6 else 0.0), UNIT)
     assert not monotone_holds(abs, Interval(-1.0, 1.0))

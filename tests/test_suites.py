@@ -125,7 +125,8 @@ class TestBoundTable:
         assert calls == []
 
     def test_monotone_query_samples_its_class_once(self, by_id):
-        # 65 f'' evaluations for the monotone sample, 2 for the endpoint values
+        # 64 f'' evaluations for the monotone sample on the class grid, 2 for
+        # the endpoint values
         calls = []
         x3 = by_id["x3"]
 
@@ -134,7 +135,7 @@ class TestBoundTable:
             return x3.d2(x)
 
         build_bound_report(dataclasses.replace(x3, d2=d2), ONE_TWO, "quasi_monotone")
-        assert len(calls) == 67
+        assert len(calls) == 66
 
     @pytest.mark.parametrize("theorem", ["prop_identric", "no_such_theorem"])
     def test_rejects_names_outside_the_table(self, by_id, theorem):
