@@ -350,10 +350,11 @@ def _product_down(x: float, y: float) -> float:
 
 
 def _finite_sum(values: Iterable[float], what: str, n: int) -> float:
-    """fsum of values, refusing a NaN or infinite total."""
+    """fsum of values, refusing a NaN or infinite total, or one that
+    overflows on the way."""
     try:
         total = math.fsum(values)
-    except ValueError:  # inf + -inf
+    except (OverflowError, ValueError):  # an intermediate overflow; inf + -inf
         total = math.nan
     if not math.isfinite(total):
         raise EvaluationError(f"{what} is not finite on the grid of n={n}")
@@ -441,17 +442,19 @@ class _Walk:
 
     def _size(self) -> float:
         """fsum of the magnitudes read: the halved ends and every chunk."""
-        return math.fsum(chain((0.5 * abs(end) for end in self.ends), self.sizes))
+        return _finite_sum(chain((0.5 * abs(end) for end in self.ends), self.sizes),
+                           self.what, self.n)
 
     def _total(self) -> float:
         """fsum of the magnitudes read, the ends whole (QUASI_Q1's weight)."""
-        return math.fsum(chain(map(abs, self.ends), self.sizes))
+        return _finite_sum(chain(map(abs, self.ends), self.sizes), self.what, self.n)
 
     def _sides(self) -> tuple[float, float]:
         """Under a bracketed rule, T and M as computed: the fsums of the
         derivative at the cuts, trapezoid-weighted, and at the midpoints."""
-        return (math.fsum(chain((0.5 * end for end in self.ends), self.sums[:self.top])),
-                math.fsum(self.sums[self.top:]))
+        return (_finite_sum(chain((0.5 * end for end in self.ends), self.sums[:self.top]),
+                            self.what, self.n),
+                _finite_sum(self.sums[self.top:], self.what, self.n))
 
     def truncation(self) -> float:
         """An upper bound of h^3/24 times a bound on the exact weight (the
@@ -501,7 +504,7 @@ class _Walk:
         total = Fraction(_finite_sum(sums, "f", n))
         h = self.span / n
         exact = h * total
-        error = h * (model.spread * Fraction(math.fsum(sizes)) + model.u * abs(total))
+        error = h * (model.spread * Fraction(_finite_sum(sizes, "f", n)) + model.u * abs(total))
         if self.rule.bracketed:
             trapezoid, midpoint = map(Fraction, self._sides())
             numerator, denominator, power = self.rule.kernel
@@ -533,7 +536,8 @@ def integrate_certified(fn: TestFunction, iv: Interval, n: int,
     Raises DomainError when iv leaves fn's domain and HypothesisError when
     the sample of the 64-point grid's pairs refutes the theorem's class on
     iv, or under CORRECTED when fn declares no f'''' (both from
-    ``Hypothesis.require``), EvaluationError on a non-finite evaluation.
+    ``Hypothesis.require``), EvaluationError on a non-finite evaluation
+    or sum.
     """
     if n < 1:
         raise DomainError(f"need at least one subinterval, got {n}")
@@ -563,13 +567,14 @@ def refine_to_tolerance(fn: TestFunction, iv: Interval, tol: float,
     leaving the rounding part at n = 1.
 
     Raises DomainError and HypothesisError as ``integrate_certified`` does,
-    EvaluationError on a non-finite evaluation, and ConvergenceError when
-    the radius is still above tol at 2^20 subintervals, as soon as the
-    rule's floor (see Floors in the module docstring) is above tol, and
-    as soon as the rounding part alone is above tol.  That last one is a
-    refusal, not a proof that no grid fits: a finer grid moves the
-    rounding part only through the midpoint sum of |f| and through |E|,
-    which approach fixed values, so it does not shrink with h.
+    EvaluationError on a non-finite evaluation or sum, and
+    ConvergenceError when the radius is still above tol at 2^20
+    subintervals, as soon as the rule's floor (see Floors in the module
+    docstring) is above tol, and as soon as the rounding part alone is
+    above tol.  That last one is a refusal, not a proof that no grid
+    fits: a finer grid moves the rounding part only through the midpoint
+    sum of |f| and through |E|, which approach fixed values, so it does
+    not shrink with h.
     """
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")

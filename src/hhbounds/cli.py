@@ -51,8 +51,11 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _ENCODER = json.JSONEncoder(sort_keys=True)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A new parser of the hh command line (``main`` builds one per process)."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of the hh command line that every ``main`` call of this
+    process shares: built on the first call, not at import, and never
+    changed by parsing.  Each subcommand names the function that runs it."""
     parser = argparse.ArgumentParser(
         prog="hh",
         description="Midpoint-rule error bounds, their verification sweeps, "
@@ -69,6 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--cases", type=int, default=50,
                    help="random subintervals per function (>= 1)")
     v.add_argument("--seed", type=int, default=0)
+    v.set_defaults(run=_cmd_verify)
 
     b = sub.add_parser("bound", parents=[formats],
                        help="evaluate one bound on a catalog function")
@@ -78,10 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("theorem", help="one of: " + ", ".join(BOUND_THEOREMS))
     b.add_argument("--q", type=float, help="power-mean or conjugate exponent q")
     b.add_argument("--p", type=float, help="conjugate exponent p")
+    b.set_defaults(run=_cmd_bound)
 
     m = sub.add_parser("means", parents=[formats], help="print the special means of a pair")
     m.add_argument("a", type=float)
     m.add_argument("b", type=float)
+    m.set_defaults(run=_cmd_means)
 
     c = sub.add_parser("certify", parents=[formats],
                        help="composite midpoint integral with error radius")
@@ -89,6 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("a", type=float)
     c.add_argument("b", type=float)
     c.add_argument("tol", type=float)
+    c.set_defaults(run=_cmd_certify)
 
     # no hh option looks like a number, so a negative number is always a value
     for subparser in sub.choices.values():
@@ -176,25 +183,10 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     return EXIT_PASS if enclosed else EXIT_VIOLATION
 
 
-_COMMANDS = {
-    "verify": _cmd_verify,
-    "bound": _cmd_bound,
-    "means": _cmd_means,
-    "certify": _cmd_certify,
-}
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser every ``main`` call of this process shares: built on the
-    first call, not at import, and never changed by parsing."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except HypothesisError as exc:
         print(f"hh: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
@@ -214,7 +206,3 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_VIOLATION
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -21,10 +21,14 @@ calls f'' directly and takes the magnitude in its loop.  The check of
 grid and tests its 63 steps.
 
 The class decision is stated once: one grid, ``CLASS_CHECK_GRID``, one
-read, of the derivative itself with the magnitude taken after it, and one
-slack, ``_slack``: ``CLASS_CHECK_REL`` = 2^-44 times the largest finite
-|value| among the sample's 64 grid values.  Scaling g by 2^j scales every
-value and the slack exactly, so no verdict depends on g's units.
+read, of the derivative itself with the magnitude taken after it, one
+slack, ``_slack``: ``CLASS_CHECK_REL`` = 2^-44 times the largest |value|
+among the sample's 64 grid values, and one rule for a value that is not a
+finite float: it refutes the class.  A NaN or an infinity on the grid
+makes the slack NaN, and every test asks a comparison to hold (``mid <=
+threshold``), so a NaN in the value, the threshold or the slack refutes.
+Scaling g by 2^j scales every value and the slack exactly, so no verdict
+depends on g's units.
 
 The pairs i + j = s of one anti-diagonal share their midpoint, so the
 sample refutes s iff that value is above the least of their thresholds.
@@ -83,8 +87,8 @@ _WG_CENTRE = 0.4179591836734694
 #: test; ``fine_grid_sample`` reads them and every pair's midpoint at once
 CLASS_CHECK_GRID = 64
 
-#: the class samplers' slack relative to the largest finite |value| G of
-#: the sample's class grid (``_slack``): 2^-44 = 512 u, u = 2^-53.  A value
+#: the class samplers' slack relative to the largest |value| G of the
+#: sample's class grid (``_slack``): 2^-44 = 512 u, u = 2^-53.  A value
 #: within ``certifier.ULPS`` = 2 ulp of the exact one is off by at most
 #: 4u G, so the values of one bend, mid - (lo + hi)/2, or of one step,
 #: hi - lo, are off by at most 8u G together, and the bend's few roundings
@@ -184,14 +188,11 @@ def midpoint_gap(fn: TestFunction, iv: Interval, tol: float = 1e-10) -> float:
 
 def _slack(gs: list[float]) -> float:
     """The class samplers' one slack: ``CLASS_CHECK_REL`` times the largest
-    finite |g| of the class grid's values gs, 0 when none is finite; an
-    inf or NaN never makes it inf or NaN, so it never passes every pair.
-    ``max`` and ``min`` skip a NaN that is not first, so a finite top is
-    the largest |g|, read without a Python call per value."""
+    |g| of the class grid's values gs, NaN when one is not finite, so that
+    every test refutes.  ``max`` and ``-min`` give the largest |g| without
+    a Python call per value."""
     top = max(max(gs), -min(gs))
-    if not top < math.inf:
-        top = max(map(abs, filter(math.isfinite, gs)), default=0.0)
-    return CLASS_CHECK_REL * top
+    return CLASS_CHECK_REL * top if all(map(math.isfinite, gs)) else math.nan
 
 
 def _grid(iv: Interval, n: int) -> list[float]:
@@ -214,7 +215,7 @@ def midpoint_convexity_holds(d: Callable[[float], float], iv: Interval) -> bool:
     for i in range(grid):
         xi, gi = xs[i], gs[i]
         for j in range(i + 1, grid):
-            if abs(d(0.5 * (xi + xs[j]))) > 0.5 * (gi + gs[j]) + tol:
+            if not abs(d(0.5 * (xi + xs[j]))) <= 0.5 * (gi + gs[j]) + tol:
                 return False
     return True
 
@@ -264,7 +265,7 @@ def pairs_hold(fine: list[float], quasi: bool = False) -> bool:
     mean (convex) or larger value (quasi-convex), fine[2i] and fine[2j], plus
     tol, the grid values' ``_slack``.  The pairs of
     ``midpoint_convexity_holds``, read from the sample instead of
-    evaluating each midpoint; a NaN value refutes nothing.
+    evaluating each midpoint.
 
     Rounding x + tol is monotone in x, so max(u, v) + tol rounds to the
     larger of u + tol and v + tol, and the quasi-convex test compares each
@@ -284,26 +285,27 @@ def pairs_hold(fine: list[float], quasi: bool = False) -> bool:
         then rises weakly (``_valley``), every tops_k with i <= k <= s - i
         is at most max(tops_i, tops_{s-i}), so that max is least at the
         innermost pair; comparisons are exact, infinities included.
-    Any other sample (a non-finite grid value under the convex test, an
-    overflow, or one that is neither) runs the loop over every pair."""
+    Any other sample (an overflow, one that is neither, or one with a
+    non-finite grid value, whose NaN slack refutes its first pair) runs
+    the loop over every pair."""
     gs = fine[::2]
     n, tol = len(gs), _slack(gs)  # locals: the pair loop is hot
     if quasi:
         tops = [g + tol for g in gs]
         if _valley(tops):
-            return not any(mid > ti and mid > tj
-                           for mid, ti, tj in _innermost_pairs(fine, tops))
+            return all(mid <= ti or mid <= tj
+                       for mid, ti, tj in _innermost_pairs(fine, tops))
         for i, ti in enumerate(tops):
             for mid, tj in zip(fine[2 * i + 1:i + n], tops[i + 1:]):
-                if mid > ti and mid > tj:
+                if not (mid <= ti or mid <= tj):
                     return False
         return True
     if _convex(gs):
-        return not any(mid > 0.5 * (gi + gj) + tol
-                       for mid, gi, gj in _innermost_pairs(fine, gs))
+        return all(mid <= 0.5 * (gi + gj) + tol
+                   for mid, gi, gj in _innermost_pairs(fine, gs))
     for i, gi in enumerate(gs):
         for mid, gj in zip(fine[2 * i + 1:i + n], gs[i + 1:]):
-            if mid > 0.5 * (gi + gj) + tol:
+            if not mid <= 0.5 * (gi + gj) + tol:
                 return False
     return True
 

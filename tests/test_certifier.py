@@ -427,6 +427,16 @@ class TestNonFinite:
         with pytest.raises(EvaluationError, match="f is not finite"):
             integrate_certified(fn, UNIT, 4)
 
+    @pytest.mark.parametrize("theorem", list(CertTheorem))
+    def test_a_sum_past_the_float_range_raises_evaluation_error(self, by_id, theorem):
+        # exp over [700, 709]: every value read is finite, and their sum
+        # overflows inside fsum
+        fn, iv = by_id["exp"], Interval(700.0, 709.0)
+        with pytest.raises(EvaluationError, match="is not finite on the grid of n="):
+            refine_to_tolerance(fn, iv, 1e300, theorem)
+        with pytest.raises(EvaluationError, match="is not finite on the grid of n="):
+            integrate_certified(fn, iv, 64, theorem)
+
 
 #: the certify ladder under FEJER with the n each rung takes, and three
 #: requests the paper's rules cannot certify
@@ -834,6 +844,18 @@ class TestCorrected:
         # a part past the float range reads +inf, above every floor
         assert all(floor <= part for level, floor in enumerate(floors)
                    for part in parts[level:])
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the Horner evaluator of the expanded (x - 1)^6 cancels near "
+                              "its root, far past ULPS (ROADMAP item 5)")
+    def test_the_expanded_sixth_power_near_its_root_encloses(self):
+        # the rule `hh certify` tries first takes n = 1 and misses the
+        # exact integral, 2e-28/7, by about 4,228 radii
+        fn = core.polynomial([1, -6, 15, -20, 15, -6, 1])
+        iv = Interval(0.9999, 1.0001)
+        cert = refine_to_tolerance(fn, iv, 1e-12, CertTheorem.CORRECTED)
+        exact = ((Fraction(iv.b) - 1) ** 7 - (Fraction(iv.a) - 1) ** 7) / 7
+        assert abs(Fraction(cert.estimate) - exact) <= Fraction(cert.error_radius)
 
 
 def kernel_integral(walk, n):

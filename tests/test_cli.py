@@ -258,6 +258,18 @@ class TestCertifyCommand:
         row = json.loads(capsys.readouterr().out)
         assert (row["theorem"], row["n"], row["enclosed"]) == (theorem, n, True)
 
+    def test_a_refused_class_falls_through_to_the_next_rule(self, monkeypatch, capsys):
+        # x^2 with f'''' = inf at 0 and 0 elsewhere: the value refutes the
+        # corrected rule's class, so fejer certifies, with f'' = 2
+        x2 = cli.catalog_by_id()["x2"]
+        fn = dataclasses.replace(x2, d4=lambda x: math.inf if x == 0.0 else 0.0)
+        monkeypatch.setattr(cli, "catalog_by_id", lambda: {"x2": fn})
+        assert cli.main(["certify", "x2", "0", "1", "1e-10"]) == 0
+        captured = capsys.readouterr()
+        row = json.loads(captured.out)
+        assert (row["theorem"], row["n"], row["estimate"], row["enclosed"], captured.err) == (
+            "fejer", 1, 1.0 / 3.0, True, "")
+
     def test_tolerance_below_every_grid_fails_fast(self):
         # exp over [0, 700]: the rounding slack of the f'''' sums at n = 1
         # already puts the radius at 2^20 panels above 1e-6
@@ -331,6 +343,12 @@ class TestCertifyCommand:
         row = json.loads(proc.stdout)
         assert row["enclosed"] is True
         assert row["n"] > 1 and row["error_radius"] <= 1e300
+
+    def test_a_sum_past_the_float_range_is_an_evaluation_error(self):
+        # exp over [700, 709]: no evaluation overflows, the f'''' sum does
+        proc = run("certify", "exp", "700", "709", "1e300")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", "hh: f'''' is not finite on the grid of n=16\n")
 
     def test_negative_tolerance_in_exponent_form_reaches_the_certifier(self):
         proc = run("certify", "x2", "0", "1", "-1e-3")

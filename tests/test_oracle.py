@@ -13,6 +13,7 @@ from hhbounds.core import (
     ConvergenceError,
     DomainError,
     EvaluationError,
+    HypothesisError,
     Interval,
     polynomial,
 )
@@ -78,22 +79,26 @@ def adaptive_simpson(f, iv: Interval, tol: float) -> QuadratureResult:
     return QuadratureResult(value=value, est_error=est, evaluations=count)
 
 
-#: the class samplers' slack relative to the largest finite |value| of the
-#: class grid, 512 u
+#: the class samplers' slack relative to the largest |value| of the class
+#: grid, 512 u
 SLACK_REL = 2.0 ** -44
 
 
 def reference_slack(gs: list[float]) -> float:
-    """2^-44 times the largest finite |g| of the class grid's values gs."""
-    return SLACK_REL * max((abs(g) for g in gs if math.isfinite(g)), default=0.0)
+    """2^-44 times the largest |g| of the class grid's values gs; NaN when
+    one is not finite, which fails every comparison, so every pair refutes."""
+    if not all(math.isfinite(g) for g in gs):
+        return math.nan
+    return SLACK_REL * max(abs(g) for g in gs)
 
 
 def per_pair_sampler(g, iv: Interval, quasi: bool = False) -> bool:
     """The pair samplers before the fine-grid read, kept as an independent
     cross-check: g at the 64 grid points a + i*width/63, then at the
-    midpoint of each of the 2,016 grid pairs, which must not exceed the
-    pair's mean (convex) or larger value (quasi-convex) by more than tol,
-    2^-44 times the largest finite |g| at the grid points."""
+    midpoint of each of the 2,016 grid pairs, which must be at most the
+    pair's mean (convex) or larger value (quasi-convex) plus tol, 2^-44
+    times the largest |g| at the grid points; a value that is not a finite
+    float refutes."""
     step = iv.width / (CLASS_CHECK_GRID - 1)
     xs = [iv.a + i * step for i in range(CLASS_CHECK_GRID)]
     xs[-1] = iv.b
@@ -105,7 +110,7 @@ def per_pair_sampler(g, iv: Interval, quasi: bool = False) -> bool:
                 bound = gs[i] if gs[i] > gs[j] else gs[j]
             else:
                 bound = 0.5 * (gs[i] + gs[j])
-            if g(0.5 * (xs[i] + xs[j])) > bound + tol:
+            if not g(0.5 * (xs[i] + xs[j])) <= bound + tol:
                 return False
     return True
 
@@ -113,8 +118,8 @@ def per_pair_sampler(g, iv: Interval, quasi: bool = False) -> bool:
 def all_pairs(fine: list[float], quasi: bool = False) -> bool:
     """The verdict of ``pairs_hold`` by its loop over all 2,016 pairs, the
     one every sample took before the innermost-pair reduction, kept as the
-    reference for it; tol is 2^-44 times the largest finite |value| of the
-    class grid."""
+    reference for it; tol is 2^-44 times the largest |value| of the class
+    grid, and a value that is not a finite float refutes."""
     gs = fine[::2]
     tol = reference_slack(gs)
     n = len(gs)
@@ -122,12 +127,12 @@ def all_pairs(fine: list[float], quasi: bool = False) -> bool:
         tops = [g + tol for g in gs]
         for i, ti in enumerate(tops):
             for mid, tj in zip(fine[2 * i + 1:i + n], tops[i + 1:]):
-                if mid > ti and mid > tj:
+                if not (mid <= ti or mid <= tj):
                     return False
         return True
     for i, gi in enumerate(gs):
         for mid, gj in zip(fine[2 * i + 1:i + n], gs[i + 1:]):
-            if mid > 0.5 * (gi + gj) + tol:
+            if not mid <= 0.5 * (gi + gj) + tol:
                 return False
     return True
 
@@ -501,15 +506,17 @@ class TestFineGridClassChecks:
 
     @pytest.mark.parametrize("quasi", [False, True])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
-    def test_a_non_finite_value_leaves_the_slack_finite(self, value, quasi):
-        # the midpoint of the first pair is 2 slacks above a flat 1; an inf
-        # or NaN at the far grid point must not make the slack inf or NaN,
-        # which would pass every pair
+    def test_a_non_finite_grid_value_refutes(self, value, quasi):
+        # an inf or NaN at the far grid point of a flat 1 refutes the class,
+        # with or without the first pair's midpoint 2 slacks above it: the
+        # slack is NaN, and a comparison with NaN fails
         fine = [1.0] * (2 * CLASS_CHECK_GRID - 1)
-        fine[1] += 2.0 * SLACK_REL
+        assert pairs_hold(fine, quasi)
         fine[-1] = value
+        assert math.isnan(reference_slack(fine[::2]))
         assert not pairs_hold(fine, quasi)
-        assert pairs_hold([1.0] * (len(fine) - 1) + [value], quasi)
+        fine[1] += 2.0 * SLACK_REL
+        assert not pairs_hold(fine, quasi)
 
     def test_innermost_pairs_are_the_middle_pair_of_each_anti_diagonal(self):
         size = 2 * CLASS_CHECK_GRID - 1
@@ -627,7 +634,7 @@ class TestMidpointConvexityOfTheMagnitude:
         assert not per_pair_sampler(lambda x: -(x * x), iv)
         assert midpoint_convexity_holds(lambda x: -(x * x), iv)
 
-    def test_a_nan_midpoint_refutes_nothing(self):
+    def test_a_nan_midpoint_refutes_its_pair(self):
         xs = oracle._grid(UNIT, CLASS_CHECK_GRID)
         mid = 0.5 * (xs[0] + xs[1])  # on no other pair and no grid point
 
@@ -635,9 +642,50 @@ class TestMidpointConvexityOfTheMagnitude:
             return lambda x: value if x == mid else x * x
 
         assert not midpoint_convexity_holds(spike(1e6), UNIT)
+        # the first pair read is the one whose midpoint is NaN: the check
+        # stops there, after the 64 grid reads and that one
         d, points = recording(spike(math.nan))
-        assert midpoint_convexity_holds(d, UNIT)
-        assert len(points) == 64 + 64 * 63 // 2
+        assert not midpoint_convexity_holds(d, UNIT)
+        assert points == xs + [mid]
+
+#: every class hypothesis, by name
+HYPOTHESES = {"CONVEX_D2": CONVEX_D2, "QUASICONVEX_D2": QUASICONVEX_D2,
+              "MONOTONE_D2": MONOTONE_D2, "CONVEX_D1": CONVEX_D1,
+              "CONVEX_OR_CONCAVE_F2": CONVEX_OR_CONCAVE_F2,
+              "CONVEX_OR_CONCAVE_F4": CONVEX_OR_CONCAVE_F4}
+
+#: where a value goes on [0, 1]: an interior point of the class grid, the
+#: midpoint of the grid's first pair (no grid point, and on no other pair),
+#: and either end
+UNIT_GRID = oracle._grid(UNIT, CLASS_CHECK_GRID)
+PLACES = {"grid": UNIT_GRID[21], "midpoint": 0.5 * (UNIT_GRID[0] + UNIT_GRID[1]),
+          "a": 0.0, "b": 1.0}
+
+
+class TestNonFiniteValues:
+    """A sample value that is not a finite float refutes the class, in every
+    hypothesis and wherever the hypothesis reads it."""
+
+    @staticmethod
+    def spiked(at: float, value: float) -> core.TestFunction:
+        """f', f'' and f'''' all 1 but for value at x = at."""
+        def d(x):
+            return value if x == at else 1.0
+
+        return core.TestFunction("spiked", lambda x: 0.5 * x * x, d, d, UNIT, d4=d)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("place", PLACES)
+    @pytest.mark.parametrize("name", HYPOTHESES)
+    def test_a_value_that_is_not_a_finite_float_refutes(self, name, place, value):
+        hypothesis, at = HYPOTHESES[name], PLACES[place]
+        hypothesis.require(self.spiked(at, 1.0), UNIT)  # flat: every class holds
+        if name == "MONOTONE_D2" and place == "midpoint":
+            hypothesis.require(self.spiked(at, value), UNIT)  # it reads no pair midpoint
+            return
+        with pytest.raises(HypothesisError, match="class check failed"):
+            hypothesis.require(self.spiked(at, value), UNIT)
+
 
 class TestDerivativeConsistency:
     def test_catalog_derivatives_match_finite_differences(self, catalog):

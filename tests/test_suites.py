@@ -83,6 +83,22 @@ class TestBoundTable:
         with pytest.raises(HypothesisError, match="class check failed"):
             build_bound_report(by_id[fid], Interval(a, b), theorem)
 
+    @pytest.mark.parametrize("theorem", [tid.value for tid in BOUND_ROWS])
+    def test_a_nan_derivative_at_an_end_refuses_the_class(self, by_id, theorem):
+        # x^2 with the derivative the theorem's class reads NaN at x = 0,
+        # where its bound reads the endpoint magnitude: a report would carry
+        # a NaN bound
+        x2 = by_id["x2"]
+        key = BOUND_ROWS[TheoremId(theorem)].hypothesis.derivative
+        ev = getattr(x2, key)
+
+        def nan_at_a(x):
+            return math.nan if x == 0.0 else ev(x)
+
+        build_bound_report(x2, UNIT, theorem)
+        with pytest.raises(HypothesisError, match="class check failed"):
+            build_bound_report(dataclasses.replace(x2, **{key: nan_at_a}), UNIT, theorem)
+
     def test_outside_domain_refused_before_any_evaluation(self, by_id):
         calls = []
 
