@@ -68,19 +68,25 @@ f'''' for f'' and -7h^5/5760 for h^3/24: the estimate adds the centre
 f'''' and exactly 0 in real arithmetic for linear f'''' (every polynomial
 of degree at most 5).  A function that declares no f'''' is refused.
 
-Rounding part.  The estimate E is h times the fsum of the computed f
-values at the midpoints (plus, under FEJER and CORRECTED, the centre
-above, and under CORRECTED the end correction).  Against the exact sum it
-can be off by (Higham, *Accuracy and Stability of Numerical Algorithms*,
-ch. 4):
+Rounding part.  The estimate E is the fsum of its terms, each rounded to
+nearest: h times S~, the fsum of the computed f values at the midpoints,
+with h = (b - a)/n as computed; under FEJER and CORRECTED the centre
+C h^k (T + M)/2 above; and under CORRECTED the end correction
+h^2/24 (f'(b) - f'(a)).  Against the exact midpoint sum, S~ can be off by
+(Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 4):
   - 2*ULPS*u/(1 - 2*ULPS*u) times |f~| per evaluation, the error model;
   - u times the |f~| of each chunk, for the chunk's correctly rounded sum;
   - u times |S~| for the final fsum S~ over the chunks;
 all times h, with sum |f~| read from its own chunked fsum and divided by
 (1 - u)^2; and under CORRECTED h^2/24 times the same per-evaluation share
-of |f'~(a)| + |f'~(b)|.  b - a, the product by h and the correction are
-not rounded at all: h is exact as a rational, E is the exact value rounded
-to nearest, and their difference is added exactly.
+of |f'~(a)| + |f'~(b)|.  That is the evaluation part.  The rest is E's
+distance from the exact estimate Q: the same terms with the exact
+h = (b - a)/n, on the computed S~, T, M and f' values.  Each term's
+magnitude is bounded below and above in floats (see Arithmetic below), so
+the sums of the bounds give low <= Q <= high.  Each rounded term lies
+within its own bounds, and fsum rounds monotonically, so E lies in
+[low, high] too, and |E - Q| <= max(high - E, E - low).  The rounding part
+is the evaluation part plus that distance, both bounded above.
 
 Assumptions.  ``ULPS`` bounds the error of each evaluation of f, f', f''
 and f''''; the libm routines the catalog calls (exp, log, pow, sin, cos,
@@ -140,50 +146,66 @@ floor is above the tolerance:
     and inflation >= 1/(1 - u)^2, so w >= X (1 + u) - least >= Y (1 + u)
     >= S.
 
-Arithmetic.  The truncation part and the floor are bounded in floats,
-with directed rounding: each operation rounds to nearest, within half a
-step of the exact result (Higham, *Accuracy and Stability of Numerical
-Algorithms*, ch. 2), and then steps one float up with ``math.nextafter``
-(towards 0 for the floor), so each result bounds the exact one on its
-side.  A result of 0 is kept only where it is exact: a product with a
-factor 0, a sum of two zeros, or |T - M| where T == M (with gradual
-underflow a sum or difference of floats rounds to 0 only when it is
-exactly 0; a product of non-zero factors can underflow to 0, and then
-steps to the least subnormal).  So f'' that reads 0 at every cut, or
-f'''' under CORRECTED (x2, x3 and affine), still gives a truncation part
-of exactly 0.  ``_model`` makes the model's constants in exact rationals.
-Per walk, the interval's factor C span^k / m^k is made in exact
-rationals and rounded up once, where m is the walk's first n, and C, k
-come from the rule's kernel record (``_RULES``): the |integral| at h = 1
-and the power.  The Q1 rules take C times inflation (so the CONVEX_Q1
-weight is S itself), a bracketed rule half of C (the float bound then
-takes twice the half-width, |T - M| + 2 spread S + 2u (|T| + |M|)).  The
-floor's factor, deflation (CONVEX_Q1) or spread (FEJER, CORRECTED)
-included, is rounded down once per walk.  Per process, spread
-is rounded up and deflation/inflation down.  Four points keep the bounds
-sound and finite:
+Arithmetic.  The whole certificate is bounded in floats, with directed
+rounding: each operation rounds to nearest, within half a step of the
+exact result (Higham, *Accuracy and Stability of Numerical Algorithms*,
+ch. 2), and then steps one float with ``math.nextafter``, up for an upper
+bound and towards 0 for a lower one, so each result bounds the exact one
+on its side.  The step is left out only where the operation is exact:
+  - b - a, where Knuth's TwoSum finds its rounding error 0 (else the
+    error's sign says which of the span's two bounds is b - a itself);
+  - a product with a factor 0, and a sum or difference that rounds to 0
+    (with gradual underflow that happens only when it is exactly 0), so
+    |T - M| keeps its exact 0 where T == M; a product of non-zero factors
+    can underflow to 0, and then steps to the least subnormal;
+  - a product or a quotient by a power of two whose result, scaled back,
+    gives the operand again, so that it is not below the normal range:
+    the division by (n/m)^k, by MAX_SUBINTERVALS and by a power-of-two n,
+    and the products by u and 2u;
+  - S~, T, M and the f' values, which are floats already, and an fsum of
+    one term.
+So f'' that reads 0 at every cut, or f'''' under CORRECTED (x2, x3 and
+affine), still gives a truncation part of exactly 0.  The model's
+constants are float literals rounded outward: SHARE, SPREAD and INFLATION
+up, DEFLATION and SHRINK = deflation/inflation down.  None of them is a
+float, so the float below SPREAD, which the floor takes, is below spread;
+and importing the module does no arithmetic.  Per walk, the factors that
+depend on the interval alone are made once from the span's bounds:
+C span^k / m^k rounded up, where m is the walk's first n, and the floor's
+factor rounded down.  C and k come from the rule's kernel record
+(``_RULES``): the |integral| at h = 1 and the power.  The Q1 rules take C
+times inflation (so the CONVEX_Q1 weight is S itself), a bracketed rule
+half of C (the float bound then takes twice the half-width,
+|T - M| + 2 spread S + 2u (|T| + |M|)).  The floor's factor, deflation
+(CONVEX_Q1) or spread (FEJER, CORRECTED) included, is rounded down.  Four
+points keep the bounds sound and finite:
+  - a chain that takes a power starts from the factors that do not grow
+    with it (the constant; in ``certificate`` S~, |T + M| or the f' gap)
+    and multiplies by span/m, span/MAX or h one factor at a time, so its
+    partial products run monotonically to the result and none overflows
+    where the result fits: x2 over [1e100, 1e102] certifies at n = 1,
+    where T + M = 0 and h^5 is past the float range;
+  - span/m is taken before its power: m^k need not be a float (m = 1,701
+    and k = 5 give more than 2^53);
   - the walk's factor is divided by (n/m)^k before it multiplies the
     weight.  The weight of exp over [0, 700] is near 1e304 and the factor
     above 1e7, so their product is +inf at every level; dividing first
     brings the truncation part back into the float range as n grows;
-  - floats divide only by the powers of two n/m, exact except in the
-    subnormal range.  m^k need not be a float (m = 1,701 and k = 5 give
-    more than 2^53), so it is folded into the exact factor;
-  - |T - M| is rounded like any difference and stepped up unless 0, so
-    T == M keeps its exact 0 and T != M is never priced below its gap;
   - under QUASI_Q1 the weight over inflation is the sum of every |f''|
     read less a lower bound of deflation/inflation * least: subtracting
     an upper bound could cut it below the exact one.  The difference is
     > 0 whenever the sum is, since the sum holds the least term.
-A truncation part past the float range reads +inf, and a floor past it
-the greatest finite float.  Every step adds at most 1.5 ulp, and each
-bound takes few of them: on the catalog's windows the truncation part is
-within 64u above the exact value of the formulas above on the computed
-sums, and the floor within 64u below.  ``refine_to_tolerance`` decides on
-these bounds and prints them, so a certificate's truncation part is never
-below the exact one and a refusal's floor never above it.  Exact
-rationals are left for ``certificate``: the estimate, its rounding to
-nearest and the rounding part.
+A truncation part past the float range reads +inf and a floor past it the
+greatest finite float; an estimate or a rounding part past it raises
+EvaluationError.  Every step adds at most 1.5 ulp, and each bound takes
+few of them: on the catalog's windows the truncation part is within 64u
+above the exact value of the formulas above on the computed sums, and the
+floor within 64u below.  ``refine_to_tolerance`` decides on these bounds
+and prints them, so a certificate's truncation part is never below the
+exact one and a refusal's floor never above it.  The rounding part pays a
+few ulp of each term of the estimate: a few u of E, unless the terms
+cancel.  x4 over [-1.5, 1.5] at n = 1 adds 10.1 and -7.09 to make 3.04,
+and its rounding part is 67u of E.
 """
 
 from __future__ import annotations
@@ -192,7 +214,6 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
 from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -206,8 +227,6 @@ from .core import (
 from .oracle import CONVEX_D2, CONVEX_OR_CONCAVE_F2, CONVEX_OR_CONCAVE_F4, QUASICONVEX_D2
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from .oracle import Hypothesis
 
 #: refinement cap for refine_to_tolerance
@@ -276,77 +295,47 @@ class CertifiedIntegral:
     rounding_radius: float
 
 
-class _Model(NamedTuple):
-    """The error model in exact rationals."""
-
-    u: Fraction          # unit roundoff of IEEE double
-    share: Fraction      # one evaluation's error <= share * |its computed value|
-    inflation: Fraction  # exact weight <= computed weight * inflation
-    spread: Fraction     # |exact midpoint sum - S~| <= spread * sum |f~| + u * |S~|
-    deflation: Fraction  # an exact |f''| sum or value >= computed one * deflation
-
-
-@cache
-def _model() -> _Model:
-    """Made on first use: fractions imports decimal, about 4 ms that every
-    hh start-up would pay if this module imported it."""
-    from fractions import Fraction
-
-    u = Fraction(1, 1 << 53)
-    share = 2 * ULPS * u / (1 - 2 * ULPS * u)
-    return _Model(
-        u=u,
-        share=share,
-        inflation=(1 + share) / (1 - u) ** 2,
-        spread=(share + u) / (1 - u) ** 2,
-        deflation=1 / ((1 + 2 * ULPS * u) * (1 + u) ** 2),
-    )
-
-
-def _up(x: Fraction) -> float:
-    """The least float not below x, +inf above the float range."""
-    try:
-        y = float(x)
-    except OverflowError:
-        return math.inf
-    return y if y >= x else math.nextafter(y, math.inf)
-
-
-def _down(x: Fraction) -> float:
-    """The greatest float not above x >= 0, the greatest finite float above
-    the float range."""
-    try:
-        y = float(x)
-    except OverflowError:
-        return math.nextafter(math.inf, 0.0)
-    return y if y <= x else math.nextafter(y, 0.0)
-
-
-@cache
-def _float_model() -> tuple[float, float]:
-    """spread rounded up and deflation/inflation rounded down."""
-    model = _model()
-    return _up(model.spread), _down(model.deflation / model.inflation)
+#: the error model (see the module docstring), from ULPS and the unit
+#: roundoff u = 2^-53: one evaluation's error is at most SHARE times its
+#: computed value; the exact weight is at most the computed one times
+#: INFLATION; the exact midpoint sum is within SPREAD times sum |f~| plus
+#: u |S~| of S~; an exact |f''| sum or value is at least DEFLATION times
+#: the computed one; SHRINK is deflation/inflation.  Each is its exact
+#: value rounded outward, up for the first three and down for the last
+#: two, and written out, so that importing the module does no arithmetic
+SHARE = 4.440892098500629e-16
+SPREAD = 5.551115123125787e-16
+INFLATION = 1.0000000000000009
+DEFLATION = 0.9999999999999993
+SHRINK = 0.9999999999999987
 
 
 # Bounds in floats (see Arithmetic in the module docstring): a rounded
-# result is within half a step of the exact one, so one float further out
-# bounds it.
+# result is within half a step of the exact one, so one float further out,
+# towards +inf for an upper bound and towards 0 (or -inf) for a lower one,
+# bounds it.  The step is left out only where the operation is exact.
 
-def _sum_up(x: float) -> float:
-    """An upper bound of the exact sum or difference, >= 0, of two floats
-    that rounded to x; 0 only where that is exact."""
-    return math.nextafter(x, math.inf) if x else 0.0
-
-
-def _product_up(x: float, y: float) -> float:
-    """An upper bound of x * y for x, y >= 0; 0 only where a factor is 0."""
-    return math.nextafter(x * y, math.inf) if x and y else 0.0
+def _step(x: float, toward: float = math.inf) -> float:
+    """A bound of the exact sum or difference of two floats that rounded to
+    x; 0 stays, since only an exact sum rounds to 0."""
+    return math.nextafter(x, toward) if x else 0.0
 
 
-def _product_down(x: float, y: float) -> float:
-    """A lower bound, >= 0, of x * y for x, y >= 0."""
-    return math.nextafter(x * y, 0.0)
+def _product(x: float, y: float, toward: float = math.inf) -> float:
+    """A bound of x * y for x, y >= 0: exact where a factor is 0, or where
+    y is a power of two and the product divided by y gives x back (so it
+    is not below the normal range)."""
+    if not (x and y):
+        return 0.0
+    p = x * y
+    return p if math.frexp(y)[0] == 0.5 and p / y == x else math.nextafter(p, toward)
+
+
+def _quotient(x: float, d: float, toward: float = math.inf) -> float:
+    """A bound of x / d for x >= 0 and d > 0: exact where d is a power of
+    two and the quotient times d gives x back."""
+    q = x / d
+    return q if math.frexp(d)[0] == 0.5 and q * d == x else math.nextafter(q, toward)
 
 
 def _finite_sum(values: Iterable[float], what: str, n: int) -> float:
@@ -374,28 +363,37 @@ class _Walk:
     """
 
     def __init__(self, fn: TestFunction, iv: Interval, theorem: CertTheorem, n: int) -> None:
-        from fractions import Fraction
-
         self.fn, self.iv, self.theorem, self.n, self.start = fn, iv, theorem, n, n
         self.rule = rule = _RULES[theorem]
         hypothesis, (numerator, denominator, power) = rule.hypothesis, rule.kernel
         self.derivative = getattr(fn, hypothesis.derivative)
         self.what, self.power = hypothesis.magnitude.strip("|"), power
-        model = _model()
-        self.span = span = Fraction(iv.b) - Fraction(iv.a)
-        # the kernel's |integral| over [a, b] as one panel, and the factors of
-        # the truncation part and the floor that depend on the interval alone
-        # (see Arithmetic in the module docstring)
-        size = Fraction(abs(numerator), denominator) * span ** power
-        if rule.bracketed:
-            self.part = _up(size / (2 * n ** power))
-            self.below = _down(size * model.spread / MAX_SUBINTERVALS ** power)
-        else:
-            self.part = _up(size * model.inflation / n ** power)
-            # CONVEX_Q1: span^2/(24 MAX^2) * 2 span/n times the odd cuts' sum
-            self.below = _down(size / MAX_SUBINTERVALS ** power
-                               if theorem is CertTheorem.QUASI_Q1 else
-                               2 * size * model.deflation / (MAX_SUBINTERVALS ** (power - 1) * n))
+        # b - a and its rounding error, exact by Knuth's TwoSum: the span's
+        # bounds are one float apart on the error's side, or both b - a
+        span = iv.b - iv.a
+        back = span - iv.b
+        error = (iv.b - (span - back)) - (iv.a + back)
+        self.span = (span if error >= 0 else _step(span, 0.0), span if error <= 0 else _step(span))
+        # the factors of the truncation part and the floor that depend on the
+        # interval alone (see Arithmetic in the module docstring): the
+        # kernel's |integral| over [a, b] as one panel, |C| span^k, over m^k
+        # (halved, or times inflation) and over MAX^k (times spread, 1, or
+        # under CONVEX_Q1 2 deflation MAX/m).  Each starts from its constant
+        # and takes span/m or span/MAX one factor at a time, so no step
+        # overflows where the result fits.  spread is no float, so the float
+        # below SPREAD is below it.
+        top, bottom = (0.5, math.nextafter(SPREAD, 0.0)) if rule.bracketed else (
+            INFLATION, 1.0 if theorem is CertTheorem.QUASI_Q1 else 2.0 * DEFLATION)
+        self.part = _quotient(_product(top, abs(numerator)), denominator)
+        self.below = _quotient(_product(bottom, abs(numerator), 0.0), denominator, 0.0)
+        convex = theorem is CertTheorem.CONVEX_Q1
+        if convex:  # MAX/m turns one span/MAX into span/m
+            self.below = _product(self.below, _quotient(self.span[0], n, 0.0), 0.0)
+        up, down = _quotient(self.span[1], n), _quotient(self.span[0], MAX_SUBINTERVALS, 0.0)
+        for _ in range(power):
+            self.part = _product(self.part, up)
+        for _ in range(power - convex):
+            self.below = _product(self.below, down, 0.0)
         first, last = self.derivative(iv.a), self.derivative(iv.b)
         _finite_sum((abs(first), abs(last)), self.what, n)
         self.ends = (first, last)
@@ -461,21 +459,19 @@ class _Walk:
         sum of each subinterval's endpoint mean of |f''| under CONVEX_Q1,
         max under QUASI_Q1), or under a bracketed rule of the kernel's
         |integral| times the bracket's half-width |T - M|/2 + e_T + e_M."""
-        spread, shrink = _float_model()
-        part = math.nextafter(self.part / (self.n // self.start) ** self.power, math.inf)
+        part = _quotient(self.part, (self.n // self.start) ** self.power)
         if self.rule.bracketed:
             trapezoid, midpoint = self._sides()
             # |T - M| + 2 spread S + 2u (|T| + |M|): twice the half-width, as
             # part holds half the kernel's |integral|
-            width = _sum_up(_sum_up(_sum_up(abs(trapezoid - midpoint))
-                                    + _product_up(2.0 * spread, self._size()))
-                            + _product_up(2.0 ** -52, _sum_up(abs(trapezoid) + abs(midpoint))))
-            return _product_up(part, width)
+            width = _step(_step(_step(abs(trapezoid - midpoint))
+                                + _product(2.0 * SPREAD, self._size()))
+                          + _product(_step(abs(trapezoid) + abs(midpoint)), 2.0 ** -52))
+            return _product(part, width)
         if self.theorem is CertTheorem.QUASI_Q1:
             # every cut but a least one is the larger end of some subinterval
-            return _product_up(part, _sum_up(self._total()
-                                             - math.nextafter(shrink * self.least, 0.0)))
-        return _product_up(part, self._size())
+            return _product(part, _step(self._total() - _product(SHRINK, self.least, 0.0)))
+        return _product(part, self._size())
 
     def floor(self) -> float:
         """A lower bound of the truncation part at every level from this one
@@ -487,38 +483,61 @@ class _Walk:
         if self.theorem is CertTheorem.CONVEX_Q1:
             # a walk from an odd n > 1 starts with cuts that are no midpoints
             new = math.fsum(self.sizes[self.top:]) if self.n > self.start else 0.0
-            return _product_down(math.nextafter(self.below / (self.n // self.start), 0.0), new)
-        return _product_down(self.below, self._size())
+            return _product(_quotient(self.below, self.n // self.start, 0.0), new, 0.0)
+        return _product(self.below, self._size(), 0.0)
 
     def certificate(self, truncation: float) -> CertifiedIntegral:
         """Evaluate f at the n midpoints (and f' at a and b under CORRECTED)
-        and close the certificate."""
-        from fractions import Fraction
-
-        n = self.n
+        and close the certificate (see Rounding part in the module
+        docstring)."""
+        n, (numerator, denominator, power) = self.n, self.rule.kernel
         sums, sizes = [], []
         for total, size, _ in self._chunk_sums(self.fn.f, 2 * n, 2, "f"):
             sums.append(total)
             sizes.append(size)
-        model = _model()
-        total = Fraction(_finite_sum(sums, "f", n))
-        h = self.span / n
-        exact = h * total
-        error = h * (model.spread * Fraction(_finite_sum(sizes, "f", n)) + model.u * abs(total))
+        total = _finite_sum(sums, "f", n)
+        h = self.iv.width / n
+        low, high = _quotient(self.span[0], n, 0.0), _quotient(self.span[1], n)
+        # h (spread sum |f~| + u |S~|), the evaluations' and the sums' error
+        error = _product(_step(_product(SPREAD, _finite_sum(sizes, "f", n))
+                               + _product(abs(total), 2.0 ** -53)), high)
+        # the estimate's terms, each a factor of h^k: (the factor rounded to
+        # nearest, bounds of its exact magnitude, k, whether it is negative)
+        terms = [(total, abs(total), abs(total), 1, total < 0)]
         if self.rule.bracketed:
-            trapezoid, midpoint = map(Fraction, self._sides())
-            numerator, denominator, power = self.rule.kernel
-            exact += Fraction(numerator, denominator) * h ** power * (trapezoid + midpoint) / 2
+            trapezoid, midpoint = self._sides()
+            sides, half, c = trapezoid + midpoint, 2 * denominator, abs(numerator)
+            # the centre C h^k (T + M)/2
+            terms.append((numerator / half * sides,
+                          _product(_quotient(c, half, 0.0), _step(abs(sides), 0.0), 0.0),
+                          _product(_quotient(c, half), _step(abs(sides))),
+                          power, (numerator < 0) != (sides < 0)))
         if self.theorem is CertTheorem.CORRECTED:
             left, right = self.fn.d1(self.iv.a), self.fn.d1(self.iv.b)
-            _finite_sum((abs(left), abs(right)), "f'", n)
-            exact += h * h / 24 * (Fraction(right) - Fraction(left))
-            error += h * h / 24 * model.share * (Fraction(abs(left)) + Fraction(abs(right)))
-        estimate = float(exact)
-        rounding = _up(abs(Fraction(estimate) - exact) + error)
+            ends, gap = _finite_sum((abs(left), abs(right)), "f'", n), right - left
+            # the end correction h^2/24 (f'(b) - f'(a)), and its reads' error
+            terms.append((gap / 24, _quotient(_step(abs(gap), 0.0), 24, 0.0),
+                          _quotient(_step(abs(gap)), 24), 2, gap < 0))
+            share = _quotient(_product(SHARE, _step(ends)), 24)
+            error = _step(error + _product(_product(share, high), high))
+        nearest, lows, highs = [], [], []
+        for value, below, above, k, negative in terms:
+            for _ in range(k):
+                value = value * h
+                below, above = _product(below, low, 0.0), _product(above, high)
+            nearest.append(value)
+            lows.append(-above if negative else below)
+            highs.append(-below if negative else above)
+        estimate = _finite_sum(nearest, "the estimate", n)
+        below, above = _finite_sum(lows, "the estimate", n), _finite_sum(highs, "the estimate", n)
+        if len(terms) > 1:
+            below, above = _step(below, -math.inf), _step(above)
+        # the exact estimate is in [below, above], and so is the computed one
+        rounding = _step(_finite_sum((error, _step(max(above - estimate, estimate - below))),
+                                     "the rounding part of the estimate", n))
         return CertifiedIntegral(
             estimate=estimate,
-            error_radius=_up(Fraction(truncation) + Fraction(rounding)),
+            error_radius=_step(truncation + rounding),
             subintervals=n,
             theorem_used=self.theorem,
             truncation_radius=truncation,
@@ -536,8 +555,8 @@ def integrate_certified(fn: TestFunction, iv: Interval, n: int,
     Raises DomainError when iv leaves fn's domain and HypothesisError when
     the sample of the 64-point grid's pairs refutes the theorem's class on
     iv, or under CORRECTED when fn declares no f'''' (both from
-    ``Hypothesis.require``), EvaluationError on a non-finite evaluation
-    or sum.
+    ``Hypothesis.require``), EvaluationError on a non-finite evaluation,
+    sum, estimate or rounding part.
     """
     if n < 1:
         raise DomainError(f"need at least one subinterval, got {n}")
@@ -567,8 +586,8 @@ def refine_to_tolerance(fn: TestFunction, iv: Interval, tol: float,
     leaving the rounding part at n = 1.
 
     Raises DomainError and HypothesisError as ``integrate_certified`` does,
-    EvaluationError on a non-finite evaluation or sum, and
-    ConvergenceError when the radius is still above tol at 2^20
+    EvaluationError on a non-finite evaluation, sum, estimate or rounding
+    part, and ConvergenceError when the radius is still above tol at 2^20
     subintervals, as soon as the rule's floor (see Floors in the module
     docstring) is above tol, and as soon as the rounding part alone is
     above tol.  That last one is a refusal, not a proof that no grid

@@ -21,6 +21,7 @@ sweep, in the order ``all`` runs them, with the salt of its seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -146,13 +147,19 @@ BOUND_THEOREMS = tuple(sorted(t.value for t in BOUND_ROWS))
 def _bound(row: BoundRow, fn: TestFunction, iv: Interval, exponent,
            endpoints: dict) -> float:
     """The row's formula on iv; ``endpoints`` caches each derivative's
-    endpoint magnitudes on iv, so each is evaluated once per interval."""
+    endpoint magnitudes on iv, so each is evaluated once per interval.
+    Raises OverflowError for a bound past the float range, which bounds
+    nothing."""
     d = row.hypothesis.derivative
     if d not in endpoints:
         ev = getattr(fn, d)
         endpoints[d] = (abs(ev(iv.a)), abs(ev(iv.b)))
     args = endpoints[d] if row.exponent is Exponent.NONE else (*endpoints[d], exponent)
-    return getattr(row.module, row.formula)(iv, *args)
+    bound = getattr(row.module, row.formula)(iv, *args)
+    if not math.isfinite(bound):
+        raise OverflowError(
+            f"the {row.theorem.value} bound on [{iv.a}, {iv.b}] is past the float range")
+    return bound
 
 
 def bound_suite(name: str, cases: int, rng: SplitMix64) -> list[dict]:

@@ -767,12 +767,11 @@ class TestCorrected:
         # f = 0 and f'''' = 0 leave only the error bound of the two f'
         # reads, h^2/24 * share * (|f'(a)| + |f'(b)|), in the rounding part
         fn = _with_d4(lambda x: 0.0, f=lambda x: 0.0, d1=lambda x: 1e6)
-        share = certifier._model().share
         for n in (1, 4):
             res = integrate_certified(fn, UNIT, n, CertTheorem.CORRECTED)
             assert res.estimate == 0.0 == res.truncation_radius
-            assert res.rounding_radius == certifier._up(
-                Fraction(1, 24 * n * n) * share * 2 * 10 ** 6)
+            exact = Fraction(1, 24 * n * n) * Exact.share * 2 * 10 ** 6
+            assert exact <= Fraction(res.rounding_radius) <= (1 + 16 * Exact.u) * exact
 
     def test_refuses_a_function_without_f4_before_any_evaluation(self):
         fn, calls = counted(_function(), "f", "d1", "d2")
@@ -858,43 +857,82 @@ class TestCorrected:
         assert abs(Fraction(cert.estimate) - exact) <= Fraction(cert.error_radius)
 
 
+class Exact:
+    """The error model in exact rationals, from ``ULPS`` (see the certifier's
+    module docstring); the certifier holds it as float literals rounded
+    outward."""
+
+    u = Fraction(1, 1 << 53)
+    share = 2 * certifier.ULPS * u / (1 - 2 * certifier.ULPS * u)
+    inflation = (1 + share) / (1 - u) ** 2
+    spread = (share + u) / (1 - u) ** 2
+    deflation = 1 / ((1 + 2 * certifier.ULPS * u) * (1 + u) ** 2)
+
+
+def exact_span(walk):
+    return Fraction(walk.iv.b) - Fraction(walk.iv.a)
+
+
 def kernel_integral(walk, n):
     """The signed integral of the walk's kernel over one panel of the n-grid."""
     numerator, denominator, power = walk.rule.kernel
-    return Fraction(numerator, denominator) * (walk.span / n) ** power
+    return Fraction(numerator, denominator) * (exact_span(walk) / n) ** power
 
 
 def reference_truncation(walk):
     """The exact value that ``_Walk.truncation`` bounds from above: its
     formulas in exact rationals, on the walk's computed sums."""
-    model = certifier._model()
     if walk.rule.bracketed:
         trapezoid, midpoint = map(Fraction, walk._sides())
-        half_width = (abs(trapezoid - midpoint) / 2 + model.spread * Fraction(walk._size())
-                      + model.u * (abs(trapezoid) + abs(midpoint)))
+        half_width = (abs(trapezoid - midpoint) / 2 + Exact.spread * Fraction(walk._size())
+                      + Exact.u * (abs(trapezoid) + abs(midpoint)))
         return abs(kernel_integral(walk, walk.n)) * half_width
     if walk.theorem is CertTheorem.QUASI_Q1:
-        weight = (model.inflation * Fraction(walk._total())
-                  - model.deflation * Fraction(walk.least))
+        weight = Exact.inflation * Fraction(walk._total()) - Exact.deflation * Fraction(walk.least)
     else:
-        weight = model.inflation * Fraction(walk._size())
-    return (walk.span / walk.n) ** 3 / 24 * weight
+        weight = Exact.inflation * Fraction(walk._size())
+    return (exact_span(walk) / walk.n) ** 3 / 24 * weight
 
 
 def reference_floor(walk):
     """The exact value that ``_Walk.floor`` bounds from below."""
-    model, cap = certifier._model(), certifier.MAX_SUBINTERVALS
+    cap = certifier.MAX_SUBINTERVALS
     if walk.rule.bracketed:
-        return abs(kernel_integral(walk, cap)) * model.spread * Fraction(walk._size())
+        return abs(kernel_integral(walk, cap)) * Exact.spread * Fraction(walk._size())
     if walk.theorem is CertTheorem.QUASI_Q1:
         return kernel_integral(walk, cap) * Fraction(walk._size())
     if walk.n == walk.start:
         return Fraction(0)
+    span = exact_span(walk)
     odd_sum = Fraction(math.fsum(walk.sizes[walk.top:]))
-    return walk.span ** 2 / (24 * cap ** 2) * (2 * walk.span / walk.n) * odd_sum * model.deflation
+    return span ** 2 / (24 * cap ** 2) * (2 * span / walk.n) * odd_sum * Exact.deflation
 
 
-U = Fraction(1, 1 << 53)
+def f_sums(walk):
+    """S and sum |f|: the fsums of f and |f| at the walk's midpoints, as
+    ``_Walk.certificate`` reads them."""
+    chunks = list(walk._chunk_sums(walk.fn.f, 2 * walk.n, 2, "f"))
+    return math.fsum(c[0] for c in chunks), math.fsum(c[1] for c in chunks)
+
+
+def reference_estimate(walk):
+    """The exact estimate, with exact h on the walk's computed sums, and
+    the exact bound of its evaluation and summation error: the terms that
+    ``_Walk.certificate`` bounds."""
+    total, size = map(Fraction, f_sums(walk))
+    h = exact_span(walk) / walk.n
+    estimate, error = h * total, h * (Exact.spread * size + Exact.u * abs(total))
+    if walk.rule.bracketed:
+        trapezoid, midpoint = map(Fraction, walk._sides())
+        estimate += kernel_integral(walk, walk.n) * (trapezoid + midpoint) / 2
+    if walk.theorem is CertTheorem.CORRECTED:
+        left, right = (Fraction(walk.fn.d1(x)) for x in (walk.iv.a, walk.iv.b))
+        estimate += h * h / 24 * (right - left)
+        error += h * h / 24 * Exact.share * (abs(left) + abs(right))
+    return estimate, error
+
+
+U = Exact.u
 
 #: a bound below the normal range keeps its side but not its relative
 #: accuracy: x2 over [0, 1e-160] has truncation parts near 1e-480, and the
@@ -918,9 +956,11 @@ def assert_bounds_within_64u(walk):
 
 
 #: every catalog window; exp over [0, 700], whose truncation parts are past
-#: the float range at n = 1; x2 over [0, 1e-160], whose are below it
+#: the float range at n = 1; x2 over [0, 1e-160], whose are below it; and
+#: two intervals whose b - a rounds, down and up
 BOUND_REQUESTS = [(fn.id, fn.window) for fn in core.builtin_catalog()] + [
-    ("exp", Interval(0.0, 700.0)), ("x2", Interval(0.0, 1e-160))]
+    ("exp", Interval(0.0, 700.0)), ("x2", Interval(0.0, 1e-160)),
+    ("exp", Interval(0.1, 0.7)), ("inv_x", Interval(0.1, 3.0))]
 
 
 class TestFloatBounds:
@@ -942,7 +982,8 @@ class TestFloatBounds:
     @pytest.mark.parametrize("theorem", list(CertTheorem))
     def test_within_64u_from_an_odd_start(self, catalog, theorem, n):
         # integrate_certified walks from the odd part of n; 1701^5 and
-        # 3003^5 are past 2^53, so they stay in the exact factor
+        # 3003^5 are past 2^53, so the walk divides span by n before it
+        # takes the k-th power
         for fn in catalog:
             walk = certifier._Walk(fn, fn.window, theorem, n)
             assert_bounds_within_64u(walk)
@@ -990,10 +1031,45 @@ class TestFloatBounds:
             assert Fraction(rounded) > reference_floor(walk)
 
 
+class TestModel:
+    @pytest.mark.parametrize("name, exact, side", [
+        ("SHARE", Exact.share, 1), ("SPREAD", Exact.spread, 1),
+        ("INFLATION", Exact.inflation, 1), ("DEFLATION", Exact.deflation, -1),
+        ("SHRINK", Exact.deflation / Exact.inflation, -1)])
+    def test_each_constant_is_its_exact_value_rounded_outward(self, name, exact, side):
+        # the nearest float to the exact value on the side that keeps every
+        # bound built on it sound; none of them is a float, so the float
+        # next to it on the other side bounds it the other way
+        value = getattr(certifier, name)
+        beyond = math.nextafter(value, -side * math.inf)
+        assert side * Fraction(beyond) < side * exact < side * Fraction(value), name
+
+
+#: operands of the bound helpers at the edges of the float range: zeros,
+#: powers of two whose products and quotients are exact or fall below the
+#: normal range, products that underflow to 0 and one that overflows
+EDGES = [(0.0, 3.0), (3.0, 0.0), (3.0, 0.5), (1.5, 2.0 ** -1074), (0.75, 2.0 ** -1073),
+         (2.0 ** -1074, 2.0 ** -1074), (1e-200, 1e-200), (1e200, 1e200), (0.1, 0.3),
+         (1.0, 3.0), (2.0 ** -1073, 4.0), (3.0 * 2.0 ** -1074, 2.0)]
+
+
+@pytest.mark.parametrize("x, y", EDGES)
+def test_each_helper_bounds_its_exact_value_at_the_edges(x, y):
+    # +inf is an upper bound past the float range, never a lower one
+    for toward, side in ((math.inf, 1), (0.0, -1)):
+        results = [(certifier._product(x, y, toward), Fraction(x) * Fraction(y))]
+        if y:
+            results.append((certifier._quotient(x, y, toward), Fraction(x) / Fraction(y)))
+        for bound, exact in results:
+            assert 0.0 <= bound, (x, y)
+            assert (bound == math.inf) if bound > sys.float_info.max else (
+                side * (Fraction(bound) - exact) >= 0), (x, y, side)
+
+
 class Replay:
     """Float operations of the certifier's bounds, each checked against the
     exact value of the expression it stands for: an upper bound must be at
-    least it, a lower bound at most it."""
+    least it, a lower bound at most it (and not below 0 where it is not)."""
 
     def __init__(self, where):
         self.where, self.steps = where, 0
@@ -1005,114 +1081,218 @@ class Replay:
 
     def down(self, value, exact):
         self.steps += 1
-        assert 0.0 <= value and Fraction(value) <= exact, (self.where, self.steps)
-        return value
-
-    def least_above(self, value, exact):
-        """value is the least float not below exact."""
-        self.up(value, exact)
-        assert value == 0.0 or Fraction(math.nextafter(value, -math.inf)) < exact, self.where
-        return value
-
-    def greatest_below(self, value, exact):
-        """value is the greatest float not above exact."""
-        self.down(value, exact)
-        assert (value == sys.float_info.max
-                or Fraction(math.nextafter(value, math.inf)) > exact), self.where
+        assert Fraction(value) <= exact and (value >= 0 or exact < 0), (self.where, self.steps)
         return value
 
 
-def stepped_up(x):
-    """x, the rounded result of a sum or difference, one float up unless 0."""
+# The certifier's rules for a step (see Arithmetic in its module docstring),
+# written out again: a rounded sum steps one float out unless it is 0; a
+# product of non-negative floats unless a factor is 0, or the second is a
+# power of two and the product comes back exactly; a quotient unless the
+# divisor is a power of two and the quotient comes back exactly.
+
+def power_of_two(x):
+    return math.frexp(x)[0] == 0.5
+
+
+def sum_up(x):
     return math.nextafter(x, math.inf) if x else 0.0
 
 
-def product_up(x, y):
-    return math.nextafter(x * y, math.inf) if x and y else 0.0
+def sum_down(x):
+    return math.nextafter(x, -math.inf) if x else 0.0
 
 
-def walk_factors(walk):
-    """The exact factors the walk's ``part`` and ``below`` round: the
-    kernel's |integral| over [a, b] as one panel, over the start's n^k
-    (halved under a bracketed rule, times inflation under a Q1 rule), and
-    that |integral| at the cap times spread (bracketed), 1 (QUASI_Q1) or
-    2 deflation cap/start (CONVEX_Q1)."""
-    model, cap = certifier._model(), certifier.MAX_SUBINTERVALS
+def product(x, y, toward):
+    if x == 0 or y == 0:
+        return 0.0
+    p = x * y
+    return p if power_of_two(y) and p / y == x else math.nextafter(p, toward)
+
+
+def quotient(x, d, toward):
+    q = x / d
+    return q if power_of_two(d) and q * d == x else math.nextafter(q, toward)
+
+
+UP, DOWN = math.inf, 0.0
+
+
+def replay_factors(walk, check):
+    """The walk's ``span``, ``part`` and ``below``, one operation at a time:
+    the span from exact rationals, then the kernel's |integral| over [a, b]
+    as one panel, over the start's n^k (halved under a bracketed rule,
+    times inflation under a Q1 rule), and that |integral| at the cap times
+    spread (bracketed), 1 (QUASI_Q1) or 2 deflation cap/start (CONVEX_Q1)."""
+    iv, cap, m = walk.iv, certifier.MAX_SUBINTERVALS, walk.start
     numerator, denominator, power = walk.rule.kernel
-    size = Fraction(abs(numerator), denominator) * walk.span ** power
+    span, width = exact_span(walk), iv.b - iv.a
+    low = check.down(width if Fraction(width) <= span else math.nextafter(width, 0.0), span)
+    high = check.up(width if Fraction(width) >= span else math.nextafter(width, math.inf), span)
     if walk.rule.bracketed:
-        return size / (2 * walk.start ** power), size * model.spread / cap ** power
-    if walk.theorem is CertTheorem.QUASI_Q1:
-        return size * model.inflation / walk.start ** power, size / cap ** power
-    return (size * model.inflation / walk.start ** power,
-            2 * size * model.deflation / (cap ** (power - 1) * walk.start))
+        top, exact_top, exact_bottom = 0.5, Fraction(1, 2), Exact.spread
+        bottom = math.nextafter(certifier.SPREAD, 0.0)
+    elif walk.theorem is CertTheorem.QUASI_Q1:
+        top, bottom, exact_top, exact_bottom = certifier.INFLATION, 1.0, Exact.inflation, 1
+    else:
+        top, bottom = certifier.INFLATION, 2.0 * certifier.DEFLATION
+        exact_top, exact_bottom = Exact.inflation, 2 * Exact.deflation
+    c = Fraction(abs(numerator), denominator)
+    part = check.up(quotient(check.up(product(top, abs(numerator), UP), abs(numerator) * exact_top),
+                             denominator, UP), c * exact_top)
+    below = check.down(quotient(check.down(product(bottom, abs(numerator), DOWN),
+                                           abs(numerator) * exact_bottom),
+                                denominator, DOWN), c * exact_bottom)
+    exact_part, exact_below = c * exact_top, c * exact_bottom
+    if walk.theorem is CertTheorem.CONVEX_Q1:
+        exact_below *= span / m
+        below = check.down(product(below, check.down(quotient(low, m, DOWN), span / m), DOWN),
+                           exact_below)
+    step = check.up(quotient(high, m, UP), span / m)
+    scale = check.down(quotient(low, cap, DOWN), span / cap)
+    for _ in range(power):
+        exact_part *= span / m
+        part = check.up(product(part, step, UP), exact_part)
+    for _ in range(power - (walk.theorem is CertTheorem.CONVEX_Q1)):
+        exact_below *= span / cap
+        below = check.down(product(below, scale, DOWN), exact_below)
+    assert (low, high, part, below) == (*walk.span, walk.part, walk.below), check.where
+    return exact_part, exact_below
 
 
 def replay_truncation(walk, check):
     """``_Walk.truncation`` one float operation at a time, each paired with
     its exact value on the walk's computed sums; the last exact value is
     ``reference_truncation``."""
-    model = certifier._model()
-    spread, shrink = certifier._float_model()
-    check.up(spread, model.spread)
-    check.down(shrink, model.deflation / model.inflation)
-    factor = walk_factors(walk)[0]
-    check.least_above(walk.part, factor)
-    levels = (walk.n // walk.start) ** walk.power
-    exact_part = factor / levels
-    part = check.up(math.nextafter(walk.part / levels, math.inf), exact_part)
+    exact_part = replay_factors(walk, check)[0] / (walk.n // walk.start) ** walk.power
+    part = check.up(quotient(walk.part, (walk.n // walk.start) ** walk.power, UP), exact_part)
     if walk.rule.bracketed:
         trapezoid, midpoint = walk._sides()
         size = walk._size()
         t, m, s = Fraction(trapezoid), Fraction(midpoint), Fraction(size)
         gap = abs(t - m)
-        slack = 2 * model.spread * s
+        slack = 2 * Exact.spread * s
         sides = abs(t) + abs(m)
-        exact = gap + slack + 2 * model.u * sides
-        width = check.up(stepped_up(
-            check.up(stepped_up(check.up(stepped_up(abs(trapezoid - midpoint)), gap)
-                                + check.up(product_up(2.0 * spread, size), slack)),
+        exact = gap + slack + 2 * U * sides
+        width = check.up(sum_up(
+            check.up(sum_up(check.up(sum_up(abs(trapezoid - midpoint)), gap)
+                            + check.up(product(2.0 * certifier.SPREAD, size, UP), slack)),
                      gap + slack)
-            + check.up(product_up(2.0 ** -52, check.up(stepped_up(abs(trapezoid)
-                                                                  + abs(midpoint)), sides)),
-                       2 * model.u * sides)), exact)
+            + check.up(product(check.up(sum_up(abs(trapezoid) + abs(midpoint)), sides),
+                               2.0 ** -52, UP),
+                       2 * U * sides)), exact)
     elif walk.theorem is CertTheorem.QUASI_Q1:
         total = walk._total()
-        least = check.down(math.nextafter(shrink * walk.least, 0.0),
-                           model.deflation / model.inflation * Fraction(walk.least))
-        exact = Fraction(total) - model.deflation / model.inflation * Fraction(walk.least)
-        width = check.up(stepped_up(total - least), exact)
+        shrink = Exact.deflation / Exact.inflation
+        least = check.down(product(certifier.SHRINK, walk.least, DOWN),
+                           shrink * Fraction(walk.least))
+        exact = Fraction(total) - shrink * Fraction(walk.least)
+        width = check.up(sum_up(total - least), exact)
     else:
         width = walk._size()
         exact = Fraction(width)
     exact *= exact_part
     assert exact == reference_truncation(walk)
-    return check.up(product_up(part, width), exact)
+    return check.up(product(part, width, UP), exact)
 
 
 def replay_floor(walk, check):
     """``_Walk.floor`` one float operation at a time, as
     ``replay_truncation``; the last exact value is ``reference_floor``."""
-    factor = walk_factors(walk)[1]
-    check.greatest_below(walk.below, factor)
+    factor = replay_factors(walk, check)[1]
     if walk.theorem is CertTheorem.CONVEX_Q1:
         size = math.fsum(walk.sizes[walk.top:]) if walk.n > walk.start else 0.0
         levels = walk.n // walk.start
         factor /= levels
-        below = check.down(math.nextafter(walk.below / levels, 0.0), factor)
+        below = check.down(quotient(walk.below, levels, DOWN), factor)
     else:
         size, below = walk._size(), walk.below
     exact = factor * Fraction(size)
     assert exact == reference_floor(walk)
-    return check.down(math.nextafter(below * size, 0.0), exact)
+    return check.down(product(below, size, DOWN), exact)
+
+
+def replay_certificate(walk, check):
+    """``_Walk.certificate``'s estimate, rounding part and error radius, one
+    float operation at a time, each paired with its exact value; the exact
+    estimate and error are ``reference_estimate``'s, and the rounding part
+    bounds the estimate's distance from the one plus the other."""
+    n, (numerator, denominator, power) = walk.n, walk.rule.kernel
+    total, size = f_sums(walk)
+    span = exact_span(walk)
+    h, exact_h = walk.iv.width / n, span / n
+    low = check.down(quotient(walk.span[0], n, DOWN), exact_h)
+    high = check.up(quotient(walk.span[1], n, UP), exact_h)
+    exact_error = exact_h * (Exact.spread * Fraction(size) + U * abs(Fraction(total)))
+    error = check.up(product(check.up(sum_up(
+        check.up(product(certifier.SPREAD, size, UP), Exact.spread * Fraction(size))
+        + check.up(product(abs(total), 2.0 ** -53, UP), U * abs(Fraction(total)))),
+        exact_error / exact_h), high, UP), exact_error)
+    # (nearest, lower and upper bound of the magnitude, its exact value, k, negative)
+    t = Fraction(total)
+    terms = [(total, abs(total), abs(total), abs(t), 1, total < 0)]
+    if walk.rule.bracketed:
+        trapezoid, midpoint = walk._sides()
+        sides, half = trapezoid + midpoint, 2 * denominator
+        exact_sides = abs(Fraction(trapezoid) + Fraction(midpoint))
+        c = Fraction(abs(numerator), half)
+        terms.append((numerator / half * sides,
+                      check.down(product(check.down(quotient(abs(numerator), half, DOWN), c),
+                                         check.down(sum_down(abs(sides)), exact_sides), DOWN),
+                                 c * exact_sides),
+                      check.up(product(check.up(quotient(abs(numerator), half, UP), c),
+                                       check.up(sum_up(abs(sides)), exact_sides), UP),
+                               c * exact_sides),
+                      c * exact_sides, power, (numerator < 0) != (sides < 0)))
+    if walk.theorem is CertTheorem.CORRECTED:
+        left, right = walk.fn.d1(walk.iv.a), walk.fn.d1(walk.iv.b)
+        ends, gap = math.fsum((abs(left), abs(right))), right - left
+        exact_gap = abs(Fraction(right) - Fraction(left))
+        terms.append((gap / 24,
+                      check.down(quotient(check.down(sum_down(abs(gap)), exact_gap), 24, DOWN),
+                                 exact_gap / 24),
+                      check.up(quotient(check.up(sum_up(abs(gap)), exact_gap), 24, UP),
+                               exact_gap / 24),
+                      exact_gap / 24, 2, gap < 0))
+        exact_ends = abs(Fraction(left)) + abs(Fraction(right))
+        share = check.up(quotient(check.up(product(certifier.SHARE,
+                                                   check.up(sum_up(ends), exact_ends), UP),
+                                           Exact.share * exact_ends), 24, UP),
+                         Exact.share * exact_ends / 24)
+        corrected = Exact.share * exact_ends / 24 * exact_h ** 2
+        exact_error += corrected
+        error = check.up(sum_up(error + check.up(product(check.up(
+            product(share, high, UP), corrected / exact_h), high, UP), corrected)), exact_error)
+    nearest, lows, highs, exact = [], [], [], 0
+    for value, below, above, magnitude, k, negative in terms:
+        for _ in range(k):
+            magnitude *= exact_h
+            value = value * h
+            below = check.down(product(below, low, DOWN), magnitude)
+            above = check.up(product(above, high, UP), magnitude)
+        nearest.append(value)
+        lows.append(-above if negative else below)
+        highs.append(-below if negative else above)
+        exact += -magnitude if negative else magnitude
+    estimate = math.fsum(nearest)
+    below, above = math.fsum(lows), math.fsum(highs)
+    if len(terms) > 1:
+        below, above = sum_down(below), sum_up(above)
+    check.down(below, exact)
+    check.up(above, exact)
+    assert (exact, exact_error) == reference_estimate(walk)
+    distance = max(Fraction(above) - Fraction(estimate), Fraction(estimate) - Fraction(below))
+    distance = check.up(sum_up(max(above - estimate, estimate - below)), distance)
+    rounding = check.up(sum_up(error + distance), abs(Fraction(estimate) - exact) + exact_error)
+    return estimate, rounding
 
 
 class TestOpByOp:
-    """Each float operation of ``_Walk.truncation`` and ``_Walk.floor``, and
-    the walk's ``part`` and ``below`` factors, bound their exact values on
-    the stated side, and the walk computes exactly these operations: a step
-    left out would leave the final bound on the right side of the exact one
-    most of the time, but not its bits."""
+    """Each float operation of ``_Walk.truncation``, ``_Walk.floor`` and
+    ``_Walk.certificate``, and of the walk's ``span``, ``part`` and ``below``,
+    bounds its exact value on the stated side, and the walk computes exactly
+    these operations: a step left out would leave the final bound on the
+    right side of the exact one most of the time, but not its bits."""
 
     @pytest.mark.parametrize("start", [1, 3, 255])
     @pytest.mark.parametrize("theorem", list(CertTheorem))
@@ -1122,18 +1302,38 @@ class TestOpByOp:
             walk = certifier._Walk(by_id[fid], iv, theorem, start)
             for _ in range(4):
                 check = Replay((fid, iv, walk.n))
-                assert walk.truncation() == replay_truncation(walk, check), check.where
+                truncation = walk.truncation()
+                assert truncation == replay_truncation(walk, check), check.where
                 assert walk.floor() == replay_floor(walk, check), check.where
+                if truncation < math.inf:
+                    cert = walk.certificate(truncation)
+                    replayed = replay_certificate(walk, check)
+                    assert (cert.estimate, cert.rounding_radius) == replayed, check.where
+                    rounding = cert.rounding_radius
+                    assert cert.error_radius == check.up(
+                        sum_up(truncation + rounding), Fraction(truncation) + Fraction(rounding))
                 steps += check.steps
                 walk.double()
         assert steps > 0
 
+    @pytest.mark.parametrize("start", [1, 3, 255])
+    @pytest.mark.parametrize("theorem", list(CertTheorem))
+    def test_rounding_part_covers_the_exact_estimate(self, catalog, theorem, start):
+        # |E - the exact estimate| plus the exact error bound of the f (and
+        # f') reads and of the sums is at most the printed rounding part
+        for fn in catalog:
+            walk = certifier._Walk(fn, fn.window, theorem, start)
+            cert = walk.certificate(walk.truncation())
+            exact, error = reference_estimate(walk)
+            assert abs(Fraction(cert.estimate) - exact) + error <= Fraction(cert.rounding_radius), (
+                fn.id, start)
+
 
 #: sha256 of the records of ``test_pinned_outcomes_and_evaluations`` (with
-#: glibc 2.36's libm, as the `hh certify` digests), restated when QUASI_Q1
-#: gained its floor: only its 29 refusals moved, each still a
-#: ConvergenceError after fewer f'' reads
-OUTCOMES_DIGEST = "03246cf511a9e27446eef835e11f06ed533c141ae757be4c54bc03dce0f09b2c"
+#: glibc 2.36's libm, as the `hh certify` digests), restated when the
+#: certificate moved to float bounds: every n, theorem, refusal and count
+#: stayed, and only estimates and rounding parts moved (see CHANGES.md)
+OUTCOMES_DIGEST = "f9e59f31629b233496ebee41981e6f86b89f0222c5420b8fac2fb08b73b96257"
 
 
 def test_pinned_outcomes_and_evaluations(catalog, by_id, monkeypatch):
