@@ -26,8 +26,8 @@ and the weight is the sum of every G but G_j.  With g the computed
 values, the sum of every G is at most inflation * S, S the fsum of all g,
 as above; G_j >= g_j / (1 + 2*ULPS*u) >= deflation * g_min, g_min the
 least g read.  So the exact weight is at most inflation*S -
-deflation*g_min, and the walk needs only the chunk sums and one running
-minimum, as the convex rule does.
+deflation*g_min, and the walk needs only the chunk sums and the running
+minimum that every walk keeps.
 
 Truncation part under FEJER.  The error of one panel [x, x + h] is the
 integral of K f'', where the peak kernel K >= 0 is symmetric about the
@@ -102,20 +102,21 @@ is not tracked; a non-finite evaluation or sum raises EvaluationError.
 Both entry points run one walk over nested grids: cut i of n subintervals
 is bit-for-bit cut 2i of 2n (scaling by two is exact), so each doubling
 evaluates the rule's derivative (f'', or f'''' under CORRECTED) only at
-the n new odd cuts, ``CHUNK`` at a time.  Every rule keeps the same
-thing: the two end values, and per level (the starting grid's interior
-cuts, then each doubling's odd cuts) the chunk fsums of the derivative
-and of its magnitude.  Under CONVEX_Q1 the trapezoid weight sum
-1/2 (g_k + g_k+1) equals g_0/2 + g_N/2 + the sum of the interior g_k;
-under QUASI_Q1 the weight is the formula above, which also tracks the
-least |f''| read.  The bracketed rules (FEJER, CORRECTED) read one level
-more: at n panels they have read the odd cuts of the 2n-grid too, which
-are the midpoints, so M is that level's chunk sums and T the ends plus all
-earlier ones; n panels cost 2n + 1 derivative evaluations, and f is read
-at those same midpoints (and f' at a and b under CORRECTED).  The radius
-depends on the derivative alone up to the rounding part, so
-``refine_to_tolerance`` evaluates f only at a level whose truncation part
-already fits.
+the n new odd cuts, ``CHUNK`` at a time.  Every rule reads, sums and keeps
+the same things the same way: the two end values, per level (the starting
+grid's interior cuts, then each doubling's odd cuts) the chunk fsums of
+the derivative and of its magnitude, and the least magnitude read, which
+QUASI_Q1 alone uses.  Under CONVEX_Q1 the trapezoid weight sum
+1/2 (g_k + g_k+1) equals g_0/2 + g_N/2 + the sum of the interior g_k, the
+fsum of the magnitudes with the ends halved; under QUASI_Q1 the weight is
+the formula above, that fsum with the ends whole less the least.  The
+bracketed rules (FEJER, CORRECTED) read one level more: at n panels they
+have read the odd cuts of the 2n-grid too, which are the midpoints, so M
+is that level's chunk sums and T the ends plus all earlier ones; n panels
+cost 2n + 1 derivative evaluations, and f is read at those same midpoints
+(and f' at a and b under CORRECTED).  The radius depends on the derivative
+alone up to the rounding part, so ``refine_to_tolerance`` evaluates f only
+at a level whose truncation part already fits.
 
 Floors.  A floor is a lower bound on the truncation part at every level
 from the current one up to ``MAX_SUBINTERVALS``.  At each level whose
@@ -356,10 +357,11 @@ class _Walk:
 
     Starting at n, it evaluates the n + 1 cuts (the last pinned to b), and
     under a bracketed rule the n midpoints too; each ``double`` evaluates
-    the new odd cuts alone (and the new midpoints).  It keeps the signed end
-    values, the chunk fsums of the derivative (``sums``) and its magnitude
-    (``sizes``) level after level, where the last level starts (``top``),
-    and under QUASI_Q1 the least |f''| read.
+    the new odd cuts alone (and the new midpoints).  Under every rule it
+    keeps the signed end values, the chunk fsums of the derivative
+    (``sums``) and its magnitude (``sizes``) level after level, where the
+    last level starts (``top``), and the least magnitude read (``least``,
+    which only QUASI_Q1's weight takes).
     """
 
     def __init__(self, fn: TestFunction, iv: Interval, theorem: CertTheorem, n: int) -> None:
@@ -394,58 +396,52 @@ class _Walk:
             self.part = _product(self.part, up)
         for _ in range(power - convex):
             self.below = _product(self.below, down, 0.0)
-        first, last = self.derivative(iv.a), self.derivative(iv.b)
-        _finite_sum((abs(first), abs(last)), self.what, n)
-        self.ends = (first, last)
-        self.least = min(abs(first), abs(last))
+        self.ends = (self.derivative(iv.a), self.derivative(iv.b))
+        _finite_sum(map(abs, self.ends), self.what, n)
+        self.least = min(map(abs, self.ends))
         self.sums: list[float] = []
         self.sizes: list[float] = []
-        self.top = 0
-        self._read(n, 1)
+        self._read(n, 1)  # sets top, where the last level starts
         if rule.bracketed:
             self._read(2 * n, 2)
 
     def _chunk_sums(self, ev, n: int, step: int,
-                    what: str) -> Iterator[tuple[float, float, list[float]]]:
+                    what: str) -> Iterator[tuple[float, float, float]]:
         """Per chunk of at most CHUNK values of ev at a + width*k/n, k = 1,
         1 + step, ... below n: their fsum, the fsum of their magnitudes and
-        the values; raises EvaluationError when the magnitudes' sum is not
-        finite."""
+        their least magnitude; raises EvaluationError when the magnitudes'
+        sum is not finite."""
         a, width = self.iv.a, self.iv.width
         divisor = float(n)  # exact; a float spares the int conversion per cut
         stride = CHUNK * step
         for lo in range(1, n, stride):
             vals = [ev(a + width * k / divisor) for k in range(lo, min(lo + stride, n), step)]
-            size = _finite_sum(map(abs, vals), what, self.n)
-            yield math.fsum(vals), size, vals
+            sizes = list(map(abs, vals))
+            size = _finite_sum(sizes, what, self.n)  # before fsum(vals) meets inf - inf
+            yield math.fsum(vals), size, min(sizes)
 
     def _read(self, n: int, step: int) -> None:
         """Append the derivative at the cuts k = 1, 1 + step, ... of the
-        n-grid as the last level."""
+        n-grid as the last level, and lower ``least`` to its least
+        magnitude."""
         self.top = len(self.sizes)
-        quasi = self.theorem is CertTheorem.QUASI_Q1
-        for total, size, vals in self._chunk_sums(self.derivative, n, step, self.what):
+        for total, size, least in self._chunk_sums(self.derivative, n, step, self.what):
             self.sums.append(total)
             self.sizes.append(size)
-            if quasi:
-                self.least = min(self.least, min(map(abs, vals)))
+            self.least = min(self.least, least)
 
     def double(self) -> None:
-        """Go to 2n subintervals."""
+        """Go to 2n subintervals: read the odd cuts of the 2n-grid, or under
+        a bracketed rule of the 4n-grid, whose even cuts the old midpoints
+        became."""
         self.n *= 2
-        if self.rule.bracketed:
-            self._read(2 * self.n, 2)  # the old midpoints become cuts
-        else:
-            self._read(self.n, 2)
+        self._read(2 * self.n if self.rule.bracketed else self.n, 2)
 
-    def _size(self) -> float:
-        """fsum of the magnitudes read: the halved ends and every chunk."""
-        return _finite_sum(chain((0.5 * abs(end) for end in self.ends), self.sizes),
+    def _size(self, ends: float = 0.5) -> float:
+        """fsum of the magnitudes read: the ends times ``ends`` (1/2, or 1
+        in QUASI_Q1's weight) and every chunk."""
+        return _finite_sum(chain((ends * abs(end) for end in self.ends), self.sizes),
                            self.what, self.n)
-
-    def _total(self) -> float:
-        """fsum of the magnitudes read, the ends whole (QUASI_Q1's weight)."""
-        return _finite_sum(chain(map(abs, self.ends), self.sizes), self.what, self.n)
 
     def _sides(self) -> tuple[float, float]:
         """Under a bracketed rule, T and M as computed: the fsums of the
@@ -470,7 +466,7 @@ class _Walk:
             return _product(part, width)
         if self.theorem is CertTheorem.QUASI_Q1:
             # every cut but a least one is the larger end of some subinterval
-            return _product(part, _step(self._total() - _product(SHRINK, self.least, 0.0)))
+            return _product(part, _step(self._size(1.0) - _product(SHRINK, self.least, 0.0)))
         return _product(part, self._size())
 
     def floor(self) -> float:
@@ -482,7 +478,8 @@ class _Walk:
         the sum of the magnitudes read, ``_size``."""
         if self.theorem is CertTheorem.CONVEX_Q1:
             # a walk from an odd n > 1 starts with cuts that are no midpoints
-            new = math.fsum(self.sizes[self.top:]) if self.n > self.start else 0.0
+            new = (_finite_sum(self.sizes[self.top:], self.what, self.n)
+                   if self.n > self.start else 0.0)
             return _product(_quotient(self.below, self.n // self.start, 0.0), new, 0.0)
         return _product(self.below, self._size(), 0.0)
 
@@ -491,10 +488,7 @@ class _Walk:
         and close the certificate (see Rounding part in the module
         docstring)."""
         n, (numerator, denominator, power) = self.n, self.rule.kernel
-        sums, sizes = [], []
-        for total, size, _ in self._chunk_sums(self.fn.f, 2 * n, 2, "f"):
-            sums.append(total)
-            sizes.append(size)
+        sums, sizes, _ = zip(*self._chunk_sums(self.fn.f, 2 * n, 2, "f"))
         total = _finite_sum(sums, "f", n)
         h = self.iv.width / n
         low, high = _quotient(self.span[0], n, 0.0), _quotient(self.span[1], n)

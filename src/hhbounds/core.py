@@ -29,7 +29,9 @@ class HypothesisError(RuntimeError):
 
 
 class EvaluationError(RuntimeError):
-    """A function evaluation produced a non-finite value."""
+    """A result computed from evaluations is not finite: an evaluation
+    itself, a sum of finite values, or a formula on them (a bound, an
+    estimate) past the float range."""
 
 
 class ConvergenceError(RuntimeError):

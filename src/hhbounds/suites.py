@@ -33,6 +33,7 @@ from .core import (
     BoundReport,
     ConjugatePair,
     DomainError,
+    EvaluationError,
     Interval,
     TestFunction,
     TheoremId,
@@ -148,8 +149,8 @@ def _bound(row: BoundRow, fn: TestFunction, iv: Interval, exponent,
            endpoints: dict) -> float:
     """The row's formula on iv; ``endpoints`` caches each derivative's
     endpoint magnitudes on iv, so each is evaluated once per interval.
-    Raises OverflowError for a bound past the float range, which bounds
-    nothing."""
+    Raises EvaluationError for a bound past the float range, which bounds
+    nothing: the endpoint values are finite, the formula's result is not."""
     d = row.hypothesis.derivative
     if d not in endpoints:
         ev = getattr(fn, d)
@@ -157,7 +158,7 @@ def _bound(row: BoundRow, fn: TestFunction, iv: Interval, exponent,
     args = endpoints[d] if row.exponent is Exponent.NONE else (*endpoints[d], exponent)
     bound = getattr(row.module, row.formula)(iv, *args)
     if not math.isfinite(bound):
-        raise OverflowError(
+        raise EvaluationError(
             f"the {row.theorem.value} bound on [{iv.a}, {iv.b}] is past the float range")
     return bound
 
@@ -261,20 +262,19 @@ def build_bound_report(fn: TestFunction, iv: Interval, theorem: str,
                        q: float | None = None, p: float | None = None) -> BoundReport:
     """Evaluate one named bound on one catalog function and interval.
 
-    Raises DomainError for an unknown theorem or an exponent it does not
-    take (``Exponent.resolve``), before any evaluation.  Then requires the
-    theorem's class hypothesis (``Hypothesis.require``), so raises
-    DomainError for an interval outside the function's domain and
-    HypothesisError when the sample refutes the class.
+    Raises DomainError for a name that is not one of ``BOUND_THEOREMS``
+    or an exponent the theorem does not take (``Exponent.resolve``),
+    before any evaluation.  Then requires the theorem's class hypothesis
+    (``Hypothesis.require``), so raises DomainError for an interval
+    outside the function's domain and HypothesisError when the sample
+    refutes the class, and EvaluationError for a bound past the float
+    range.
     """
-    try:
-        tid = TheoremId(theorem)
-    except ValueError:
-        raise DomainError(f"unknown theorem {theorem!r}") from None
-    row = BOUND_ROWS.get(tid)
+    row = BOUND_ROWS.get(theorem)  # TheoremId is a str enum: its values hash alike
     if row is None:
-        raise DomainError(f"{theorem!r} is not a bound theorem")
+        raise DomainError(f"unknown bound theorem {theorem!r}; bound theorems: "
+                          + ", ".join(BOUND_THEOREMS))
     exponent = row.exponent.resolve(theorem, q, p)
     row.hypothesis.require(fn, iv)
     bound = _bound(row, fn, iv, exponent, {})
-    return BoundReport(tid, fn.id, iv, bound, midpoint_gap(fn, iv), exponent)
+    return BoundReport(row.theorem, fn.id, iv, bound, midpoint_gap(fn, iv), exponent)

@@ -365,6 +365,9 @@ class TestFloatingPoint:
         assert walk.ends == (g[0], g[-1])
         pairs = [(math.fsum(walk.sums), g[1:-1]),
                  (math.fsum(walk.sizes), [abs(y) for y in g[1:-1]])]
+        # every rule keeps the least |f''| read (at an end here; see
+        # test_every_walk_keeps_the_least_magnitude_it_read for one inside)
+        assert walk.least == min(map(abs, g))
         if theorem is CertTheorem.FEJER:
             # f'' = exp > 0: the trapezoid sum on the n-grid, and the
             # midpoint sum on the odd cuts of the 2n-grid
@@ -375,11 +378,22 @@ class TestFloatingPoint:
         elif theorem is CertTheorem.CONVEX_Q1:
             # the last level is the last doubling's odd cuts
             pairs.append((math.fsum(walk.sizes[walk.top:]), g[1::2]))
-        else:
-            assert walk.least == min(g)
         for computed, terms in pairs:
             reference = math.fsum(terms)
             assert abs(computed - reference) <= 2.0 ** -53 * reference
+
+    @pytest.mark.parametrize("theorem", list(CertTheorem))
+    def test_every_walk_keeps_the_least_magnitude_it_read(self, by_id, theorem):
+        # f'' of x^4 is 12x^2: 27 at both ends, 0 at the cut x = 0 that the
+        # first doubling reads (the first level's midpoint under FEJER);
+        # f'''' is 24 everywhere
+        key = certifier._RULES[theorem].hypothesis.derivative
+        fn, seen = recorded(by_id["x4"], key)
+        walk = certifier._Walk(fn, Interval(-1.5, 1.5), theorem, 1)
+        for _ in range(3):
+            walk.double()
+        assert walk.least == min(abs(getattr(by_id["x4"], key)(x)) for x in seen[key])
+        assert walk.least == (24.0 if theorem is CertTheorem.CORRECTED else 0.0)
 
     @pytest.mark.usefixtures("class_checks_pass")
     def test_rounding_part_is_checked_before_the_level_is_taken(self, by_id):
@@ -888,7 +902,8 @@ def reference_truncation(walk):
                       + Exact.u * (abs(trapezoid) + abs(midpoint)))
         return abs(kernel_integral(walk, walk.n)) * half_width
     if walk.theorem is CertTheorem.QUASI_Q1:
-        weight = Exact.inflation * Fraction(walk._total()) - Exact.deflation * Fraction(walk.least)
+        weight = (Exact.inflation * Fraction(walk._size(1.0))
+                  - Exact.deflation * Fraction(walk.least))
     else:
         weight = Exact.inflation * Fraction(walk._size())
     return (exact_span(walk) / walk.n) ** 3 / 24 * weight
@@ -1182,7 +1197,7 @@ def replay_truncation(walk, check):
                                2.0 ** -52, UP),
                        2 * U * sides)), exact)
     elif walk.theorem is CertTheorem.QUASI_Q1:
-        total = walk._total()
+        total = walk._size(1.0)
         shrink = Exact.deflation / Exact.inflation
         least = check.down(product(certifier.SHRINK, walk.least, DOWN),
                            shrink * Fraction(walk.least))

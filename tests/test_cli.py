@@ -39,10 +39,12 @@ class TestBoundCommand:
 
     def test_a_bound_past_the_float_range_exits_one(self):
         # exp over [700, 709]: quasi_q1 takes 81/8 e^709, past the float
-        # range, and prints no row; convex_q1 takes the mean of the ends
+        # range, and prints no row; no evaluation overflowed, and stderr
+        # does not say one did.  convex_q1 takes the mean of the ends
         proc = run("bound", "exp", "700", "709", "quasi_q1")
         assert (proc.returncode, proc.stdout) == (1, "")
         assert "quasi_q1 bound" in proc.stderr and "Traceback" not in proc.stderr
+        assert "overflowed" not in proc.stderr
         proc = run("bound", "exp", "700", "709", "convex_q1")
         row = json.loads(proc.stdout)
         assert proc.returncode == 0
@@ -57,7 +59,12 @@ class TestBoundCommand:
         assert run("bound", "nope", "0", "1", "convex_q1").returncode == 2
 
     def test_unknown_theorem_exits_two(self):
-        assert run("bound", "x2", "0", "1", "nope").returncode == 2
+        # a name of no theorem, and a theorem of the means suite
+        for theorem in ("nope", "prop_identric"):
+            proc = run("bound", "x2", "0", "1", theorem)
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert proc.stderr.startswith(f"hh: unknown bound theorem '{theorem}'; "
+                                          "bound theorems: baseline_pm, ")
 
     def test_interval_outside_domain_exits_two(self):
         assert run("bound", "inv_x", "0", "1", "quasi_q1").returncode == 2

@@ -29,6 +29,7 @@ from hhbounds.core import (
 from hhbounds.oracle import CONVEX_D1, MONOTONE_D2, midpoint_gap
 from hhbounds.suites import (
     BOUND_ROWS,
+    BOUND_THEOREMS,
     SWEEPS,
     SUITES,
     Exponent,
@@ -155,8 +156,16 @@ class TestBoundTable:
 
     @pytest.mark.parametrize("theorem", ["prop_identric", "no_such_theorem"])
     def test_rejects_names_outside_the_table(self, by_id, theorem):
-        with pytest.raises(DomainError):
-            build_bound_report(by_id["x2"], UNIT, theorem)
+        # a theorem of the means suite and a name of none: one lookup and
+        # one message that lists the bound theorems, before any evaluation
+        def unread(x):
+            raise AssertionError(f"evaluated at {x}")
+
+        fn = dataclasses.replace(by_id["x2"], f=unread, d1=unread, d2=unread)
+        with pytest.raises(DomainError) as caught:
+            build_bound_report(fn, UNIT, theorem)
+        assert str(caught.value) == (f"unknown bound theorem {theorem!r}; bound theorems: "
+                                     + ", ".join(BOUND_THEOREMS))
 
 
 @pytest.mark.parametrize("kind, q, p, expected", [
