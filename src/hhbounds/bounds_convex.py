@@ -19,7 +19,7 @@ def power_mean(x: float, y: float, q: float) -> float:
     aggregates its endpoint values here, so this is where their
     magnitudes and q are checked.
     """
-    if x < 0.0 or y < 0.0:
+    if not (x >= 0.0 and y >= 0.0):  # a NaN fails too
         raise DomainError(f"power mean needs nonnegative inputs, got ({x}, {y})")
     if power_exponent(q) == 1.0:
         return 0.5 * (x + y)

@@ -5,7 +5,9 @@ identric and p-logarithmic means (the last with L_{-1} = L and L_0 = I as
 limits), the chain H <= G <= L <= I <= A, and checkable inequalities for
 the gaps |L_n^n - A^n|, |1/L - 1/A| and ln(A/I) generated by x^n, 1/x and
 -ln x.  Each inequality is one of the bound formulas applied to its
-generator's endpoint |f''| values: |n(n-1)| x^(n-2), 2/x^3 and 1/x^2.
+generator's endpoint |f''| values: |n(n-1)| x^(n-2), 2/x^3 and 1/x^2,
+through one path, ``_report``, which refuses a gap or a bound past the
+float range with EvaluationError.
 
 L, I, L_p and the mean value L_n^n of x^n all come from one routine,
 ``_mean_power``, written in the log-ratio r = ln(hi/lo) and the relative
@@ -37,6 +39,7 @@ from .core import (
     BoundReport,
     ConjugatePair,
     DomainError,
+    EvaluationError,
     HypothesisError,
     Interval,
     TheoremId,
@@ -175,15 +178,33 @@ def lp_monotone_nondecreasing(a: float, b: float) -> bool:
 
 # --- inequality checkers -------------------------------------------------
 
-def _validate_ordered(a: float, b: float) -> Interval:
-    """[a, b] for 0 < a < b; Interval itself refuses a >= b."""
+#: the two propositions the paper states for q > 1 only
+_Q_ABOVE_ONE = (TheoremId.PROP_MONOMIAL_PM, TheoremId.PROP_RECIPROCAL_PM)
+
+
+def _report(theorem: TheoremId, a: float, b: float, exponent, generator, formula,
+            *n: int) -> BoundReport:
+    """``theorem``'s report on [a, b]: ``formula`` applied to ``generator``'s
+    endpoint |f''| (and to ``exponent`` where it takes one), against its gap.
+
+    Refuses the pair, then q where the paper asks q > 1, then n.  A gap or
+    bound past the float range bounds nothing, nor does one whose generator
+    or formula overflowed or divided by a power that underflowed to 0: each
+    raises EvaluationError, worded as ``suites._bound`` words it.
+    """
     _validate(a, b)
-    return Interval(a, b)
-
-
-def _q_above_one(q: float) -> None:
-    if not q > 1.0:
-        raise DomainError(f"needs q > 1, got {q}")
+    iv = Interval(a, b)
+    if theorem in _Q_ABOVE_ONE and not exponent > 1.0:
+        raise DomainError(f"needs q > 1, got {exponent}")
+    try:
+        label, gap, *d2 = generator(a, b, *n)
+        bound = formula(iv, *d2) if exponent is None else formula(iv, *d2, exponent)
+    except (OverflowError, ZeroDivisionError):
+        gap = bound = math.inf
+    if not (math.isfinite(gap) and math.isfinite(bound)):
+        raise EvaluationError(
+            f"the {theorem.value} bound on [{a}, {b}] is past the float range")
+    return BoundReport(theorem, label, iv, bound, gap, exponent)
 
 
 # the generators: each returns (label, closed-form gap, |f''(a)|, |f''(b)|)
@@ -191,7 +212,7 @@ def _q_above_one(q: float) -> None:
 def _monomial(a: float, b: float, n: int) -> tuple[str, float, float, float]:
     """x^n: gap |L_n^n - A^n| (L_n^n is the mean value of x^n over [a, b])
     and |f''| = |n(n-1)| x^(n-2), for an integer n with |n(n-1)| >= 3."""
-    if n != int(n):
+    if not float(n).is_integer():  # NaN and infinities fail too
         raise DomainError(f"monomial exponent must be an integer, got {n}")
     n = int(n)
     nn = abs(n * (n - 1))
@@ -220,51 +241,32 @@ def check_prop_monomial_q1(a: float, b: float, n: int) -> BoundReport:
     Equality for n = 3 (linear second derivative).  The report's extras
     carry the uncorrected /48 variant, which the same n = 3 case refutes.
     """
-    iv = _validate_ordered(a, b)
-    label, gap, *d2 = _monomial(a, b, n)
-    bound = bound_convex_q1(iv, *d2)
-    literal = bound / 2.0  # the uncorrected (b-a)^2/48 constant
-    return BoundReport(TheoremId.PROP_MONOMIAL_Q1, label, iv, bound, gap,
-                       extras={"literal_bound": literal, "literal_valid": literal >= gap})
+    report = _report(TheoremId.PROP_MONOMIAL_Q1, a, b, None, _monomial, bound_convex_q1, n)
+    literal = report.bound / 2.0  # the uncorrected (b-a)^2/48 constant
+    report.extras.update(literal_bound=literal, literal_valid=literal >= report.true_gap)
+    return report
 
 
 def check_prop_identric(a: float, b: float, pq: ConjugatePair) -> BoundReport:
     """ln(A/I) <= (b-a)^2/(8 a^2 b^2 (2p+1)^(1/p)) * A(a^2q, b^2q)^(1/q)."""
-    iv = _validate_ordered(a, b)
-    label, gap, *d2 = _neg_log(a, b)
-    return BoundReport(TheoremId.PROP_IDENTRIC, label, iv,
-                       bound_convex_holder(iv, *d2, pq), gap, pq)
+    return _report(TheoremId.PROP_IDENTRIC, a, b, pq, _neg_log, bound_convex_holder)
 
 
 def check_prop_monomial_pm(a: float, b: float, n: int, q: float) -> BoundReport:
     """|L_n^n - A^n| <= |n(n-1)| (b-a)^2/24 * A(a^q(n-2), b^q(n-2))^(1/q), q > 1."""
-    iv = _validate_ordered(a, b)
-    _q_above_one(q)
-    label, gap, *d2 = _monomial(a, b, n)
-    return BoundReport(TheoremId.PROP_MONOMIAL_PM, label, iv,
-                       bound_convex_powermean(iv, *d2, q), gap, q)
+    return _report(TheoremId.PROP_MONOMIAL_PM, a, b, q, _monomial, bound_convex_powermean, n)
 
 
 def check_prop_reciprocal_pm(a: float, b: float, q: float) -> BoundReport:
     """|1/L - 1/A| <= (b-a)^2/24 * 2^((q-1)/q)/(a^3 b^3) * (a^3q + b^3q)^(1/q), q > 1."""
-    iv = _validate_ordered(a, b)
-    _q_above_one(q)
-    label, gap, *d2 = _reciprocal(a, b)
-    return BoundReport(TheoremId.PROP_RECIPROCAL_PM, label, iv,
-                       bound_convex_powermean(iv, *d2, q), gap, q)
+    return _report(TheoremId.PROP_RECIPROCAL_PM, a, b, q, _reciprocal, bound_convex_powermean)
 
 
 def check_prop_reciprocal_quasi(a: float, b: float, q: float = 1.0) -> BoundReport:
     """|1/L - 1/A| <= (b-a)^2/24 * max(2/a^3, 2/b^3); independent of q >= 1."""
-    iv = _validate_ordered(a, b)
-    label, gap, *d2 = _reciprocal(a, b)
-    return BoundReport(TheoremId.PROP_RECIPROCAL_QUASI, label, iv,
-                       bound_quasi_powermean(iv, *d2, q), gap, q)
+    return _report(TheoremId.PROP_RECIPROCAL_QUASI, a, b, q, _reciprocal, bound_quasi_powermean)
 
 
 def check_prop_monomial_quasi(a: float, b: float, n: int, pq: ConjugatePair) -> BoundReport:
     """|L_n^n - A^n| <= |n(n-1)| (b-a)^2/(8(2p+1)^(1/p)) * max(a^(n-2), b^(n-2))."""
-    iv = _validate_ordered(a, b)
-    label, gap, *d2 = _monomial(a, b, n)
-    return BoundReport(TheoremId.PROP_MONOMIAL_QUASI, label, iv,
-                       bound_quasi_holder(iv, *d2, pq), gap, pq)
+    return _report(TheoremId.PROP_MONOMIAL_QUASI, a, b, pq, _monomial, bound_quasi_holder, n)

@@ -126,7 +126,7 @@ def _panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, floa
         for x, y in zip(xs, ys):
             if not math.isfinite(y):
                 raise EvaluationError(f"integrand returned {y} at x={x}")
-        raise OverflowError(f"the integral of |f| over the panel [{a}, {b}] overflows")
+        raise EvaluationError(f"the K15 sums of the panel [{a}, {b}] are past the float range")
     return h * k15, h * abs(k15 - g7), mass
 
 
@@ -145,8 +145,9 @@ def integrate(f: Callable[[float], float], iv: Interval, tol: float) -> Quadratu
     never evaluated at the ends of iv.  Deterministic for fixed inputs.
 
     Raises:
-        EvaluationError: f returned a non-finite value.
-        OverflowError: a panel's integral of |f| left the float range.
+        EvaluationError: f returned a non-finite value, or a panel's K15
+            sums (of f, or of |f| times the half-width) left the float range
+            though every value of f is a float.
         ConvergenceError: bisecting a rejected panel would take the count
             of panels past MAX_PANELS.
     """

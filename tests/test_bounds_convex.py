@@ -102,6 +102,14 @@ class TestPowerMeanHelper:
     def test_q_one_is_arithmetic_mean(self):
         assert power_mean(3.0, 5.0, 1.0) == 4.0
 
+    @pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
+    def test_nan_magnitude_is_refused(self, q):
+        # the one check of the endpoint magnitudes asks that each is >= 0,
+        # which a NaN fails
+        for x, y in ((math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(DomainError, match="nonnegative"):
+                power_mean(x, y, q)
+
     @given(st.floats(min_value=0.0, max_value=1e308), st.floats(min_value=0.0, max_value=1e308))
     def test_q_infinite_is_the_maximum_bit_for_bit(self, x, y):
         # the quasi-convex bounds aggregate with q = inf

@@ -542,8 +542,6 @@ def test_seeded_csv_bytes(capsys):
 @pytest.mark.parametrize("args", [
     ("bound", "exp", "0", "800", "convex_q1"),
     ("certify", "exp", "0", "800", "1e-6"),
-    # the integrand is a float everywhere, its integral is not
-    ("bound", "x2", "1e150", "1.5e150", "convex_q1"),
 ])
 def test_overflowing_evaluation_exits_one_without_traceback(args):
     proc = run(*args)
@@ -551,6 +549,16 @@ def test_overflowing_evaluation_exits_one_without_traceback(args):
     assert proc.stdout == ""
     assert "overflowed" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_panel_sums_past_the_float_range_exit_one_without_an_overflow():
+    # every value of x^2 is a float, the oracle's panel sums are not: an
+    # EvaluationError (exit 1, no row), not an evaluation that overflowed
+    proc = run("bound", "x2", "1e150", "1.5e150", "convex_q1")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("hh: the K15 sums of the panel [1e+150, 1.5e+150] are past "
+                           "the float range\n")
 
 
 @pytest.mark.parametrize("args, refusal", [

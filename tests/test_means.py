@@ -339,6 +339,57 @@ class TestMonomialQuasiProposition:
         assert report.valid
 
 
+class TestOneReportPath:
+    """Every proposition goes through one path: the pair, q and n are
+    refused in that order, and a result past the float range is refused."""
+
+    @pytest.mark.parametrize("theorem, check, args", [
+        # 2/a^3 divides by a cube that underflowed to 0
+        ("prop_reciprocal_pm", check_prop_reciprocal_pm, (1e-110, 1.0, 2.0)),
+        ("prop_reciprocal_quasi", check_prop_reciprocal_quasi, (1e-110, 1.0)),
+        # 1/a^2 divides by a square that underflowed to 0
+        ("prop_identric", check_prop_identric, (1e-200, 1.0, PQ2)),
+        # the mean value of x^3 overflows
+        ("prop_monomial_q1", check_prop_monomial_q1, (1e200, 2e200, 3)),
+        ("prop_monomial_pm", check_prop_monomial_pm, (1e150, 2e150, 4, 2.0)),
+        # 6 a^-5 overflows at the small end
+        ("prop_monomial_quasi", check_prop_monomial_quasi, (1e-200, 1.0, -3, PQ2)),
+    ])
+    def test_a_result_past_the_float_range_is_refused(self, theorem, check, args):
+        a, b = args[:2]
+        with pytest.raises(core.EvaluationError) as err:
+            check(*args)
+        assert str(err.value) == f"the {theorem} bound on [{a}, {b}] is past the float range"
+
+    def test_an_infinite_bound_is_refused_though_nothing_raised(self):
+        # a^-5 is a float near 1e308, |f''(a)| = 12 a^-5 is not: the product
+        # raises nothing and the bound reads inf, which bounds nothing
+        with pytest.raises(core.EvaluationError, match="prop_monomial_q1 bound on"):
+            check_prop_monomial_q1(2.5e-62, 1.0, -3)
+
+    def test_a_result_inside_the_float_range_is_reported(self):
+        # 2/a^3 = 2e300 is a float, and so is the bound
+        report = check_prop_reciprocal_pm(1e-100, 1.0, 2.0)
+        assert math.isfinite(report.bound) and math.isfinite(report.true_gap)
+        assert report.valid
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_exponent_is_not_an_integer(self, n):
+        for check in (lambda: check_prop_monomial_q1(1.0, 2.0, n),
+                      lambda: check_prop_monomial_pm(1.0, 2.0, n, 2.0),
+                      lambda: check_prop_monomial_quasi(1.0, 2.0, n, PQ2)):
+            with pytest.raises(DomainError, match="must be an integer"):
+                check()
+
+    def test_the_pair_is_refused_before_q_and_q_before_n(self):
+        for check in (lambda: check_prop_monomial_pm(2.0, 1.0, 2, 1.0),
+                      lambda: check_prop_reciprocal_pm(2.0, 1.0, 1.0)):
+            with pytest.raises(DomainError, match="interval requires a < b"):
+                check()
+        with pytest.raises(DomainError, match="needs q > 1"):
+            check_prop_monomial_pm(1.0, 2.0, 2, 1.0)
+
+
 class TestAgreementWithGeneralBounds:
     """Each inequality must be the matching endpoint bound for its generator."""
 

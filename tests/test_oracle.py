@@ -296,14 +296,15 @@ class TestIntegrate:
 
     def test_panel_sums_past_the_float_range_raise(self):
         # the integral, e^709.7 - e^705, is a float, but sums of two f values
-        # near e^709.7 are not
-        with pytest.raises(OverflowError):
+        # near e^709.7 are not: no evaluation overflowed, so it is an
+        # EvaluationError, as a bound past the float range is
+        with pytest.raises(EvaluationError, match="K15 sums of the panel"):
             integrate(math.exp, Interval(705.0, 709.7), 1e-6)
 
     def test_panel_integral_past_the_float_range_raises(self):
         # every x^2 and their sums are floats near 1e300, but times the
         # half-width 2.5e149 the panel's integral is not
-        with pytest.raises(OverflowError):
+        with pytest.raises(EvaluationError, match="past the float range"):
             integrate(lambda x: x * x, Interval(1e150, 1.5e150), 5e139)
 
     def test_unreachable_budget_raises(self):
