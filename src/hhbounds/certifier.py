@@ -27,7 +27,7 @@ values, the sum of every G is at most inflation * S, S the fsum of all g,
 as above; G_j >= g_j / (1 + 2*ULPS*u) >= deflation * g_min, g_min the
 least g read.  So the exact weight is at most inflation*S -
 deflation*g_min, and the walk needs only the chunk sums and the running
-minimum that every walk keeps.
+minimum, which it keeps under QUASI_Q1 alone.
 
 Truncation part under FEJER.  The error of one panel [x, x + h] is the
 integral of K f'', where the peak kernel K >= 0 is symmetric about the
@@ -103,10 +103,10 @@ Both entry points run one walk over nested grids: cut i of n subintervals
 is bit-for-bit cut 2i of 2n (scaling by two is exact), so each doubling
 evaluates the rule's derivative (f'', or f'''' under CORRECTED) only at
 the n new odd cuts, ``CHUNK`` at a time.  Every rule reads, sums and keeps
-the same things the same way: the two end values, per level (the starting
-grid's interior cuts, then each doubling's odd cuts) the chunk fsums of
-the derivative and of its magnitude, and the least magnitude read, which
-QUASI_Q1 alone uses.  Under CONVEX_Q1 the trapezoid weight sum
+the same things the same way: the two end values, and per level (the
+starting grid's interior cuts, then each doubling's odd cuts) the chunk
+fsums of the derivative and of its magnitude.  QUASI_Q1 alone also keeps
+the least magnitude read, which it alone uses.  Under CONVEX_Q1 the trapezoid weight sum
 1/2 (g_k + g_k+1) equals g_0/2 + g_N/2 + the sum of the interior g_k, the
 fsum of the magnitudes with the ends halved; under QUASI_Q1 the weight is
 the formula above, that fsum with the ends whole less the least.  The
@@ -359,9 +359,10 @@ class _Walk:
     under a bracketed rule the n midpoints too; each ``double`` evaluates
     the new odd cuts alone (and the new midpoints).  Under every rule it
     keeps the signed end values, the chunk fsums of the derivative
-    (``sums``) and its magnitude (``sizes``) level after level, where the
-    last level starts (``top``), and the least magnitude read (``least``,
-    which only QUASI_Q1's weight takes).
+    (``sums``) and its magnitude (``sizes``) level after level, and where the
+    last level starts (``top``).  ``least`` is the least magnitude read
+    under QUASI_Q1, whose weight alone takes it; every other rule keeps the
+    ends' alone and builds no list of magnitudes.
     """
 
     def __init__(self, fn: TestFunction, iv: Interval, theorem: CertTheorem, n: int) -> None:
@@ -405,27 +406,28 @@ class _Walk:
         if rule.bracketed:
             self._read(2 * n, 2)
 
-    def _chunk_sums(self, ev, n: int, step: int,
-                    what: str) -> Iterator[tuple[float, float, float]]:
+    def _chunk_sums(self, ev, n: int, step: int, what: str,
+                    least: bool = False) -> Iterator[tuple[float, float, float]]:
         """Per chunk of at most CHUNK values of ev at a + width*k/n, k = 1,
-        1 + step, ... below n: their fsum, the fsum of their magnitudes and
-        their least magnitude; raises EvaluationError when the magnitudes'
-        sum is not finite."""
+        1 + step, ... below n: their fsum, the fsum of their magnitudes and,
+        when ``least`` asks for it, their least magnitude (else +inf); raises
+        EvaluationError when the magnitudes' sum is not finite."""
         a, width = self.iv.a, self.iv.width
         divisor = float(n)  # exact; a float spares the int conversion per cut
         stride = CHUNK * step
         for lo in range(1, n, stride):
             vals = [ev(a + width * k / divisor) for k in range(lo, min(lo + stride, n), step)]
-            sizes = list(map(abs, vals))
+            sizes = list(map(abs, vals)) if least else map(abs, vals)
             size = _finite_sum(sizes, what, self.n)  # before fsum(vals) meets inf - inf
-            yield math.fsum(vals), size, min(sizes)
+            yield math.fsum(vals), size, min(sizes) if least else math.inf
 
     def _read(self, n: int, step: int) -> None:
         """Append the derivative at the cuts k = 1, 1 + step, ... of the
-        n-grid as the last level, and lower ``least`` to its least
-        magnitude."""
+        n-grid as the last level; under QUASI_Q1, lower ``least`` to its
+        least magnitude."""
         self.top = len(self.sizes)
-        for total, size, least in self._chunk_sums(self.derivative, n, step, self.what):
+        keep = self.theorem is CertTheorem.QUASI_Q1
+        for total, size, least in self._chunk_sums(self.derivative, n, step, self.what, keep):
             self.sums.append(total)
             self.sizes.append(size)
             self.least = min(self.least, least)

@@ -47,8 +47,9 @@ _CERTIFY_RULES = (CertTheorem.CORRECTED, CertTheorem.FEJER, CertTheorem.CONVEX_Q
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 #: what ``json.dumps(obj, sort_keys=True)`` would build anew for every row
-#: and every CSV cell, built once
-_ENCODER = json.JSONEncoder(sort_keys=True)
+#: and every CSV cell, built once; no row holds itself, so it skips the
+#: circular-reference check
+_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
 @functools.cache

@@ -6,6 +6,7 @@ threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -229,14 +230,11 @@ def polynomial(coeffs: Sequence[float], *, id: str | None = None,
     )
 
 
-def builtin_catalog() -> list[TestFunction]:
-    """Reference functions with exact closed-form derivatives f', f'' and f''''.
-
-    The positive-domain entries (1/x, -ln x, x^(5/2)) are restricted to
-    [1/4, 4] so every evaluator is total on its declared domain.
-    """
+@functools.cache
+def _catalog() -> tuple[TestFunction, ...]:
+    """The catalog, built once per process; its entries are frozen."""
     pos = Interval(0.25, 4.0)
-    return [
+    return (
         TestFunction("x2", lambda x: x * x, lambda x: 2.0 * x, lambda x: 2.0,
                      window=Interval(-1.5, 1.5), d4=lambda x: 0.0),
         TestFunction("x3", lambda x: x ** 3, lambda x: 3.0 * x * x, lambda x: 6.0 * x,
@@ -260,8 +258,20 @@ def builtin_catalog() -> list[TestFunction]:
         # |f''| = sin on [0, pi] is concave with interior peak: neither class
         TestFunction("sin", math.sin, math.cos, lambda x: -math.sin(x),
                      window=Interval(0.0, math.pi), d4=math.sin),
-    ]
+    )
+
+
+def builtin_catalog() -> list[TestFunction]:
+    """Reference functions with exact closed-form derivatives f', f'' and f''''.
+
+    The positive-domain entries (1/x, -ln x, x^(5/2)) are restricted to
+    [1/4, 4] so every evaluator is total on its declared domain.  Each call
+    returns a fresh list of the one catalog built per process, so a caller
+    that changes the list changes no later call's.
+    """
+    return list(_catalog())
 
 
 def catalog_by_id() -> dict[str, TestFunction]:
-    return {fn.id: fn for fn in builtin_catalog()}
+    """The catalog by id, a fresh dict on each call."""
+    return {fn.id: fn for fn in _catalog()}

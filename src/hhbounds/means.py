@@ -189,8 +189,10 @@ def _report(theorem: TheoremId, a: float, b: float, exponent, generator, formula
 
     Refuses the pair, then q where the paper asks q > 1, then n.  A gap or
     bound past the float range bounds nothing, nor does one whose generator
-    or formula overflowed or divided by a power that underflowed to 0: each
-    raises EvaluationError, worded as ``suites._bound`` words it.
+    or formula overflowed or divided by a power that underflowed to 0, nor
+    one from an endpoint |f''| of 0.0: every generator's exact |f''| is
+    nonzero on a > 0, so that value underflowed.  Each raises
+    EvaluationError, worded as ``suites._bound`` words it.
     """
     _validate(a, b)
     iv = Interval(a, b)
@@ -199,6 +201,8 @@ def _report(theorem: TheoremId, a: float, b: float, exponent, generator, formula
     try:
         label, gap, *d2 = generator(a, b, *n)
         bound = formula(iv, *d2) if exponent is None else formula(iv, *d2, exponent)
+        if 0.0 in d2:
+            bound = math.inf
     except (OverflowError, ZeroDivisionError):
         gap = bound = math.inf
     if not (math.isfinite(gap) and math.isfinite(bound)):

@@ -108,22 +108,25 @@ class QuadratureResult:
 
 def _panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, float]:
     """K15 over [a, b], its error estimate |K15 - G7| and the K15 estimate of
-    the integral of |f|, from 15 evaluations of f."""
+    the integral of |f|, from 15 evaluations of f in one pass: the centre,
+    then each node pair c - h*x, c + h*x, added to the three sums as read."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    xs = [c] + [c - h * x for x, _, _ in _NODES] + [c + h * x for x, _, _ in _NODES]
-    ys = [f(x) for x in xs]
-    k15 = _WK_CENTRE * ys[0]
-    g7 = _WG_CENTRE * ys[0]
-    mass = _WK_CENTRE * abs(ys[0])
-    for (_, wk, wg), lo, hi in zip(_NODES, ys[1:8], ys[8:]):
-        k15 += wk * (lo + hi)
-        g7 += wg * (lo + hi)
+    y = f(c)
+    k15, g7, mass = _WK_CENTRE * y, _WG_CENTRE * y, _WK_CENTRE * abs(y)
+    for x, wk, wg in _NODES:
+        lo, hi = f(c - h * x), f(c + h * x)
+        pair = lo + hi
+        k15 += wk * pair
+        g7 += wg * pair
         mass += wk * (abs(lo) + abs(hi))
     # h * mass bounds |h * K15|: a finite one keeps an accepted value finite
     mass *= h
     if not math.isfinite(mass):
-        for x, y in zip(xs, ys):
+        # no value was kept: read the nodes again, in the same order, to
+        # name one where f is not finite
+        for x in chain([c], *((c - h * t, c + h * t) for t, _, _ in _NODES)):
+            y = f(x)
             if not math.isfinite(y):
                 raise EvaluationError(f"integrand returned {y} at x={x}")
         raise EvaluationError(f"the K15 sums of the panel [{a}, {b}] are past the float range")
@@ -260,11 +263,11 @@ def _innermost_pairs(fine: list[float], ends: list[float]) -> Iterator[tuple[flo
     return chain(zip(fine[1::2], ends, ends[1:]), zip(fine[2:-1:2], ends, ends[2:]))
 
 
-def pairs_hold(fine: list[float], quasi: bool = False) -> bool:
+def pairs_hold(fine: list[float], quasi: bool = False, tol: float | None = None) -> bool:
     """Sampling verdict from a ``fine_grid_sample``: for every pair i < j of
     the 64-point grid, the midpoint value fine[i + j] is at most the pair's
     mean (convex) or larger value (quasi-convex), fine[2i] and fine[2j], plus
-    tol, the grid values' ``_slack``.  The pairs of
+    tol, the grid values' ``_slack`` unless the caller passes it.  The pairs of
     ``midpoint_convexity_holds``, read from the sample instead of
     evaluating each midpoint.
 
@@ -290,7 +293,9 @@ def pairs_hold(fine: list[float], quasi: bool = False) -> bool:
     non-finite grid value, whose NaN slack refutes its first pair) runs
     the loop over every pair."""
     gs = fine[::2]
-    n, tol = len(gs), _slack(gs)  # locals: the pair loop is hot
+    n = len(gs)  # a local: the pair loop is hot
+    if tol is None:
+        tol = _slack(gs)
     if quasi:
         tops = [g + tol for g in gs]
         if _valley(tops):
@@ -311,16 +316,18 @@ def pairs_hold(fine: list[float], quasi: bool = False) -> bool:
     return True
 
 
-def convexity_sign(fine: list[float]) -> int:
+def convexity_sign(fine: list[float], tol: float | None = None) -> int:
     """Sampling verdict on the sign of g's bend, from a ``fine_grid_sample``
     of g (the pair midpoints of the 64-point grid, ends included): 1 when no
     point lies above the chord of its neighbours by more than tol (convex
     g), -1 when none lies below it by more than tol (concave g), 0 when both
-    are refuted; tol is the class grid values' ``_slack``.  When every bend
+    are refuted; tol is the class grid values' ``_slack`` unless the caller
+    passes it.  When every bend
     is within tol, so both stay open, the sign of their sum decides: it
     telescopes to half the fall in slope across the grid, (g1 - g0) -
     (g126 - g125), and a tie goes convex."""
-    tol = _slack(fine[::2])
+    if tol is None:
+        tol = _slack(fine[::2])
     bends = [mid - 0.5 * (lo + hi) for lo, mid, hi in zip(fine, fine[1:], fine[2:])]
     convex = all(bend <= tol for bend in bends)
     concave = all(bend >= -tol for bend in bends)
@@ -332,12 +339,14 @@ def convexity_sign(fine: list[float]) -> int:
 def signed_convexity_holds(g: Callable[[float], float], iv: Interval) -> bool:
     """True iff g or -g passes the midpoint-convexity pair check on iv, for
     the one sign that ``convexity_sign`` leaves open; both verdicts come
-    from one ``fine_grid_sample`` of g."""
+    from one ``fine_grid_sample`` of g and its one ``_slack``, which -g
+    shares: max(max g, -min g) is symmetric in g and -g."""
     fine = fine_grid_sample(g, iv)
-    sign = convexity_sign(fine)
+    tol = _slack(fine[::2])
+    sign = convexity_sign(fine, tol)
     if sign == 0:
         return False
-    return pairs_hold(fine if sign > 0 else [-v for v in fine])
+    return pairs_hold(fine if sign > 0 else [-v for v in fine], tol=tol)
 
 
 def monotone_holds(d: Callable[[float], float], iv: Interval) -> bool:
@@ -361,7 +370,7 @@ def check_quasiconvex_abs_d2(fn: TestFunction, iv: Interval) -> bool:
     return pairs_hold(list(map(abs, fine_grid_sample(fn.d2, iv))), quasi=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hypothesis:
     """A class for one derivative (a TestFunction attribute), or for its
     magnitude; a bound under it aggregates that derivative's endpoint
@@ -369,6 +378,8 @@ class Hypothesis:
 
     ``check`` samples the class on an interval; it looks the sampler up
     when called, so a replaced module attribute is the one that runs.
+    Each hypothesis is one module constant, so it compares and hashes by
+    identity, and a sweep's per-interval lookups call no generated hash.
     """
 
     derivative: str

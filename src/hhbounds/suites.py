@@ -176,26 +176,28 @@ def bound_suite(name: str, cases: int, rng: SplitMix64) -> list[dict]:
     left out.
     """
     rows = SWEEPS[name]
+    # the Enum values each row reads, looked up once per sweep, not per row
+    theorems = [row.theorem.value for row in rows]
+    ranges = [row.exponent.value for row in rows]
+    first = rows[0].hypothesis
     lines = []
     for fn in builtin_catalog():
-        first = rows[0].hypothesis
         if not first.check(fn, fn.window):
             continue
         on_window = {h: h is first or h.check(fn, fn.window)
                      for h in dict.fromkeys(row.hypothesis for row in rows)}
         for iv in _case_intervals(fn, cases, rng):
-            qs = [None if row.exponent.value is None else rng.uniform(*row.exponent.value)
-                  for row in rows]
+            qs = [None if span is None else rng.uniform(*span) for span in ranges]
             holds = {h: ok or (iv != fn.window and h.check(fn, iv))
                      for h, ok in on_window.items()}
             gap = midpoint_gap(fn, iv)
             endpoints: dict = {}
-            for row, q in zip(rows, qs):
+            for row, theorem, q in zip(rows, theorems, qs):
                 if not holds[row.hypothesis]:
                     continue
-                exponent = row.exponent.resolve(row.theorem.value, q)
+                exponent = row.exponent.resolve(theorem, q)
                 bound = _bound(row, fn, iv, exponent, endpoints)
-                lines.append(_line(name, fn.id, iv, row.theorem.value, bound, gap,
+                lines.append(_line(name, fn.id, iv, theorem, bound, gap,
                                    slack_is_valid(bound - gap)))
     return lines
 

@@ -365,8 +365,8 @@ class TestFloatingPoint:
         assert walk.ends == (g[0], g[-1])
         pairs = [(math.fsum(walk.sums), g[1:-1]),
                  (math.fsum(walk.sizes), [abs(y) for y in g[1:-1]])]
-        # every rule keeps the least |f''| read (at an end here; see
-        # test_every_walk_keeps_the_least_magnitude_it_read for one inside)
+        # every rule keeps the ends' least |f''|, the least read here (see
+        # test_only_quasi_q1_keeps_the_least_magnitude_it_read for one inside)
         assert walk.least == min(map(abs, g))
         if theorem is CertTheorem.FEJER:
             # f'' = exp > 0: the trapezoid sum on the n-grid, and the
@@ -383,17 +383,26 @@ class TestFloatingPoint:
             assert abs(computed - reference) <= 2.0 ** -53 * reference
 
     @pytest.mark.parametrize("theorem", list(CertTheorem))
-    def test_every_walk_keeps_the_least_magnitude_it_read(self, by_id, theorem):
+    def test_only_quasi_q1_keeps_the_least_magnitude_it_read(self, by_id, theorem):
         # f'' of x^4 is 12x^2: 27 at both ends, 0 at the cut x = 0 that the
         # first doubling reads (the first level's midpoint under FEJER);
-        # f'''' is 24 everywhere
+        # f'''' is 24 everywhere.  QUASI_Q1's weight takes the least
+        # magnitude read; every other rule keeps the ends' alone, and
+        # neither its truncation part, its floor nor its certificate reads it
         key = certifier._RULES[theorem].hypothesis.derivative
         fn, seen = recorded(by_id["x4"], key)
         walk = certifier._Walk(fn, Interval(-1.5, 1.5), theorem, 1)
         for _ in range(3):
             walk.double()
-        assert walk.least == min(abs(getattr(by_id["x4"], key)(x)) for x in seen[key])
-        assert walk.least == (24.0 if theorem is CertTheorem.CORRECTED else 0.0)
+        least = min(abs(getattr(by_id["x4"], key)(x)) for x in seen[key])
+        if theorem is CertTheorem.QUASI_Q1:
+            assert walk.least == least == 0.0
+            return
+        assert walk.least == min(map(abs, walk.ends))
+        assert walk.least == (24.0 if theorem is CertTheorem.CORRECTED else 27.0)
+        outputs = (walk.truncation(), walk.floor(), walk.certificate(walk.truncation()))
+        walk.least = math.nan
+        assert (walk.truncation(), walk.floor(), walk.certificate(walk.truncation())) == outputs
 
     @pytest.mark.usefixtures("class_checks_pass")
     def test_rounding_part_is_checked_before_the_level_is_taken(self, by_id):

@@ -11,6 +11,8 @@ from hhbounds.core import (
     ConjugatePair,
     DomainError,
     Interval,
+    builtin_catalog,
+    catalog_by_id,
     conjugate_of,
     polynomial,
 )
@@ -107,6 +109,23 @@ class TestCatalog:
     def test_windows_stay_inside_domains(self, catalog):
         for fn in catalog:
             assert fn.defined_on(fn.window)
+
+    def test_a_caller_that_changes_its_catalog_changes_no_later_one(self):
+        ids = [fn.id for fn in builtin_catalog()]
+        listed, by_id = builtin_catalog(), catalog_by_id()
+        listed.clear()
+        by_id.pop("x2")
+        by_id["x3"] = by_id["exp"]
+        assert [fn.id for fn in builtin_catalog()] == ids
+        assert list(catalog_by_id()) == ids
+        assert catalog_by_id()["x3"].id == "x3"
+
+    def test_the_catalog_is_built_once_per_process(self):
+        # the same frozen entries, in fresh containers
+        first, second = builtin_catalog(), builtin_catalog()
+        assert first is not second
+        assert all(a is b for a, b in zip(first, second, strict=True))
+        assert all(catalog_by_id()[fn.id] is fn for fn in first)
 
 
 class TestPolynomial:

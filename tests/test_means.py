@@ -367,6 +367,22 @@ class TestOneReportPath:
         with pytest.raises(core.EvaluationError, match="prop_monomial_q1 bound on"):
             check_prop_monomial_q1(2.5e-62, 1.0, -3)
 
+    @pytest.mark.parametrize("theorem, check, args", [
+        # 12 a^-6 underflows to 0 at both ends; the gap, 8.33e-253, does not
+        ("prop_monomial_q1", check_prop_monomial_q1, (1e60, 1e60 * (1 + 1e-6), -4)),
+        ("prop_monomial_pm", check_prop_monomial_pm, (1e60, 1e60 * (1 + 1e-6), -4, 2.0)),
+        ("prop_monomial_quasi", check_prop_monomial_quasi, (1e60, 1e60 * (1 + 1e-6), -4, PQ2)),
+    ])
+    def test_an_endpoint_second_derivative_that_underflowed_is_refused(self, theorem, check,
+                                                                       args):
+        # every generator's exact |f''| is nonzero on a > 0, so a 0.0 is an
+        # underflow: the bound from it, 0.0, would sit below the gap and
+        # still read valid
+        a, b = args[:2]
+        with pytest.raises(core.EvaluationError) as err:
+            check(*args)
+        assert str(err.value) == f"the {theorem} bound on [{a}, {b}] is past the float range"
+
     def test_a_result_inside_the_float_range_is_reported(self):
         # 2/a^3 = 2e300 is a float, and so is the bound
         report = check_prop_reciprocal_pm(1e-100, 1.0, 2.0)

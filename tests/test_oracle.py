@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhbounds import core, oracle
+from hhbounds import core, identity, oracle
 from hhbounds.core import (
     ConvergenceError,
     DomainError,
@@ -354,6 +354,85 @@ class TestKronrodRule:
         assert len(rule) == points
         assert all(miss(k) <= 4 * eps for k in range(degree + 1))
         assert miss(missed) > 1e6 * eps
+
+
+def two_list_panel(f, a: float, b: float) -> tuple[float, float, float]:
+    """The G7K15 panel as it was written before its one-pass form: a list of
+    the 15 nodes (the centre, the seven lows, the seven highs), a list of
+    their values, then the three sums; kept as the reference of ``_panel``
+    on the success path."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    xs = [c] + [c - h * x for x, _, _ in oracle._NODES] + [c + h * x for x, _, _ in oracle._NODES]
+    ys = [f(x) for x in xs]
+    k15 = oracle._WK_CENTRE * ys[0]
+    g7 = oracle._WG_CENTRE * ys[0]
+    mass = oracle._WK_CENTRE * abs(ys[0])
+    for (_, wk, wg), lo, hi in zip(oracle._NODES, ys[1:8], ys[8:]):
+        k15 += wk * (lo + hi)
+        g7 += wg * (lo + hi)
+        mass += wk * (abs(lo) + abs(hi))
+    mass *= h
+    return h * k15, h * abs(k15 - g7), mass
+
+
+def identity_integrands(fn: core.TestFunction, iv: Interval) -> list:
+    """The integrands the identity sweep hands the oracle for fn on iv, each
+    with its span: its ``left`` kernel integrand on [0, 1/2], and f on iv."""
+    seen = []
+
+    def spy(f, span, tol):
+        seen.append((f, span))
+        return integrate(f, span, tol)
+
+    original, identity.integrate = identity.integrate, spy
+    try:
+        identity.identity_rhs(fn, iv)
+    finally:
+        identity.integrate = original
+    return seen + [(fn.f, iv)]
+
+
+class TestOnePassPanel:
+    """``_panel`` reads f once per node in one pass and gives the three sums
+    of the two-list form bit for bit."""
+
+    @pytest.mark.parametrize("fid", sorted(core.catalog_by_id()))
+    def test_it_matches_the_two_list_form_bit_for_bit(self, fid):
+        fn = core.catalog_by_id()[fid]
+        rng = SplitMix64(0x9A7E1 + len(fid))
+        spans = [fn.window] + [rng.subinterval(fn.window) for _ in range(20)]
+        for iv in spans:
+            for f, span in identity_integrands(fn, iv):
+                # the span's panel, and the two of its first bisection
+                for a, b in ((span.a, span.b), (span.a, span.midpoint), (span.midpoint, span.b)):
+                    counted, points = recording(f)
+                    got = oracle._panel(counted, a, b)
+                    assert len(points) == 15
+                    want = two_list_panel(f, a, b)
+                    assert [v.hex() for v in got] == [v.hex() for v in want], (fid, a, b)
+
+    def test_it_reads_the_centre_then_each_pair_of_nodes(self):
+        counted, points = recording(math.exp)
+        oracle._panel(counted, -1.0, 1.0)
+        pairs = [(-x, x) for x, _, _ in oracle._NODES]
+        assert points == [0.0] + [t for pair in pairs for t in pair]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("node", [0, 1, 8, 14])
+    def test_a_non_finite_value_names_a_node_that_returned_it(self, node, value):
+        # node 0 is the centre, 1 the outermost low, 8 the outermost high, 14
+        # the innermost high
+        x = [0.0] + [-t for t, _, _ in oracle._NODES] + [t for t, _, _ in oracle._NODES]
+
+        def f(t):
+            return value if t == x[node] else 1.0
+
+        with pytest.raises(EvaluationError, match="integrand returned") as err:
+            oracle._panel(f, -1.0, 1.0)
+        named = float(str(err.value).rsplit("x=", 1)[1])
+        assert not math.isfinite(f(named))
+        assert named == x[node]
 
 
 class TestSimpsonCrossCheck:
@@ -739,6 +818,31 @@ def test_convexity_sign_of_a_nearly_linear_concave_function():
     fn = polynomial([0.0, 0.0, 0.0, 1.0 / 6.0, -1e-10 / 12.0], id="near_linear",
                     window=UNIT)
     assert CONVEX_OR_CONCAVE_F2.check(fn, UNIT)
+
+
+@pytest.mark.parametrize("kind", SAMPLE_KINDS)
+def test_a_passed_slack_gives_the_verdicts_of_the_slack_each_sample_takes(kind):
+    # -g has g's slack, max(max g, -min g) being symmetric, so the signed
+    # check passes one slack to both verdicts, for either sign
+    for seed in range(20):
+        fine = built_sample(kind, seed)
+        negated = [-v for v in fine]
+        tol = oracle._slack(fine[::2])
+        assert oracle._slack(negated[::2]).hex() == tol.hex()
+        assert convexity_sign(fine, tol) == convexity_sign(fine)
+        for sample in (fine, negated):
+            for quasi in (False, True):
+                assert pairs_hold(sample, quasi, tol) is pairs_hold(sample, quasi)
+
+
+@pytest.mark.parametrize("g, holds", [(math.exp, True), (math.sqrt, True),
+                                      (lambda x: math.sin(6.0 * x), False)])
+def test_the_signed_check_takes_one_slack_per_sample(monkeypatch, g, holds):
+    sizes = []
+    slack = oracle._slack
+    monkeypatch.setattr(oracle, "_slack", lambda gs: sizes.append(len(gs)) or slack(gs))
+    assert oracle.signed_convexity_holds(g, UNIT) is holds
+    assert sizes == [CLASS_CHECK_GRID]
 
 
 def test_generic_monotonicity_sampler_on_plain_callables():
