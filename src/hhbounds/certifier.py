@@ -173,11 +173,11 @@ float, so the float below SPREAD, which the floor takes, is below spread;
 and importing the module does no arithmetic.  Per walk, the factors that
 depend on the interval alone are made once from the span's bounds:
 C span^k / m^k rounded up, where m is the walk's first n, and the floor's
-factor rounded down.  C and k come from the rule's kernel record
-(``_RULES``): the |integral| at h = 1 and the power.  The Q1 rules take C
-times inflation (so the CONVEX_Q1 weight is S itself), a bracketed rule
-half of C (the float bound then takes twice the half-width,
-|T - M| + 2 spread S + 2u (|T| + |M|)).  The floor's factor, deflation
+factor rounded down.  C and k come from the rule's kernel record, its
+``CertTheorem`` member's ``kernel``: the |integral| at h = 1 and the
+power.  The Q1 rules take C times inflation (so the CONVEX_Q1 weight is S
+itself), a bracketed rule half of C (the float bound then takes twice the
+half-width, |T - M| + 2 spread S + 2u (|T| + |M|)).  The floor's factor, deflation
 (CONVEX_Q1) or spread (FEJER, CORRECTED) included, is rounded down.  Four
 points keep the bounds sound and finite:
   - a chain that takes a power starts from the factors that do not grow
@@ -216,7 +216,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .core import (
     ConvergenceError,
@@ -225,10 +225,8 @@ from .core import (
     Interval,
     TestFunction,
 )
-from .oracle import CONVEX_D2, CONVEX_OR_CONCAVE_F2, CONVEX_OR_CONCAVE_F4, QUASICONVEX_D2
-
-if TYPE_CHECKING:
-    from .oracle import Hypothesis
+from .oracle import (CONVEX_D2, CONVEX_OR_CONCAVE_F2, CONVEX_OR_CONCAVE_F4, QUASICONVEX_D2,
+                     Hypothesis)
 
 #: refinement cap for refine_to_tolerance
 MAX_SUBINTERVALS = 1 << 20
@@ -241,13 +239,6 @@ CHUNK = 4096
 #: assumed error bound, in ulp of the exact value, of each evaluation of f,
 #: f', f'' and f'''': about one ulp from libm and at most two more roundings
 ULPS = 2
-
-
-class CertTheorem(str, Enum):
-    CONVEX_Q1 = "convex_q1"
-    QUASI_Q1 = "quasi_q1"
-    FEJER = "fejer"
-    CORRECTED = "corrected_fejer"
 
 
 class _Kernel(NamedTuple):
@@ -266,19 +257,27 @@ class _Kernel(NamedTuple):
 _PEAK = _Kernel(1, 24, 3)
 
 
-class _Rule(NamedTuple):
-    """A theorem's class, its kernel, and whether it brackets the panel
-    error (the estimate adds the bracket's centre) or bounds its size."""
+class CertTheorem(str, Enum):
+    """The certifier's rules, the one table of them: each member is its
+    name and carries its class ``hypothesis``, its ``kernel`` record and
+    whether it is ``bracketed`` (the estimate adds the bracket's centre)
+    or bounds the panel error's size.  ``CertTheorem(theorem)`` takes a
+    member or its name; any other value raises DomainError."""
 
-    hypothesis: Hypothesis
-    kernel: _Kernel
-    bracketed: bool
+    CONVEX_Q1 = "convex_q1", CONVEX_D2, _PEAK, False
+    QUASI_Q1 = "quasi_q1", QUASICONVEX_D2, _PEAK, False
+    FEJER = "fejer", CONVEX_OR_CONCAVE_F2, _PEAK, True
+    CORRECTED = "corrected_fejer", CONVEX_OR_CONCAVE_F4, _Kernel(-7, 5760, 5), True
 
+    def __new__(cls, name: str, hypothesis: Hypothesis, kernel: _Kernel, bracketed: bool):
+        member = str.__new__(cls, name)
+        member._value_ = name
+        member.hypothesis, member.kernel, member.bracketed = hypothesis, kernel, bracketed
+        return member
 
-_RULES = {CertTheorem.CONVEX_Q1: _Rule(CONVEX_D2, _PEAK, False),
-          CertTheorem.QUASI_Q1: _Rule(QUASICONVEX_D2, _PEAK, False),
-          CertTheorem.FEJER: _Rule(CONVEX_OR_CONCAVE_F2, _PEAK, True),
-          CertTheorem.CORRECTED: _Rule(CONVEX_OR_CONCAVE_F4, _Kernel(-7, 5760, 5), True)}
+    @classmethod
+    def _missing_(cls, value):
+        raise DomainError(f"unknown certifier rule {value!r}; rules: {', '.join(cls)}")
 
 
 @dataclass(frozen=True)
@@ -362,13 +361,14 @@ class _Walk:
     (``sums``) and its magnitude (``sizes``) level after level, and where the
     last level starts (``top``).  ``least`` is the least magnitude read
     under QUASI_Q1, whose weight alone takes it; every other rule keeps the
-    ends' alone and builds no list of magnitudes.
+    ends' alone and builds no list of magnitudes.  ``theorem`` is a
+    ``CertTheorem`` member, never a name: the walk reads its record and
+    tests its identity.
     """
 
     def __init__(self, fn: TestFunction, iv: Interval, theorem: CertTheorem, n: int) -> None:
         self.fn, self.iv, self.theorem, self.n, self.start = fn, iv, theorem, n, n
-        self.rule = rule = _RULES[theorem]
-        hypothesis, (numerator, denominator, power) = rule.hypothesis, rule.kernel
+        hypothesis, (numerator, denominator, power) = theorem.hypothesis, theorem.kernel
         self.derivative = getattr(fn, hypothesis.derivative)
         self.what, self.power = hypothesis.magnitude.strip("|"), power
         # b - a and its rounding error, exact by Knuth's TwoSum: the span's
@@ -385,7 +385,7 @@ class _Walk:
         # and takes span/m or span/MAX one factor at a time, so no step
         # overflows where the result fits.  spread is no float, so the float
         # below SPREAD is below it.
-        top, bottom = (0.5, math.nextafter(SPREAD, 0.0)) if rule.bracketed else (
+        top, bottom = (0.5, math.nextafter(SPREAD, 0.0)) if theorem.bracketed else (
             INFLATION, 1.0 if theorem is CertTheorem.QUASI_Q1 else 2.0 * DEFLATION)
         self.part = _quotient(_product(top, abs(numerator)), denominator)
         self.below = _quotient(_product(bottom, abs(numerator), 0.0), denominator, 0.0)
@@ -403,7 +403,7 @@ class _Walk:
         self.sums: list[float] = []
         self.sizes: list[float] = []
         self._read(n, 1)  # sets top, where the last level starts
-        if rule.bracketed:
+        if theorem.bracketed:
             self._read(2 * n, 2)
 
     def _chunk_sums(self, ev, n: int, step: int, what: str,
@@ -437,7 +437,7 @@ class _Walk:
         a bracketed rule of the 4n-grid, whose even cuts the old midpoints
         became."""
         self.n *= 2
-        self._read(2 * self.n if self.rule.bracketed else self.n, 2)
+        self._read(2 * self.n if self.theorem.bracketed else self.n, 2)
 
     def _size(self, ends: float = 0.5) -> float:
         """fsum of the magnitudes read: the ends times ``ends`` (1/2, or 1
@@ -458,7 +458,7 @@ class _Walk:
         max under QUASI_Q1), or under a bracketed rule of the kernel's
         |integral| times the bracket's half-width |T - M|/2 + e_T + e_M."""
         part = _quotient(self.part, (self.n // self.start) ** self.power)
-        if self.rule.bracketed:
+        if self.theorem.bracketed:
             trapezoid, midpoint = self._sides()
             # |T - M| + 2 spread S + 2u (|T| + |M|): twice the half-width, as
             # part holds half the kernel's |integral|
@@ -489,7 +489,7 @@ class _Walk:
         """Evaluate f at the n midpoints (and f' at a and b under CORRECTED)
         and close the certificate (see Rounding part in the module
         docstring)."""
-        n, (numerator, denominator, power) = self.n, self.rule.kernel
+        n, (numerator, denominator, power) = self.n, self.theorem.kernel
         sums, sizes, _ = zip(*self._chunk_sums(self.fn.f, 2 * n, 2, "f"))
         total = _finite_sum(sums, "f", n)
         h = self.iv.width / n
@@ -500,7 +500,7 @@ class _Walk:
         # the estimate's terms, each a factor of h^k: (the factor rounded to
         # nearest, bounds of its exact magnitude, k, whether it is negative)
         terms = [(total, abs(total), abs(total), 1, total < 0)]
-        if self.rule.bracketed:
+        if self.theorem.bracketed:
             trapezoid, midpoint = self._sides()
             sides, half, c = trapezoid + midpoint, 2 * denominator, abs(numerator)
             # the centre C h^k (T + M)/2
@@ -542,21 +542,25 @@ class _Walk:
 
 
 def integrate_certified(fn: TestFunction, iv: Interval, n: int,
-                        theorem: CertTheorem = CertTheorem.CONVEX_Q1) -> CertifiedIntegral:
+                        theorem: CertTheorem | str = CertTheorem.CONVEX_Q1) -> CertifiedIntegral:
     """Composite midpoint rule over n equal subintervals with an error radius.
 
     Walks from the odd part m of n (m + 1 cuts, then doublings), as
     ``refine_to_tolerance`` walks from 1: n + 1 f'' and n f evaluations,
     2n + 1 f'' under FEJER, and 2n + 1 f'''' and 2 f' under CORRECTED.
-    Raises DomainError when iv leaves fn's domain and HypothesisError when
-    the sample of the 64-point grid's pairs refutes the theorem's class on
-    iv, or under CORRECTED when fn declares no f'''' (both from
-    ``Hypothesis.require``), EvaluationError on a non-finite evaluation,
-    sum, estimate or rounding part.
+    ``theorem`` is a ``CertTheorem`` member or its name, looked up once.
+    Raises DomainError, before any evaluation, for any other theorem (the
+    message lists the four rules) and for n < 1; DomainError when iv
+    leaves fn's domain and HypothesisError when the sample of the 64-point
+    grid's pairs refutes the theorem's class on iv, or under CORRECTED
+    when fn declares no f'''' (both from ``Hypothesis.require``);
+    EvaluationError on a non-finite evaluation, sum, estimate or rounding
+    part.
     """
+    theorem = CertTheorem(theorem)
     if n < 1:
         raise DomainError(f"need at least one subinterval, got {n}")
-    _RULES[theorem].hypothesis.require(fn, iv)
+    theorem.hypothesis.require(fn, iv)
     walk = _Walk(fn, iv, theorem, n // (n & -n))
     while walk.n < n:
         walk.double()
@@ -564,7 +568,7 @@ def integrate_certified(fn: TestFunction, iv: Interval, n: int,
 
 
 def refine_to_tolerance(fn: TestFunction, iv: Interval, tol: float,
-                        theorem: CertTheorem = CertTheorem.CONVEX_Q1) -> CertifiedIntegral:
+                        theorem: CertTheorem | str = CertTheorem.CONVEX_Q1) -> CertifiedIntegral:
     """The certificate of the fewest power-of-two subintervals, from 1 up to
     2^20, whose radius fits the tolerance.
 
@@ -581,9 +585,12 @@ def refine_to_tolerance(fn: TestFunction, iv: Interval, tol: float,
     f'' (FEJER) or f'''' (CORRECTED) it is exactly 0 in real arithmetic,
     leaving the rounding part at n = 1.
 
-    Raises DomainError and HypothesisError as ``integrate_certified`` does,
-    EvaluationError on a non-finite evaluation, sum, estimate or rounding
-    part, and ConvergenceError when the radius is still above tol at 2^20
+    ``theorem`` is a member or its name, as in ``integrate_certified``.
+    Raises DomainError, before any evaluation, for any other theorem and
+    for a tolerance that is not positive; DomainError and HypothesisError
+    from the class check as ``integrate_certified`` does; EvaluationError
+    on a non-finite evaluation, sum, estimate or rounding part; and
+    ConvergenceError when the radius is still above tol at 2^20
     subintervals, as soon as the rule's floor (see Floors in the module
     docstring) is above tol, and as soon as the rounding part alone is
     above tol.  That last one is a refusal, not a proof that no grid
@@ -591,9 +598,10 @@ def refine_to_tolerance(fn: TestFunction, iv: Interval, tol: float,
     sum of |f| and through |E|, which approach fixed values, so it does
     not shrink with h.
     """
+    theorem = CertTheorem(theorem)
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    _RULES[theorem].hypothesis.require(fn, iv)
+    theorem.hypothesis.require(fn, iv)
     walk = _Walk(fn, iv, theorem, 1)
     while True:
         n = walk.n

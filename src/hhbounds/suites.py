@@ -276,7 +276,7 @@ def build_bound_report(fn: TestFunction, iv: Interval, theorem: str,
     if row is None:
         raise DomainError(f"unknown bound theorem {theorem!r}; bound theorems: "
                           + ", ".join(BOUND_THEOREMS))
-    exponent = row.exponent.resolve(theorem, q, p)
+    exponent = row.exponent.resolve(row.theorem.value, q, p)
     row.hypothesis.require(fn, iv)
     bound = _bound(row, fn, iv, exponent, {})
     return BoundReport(row.theorem, fn.id, iv, bound, midpoint_gap(fn, iv), exponent)

@@ -246,6 +246,74 @@ class TestNestedSearch:
         assert calls == {"f": 0, "d2": n + 1}
 
 
+#: per rule, requests whose class holds, as (fid, a, b, tol, n)
+RULE_REQUESTS = {
+    CertTheorem.CONVEX_Q1: [("exp", -1.0, 1.0, 1e-8, 24), ("x4", -1.5, 1.5, 1e-6, 5)],
+    CertTheorem.QUASI_Q1: [("sin", 2.0, 4.5, 1e-6, 24), ("x_5_2", 0.25, 4.0, 1e-8, 1)],
+    CertTheorem.FEJER: [("exp", -1.0, 1.0, 1e-10, 24), ("x_5_2", 0.25, 4.0, 1e-10, 3)],
+    CertTheorem.CORRECTED: [("exp", -1.0, 1.0, 1e-10, 24), ("x_5_2", 0.25, 4.0, 1e-12, 1)],
+}
+
+RULE_NAMES = "convex_q1, quasi_q1, fejer, corrected_fejer"
+
+
+def bits(cert):
+    """Every field of a certificate, floats by their hex form."""
+    return (cert.estimate.hex(), cert.error_radius.hex(), cert.subintervals,
+            cert.theorem_used, cert.truncation_radius.hex(), cert.rounding_radius.hex())
+
+
+class TestRuleLookup:
+    """Each entry point turns ``theorem`` into its ``CertTheorem`` member
+    once: a rule's name runs that rule's arithmetic, and any other value is
+    refused before any evaluation."""
+
+    @pytest.mark.parametrize("theorem", list(CertTheorem))
+    def test_a_name_gives_its_member_s_certificate(self, by_id, theorem):
+        for fid, a, b, tol, n in RULE_REQUESTS[theorem]:
+            fn, iv = by_id[fid], Interval(a, b)
+            for certify, arg in ((refine_to_tolerance, tol), (integrate_certified, n)):
+                member, name = (certify(fn, iv, arg, rule) for rule in (theorem, theorem.value))
+                assert bits(name) == bits(member), (fid, certify.__name__)
+                assert member.theorem_used is theorem
+                assert name.theorem_used is theorem
+
+    @pytest.mark.parametrize("certify, fid, a, b, arg, theorem", [
+        # the end correction is in the estimate, and the quasi-convex weight
+        # in the radius
+        (refine_to_tolerance, "exp", -1.0, 1.0, 1e-10, "corrected_fejer"),
+        (integrate_certified, "x_5_2", 0.25, 4.0, 1, "quasi_q1"),
+    ])
+    def test_a_name_encloses_the_exact_integral(self, by_id, certify, fid, a, b, arg, theorem):
+        cert = certify(by_id[fid], Interval(a, b), arg, theorem)
+        assert abs(cert.estimate - exact_integral(fid, a, b)) <= cert.error_radius
+        assert cert.theorem_used is CertTheorem(theorem)
+
+    def test_a_name_refuses_at_its_member_s_floor(self, by_id):
+        fn, iv = by_id["exp"], Interval(-1.0, 1.0)
+        refusals = []
+        for theorem in (CertTheorem.CONVEX_Q1, "convex_q1"):
+            counted_fn, calls = counted(fn, "f", "d2")
+            with pytest.raises(ConvergenceError, match=r"read up to n=2\)") as info:
+                refine_to_tolerance(counted_fn, iv, 1e-13, theorem)
+            refusals.append((str(info.value), calls))
+        # the same message after the same reads, and no f read
+        assert refusals[0] == refusals[1]
+        assert refusals[0][1]["f"] == 0
+
+    @pytest.mark.parametrize("theorem", ["nope", "convex_pm", None])
+    def test_any_other_theorem_is_refused_before_any_evaluation(self, by_id, theorem):
+        fn, calls = counted(by_id["exp"], "f", "d1", "d2", "d4")
+        iv = Interval(-1.0, 1.0)
+        for certify, arg in ((refine_to_tolerance, 1e-8), (integrate_certified, 4)):
+            with pytest.raises(DomainError) as info:
+                certify(fn, iv, arg, theorem)
+            assert str(info.value) == f"unknown certifier rule {theorem!r}; rules: {RULE_NAMES}"
+        assert calls == {"f": 0, "d1": 0, "d2": 0, "d4": 0}
+        # the members are the four rules, in that order
+        assert ", ".join(member.value for member in CertTheorem) == RULE_NAMES
+
+
 class TestAgainstOracle:
     def test_catalog_windows_enclose_oracle_value(self, catalog):
         for fn in catalog:
@@ -389,7 +457,7 @@ class TestFloatingPoint:
         # f'''' is 24 everywhere.  QUASI_Q1's weight takes the least
         # magnitude read; every other rule keeps the ends' alone, and
         # neither its truncation part, its floor nor its certificate reads it
-        key = certifier._RULES[theorem].hypothesis.derivative
+        key = theorem.hypothesis.derivative
         fn, seen = recorded(by_id["x4"], key)
         walk = certifier._Walk(fn, Interval(-1.5, 1.5), theorem, 1)
         for _ in range(3):
@@ -668,15 +736,14 @@ class TestCorrected:
     def test_one_peak_kernel_under_the_h3_rules(self):
         # the peak kernel is t^2/2 at distance t from the nearer end of the
         # panel, so its integral is 2 (h/2)^3/6 = h^3/24
-        rules = certifier._RULES
-        assert [theorem for theorem in CertTheorem if rules[theorem].kernel is certifier._PEAK] == [
+        assert [theorem for theorem in CertTheorem if theorem.kernel is certifier._PEAK] == [
             CertTheorem.CONVEX_Q1, CertTheorem.QUASI_Q1, CertTheorem.FEJER]
         assert certifier._PEAK == (1, 24, 3)
-        assert [theorem for theorem in CertTheorem if rules[theorem].bracketed] == [
+        assert [theorem for theorem in CertTheorem if theorem.bracketed] == [
             CertTheorem.FEJER, CertTheorem.CORRECTED]
 
     def test_peano_kernel_in_fractions(self):
-        kernel = certifier._RULES[CertTheorem.CORRECTED].kernel
+        kernel = CertTheorem.CORRECTED.kernel
         weight = Fraction(kernel.numerator, kernel.denominator)
         assert (weight, kernel.power) == (Fraction(-7, 5760), 5)
         # x^4 on [0, 1]: 1/5 - 1/16 (midpoint) - 1/6 (end correction)
@@ -898,14 +965,14 @@ def exact_span(walk):
 
 def kernel_integral(walk, n):
     """The signed integral of the walk's kernel over one panel of the n-grid."""
-    numerator, denominator, power = walk.rule.kernel
+    numerator, denominator, power = walk.theorem.kernel
     return Fraction(numerator, denominator) * (exact_span(walk) / n) ** power
 
 
 def reference_truncation(walk):
     """The exact value that ``_Walk.truncation`` bounds from above: its
     formulas in exact rationals, on the walk's computed sums."""
-    if walk.rule.bracketed:
+    if walk.theorem.bracketed:
         trapezoid, midpoint = map(Fraction, walk._sides())
         half_width = (abs(trapezoid - midpoint) / 2 + Exact.spread * Fraction(walk._size())
                       + Exact.u * (abs(trapezoid) + abs(midpoint)))
@@ -921,7 +988,7 @@ def reference_truncation(walk):
 def reference_floor(walk):
     """The exact value that ``_Walk.floor`` bounds from below."""
     cap = certifier.MAX_SUBINTERVALS
-    if walk.rule.bracketed:
+    if walk.theorem.bracketed:
         return abs(kernel_integral(walk, cap)) * Exact.spread * Fraction(walk._size())
     if walk.theorem is CertTheorem.QUASI_Q1:
         return kernel_integral(walk, cap) * Fraction(walk._size())
@@ -946,7 +1013,7 @@ def reference_estimate(walk):
     total, size = map(Fraction, f_sums(walk))
     h = exact_span(walk) / walk.n
     estimate, error = h * total, h * (Exact.spread * size + Exact.u * abs(total))
-    if walk.rule.bracketed:
+    if walk.theorem.bracketed:
         trapezoid, midpoint = map(Fraction, walk._sides())
         estimate += kernel_integral(walk, walk.n) * (trapezoid + midpoint) / 2
     if walk.theorem is CertTheorem.CORRECTED:
@@ -1149,11 +1216,11 @@ def replay_factors(walk, check):
     times inflation under a Q1 rule), and that |integral| at the cap times
     spread (bracketed), 1 (QUASI_Q1) or 2 deflation cap/start (CONVEX_Q1)."""
     iv, cap, m = walk.iv, certifier.MAX_SUBINTERVALS, walk.start
-    numerator, denominator, power = walk.rule.kernel
+    numerator, denominator, power = walk.theorem.kernel
     span, width = exact_span(walk), iv.b - iv.a
     low = check.down(width if Fraction(width) <= span else math.nextafter(width, 0.0), span)
     high = check.up(width if Fraction(width) >= span else math.nextafter(width, math.inf), span)
-    if walk.rule.bracketed:
+    if walk.theorem.bracketed:
         top, exact_top, exact_bottom = 0.5, Fraction(1, 2), Exact.spread
         bottom = math.nextafter(certifier.SPREAD, 0.0)
     elif walk.theorem is CertTheorem.QUASI_Q1:
@@ -1190,7 +1257,7 @@ def replay_truncation(walk, check):
     ``reference_truncation``."""
     exact_part = replay_factors(walk, check)[0] / (walk.n // walk.start) ** walk.power
     part = check.up(quotient(walk.part, (walk.n // walk.start) ** walk.power, UP), exact_part)
-    if walk.rule.bracketed:
+    if walk.theorem.bracketed:
         trapezoid, midpoint = walk._sides()
         size = walk._size()
         t, m, s = Fraction(trapezoid), Fraction(midpoint), Fraction(size)
@@ -1241,7 +1308,7 @@ def replay_certificate(walk, check):
     float operation at a time, each paired with its exact value; the exact
     estimate and error are ``reference_estimate``'s, and the rounding part
     bounds the estimate's distance from the one plus the other."""
-    n, (numerator, denominator, power) = walk.n, walk.rule.kernel
+    n, (numerator, denominator, power) = walk.n, walk.theorem.kernel
     total, size = f_sums(walk)
     span = exact_span(walk)
     h, exact_h = walk.iv.width / n, span / n
@@ -1255,7 +1322,7 @@ def replay_certificate(walk, check):
     # (nearest, lower and upper bound of the magnitude, its exact value, k, negative)
     t = Fraction(total)
     terms = [(total, abs(total), abs(total), abs(t), 1, total < 0)]
-    if walk.rule.bracketed:
+    if walk.theorem.bracketed:
         trapezoid, midpoint = walk._sides()
         sides, half = trapezoid + midpoint, 2 * denominator
         exact_sides = abs(Fraction(trapezoid) + Fraction(midpoint))

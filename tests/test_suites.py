@@ -137,8 +137,16 @@ class TestBoundTable:
                 Exponent.Q: [{"p": 7.0}, {"p": 2.0, "q": 2.0}],
                 Exponent.PAIR: [{"q": math.inf}, {"p": math.inf}]}[row.exponent]
         for exponents in bad:
-            with pytest.raises(DomainError):
-                build_bound_report(fn, Interval(a, b), row.theorem.value, **exponents)
+            # the name and the member are refused alike, in the row's name
+            refusals = []
+            for theorem in (row.theorem.value, row.theorem):
+                with pytest.raises(DomainError) as info:
+                    build_bound_report(fn, Interval(a, b), theorem, **exponents)
+                refusals.append(str(info.value))
+            assert refusals[0] == refusals[1]
+            assert "TheoremId" not in refusals[1]
+            if row.exponent is Exponent.NONE and "q" in exponents:
+                assert refusals[1] == f"{row.theorem.value!r} takes no exponent; drop q and p"
         assert calls == []
 
     def test_monotone_query_samples_its_class_once(self, by_id):
