@@ -2,7 +2,10 @@
 
 Output is machine-readable: one JSON object per line with sorted keys, or
 CSV (same keys as header row) with --csv.  Identical seeds produce
-byte-identical output.  Exit codes: 0 pass, 1 property violation (also
+byte-identical output.  ``hh verify`` renders its sweep lines from one
+format string, with each interval's function, gap and endpoints rendered
+once, and prints the very bytes ``json.dumps(line, sort_keys=True)``
+gives for each line.  Exit codes: 0 pass, 1 property violation (also
 non-convergence, an evaluation that fails or overflows, or a reader that
 closes stdout early), 2 usage/domain error, 3 hypothesis-check failure.
 """
@@ -17,6 +20,8 @@ import math
 import os
 import re
 import sys
+from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii
 
 from .certifier import CertTheorem, refine_to_tolerance
 from .core import (
@@ -50,6 +55,17 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 #: and every CSV cell, built once; no row holds itself, so it skips the
 #: circular-reference check
 _ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+
+#: the keys of a sweep line (``suites._line``)
+_LINE_KEYS = frozenset(("bound", "function", "gap", "interval", "pass", "slack", "suite",
+                        "theorem"))
+
+#: a sweep line as ``_ENCODER`` renders it, keys sorted: the bound, the
+#: shared part (``_SHARED``), pass, slack and the suite and theorem names
+_LINE = '{"bound": %r, %s%s, "slack": %r, "suite": %s, "theorem": %s}\n'
+
+#: the part of a sweep line that the lines of one interval share
+_SHARED = '"function": %s, "gap": %r, "interval": [%r, %r], "pass": '
 
 
 @functools.cache
@@ -119,6 +135,46 @@ def _emit(rows: list[dict], as_csv: bool) -> None:
         writer.writerow([_ENCODER.encode(row[k]) for k in keys])
 
 
+def _is_finite_float(x) -> bool:
+    """Whether x renders as ``%r`` renders it: a float, not a subclass, and
+    neither infinite nor NaN, which JSON spells its own way."""
+    return type(x) is float and math.isfinite(x)
+
+
+def _sweep_json(lines: list[dict]) -> Iterator[str]:
+    """Yields each sweep line as one JSON line, the bytes of
+    ``_ENCODER.encode(line) + "\\n"``.
+
+    A line with exactly ``_LINE_KEYS``, five finite floats, a bool pass and
+    str names is rendered from ``_LINE``: floats by ``repr`` and names by
+    ``encode_basestring_ascii``, as ``_ENCODER`` renders them.  Its shared
+    part is rendered again only when the line does not hold the very
+    function, gap and endpoint objects of the part last rendered; the test
+    is ``is``, never ``==``, since 0.0 == -0.0.  Any other line goes
+    through ``_ENCODER``.
+    """
+    fid0 = gap0 = a0 = b0 = object()  # the objects ``shared`` renders
+    shared = None  # None while those objects do not render as ``_SHARED`` does
+    for line in lines:
+        if line.keys() == _LINE_KEYS and type(iv := line["interval"]) is list and len(iv) == 2:
+            fid, gap, (a, b) = line["function"], line["gap"], iv
+            if not (fid is fid0 and gap is gap0 and a is a0 and b is b0):
+                fid0, gap0, a0, b0 = fid, gap, a, b
+                shared = (_SHARED % (encode_basestring_ascii(fid), gap, a, b)
+                          if type(fid) is str and _is_finite_float(gap)
+                          and _is_finite_float(a) and _is_finite_float(b) else None)
+            bound, slack, passed = line["bound"], line["slack"], line["pass"]
+            suite, theorem = line["suite"], line["theorem"]
+            if (shared is not None and _is_finite_float(bound) and _is_finite_float(slack)
+                    and (passed is True or passed is False)
+                    and type(suite) is str and type(theorem) is str):
+                yield _LINE % (bound, shared, "true" if passed else "false", slack,
+                               encode_basestring_ascii(suite),
+                               encode_basestring_ascii(theorem))
+                continue
+        yield _ENCODER.encode(line) + "\n"
+
+
 def _lookup_function(name: str):
     fn = catalog_by_id().get(name)
     if fn is None:
@@ -129,7 +185,10 @@ def _lookup_function(name: str):
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     lines = run_suite(args.suite, args.cases, args.seed)
-    _emit(lines, args.csv)
+    if args.csv:
+        _emit(lines, True)
+    else:
+        sys.stdout.writelines(_sweep_json(lines))  # one write per line
     return EXIT_PASS if all(line["pass"] for line in lines) else EXIT_VIOLATION
 
 

@@ -2,12 +2,16 @@ import dataclasses
 import hashlib
 import json
 import math
+import struct
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hhbounds import cli
+from hhbounds import cli, suites
+from hhbounds.core import Interval
 
 CMD = [sys.executable, "-m", "hhbounds"]
 
@@ -537,6 +541,101 @@ def test_seeded_csv_bytes(capsys):
     assert len(out.splitlines()) == 363
     assert (hashlib.sha256(out.encode()).hexdigest()
             == "195f870f59e36476979a9e2ba68b9ba844d71315b4f5de72c8a08fa65e2537b6")
+
+
+#: a number slot's usual value: a finite float, signed zeros, subnormals
+#: and pairs whose difference overflows among them
+FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308]))
+
+#: a number slot's odd value: one that JSON spells otherwise than ``%r``
+ODD_NUMBERS = st.one_of(st.sampled_from([math.inf, -math.inf, math.nan, True, False]),
+                        st.integers(-2**64, 2**64))
+
+#: a name slot's usual value: plain names, quotes, backslashes, control
+#: characters, non-ASCII text and lone surrogates
+NAMES = st.one_of(
+    st.sampled_from(["x2", "convex_q1", "identity", 'q"uote', "back\\slash", "\x00\t\x1f\x7f",
+                     "\u00e9\u20ac\U0001f600", "\ud800"]),
+    st.text(st.characters(categories=["L", "N", "P", "S", "Z", "C"]), max_size=6),
+)
+
+#: a name slot's odd value: not a str
+ODD_NAMES = st.one_of(st.none(), st.integers(-3, 3))
+
+
+def _slot(draw, usual, odd):
+    """A slot's value: one in 16 is odd."""
+    return draw(odd if draw(st.integers(0, 15)) == 0 else usual)
+
+
+def _twin(x):
+    """An object equal to x but not x: a float copied through its bytes,
+    the other signed zero for a zero (equal, but printed otherwise), a str
+    rebuilt."""
+    if type(x) is float:
+        return -x if x == 0.0 else struct.unpack("<d", struct.pack("<d", x))[0]
+    if type(x) is str:
+        return "".join([x[:1], x[1:]]) if len(x) > 1 else x
+    return x
+
+
+@st.composite
+def sweep_rows(draw):
+    """Rows with the sweep lines' keys, in runs that share one interval's
+    function, gap and endpoint objects, as a sweep's lines do; a run's
+    objects may be fresh, the last run's own, or those with one of them
+    swapped for its equal twin."""
+    def number():
+        return _slot(draw, FLOATS, ODD_NUMBERS)
+
+    def name():
+        return _slot(draw, NAMES, ODD_NAMES)
+
+    rows, shared = [], None
+    for _ in range(draw(st.integers(0, 6))):
+        how = draw(st.sampled_from(["fresh", "same", "twin"]))
+        if shared is None or how == "fresh":
+            shared = [name(), number(), number(), number()]
+        elif how == "twin":
+            i = draw(st.integers(0, 3))
+            shared = [*shared[:i], _twin(shared[i]), *shared[i + 1:]]
+        fid, gap, a, b = shared
+        for _ in range(draw(st.integers(1, 5))):
+            bound = number()
+            rows.append({
+                "suite": name(), "function": fid, "theorem": name(), "bound": bound,
+                "gap": gap, "slack": bound - gap if draw(st.booleans()) else number(),
+                "interval": _slot(draw, st.just([a, b]), st.sampled_from([(a, b), [a]])),
+                "pass": _slot(draw, st.booleans(), st.sampled_from([0, 1])),
+            })
+    return rows
+
+
+def _neighbours(gaps, endpoints):
+    """Lines of one function whose gaps and intervals are the given objects."""
+    return [{"suite": "convex", "function": "x2", "interval": list(iv), "theorem": "convex_q1",
+             "bound": 1.0, "gap": gap, "slack": 1.0 - gap, "pass": True}
+            for gap, iv in zip(gaps, endpoints)]
+
+
+@settings(max_examples=400)
+@given(sweep_rows())
+@example(_neighbours([0.0, -0.0], [(0.0, 1.0)] * 2))  # equal gaps, printed otherwise
+@example(_neighbours([0.5] * 2, [(0.0, 1.0), (-0.0, 1.0)]))  # and endpoints
+@example(_neighbours([0.5, _twin(0.5)], [(0.5, 1.0), (_twin(0.5), 1.0)]))  # one value, two objects
+def test_sweep_lines_are_the_encoders_bytes(rows):
+    assert list(cli._sweep_json(rows)) == [cli._ENCODER.encode(row) + "\n" for row in rows]
+
+
+def test_rows_with_other_keys_take_the_encoder():
+    line = suites._line("convex", "x2", Interval(0.0, 1.0), "convex_q1", 1.0, 0.5, True)
+    assert cli._LINE_KEYS == set(line)
+    renamed = {("Pass" if k == "pass" else k): v for k, v in line.items()}
+    rows = [dict(line, extra=1.0), {k: v for k, v in line.items() if k != "pass"}, renamed,
+            {"theorem": "convex_q1", "bound": 1.0, "true_gap": 0.5, "slack": 0.5,
+             "valid": True}, line]
+    assert list(cli._sweep_json(rows)) == [cli._ENCODER.encode(row) + "\n" for row in rows]
 
 
 @pytest.mark.parametrize("args", [

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from hhbounds import suites
+from hhbounds import cli, suites
 from hhbounds.bounds_convex import (
     baseline_first_derivative,
     bound_convex_holder,
@@ -242,22 +242,33 @@ class TestSweepGating:
         assert mixed > 0
 
 
-@pytest.mark.parametrize("seed, digest", [
+#: sha256 of the bytes `hh verify --suite all --cases 100 --seed <seed>`
+#: prints, taken with glibc 2.36's libm; another libm may round exp, log or
+#: pow differently in the last bit and so change them without a change in
+#: this program
+SWEEP_DIGESTS = [
     pytest.param(7, "d022348738d572bf417d54acac91fcce2cd053368467536bb5389ce32560a578",
                  id="seed7"),
     pytest.param(1, "588c44807b81016d7926f47aa3ef0d148767b0d03b462416905f7f54d5dec0d7",
                  id="seed1"),
-])
-def test_seeded_sweep_bytes(seed, digest):
-    """The bytes `hh verify --suite all --cases 100 --seed <seed>` prints.
+]
 
-    The digests were taken with glibc 2.36's libm; another libm may round
-    exp, log or pow differently in the last bit and so change them without
-    a change in this program.
-    """
+
+@pytest.mark.parametrize("seed, digest", SWEEP_DIGESTS)
+def test_seeded_sweep_bytes(seed, digest):
+    """The sweep's rows, each as ``json.dumps(line, sort_keys=True)``."""
     text = "".join(json.dumps(line, sort_keys=True) + "\n"
                    for line in run_suite("all", 100, seed))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed, digest", SWEEP_DIGESTS)
+def test_seeded_cli_bytes(seed, digest, capsys):
+    """The same bytes from the command itself, whose sweep lines are
+    rendered from one format string (``cli._sweep_json``), not by json."""
+    assert cli.main(["verify", "--suite", "all", "--cases", "100", "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("seed", [1, 7])
