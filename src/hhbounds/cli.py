@@ -2,12 +2,14 @@
 
 Output is machine-readable: one JSON object per line with sorted keys, or
 CSV (same keys as header row) with --csv.  Identical seeds produce
-byte-identical output.  ``hh verify`` renders its sweep lines from one
+byte-identical output.  ``hh verify`` renders every sweep line from one
 format string, with each interval's function, gap and endpoints rendered
 once, and prints the very bytes ``json.dumps(line, sort_keys=True)``
-gives for each line.  Exit codes: 0 pass, 1 property violation (also
-non-convergence, an evaluation that fails or overflows, or a reader that
-closes stdout early), 2 usage/domain error, 3 hypothesis-check failure.
+gives for each line; a sweep with a line past the float range prints
+nothing.  Exit codes: 0 pass, 1 property violation (also non-convergence,
+an evaluation that fails or overflows, a result past the float range,
+a sweep line's included, or a reader that closes stdout early), 2
+usage/domain error, 3 hypothesis-check failure.
 """
 
 from __future__ import annotations
@@ -56,11 +58,7 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 #: circular-reference check
 _ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 
-#: the keys of a sweep line (``suites._line``)
-_LINE_KEYS = frozenset(("bound", "function", "gap", "interval", "pass", "slack", "suite",
-                        "theorem"))
-
-#: a sweep line as ``_ENCODER`` renders it, keys sorted: the bound, the
+#: a sweep line as ``json`` renders it, keys sorted: the bound, the
 #: shared part (``_SHARED``), pass, slack and the suite and theorem names
 _LINE = '{"bound": %r, %s%s, "slack": %r, "suite": %s, "theorem": %s}\n'
 
@@ -135,44 +133,27 @@ def _emit(rows: list[dict], as_csv: bool) -> None:
         writer.writerow([_ENCODER.encode(row[k]) for k in keys])
 
 
-def _is_finite_float(x) -> bool:
-    """Whether x renders as ``%r`` renders it: a float, not a subclass, and
-    neither infinite nor NaN, which JSON spells its own way."""
-    return type(x) is float and math.isfinite(x)
-
-
 def _sweep_json(lines: list[dict]) -> Iterator[str]:
-    """Yields each sweep line as one JSON line, the bytes of
-    ``_ENCODER.encode(line) + "\\n"``.
+    """Yields each sweep line (``suites._line``) as one JSON line, the bytes
+    of ``json.dumps(line, sort_keys=True) + "\\n"``.
 
-    A line with exactly ``_LINE_KEYS``, five finite floats, a bool pass and
-    str names is rendered from ``_LINE``: floats by ``repr`` and names by
-    ``encode_basestring_ascii``, as ``_ENCODER`` renders them.  Its shared
-    part is rendered again only when the line does not hold the very
-    function, gap and endpoint objects of the part last rendered; the test
-    is ``is``, never ``==``, since 0.0 == -0.0.  Any other line goes
-    through ``_ENCODER``.
+    Every line is rendered from ``_LINE``: floats by ``repr`` and names by
+    ``encode_basestring_ascii``, as ``json`` renders them.  ``_line``
+    refuses a line with a non-finite number, which ``json`` would spell
+    otherwise.  The shared part is rendered again only when the line does
+    not hold the very function, gap and endpoint objects of the part last
+    rendered; the test is ``is``, never ``==``, since 0.0 == -0.0.
     """
-    fid0 = gap0 = a0 = b0 = object()  # the objects ``shared`` renders
-    shared = None  # None while those objects do not render as ``_SHARED`` does
+    # the objects ``shared`` renders: none yet, so the first line sets it
+    fid0 = gap0 = a0 = b0 = object()
     for line in lines:
-        if line.keys() == _LINE_KEYS and type(iv := line["interval"]) is list and len(iv) == 2:
-            fid, gap, (a, b) = line["function"], line["gap"], iv
-            if not (fid is fid0 and gap is gap0 and a is a0 and b is b0):
-                fid0, gap0, a0, b0 = fid, gap, a, b
-                shared = (_SHARED % (encode_basestring_ascii(fid), gap, a, b)
-                          if type(fid) is str and _is_finite_float(gap)
-                          and _is_finite_float(a) and _is_finite_float(b) else None)
-            bound, slack, passed = line["bound"], line["slack"], line["pass"]
-            suite, theorem = line["suite"], line["theorem"]
-            if (shared is not None and _is_finite_float(bound) and _is_finite_float(slack)
-                    and (passed is True or passed is False)
-                    and type(suite) is str and type(theorem) is str):
-                yield _LINE % (bound, shared, "true" if passed else "false", slack,
-                               encode_basestring_ascii(suite),
-                               encode_basestring_ascii(theorem))
-                continue
-        yield _ENCODER.encode(line) + "\n"
+        fid, gap, (a, b) = line["function"], line["gap"], line["interval"]
+        if not (fid is fid0 and gap is gap0 and a is a0 and b is b0):
+            fid0, gap0, a0, b0 = fid, gap, a, b
+            shared = _SHARED % (encode_basestring_ascii(fid), gap, a, b)
+        yield _LINE % (line["bound"], shared, "true" if line["pass"] else "false",
+                       line["slack"], encode_basestring_ascii(line["suite"]),
+                       encode_basestring_ascii(line["theorem"]))
 
 
 def _lookup_function(name: str):

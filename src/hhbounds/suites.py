@@ -3,7 +3,8 @@
 Each sweep walks the built-in catalog (window first, then seeded random
 subintervals), evaluates one family of checks, and returns its lines as
 the rows ``hh verify`` prints: suite, function, interval, theorem, bound,
-gap, slack = bound - gap, and pass.  Every pass reads
+gap, slack = bound - gap, and pass; a line whose slack is past the float
+range is refused (``EvaluationError``).  Every pass reads
 ``core.slack_is_valid``: for bound families on the slack, for the
 identity sweep on the slack and its negation, so |slack| <= 1e-9.  The
 bound table (``SWEEPS``) names each theorem's class hypothesis from
@@ -59,10 +60,18 @@ from .rng import SplitMix64
 
 def _line(suite: str, function: str, iv: Interval, theorem: str,
           bound: float, gap: float, passed: bool) -> dict:
-    """One sweep line, as the row ``hh verify`` prints."""
+    """One sweep line, as the row ``hh verify`` prints.
+
+    Raises EvaluationError when slack = bound - gap is past the float
+    range, as it is when the bound or the gap is: no line holds an
+    infinity or a NaN, which JSON cannot spell.
+    """
+    slack = bound - gap
+    if not math.isfinite(slack):
+        raise EvaluationError(
+            f"the {theorem} line on [{iv.a}, {iv.b}] is past the float range")
     return {"suite": suite, "function": function, "interval": [iv.a, iv.b],
-            "theorem": theorem, "bound": bound, "gap": gap,
-            "slack": bound - gap, "pass": passed}
+            "theorem": theorem, "bound": bound, "gap": gap, "slack": slack, "pass": passed}
 
 
 def _case_intervals(fn: TestFunction, cases: int, rng: SplitMix64) -> list[Interval]:

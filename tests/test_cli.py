@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import struct
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hhbounds import cli, suites
-from hhbounds.core import Interval
+from hhbounds.core import DomainError, Interval
 
 CMD = [sys.executable, "-m", "hhbounds"]
 
@@ -543,30 +544,30 @@ def test_seeded_csv_bytes(capsys):
             == "195f870f59e36476979a9e2ba68b9ba844d71315b4f5de72c8a08fa65e2537b6")
 
 
-#: a number slot's usual value: a finite float, signed zeros, subnormals
-#: and pairs whose difference overflows among them
+#: a number: a finite float, signed zeros, subnormals and the ends of the
+#: float range among them
 FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308]))
 
-#: a number slot's odd value: one that JSON spells otherwise than ``%r``
-ODD_NUMBERS = st.one_of(st.sampled_from([math.inf, -math.inf, math.nan, True, False]),
-                        st.integers(-2**64, 2**64))
-
-#: a name slot's usual value: plain names, quotes, backslashes, control
-#: characters, non-ASCII text and lone surrogates
+#: a name: plain names, quotes, backslashes, control characters, non-ASCII
+#: text and lone surrogates
 NAMES = st.one_of(
     st.sampled_from(["x2", "convex_q1", "identity", 'q"uote', "back\\slash", "\x00\t\x1f\x7f",
                      "\u00e9\u20ac\U0001f600", "\ud800"]),
     st.text(st.characters(categories=["L", "N", "P", "S", "Z", "C"]), max_size=6),
 )
 
-#: a name slot's odd value: not a str
-ODD_NAMES = st.one_of(st.none(), st.integers(-3, 3))
+
+def _is_interval(ends):
+    try:
+        Interval(*ends)
+    except DomainError:
+        return False
+    return True
 
 
-def _slot(draw, usual, odd):
-    """A slot's value: one in 16 is odd."""
-    return draw(odd if draw(st.integers(0, 15)) == 0 else usual)
+#: the endpoints of an interval: two numbers that ``Interval`` takes
+ENDPOINTS = st.tuples(FLOATS, FLOATS).map(sorted).filter(_is_interval)
 
 
 def _twin(x):
@@ -575,67 +576,57 @@ def _twin(x):
     rebuilt."""
     if type(x) is float:
         return -x if x == 0.0 else struct.unpack("<d", struct.pack("<d", x))[0]
-    if type(x) is str:
-        return "".join([x[:1], x[1:]]) if len(x) > 1 else x
-    return x
+    return "".join([x[:1], x[1:]]) if len(x) > 1 else x
 
 
 @st.composite
 def sweep_rows(draw):
-    """Rows with the sweep lines' keys, in runs that share one interval's
+    """Lines built by ``suites._line``, in runs that share one interval's
     function, gap and endpoint objects, as a sweep's lines do; a run's
     objects may be fresh, the last run's own, or those with one of them
-    swapped for its equal twin."""
-    def number():
-        return _slot(draw, FLOATS, ODD_NUMBERS)
-
-    def name():
-        return _slot(draw, NAMES, ODD_NAMES)
-
+    swapped for its equal twin.  Each bound keeps bound - gap finite."""
     rows, shared = [], None
     for _ in range(draw(st.integers(0, 6))):
         how = draw(st.sampled_from(["fresh", "same", "twin"]))
         if shared is None or how == "fresh":
-            shared = [name(), number(), number(), number()]
+            shared = [draw(NAMES), draw(FLOATS), *draw(ENDPOINTS)]
         elif how == "twin":
             i = draw(st.integers(0, 3))
             shared = [*shared[:i], _twin(shared[i]), *shared[i + 1:]]
         fid, gap, a, b = shared
+        iv = Interval(a, b)
+        bounds = FLOATS.filter(lambda bound: math.isfinite(bound - gap))
         for _ in range(draw(st.integers(1, 5))):
-            bound = number()
-            rows.append({
-                "suite": name(), "function": fid, "theorem": name(), "bound": bound,
-                "gap": gap, "slack": bound - gap if draw(st.booleans()) else number(),
-                "interval": _slot(draw, st.just([a, b]), st.sampled_from([(a, b), [a]])),
-                "pass": _slot(draw, st.booleans(), st.sampled_from([0, 1])),
-            })
+            rows.append(suites._line(draw(NAMES), fid, iv, draw(NAMES), draw(bounds), gap,
+                                     draw(st.booleans())))
     return rows
 
 
-def _neighbours(gaps, endpoints):
+def _neighbours(gaps, intervals):
     """Lines of one function whose gaps and intervals are the given objects."""
-    return [{"suite": "convex", "function": "x2", "interval": list(iv), "theorem": "convex_q1",
-             "bound": 1.0, "gap": gap, "slack": 1.0 - gap, "pass": True}
-            for gap, iv in zip(gaps, endpoints)]
+    return [suites._line("convex", "x2", iv, "convex_q1", 1.0, gap, True)
+            for gap, iv in zip(gaps, intervals)]
 
 
 @settings(max_examples=400)
 @given(sweep_rows())
-@example(_neighbours([0.0, -0.0], [(0.0, 1.0)] * 2))  # equal gaps, printed otherwise
-@example(_neighbours([0.5] * 2, [(0.0, 1.0), (-0.0, 1.0)]))  # and endpoints
-@example(_neighbours([0.5, _twin(0.5)], [(0.5, 1.0), (_twin(0.5), 1.0)]))  # one value, two objects
+@example(_neighbours([0.0, -0.0], [Interval(0.0, 1.0)] * 2))  # equal gaps, printed otherwise
+@example(_neighbours([0.5] * 2, [Interval(0.0, 1.0), Interval(-0.0, 1.0)]))  # and endpoints
+@example(_neighbours([0.5, _twin(0.5)],  # one value, two objects
+                     [Interval(0.5, 1.0), Interval(_twin(0.5), 1.0)]))
 def test_sweep_lines_are_the_encoders_bytes(rows):
-    assert list(cli._sweep_json(rows)) == [cli._ENCODER.encode(row) + "\n" for row in rows]
+    assert list(cli._sweep_json(rows)) == [json.dumps(row, sort_keys=True) + "\n"
+                                           for row in rows]
 
 
-def test_rows_with_other_keys_take_the_encoder():
-    line = suites._line("convex", "x2", Interval(0.0, 1.0), "convex_q1", 1.0, 0.5, True)
-    assert cli._LINE_KEYS == set(line)
-    renamed = {("Pass" if k == "pass" else k): v for k, v in line.items()}
-    rows = [dict(line, extra=1.0), {k: v for k, v in line.items() if k != "pass"}, renamed,
-            {"theorem": "convex_q1", "bound": 1.0, "true_gap": 0.5, "slack": 0.5,
-             "valid": True}, line]
-    assert list(cli._sweep_json(rows)) == [cli._ENCODER.encode(row) + "\n" for row in rows]
+def test_a_sweep_line_past_the_float_range_exits_one_and_prints_nothing(monkeypatch, capsys):
+    # at an infinite gap no slack is a float: the sweep is refused before
+    # any line is printed
+    monkeypatch.setattr(suites, "midpoint_gap", lambda fn, iv: math.inf)
+    assert cli.main(["verify", "--suite", "convex", "--cases", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"hh: the convex_q1 line on \[\S+, \S+\] is past the float range\n", err)
 
 
 @pytest.mark.parametrize("args", [

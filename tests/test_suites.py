@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
@@ -21,6 +22,7 @@ from hhbounds.bounds_quasiconvex import (
 from hhbounds.core import (
     ConjugatePair,
     DomainError,
+    EvaluationError,
     HypothesisError,
     Interval,
     TheoremId,
@@ -240,6 +242,17 @@ class TestSweepGating:
                 mixed += 1
                 assert "quasi_monotone" not in by_theorem, (fid, iv)
         assert mixed > 0
+
+
+@pytest.mark.parametrize("bound, gap", [(math.inf, 0.5), (1.0, math.nan),
+                                        (1.7e308, -1.7e308)],
+                         ids=["infinite-bound", "nan-gap", "overflowing-slack"])
+def test_a_line_past_the_float_range_is_refused(bound, gap):
+    """No sweep line holds a non-finite number: slack = bound - gap is not
+    finite when either is not, or when their difference overflows."""
+    with pytest.raises(EvaluationError, match=re.escape(
+            "the convex_q1 line on [0.0, 1.0] is past the float range")):
+        suites._line("convex", "x2", Interval(0.0, 1.0), "convex_q1", bound, gap, True)
 
 
 #: sha256 of the bytes `hh verify --suite all --cases 100 --seed <seed>`
