@@ -2,14 +2,17 @@
 
 Output is machine-readable: one JSON object per line with sorted keys, or
 CSV (same keys as header row) with --csv.  Identical seeds produce
-byte-identical output.  ``hh verify`` renders every sweep line from one
-format string, with each interval's function, gap and endpoints rendered
-once, and prints the very bytes ``json.dumps(line, sort_keys=True)``
-gives for each line; a sweep with a line past the float range prints
-nothing.  Exit codes: 0 pass, 1 property violation (also non-convergence,
-an evaluation that fails or overflows, a result past the float range,
-a sweep line's included, or a reader that closes stdout early), 2
-usage/domain error, 3 hypothesis-check failure.
+byte-identical output.  ``hh verify`` renders each sweep line as the
+sweep yields it (``suites.iter_suite``) and holds it as printed text,
+never as a row, until the sweep ends; then it prints them all.  Each line
+comes from one format string, with each interval's function, gap and
+endpoints rendered once, and is the very bytes ``json.dumps(line,
+sort_keys=True)`` gives; its CSV cells are rendered by the same rules.  A
+sweep with a line past the float range prints nothing.  Exit codes: 0
+pass, 1 property violation (also non-convergence, an evaluation that
+fails or overflows, a result past the float range, a sweep line's
+included, or a reader that closes stdout early), 2 usage/domain error, 3
+hypothesis-check failure.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ import math
 import os
 import re
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .certifier import CertTheorem, refine_to_tolerance
 from .core import (
@@ -34,9 +38,9 @@ from .core import (
     Interval,
     catalog_by_id,
 )
-from .means import all_means, chain_check
+from .means import all_means, chain_holds
 from .oracle import integrate
-from .suites import BOUND_THEOREMS, SUITE_NAMES, build_bound_report, run_suite
+from .suites import BOUND_THEOREMS, SUITE_NAMES, build_bound_report, iter_suite
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -64,6 +68,9 @@ _LINE = '{"bound": %r, %s%s, "slack": %r, "suite": %s, "theorem": %s}\n'
 
 #: the part of a sweep line that the lines of one interval share
 _SHARED = '"function": %s, "gap": %r, "interval": [%r, %r], "pass": '
+
+#: the keys of a sweep line, sorted: the CSV header of ``hh verify``
+_SWEEP_KEYS = ("bound", "function", "gap", "interval", "pass", "slack", "suite", "theorem")
 
 
 @functools.cache
@@ -118,22 +125,20 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(rows: list[dict], as_csv: bool) -> None:
-    out = sys.stdout
+def _emit(row: dict, as_csv: bool) -> None:
+    """Prints the one result row of ``hh bound``, ``means`` or ``certify``: a
+    JSON line, or its sorted keys as a CSV header and its JSON-encoded
+    cells."""
     if not as_csv:
-        for row in rows:
-            out.write(_ENCODER.encode(row) + "\n")
+        sys.stdout.write(_ENCODER.encode(row) + "\n")
         return
-    if not rows:
-        return
-    keys = sorted(rows[0])
-    writer = csv.writer(out, lineterminator="\n")
+    keys = sorted(row)
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(keys)
-    for row in rows:
-        writer.writerow([_ENCODER.encode(row[k]) for k in keys])
+    writer.writerow([_ENCODER.encode(row[k]) for k in keys])
 
 
-def _sweep_json(lines: list[dict]) -> Iterator[str]:
+def _sweep_json(lines: Iterable[dict]) -> Iterator[str]:
     """Yields each sweep line (``suites._line``) as one JSON line, the bytes
     of ``json.dumps(line, sort_keys=True) + "\\n"``.
 
@@ -156,6 +161,23 @@ def _sweep_json(lines: list[dict]) -> Iterator[str]:
                        encode_basestring_ascii(line["theorem"]))
 
 
+def _sweep_cells(lines: Iterable[dict]) -> Iterator[tuple[str, ...]]:
+    """Yields each sweep line's CSV cells, in ``_SWEEP_KEYS`` order, each
+    the bytes ``json.dumps(cell)`` gives, by the rules ``_sweep_json``
+    renders with; the function, gap and interval cells of one interval
+    are rendered once, on the same ``is`` test."""
+    fid0 = gap0 = a0 = b0 = object()
+    for line in lines:
+        fid, gap, (a, b) = line["function"], line["gap"], line["interval"]
+        if not (fid is fid0 and gap is gap0 and a is a0 and b is b0):
+            fid0, gap0, a0, b0 = fid, gap, a, b
+            fid_cell, gap_cell = encode_basestring_ascii(fid), repr(gap)
+            iv_cell = "[%r, %r]" % (a, b)
+        yield (repr(line["bound"]), fid_cell, gap_cell, iv_cell,
+               "true" if line["pass"] else "false", repr(line["slack"]),
+               encode_basestring_ascii(line["suite"]), encode_basestring_ascii(line["theorem"]))
+
+
 def _lookup_function(name: str):
     fn = catalog_by_id().get(name)
     if fn is None:
@@ -165,32 +187,50 @@ def _lookup_function(name: str):
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    lines = run_suite(args.suite, args.cases, args.seed)
+    """Renders each line as the sweep yields it and keeps only the text,
+    one string a line, so no row outlives its rendering; the text is
+    written once the sweep has ended, so a sweep refused part-way
+    (``EvaluationError``) prints nothing.  The text is not joined first,
+    which would hold it twice."""
+    lines = iter_suite(args.suite, args.cases, args.seed)
+    passed = True
+
+    def tallied() -> Iterator[dict]:
+        nonlocal passed
+        for line in lines:
+            passed = passed and line["pass"]
+            yield line
+
+    text: list[str] = []
     if args.csv:
-        _emit(lines, True)
+        # csv.writer writes each row in one call: straight into ``text``
+        writer = csv.writer(SimpleNamespace(write=text.append), lineterminator="\n")
+        writer.writerow(_SWEEP_KEYS)
+        writer.writerows(_sweep_cells(tallied()))
     else:
-        sys.stdout.writelines(_sweep_json(lines))  # one write per line
-    return EXIT_PASS if all(line["pass"] for line in lines) else EXIT_VIOLATION
+        text.extend(_sweep_json(tallied()))
+    sys.stdout.writelines(text)  # one write per line
+    return EXIT_PASS if passed else EXIT_VIOLATION
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     fn = _lookup_function(args.function)
     iv = Interval(args.a, args.b)
     report = build_bound_report(fn, iv, args.theorem, q=args.q, p=args.p)
-    _emit([{
+    _emit({
         "theorem": report.theorem_id.value,
         "bound": report.bound,
         "true_gap": report.true_gap,
         "slack": report.slack,
         "valid": report.valid,
-    }], args.csv)
+    }, args.csv)
     return EXIT_PASS if report.valid else EXIT_VIOLATION
 
 
 def _cmd_means(args: argparse.Namespace) -> int:
     row = all_means(args.a, args.b)
-    row["chain"] = chain_check(args.a, args.b)
-    _emit([row], args.csv)
+    row["chain"] = chain_holds(row)
+    _emit(row, args.csv)
     return EXIT_PASS if row["chain"] else EXIT_VIOLATION
 
 
@@ -211,7 +251,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     oracle = integrate(fn.f, iv, max(min(result.error_radius * 1e-2, 1e-10), math.ulp(0.0)))
     enclosed = abs(result.estimate - oracle.value) <= (
         result.error_radius + oracle.est_error)
-    _emit([{
+    _emit({
         "estimate": result.estimate,
         "error_radius": result.error_radius,
         "n": result.subintervals,
@@ -220,7 +260,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         "theorem": result.theorem_used.value,
         "truncation_radius": result.truncation_radius,
         "rounding_radius": result.rounding_radius,
-    }], args.csv)
+    }, args.csv)
     return EXIT_PASS if enclosed else EXIT_VIOLATION
 
 

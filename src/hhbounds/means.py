@@ -156,16 +156,22 @@ def all_means(a: float, b: float) -> dict[str, float]:
             "I": identric_mean(a, b)}
 
 
-def _nondecreasing(values: list[float]) -> bool:
-    """True iff each value is at least its predecessor, up to ORDER_TOL."""
+def nondecreasing(values: list[float]) -> bool:
+    """True iff each value is at least its predecessor, up to ORDER_TOL:
+    the one ordering rule."""
     return all(hi >= lo - ORDER_TOL * max(1.0, abs(lo))
                for lo, hi in zip(values, values[1:]))
 
 
+def chain_holds(mean_of: dict[str, float]) -> bool:
+    """True iff H <= G <= L <= I <= A holds among the means of one pair, as
+    ``all_means`` keys them, each link up to ORDER_TOL."""
+    return nondecreasing([mean_of[kind] for kind in "HGLIA"])
+
+
 def chain_check(a: float, b: float) -> bool:
     """True iff H <= G <= L <= I <= A holds, each link up to ORDER_TOL."""
-    mean_of = all_means(a, b)
-    return _nondecreasing([mean_of[kind] for kind in "HGLIA"])
+    return chain_holds(all_means(a, b))
 
 
 def lp_values_on_grid(a: float, b: float) -> list[float]:
@@ -173,7 +179,7 @@ def lp_values_on_grid(a: float, b: float) -> list[float]:
 
 
 def lp_monotone_nondecreasing(a: float, b: float) -> bool:
-    return _nondecreasing(lp_values_on_grid(a, b))
+    return nondecreasing(lp_values_on_grid(a, b))
 
 
 # --- inequality checkers -------------------------------------------------

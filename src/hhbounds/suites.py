@@ -1,10 +1,10 @@
 """Named verification sweeps shared by the CLI and the test suite.
 
 Each sweep walks the built-in catalog (window first, then seeded random
-subintervals), evaluates one family of checks, and returns its lines as
-the rows ``hh verify`` prints: suite, function, interval, theorem, bound,
-gap, slack = bound - gap, and pass; a line whose slack is past the float
-range is refused (``EvaluationError``).  Every pass reads
+subintervals), evaluates one family of checks, and yields its lines, one
+by one, as the rows ``hh verify`` prints: suite, function, interval,
+theorem, bound, gap, slack = bound - gap, and pass; a line whose slack is
+past the float range is refused (``EvaluationError``).  Every pass reads
 ``core.slack_is_valid``: for bound families on the slack, for the
 identity sweep on the slack and its negation, so |slack| <= 1e-9.  The
 bound table (``SWEEPS``) names each theorem's class hypothesis from
@@ -18,14 +18,18 @@ a bound sweep when its window passes the first row's hypothesis, and each
 row runs on the intervals where its own hypothesis holds, on the window
 or else on the interval itself.  The registry ``SUITES`` names every
 sweep, in the order ``all`` runs them, with the salt of its seed.
+``iter_suite`` streams a sweep's lines as they are computed, and
+``run_suite`` is the same lines as a list.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from itertools import chain
 from types import ModuleType
 
 from . import bounds_convex as bc
@@ -45,15 +49,15 @@ from .core import (
 from .identity import identity_lhs, identity_rhs
 from .means import (
     all_means,
-    chain_check,
+    chain_holds,
     check_prop_identric,
     check_prop_monomial_pm,
     check_prop_monomial_q1,
     check_prop_monomial_quasi,
     check_prop_reciprocal_pm,
     check_prop_reciprocal_quasi,
-    lp_monotone_nondecreasing,
     lp_values_on_grid,
+    nondecreasing,
 )
 from .oracle import CONVEX_D1, CONVEX_D2, MONOTONE_D2, QUASICONVEX_D2, Hypothesis, midpoint_gap
 from .rng import SplitMix64
@@ -78,15 +82,13 @@ def _case_intervals(fn: TestFunction, cases: int, rng: SplitMix64) -> list[Inter
     return [fn.window] + [rng.subinterval(fn.window) for _ in range(cases)]
 
 
-def identity_suite(cases: int, rng: SplitMix64) -> list[dict]:
+def identity_suite(cases: int, rng: SplitMix64) -> Iterator[dict]:
     """Residual of the kernel identity over the catalog and random subintervals."""
-    lines = []
     for fn in builtin_catalog():
         for iv in _case_intervals(fn, cases, rng):
             lhs, rhs = identity_lhs(fn, iv), identity_rhs(fn, iv)
             valid = slack_is_valid(rhs - lhs) and slack_is_valid(lhs - rhs)
-            lines.append(_line("identity", fn.id, iv, "identity", rhs, lhs, valid))
-    return lines
+            yield _line("identity", fn.id, iv, "identity", rhs, lhs, valid)
 
 
 class Exponent(Enum):
@@ -172,7 +174,7 @@ def _bound(row: BoundRow, fn: TestFunction, iv: Interval, exponent,
     return bound
 
 
-def bound_suite(name: str, cases: int, rng: SplitMix64) -> list[dict]:
+def bound_suite(name: str, cases: int, rng: SplitMix64) -> Iterator[dict]:
     """Validity sweep of the bound rows of ``SWEEPS[name]``.
 
     One gating rule serves every row.  A function joins the sweep when its
@@ -189,7 +191,6 @@ def bound_suite(name: str, cases: int, rng: SplitMix64) -> list[dict]:
     theorems = [row.theorem.value for row in rows]
     ranges = [row.exponent.value for row in rows]
     first = rows[0].hypothesis
-    lines = []
     for fn in builtin_catalog():
         if not first.check(fn, fn.window):
             continue
@@ -206,14 +207,15 @@ def bound_suite(name: str, cases: int, rng: SplitMix64) -> list[dict]:
                     continue
                 exponent = row.exponent.resolve(theorem, q)
                 bound = _bound(row, fn, iv, exponent, endpoints)
-                lines.append(_line(name, fn.id, iv, theorem, bound, gap,
-                                   slack_is_valid(bound - gap)))
-    return lines
+                yield _line(name, fn.id, iv, theorem, bound, gap,
+                            slack_is_valid(bound - gap))
 
 
-def means_suite(cases: int, rng: SplitMix64) -> list[dict]:
-    """Mean-chain, p-logarithmic monotonicity, and the six gap inequalities."""
-    lines = []
+def means_suite(cases: int, rng: SplitMix64) -> Iterator[dict]:
+    """Mean-chain, p-logarithmic monotonicity, and the six gap inequalities.
+
+    The chain and the monotonicity of L_p are decided on the means and the
+    L_p values the lines print, each computed once."""
     for _ in range(cases):
         while True:
             x, y = rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0)
@@ -227,11 +229,9 @@ def means_suite(cases: int, rng: SplitMix64) -> list[dict]:
         pair = ConjugatePair.from_q(q)
 
         m = all_means(a, b)
-        lines.append(_line("means", "pair", iv, "means_chain", m["A"], m["H"],
-                           chain_check(a, b)))
+        yield _line("means", "pair", iv, "means_chain", m["A"], m["H"], chain_holds(m))
         lp = lp_values_on_grid(a, b)
-        lines.append(_line("means", "pair", iv, "lp_monotone", lp[-1], lp[0],
-                           lp_monotone_nondecreasing(a, b)))
+        yield _line("means", "pair", iv, "lp_monotone", lp[-1], lp[0], nondecreasing(lp))
         for r in (
             check_prop_monomial_q1(a, b, n),
             check_prop_identric(a, b, pair),
@@ -240,9 +240,8 @@ def means_suite(cases: int, rng: SplitMix64) -> list[dict]:
             check_prop_reciprocal_quasi(a, b, q_quasi),
             check_prop_monomial_quasi(a, b, n, pair),
         ):
-            lines.append(_line("means", r.function_id, r.interval, r.theorem_id.value,
-                               r.bound, r.true_gap, r.valid))
-    return lines
+            yield _line("means", r.function_id, r.interval, r.theorem_id.value,
+                        r.bound, r.true_gap, r.valid)
 
 
 #: every sweep by name, in the order ``all`` runs them, with the salt that
@@ -255,16 +254,25 @@ SUITES = {"identity": (0x1D5EED, identity_suite),
 SUITE_NAMES = (*SUITES, "all")
 
 
-def run_suite(name: str, cases: int, seed: int) -> list[dict]:
-    """The rows of sweep ``name`` (or of every sweep, for "all"), each sweep
-    drawing from its own generator, seeded with seed ^ its salt."""
+def iter_suite(name: str, cases: int, seed: int) -> Iterator[dict]:
+    """The rows of sweep ``name`` (or of every sweep, for "all"), yielded as
+    each is computed, each sweep drawing from its own generator, seeded
+    with seed ^ its salt.
+
+    Raises DomainError for an unknown name or cases < 1 at the call,
+    before anything is evaluated.
+    """
     if name not in SUITE_NAMES:
         raise DomainError(f"unknown suite {name!r}")
     if cases < 1:
         raise DomainError(f"need at least one case, got {cases}")
     sweeps = SUITES.values() if name == "all" else (SUITES[name],)
-    return [line for salt, sweep in sweeps
-            for line in sweep(cases, SplitMix64(seed ^ salt))]
+    return chain.from_iterable(sweep(cases, SplitMix64(seed ^ salt)) for salt, sweep in sweeps)
+
+
+def run_suite(name: str, cases: int, seed: int) -> list[dict]:
+    """The rows of ``iter_suite(name, cases, seed)``, as a list."""
+    return list(iter_suite(name, cases, seed))
 
 
 # --- single bound reports (CLI `bound` command) ---------------------------

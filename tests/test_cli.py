@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -6,6 +7,8 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -617,6 +620,8 @@ def _neighbours(gaps, intervals):
 def test_sweep_lines_are_the_encoders_bytes(rows):
     assert list(cli._sweep_json(rows)) == [json.dumps(row, sort_keys=True) + "\n"
                                            for row in rows]
+    assert list(cli._sweep_cells(rows)) == [tuple(json.dumps(row[key]) for key in sorted(row))
+                                            for row in rows]
 
 
 def test_a_sweep_line_past_the_float_range_exits_one_and_prints_nothing(monkeypatch, capsys):
@@ -627,6 +632,45 @@ def test_a_sweep_line_past_the_float_range_exits_one_and_prints_nothing(monkeypa
     out, err = capsys.readouterr()
     assert out == ""
     assert re.fullmatch(r"hh: the convex_q1 line on \[\S+, \S+\] is past the float range\n", err)
+
+
+@pytest.mark.parametrize("fmt", [[], ["--csv"]], ids=["json", "csv"])
+def test_a_line_past_the_float_range_late_in_the_stream_prints_nothing(fmt, monkeypatch,
+                                                                        capsys):
+    # means is the last sweep `all` runs: every earlier line is rendered,
+    # and still none is printed
+    check = suites.check_prop_monomial_quasi
+    monkeypatch.setattr(suites, "check_prop_monomial_quasi",
+                        lambda *args: dataclasses.replace(check(*args), bound=math.inf))
+    assert cli.main(["verify", "--suite", "all", "--cases", "1", *fmt]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(
+        r"hh: the prop_monomial_quasi line on \[\S+, \S+\] is past the float range\n", err)
+
+
+def test_verify_holds_its_lines_as_text_not_as_rows():
+    """The traced peak of one `hh verify` stays below the size of its rows
+    alone.  The output goes to a sink that keeps the very strings written,
+    as CPython 3.11's StringIO does; a sink that copied them would add its
+    own memory to the command's."""
+    argv = ["verify", "--suite", "all", "--cases", "100", "--seed", "7"]
+    out: list[str] = []
+    sink = SimpleNamespace(write=out.append, writelines=out.extend)
+    with contextlib.redirect_stdout(sink):
+        cli.main(argv)  # the parser and the catalog are built once a process
+        out.clear()
+        tracemalloc.start()
+        try:
+            rows = suites.run_suite("all", 100, 7)
+            rows_size, _ = tracemalloc.get_traced_memory()
+            del rows
+            tracemalloc.reset_peak()
+            assert cli.main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < rows_size
 
 
 @pytest.mark.parametrize("args", [

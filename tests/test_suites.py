@@ -36,6 +36,7 @@ from hhbounds.suites import (
     SUITES,
     Exponent,
     build_bound_report,
+    iter_suite,
     run_suite,
 )
 
@@ -291,3 +292,11 @@ def test_single_suite_is_its_slice_of_all(name, seed):
     the very rows that sweep contributes to ``all``."""
     lines = run_suite("all", 3, seed)
     assert run_suite(name, 3, seed) == [line for line in lines if line["suite"] == name]
+
+
+@pytest.mark.parametrize("name, cases", [("nope", 1), ("all", 0)])
+def test_iter_suite_refuses_at_the_call(name, cases):
+    """A bad name or case count is refused when the stream is asked for,
+    before any line is computed, not when the first line is."""
+    with pytest.raises(DomainError):
+        iter_suite(name, cases, 0)
