@@ -4,13 +4,14 @@ Output is machine-readable: one JSON object per line with sorted keys, or
 CSV (same keys as header row) with --csv.  Identical seeds produce
 byte-identical output.  ``hh verify`` renders each sweep line as the
 sweep yields it (``suites.iter_suite``) and holds it as printed text,
-never as a row, until the sweep ends; then it prints them all.  Each line
-comes from one format string, with each interval's function, gap and
-endpoints rendered once, and is the very bytes ``json.dumps(line,
-sort_keys=True)`` gives; its CSV cells are rendered by the same rules.  A
-sweep with a line past the float range prints nothing.  Exit codes: 0
-pass, 1 property violation (also non-convergence, an evaluation that
-fails or overflows, a result past the float range, a sweep line's
+never as a row, until the sweep ends; then it prints them all.  One
+renderer gives each line's cells, each the bytes of ``json.dumps(cell)``,
+with each interval's function, gap and endpoints rendered once; a JSON
+line is its cells in one format string, the very bytes
+``json.dumps(line, sort_keys=True)`` gives, and ``--csv`` writes the same
+cells.  A sweep with a line past the float range prints nothing.  Exit
+codes: 0 pass, 1 property violation (also non-convergence, an evaluation
+that fails or overflows, a result past the float range, a sweep line's
 included, or a reader that closes stdout early), 2 usage/domain error, 3
 hypothesis-check failure.
 """
@@ -47,7 +48,7 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_HYPOTHESIS = 3
 
-#: the rules `hh certify` tries, in order, until one's class check passes:
+#: the rules `hh certify` tries, in order, until one certifies:
 #: Fejer's two-sided bracket on the corrected midpoint rule, then on the
 #: plain one, then the paper's convex and quasi-convex rules
 _CERTIFY_RULES = (CertTheorem.CORRECTED, CertTheorem.FEJER, CertTheorem.CONVEX_Q1,
@@ -57,20 +58,12 @@ _CERTIFY_RULES = (CertTheorem.CORRECTED, CertTheorem.FEJER, CertTheorem.CONVEX_Q
 #: no exponent form and so reads "-1e-3" as an option
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
-#: what ``json.dumps(obj, sort_keys=True)`` would build anew for every row
-#: and every CSV cell, built once; no row holds itself, so it skips the
-#: circular-reference check
-_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
-
-#: a sweep line as ``json`` renders it, keys sorted: the bound, the
-#: shared part (``_SHARED``), pass, slack and the suite and theorem names
-_LINE = '{"bound": %r, %s%s, "slack": %r, "suite": %s, "theorem": %s}\n'
-
-#: the part of a sweep line that the lines of one interval share
-_SHARED = '"function": %s, "gap": %r, "interval": [%r, %r], "pass": '
-
 #: the keys of a sweep line, sorted: the CSV header of ``hh verify``
 _SWEEP_KEYS = ("bound", "function", "gap", "interval", "pass", "slack", "suite", "theorem")
+
+#: a sweep line as ``json`` renders it, keys sorted: one slot per cell, in
+#: ``_SWEEP_KEYS`` order
+_LINE = "{%s}\n" % ", ".join('"%s": %%s' % key for key in _SWEEP_KEYS)
 
 
 @functools.cache
@@ -130,42 +123,25 @@ def _emit(row: dict, as_csv: bool) -> None:
     JSON line, or its sorted keys as a CSV header and its JSON-encoded
     cells."""
     if not as_csv:
-        sys.stdout.write(_ENCODER.encode(row) + "\n")
+        sys.stdout.write(json.dumps(row, sort_keys=True) + "\n")
         return
     keys = sorted(row)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(keys)
-    writer.writerow([_ENCODER.encode(row[k]) for k in keys])
-
-
-def _sweep_json(lines: Iterable[dict]) -> Iterator[str]:
-    """Yields each sweep line (``suites._line``) as one JSON line, the bytes
-    of ``json.dumps(line, sort_keys=True) + "\\n"``.
-
-    Every line is rendered from ``_LINE``: floats by ``repr`` and names by
-    ``encode_basestring_ascii``, as ``json`` renders them.  ``_line``
-    refuses a line with a non-finite number, which ``json`` would spell
-    otherwise.  The shared part is rendered again only when the line does
-    not hold the very function, gap and endpoint objects of the part last
-    rendered; the test is ``is``, never ``==``, since 0.0 == -0.0.
-    """
-    # the objects ``shared`` renders: none yet, so the first line sets it
-    fid0 = gap0 = a0 = b0 = object()
-    for line in lines:
-        fid, gap, (a, b) = line["function"], line["gap"], line["interval"]
-        if not (fid is fid0 and gap is gap0 and a is a0 and b is b0):
-            fid0, gap0, a0, b0 = fid, gap, a, b
-            shared = _SHARED % (encode_basestring_ascii(fid), gap, a, b)
-        yield _LINE % (line["bound"], shared, "true" if line["pass"] else "false",
-                       line["slack"], encode_basestring_ascii(line["suite"]),
-                       encode_basestring_ascii(line["theorem"]))
+    writer.writerow([json.dumps(row[k]) for k in keys])
 
 
 def _sweep_cells(lines: Iterable[dict]) -> Iterator[tuple[str, ...]]:
-    """Yields each sweep line's CSV cells, in ``_SWEEP_KEYS`` order, each
-    the bytes ``json.dumps(cell)`` gives, by the rules ``_sweep_json``
-    renders with; the function, gap and interval cells of one interval
-    are rendered once, on the same ``is`` test."""
+    """Yields each sweep line's (``suites._line``) cells, in ``_SWEEP_KEYS``
+    order, each the bytes of ``json.dumps(cell)``: floats by ``repr`` and
+    names by ``encode_basestring_ascii``, as ``json`` renders them.
+    ``_line`` refuses a line with a non-finite number, which ``json``
+    would spell otherwise.  The function, gap and interval cells are
+    rendered again only when the line does not hold the very objects of
+    the cells last rendered; the test is ``is``, never ``==``, since
+    0.0 == -0.0.
+    """
+    # the objects the shared cells render: none yet, so the first line sets them
     fid0 = gap0 = a0 = b0 = object()
     for line in lines:
         fid, gap, (a, b) = line["function"], line["gap"], line["interval"]
@@ -208,7 +184,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         writer.writerow(_SWEEP_KEYS)
         writer.writerows(_sweep_cells(tallied()))
     else:
-        text.extend(_sweep_json(tallied()))
+        text.extend(_LINE % cells for cells in _sweep_cells(tallied()))
     sys.stdout.writelines(text)  # one write per line
     return EXIT_PASS if passed else EXIT_VIOLATION
 
@@ -237,13 +213,18 @@ def _cmd_means(args: argparse.Namespace) -> int:
 def _cmd_certify(args: argparse.Namespace) -> int:
     fn = _lookup_function(args.function)
     iv = Interval(args.a, args.b)
+    # a refused rule passes the request on; if none certifies, the first
+    # ConvergenceError is raised, or else the last HypothesisError
+    refusal = None
     for theorem in _CERTIFY_RULES:
         try:
             result = refine_to_tolerance(fn, iv, args.tol, theorem)
             break
-        except HypothesisError:
-            if theorem is _CERTIFY_RULES[-1]:
-                raise
+        except (ConvergenceError, HypothesisError) as exc:
+            if not isinstance(refusal, ConvergenceError):
+                refusal = exc
+    else:
+        raise refusal
     # the oracle's own error estimate is added to the radius (at most tol)
     # below, so it must stay a small share of that radius, or it could hide
     # a miss; a share of a subnormal radius can round to 0, which the oracle

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import re
@@ -8,6 +9,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -15,7 +17,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hhbounds import cli, suites
-from hhbounds.core import DomainError, Interval
+from hhbounds.core import (
+    ConvergenceError,
+    DomainError,
+    EvaluationError,
+    HypothesisError,
+    Interval,
+)
 
 CMD = [sys.executable, "-m", "hhbounds"]
 
@@ -399,6 +407,50 @@ class TestCertifyCommand:
         assert proc.returncode == 2
         assert "tolerance must be positive" in proc.stderr
 
+    def test_a_rule_that_refuses_passes_the_request_on(self, capsys):
+        # corrected_fejer's rounding part at n = 1 is above tol, while
+        # fejer's whole radius fits at n = 8
+        a, b, tol = "-1.3289972113926303", "1.4252986894327058", "1.784519080023863e-15"
+        assert cli.main(["certify", "x2", a, b, tol]) == 0
+        row = json.loads(capsys.readouterr().out)
+        assert (row["theorem"], row["n"], row["enclosed"]) == ("fejer", 8, True)
+        assert row["error_radius"] <= float(tol)
+        exact = (Fraction(float(b)) ** 3 - Fraction(float(a)) ** 3) / 3
+        assert abs(Fraction(row["estimate"]) - exact) <= Fraction(row["error_radius"])
+
+    @pytest.mark.parametrize("outcomes, raised, tried", [
+        # no rule certifies: the first ConvergenceError, or else the last
+        # HypothesisError
+        (["hyp", "conv", "conv", "hyp"], "conv 1", 4),
+        (["hyp", "hyp", "hyp", "hyp"], "hyp 3", 4),
+        # an EvaluationError ends the command at once
+        (["hyp", "eval", "ok", "ok"], "eval 1", 2),
+        # a rule that certifies ends the ladder
+        (["conv", "hyp", "ok", "hyp"], None, 3),
+    ])
+    def test_which_refusal_the_ladder_raises(self, outcomes, raised, tried, monkeypatch):
+        errors = {"hyp": HypothesisError, "conv": ConvergenceError, "eval": EvaluationError}
+        calls = []
+
+        def rule(fn, iv, tol, theorem):
+            i = cli._CERTIFY_RULES.index(theorem)
+            calls.append(i)
+            if outcomes[i] == "ok":
+                return SimpleNamespace(estimate=1 / 3, error_radius=1e-6, subintervals=1,
+                                       theorem_used=theorem, truncation_radius=1e-6,
+                                       rounding_radius=0.0)
+            raise errors[outcomes[i]](f"{outcomes[i]} {i}")
+
+        monkeypatch.setattr(cli, "refine_to_tolerance", rule)
+        args = cli._parser().parse_args(["certify", "x2", "0", "1", "1e-6"])
+        if raised is None:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli._cmd_certify(args) == 0
+        else:
+            with pytest.raises(errors[raised.split()[0]], match=f"^{raised}$"):
+                cli._cmd_certify(args)
+        assert calls == list(range(tried))
+
 
 class TestVerifyCommand:
     def test_identity_suite_passes(self):
@@ -466,8 +518,9 @@ class TestVerifyCommand:
 
 #: sha256 of json.dumps([exit status, stdout, stderr]) of `hh certify` on
 #: the 13 benchmark ladder rungs, five rungs that reach each rule's
-#: regime, and four refusals (no class, the floor, the rounding part, the
-#: floor at a tolerance far below it); restated when the certificate moved
+#: regime, four refusals (no class, the floor, the rounding part, the
+#: floor at a tolerance far below it), and a request that the first rule
+#: refuses and the second certifies; restated when the certificate moved
 #: to float bounds, with every n, theorem and exit status kept (see
 #: CHANGES.md for the bytes that moved)
 CERTIFY_BYTES = [
@@ -515,6 +568,8 @@ CERTIFY_BYTES = [
      "6c70c08b80a06a4f262256a92a26d023bebbd9159481c39f37af904353910671"),
     (("inv_x", "0.25", "4", "1e-300"),
      "56bea20ddb3a3457ae0888f1af42f2188c4cdcb58b18f1304f5c28271ac3b413"),
+    (("x2", "-1.3289972113926303", "1.4252986894327058", "1.784519080023863e-15"),
+     "ffab3591f55422842e24b92e5874b6f6d270b979c3d4459aabd68d44f4bcc7df"),
 ]
 
 
@@ -545,6 +600,16 @@ def test_seeded_csv_bytes(capsys):
     assert len(out.splitlines()) == 363
     assert (hashlib.sha256(out.encode()).hexdigest()
             == "195f870f59e36476979a9e2ba68b9ba844d71315b4f5de72c8a08fa65e2537b6")
+
+
+def test_seeded_csv_bytes_of_the_whole_sweep(capsys):
+    """The same at `--cases 100`, the sweep whose JSON lines the
+    ``SWEEP_DIGESTS`` of test_suites.py pin."""
+    assert cli.main(["verify", "--suite", "all", "--cases", "100", "--seed", "7", "--csv"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 9377
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "9b9ec25fd9cb395146a5c5e43f4145fb1013d5eaf62739df9f61bbf477f63052")
 
 
 #: a number: a finite float, signed zeros, subnormals and the ends of the
@@ -618,10 +683,10 @@ def _neighbours(gaps, intervals):
 @example(_neighbours([0.5, _twin(0.5)],  # one value, two objects
                      [Interval(0.5, 1.0), Interval(_twin(0.5), 1.0)]))
 def test_sweep_lines_are_the_encoders_bytes(rows):
-    assert list(cli._sweep_json(rows)) == [json.dumps(row, sort_keys=True) + "\n"
-                                           for row in rows]
-    assert list(cli._sweep_cells(rows)) == [tuple(json.dumps(row[key]) for key in sorted(row))
-                                            for row in rows]
+    cells = list(cli._sweep_cells(rows))
+    assert cells == [tuple(json.dumps(row[key]) for key in sorted(row)) for row in rows]
+    assert [cli._LINE % line for line in cells] == [json.dumps(row, sort_keys=True) + "\n"
+                                                   for row in rows]
 
 
 def test_a_sweep_line_past_the_float_range_exits_one_and_prints_nothing(monkeypatch, capsys):
