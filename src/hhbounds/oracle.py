@@ -39,7 +39,8 @@ threshold, a chain of monotone roundings of that sum, is least there too.
 When g + tol falls weakly to a least value and then rises weakly, the
 larger end of a pair is least at the innermost pair as well.  So
 ``pairs_hold`` decides such samples on the 125 innermost pairs, with the
-verdict of all 2,016, and runs the full loop on any other sample.
+verdict of all 2,016, and tests every pair of any other sample; one loop
+per class runs over either pair list.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 from .core import (
     ConvergenceError,
@@ -263,11 +264,19 @@ def _innermost_pairs(fine: list[float], ends: list[float]) -> Iterator[tuple[flo
     return chain(zip(fine[1::2], ends, ends[1:]), zip(fine[2:-1:2], ends, ends[2:]))
 
 
-def pairs_hold(fine: list[float], quasi: bool = False, tol: float | None = None) -> bool:
+def _all_pairs(fine: list[float], ends: list[float]) -> Iterator[tuple[float, ...]]:
+    """(fine[i + j], ends[i], ends[j]) for every pair i < j of the class
+    grid, row by row: row i is fine[2i + 1 : i + n] beside ends[i + 1:]."""
+    n = len(ends)
+    return chain.from_iterable(zip(fine[2 * i + 1:i + n], repeat(ei), ends[i + 1:])
+                               for i, ei in enumerate(ends))
+
+
+def pairs_hold(fine: list[float], quasi: bool = False) -> bool:
     """Sampling verdict from a ``fine_grid_sample``: for every pair i < j of
     the 64-point grid, the midpoint value fine[i + j] is at most the pair's
     mean (convex) or larger value (quasi-convex), fine[2i] and fine[2j], plus
-    tol, the grid values' ``_slack`` unless the caller passes it.  The pairs of
+    tol, the grid values' ``_slack``.  The pairs of
     ``midpoint_convexity_holds``, read from the sample instead of
     evaluating each midpoint.
 
@@ -290,44 +299,33 @@ def pairs_hold(fine: list[float], quasi: bool = False, tol: float | None = None)
         is at most max(tops_i, tops_{s-i}), so that max is least at the
         innermost pair; comparisons are exact, infinities included.
     Any other sample (an overflow, one that is neither, or one with a
-    non-finite grid value, whose NaN slack refutes its first pair) runs
-    the loop over every pair."""
+    non-finite grid value, whose NaN slack refutes its first pair) tests
+    every pair (``_all_pairs``).  Either way one loop per class tests the
+    pairs: a plain ``for`` is faster here than ``all`` over a generator."""
     gs = fine[::2]
-    n = len(gs)  # a local: the pair loop is hot
-    if tol is None:
-        tol = _slack(gs)
+    tol = _slack(gs)
     if quasi:
         tops = [g + tol for g in gs]
-        if _valley(tops):
-            return all(mid <= ti or mid <= tj
-                       for mid, ti, tj in _innermost_pairs(fine, tops))
-        for i, ti in enumerate(tops):
-            for mid, tj in zip(fine[2 * i + 1:i + n], tops[i + 1:]):
-                if not (mid <= ti or mid <= tj):
-                    return False
-        return True
-    if _convex(gs):
-        return all(mid <= 0.5 * (gi + gj) + tol
-                   for mid, gi, gj in _innermost_pairs(fine, gs))
-    for i, gi in enumerate(gs):
-        for mid, gj in zip(fine[2 * i + 1:i + n], gs[i + 1:]):
-            if not mid <= 0.5 * (gi + gj) + tol:
+        for mid, ti, tj in (_innermost_pairs if _valley(tops) else _all_pairs)(fine, tops):
+            if not (mid <= ti or mid <= tj):
                 return False
+        return True
+    for mid, gi, gj in (_innermost_pairs if _convex(gs) else _all_pairs)(fine, gs):
+        if not mid <= 0.5 * (gi + gj) + tol:
+            return False
     return True
 
 
-def convexity_sign(fine: list[float], tol: float | None = None) -> int:
+def convexity_sign(fine: list[float]) -> int:
     """Sampling verdict on the sign of g's bend, from a ``fine_grid_sample``
     of g (the pair midpoints of the 64-point grid, ends included): 1 when no
     point lies above the chord of its neighbours by more than tol (convex
     g), -1 when none lies below it by more than tol (concave g), 0 when both
-    are refuted; tol is the class grid values' ``_slack`` unless the caller
-    passes it.  When every bend
+    are refuted; tol is the class grid values' ``_slack``.  When every bend
     is within tol, so both stay open, the sign of their sum decides: it
     telescopes to half the fall in slope across the grid, (g1 - g0) -
     (g126 - g125), and a tie goes convex."""
-    if tol is None:
-        tol = _slack(fine[::2])
+    tol = _slack(fine[::2])
     bends = [mid - 0.5 * (lo + hi) for lo, mid, hi in zip(fine, fine[1:], fine[2:])]
     convex = all(bend <= tol for bend in bends)
     concave = all(bend >= -tol for bend in bends)
@@ -338,15 +336,12 @@ def convexity_sign(fine: list[float], tol: float | None = None) -> int:
 
 def signed_convexity_holds(g: Callable[[float], float], iv: Interval) -> bool:
     """True iff g or -g passes the midpoint-convexity pair check on iv, for
-    the one sign that ``convexity_sign`` leaves open; both verdicts come
-    from one ``fine_grid_sample`` of g and its one ``_slack``, which -g
-    shares: max(max g, -min g) is symmetric in g and -g."""
+    the one sign that ``convexity_sign`` leaves open, both read from one
+    ``fine_grid_sample`` of g.  Negating keeps each verdict's slack bit for
+    bit: max(max g, -min g) is symmetric in g and -g."""
     fine = fine_grid_sample(g, iv)
-    tol = _slack(fine[::2])
-    sign = convexity_sign(fine, tol)
-    if sign == 0:
-        return False
-    return pairs_hold(fine if sign > 0 else [-v for v in fine], tol=tol)
+    sign = convexity_sign(fine)
+    return sign != 0 and pairs_hold(fine if sign > 0 else [-v for v in fine])
 
 
 def monotone_holds(d: Callable[[float], float], iv: Interval) -> bool:

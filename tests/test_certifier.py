@@ -946,6 +946,21 @@ class TestCorrected:
         exact = ((Fraction(iv.b) - 1) ** 7 - (Fraction(iv.a) - 1) ** 7) / 7
         assert abs(Fraction(cert.estimate) - exact) <= Fraction(cert.error_radius)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the midpoint of a far interval is rounded, which moves sin by "
+                              "far more than ULPS covers (ROADMAP item 15)")
+    def test_a_far_sin_interval_with_a_rounded_midpoint_encloses(self, by_id):
+        # the certificate takes n = 1 with radius 4.63e-18, and misses the
+        # integral by 1.85e-13, about 39,910 radii: its midpoint is off by
+        # 5.8e-11
+        mpmath = pytest.importorskip("mpmath")
+        iv = Interval(-554847.0445005994, -554847.039130608)
+        cert = refine_to_tolerance(by_id["sin"], iv, 5.787e-16, CertTheorem.CORRECTED)
+        with mpmath.mp.workdps(60):
+            exact = mpmath.cos(mpmath.mpf(iv.a)) - mpmath.cos(mpmath.mpf(iv.b))
+            miss = abs(mpmath.mpf(cert.estimate) - exact)
+        assert miss <= cert.error_radius
+
 
 class Exact:
     """The error model in exact rationals, from ``ULPS`` (see the certifier's

@@ -606,6 +606,29 @@ class TestFineGridClassChecks:
         assert set(oracle._innermost_pairs(fine, grid)) == expected
         assert len(expected) == 125
 
+    @staticmethod
+    def distinct_sample():
+        # distinct values, so each triple names its midpoint and its ends
+        rng = random.Random(5)
+        fine = rng.sample(range(10 ** 6), 2 * CLASS_CHECK_GRID - 1)
+        return [v / 7.0 for v in fine]
+
+    def test_all_pairs_are_every_pair_row_by_row(self):
+        fine = self.distinct_sample()
+        ends = fine[::2]
+        expected = [(fine[i + j], ends[i], ends[j])
+                    for i in range(CLASS_CHECK_GRID) for j in range(i + 1, CLASS_CHECK_GRID)]
+        assert list(oracle._all_pairs(fine, ends)) == expected
+        assert len(expected) == 2016
+
+    def test_innermost_pairs_give_one_pair_per_anti_diagonal(self):
+        fine = self.distinct_sample()
+        index = {v: k for k, v in enumerate(fine)}
+        pairs = [(index[mid], index[gi] // 2, index[gj] // 2)
+                 for mid, gi, gj in oracle._innermost_pairs(fine, fine[::2])]
+        assert sorted(s for s, _, _ in pairs) == list(range(1, 126))
+        assert all((i, j) == (s - (s // 2 + 1), s // 2 + 1) for s, i, j in pairs)
+
     @pytest.mark.parametrize("values, convex", [
         ([1.0, 0.0, 1.0], True),
         ([0.0, 0.0, 0.0], True),
@@ -821,28 +844,26 @@ def test_convexity_sign_of_a_nearly_linear_concave_function():
 
 
 @pytest.mark.parametrize("kind", SAMPLE_KINDS)
-def test_a_passed_slack_gives_the_verdicts_of_the_slack_each_sample_takes(kind):
-    # -g has g's slack, max(max g, -min g) being symmetric, so the signed
-    # check passes one slack to both verdicts, for either sign
+def test_a_negated_sample_takes_the_slack_of_the_sample(kind):
+    # -g has g's slack bit for bit, max(max g, -min g) being symmetric, so
+    # the signed check may negate a concave sample and keep its verdicts
     for seed in range(20):
         fine = built_sample(kind, seed)
         negated = [-v for v in fine]
-        tol = oracle._slack(fine[::2])
-        assert oracle._slack(negated[::2]).hex() == tol.hex()
-        assert convexity_sign(fine, tol) == convexity_sign(fine)
-        for sample in (fine, negated):
-            for quasi in (False, True):
-                assert pairs_hold(sample, quasi, tol) is pairs_hold(sample, quasi)
+        assert oracle._slack(negated[::2]).hex() == oracle._slack(fine[::2]).hex()
 
 
-@pytest.mark.parametrize("g, holds", [(math.exp, True), (math.sqrt, True),
-                                      (lambda x: math.sin(6.0 * x), False)])
-def test_the_signed_check_takes_one_slack_per_sample(monkeypatch, g, holds):
+@pytest.mark.parametrize("g, holds, slacks", [(math.exp, True, 2), (math.sqrt, True, 2),
+                                              (lambda x: math.sin(6.0 * x), False, 1)])
+def test_every_slack_the_signed_check_takes_is_of_the_class_grid(monkeypatch, g, holds,
+                                                                 slacks):
+    # the sign takes one slack and the pair test another; when the bends
+    # refute both signs (sin 6x), no pair test runs
     sizes = []
     slack = oracle._slack
     monkeypatch.setattr(oracle, "_slack", lambda gs: sizes.append(len(gs)) or slack(gs))
     assert oracle.signed_convexity_holds(g, UNIT) is holds
-    assert sizes == [CLASS_CHECK_GRID]
+    assert sizes == [CLASS_CHECK_GRID] * slacks
 
 
 def test_generic_monotonicity_sampler_on_plain_callables():
