@@ -1,7 +1,9 @@
 """Batch front-end: verification sweeps, bound reports, means, certificates.
 
-Output is machine-readable: one JSON object per line with sorted keys, or
-CSV (same keys as header row) with --csv.  Identical seeds produce
+Output is machine-readable: by default one JSON object per line with
+sorted keys; ``--csv``, which every subcommand takes, is the one format
+option: the same keys as a header row, then JSON-encoded cells.
+Identical seeds produce
 byte-identical output.  ``hh verify`` renders each sweep line as the
 sweep yields it (``suites.iter_suite``) and holds it as printed text,
 never as a row, until the sweep ends; then it prints them all.  One
@@ -13,7 +15,8 @@ cells.  A sweep with a line past the float range prints nothing.  Exit
 codes: 0 pass, 1 property violation (also non-convergence, an evaluation
 that fails or overflows, a result past the float range, a sweep line's
 included, or a reader that closes stdout early), 2 usage/domain error, 3
-hypothesis-check failure.
+hypothesis-check failure.  One table, ``_REFUSALS``, states the exit code
+of each refusal that ``main`` reports as ``hh: <message>``.
 """
 
 from __future__ import annotations
@@ -54,6 +57,10 @@ EXIT_HYPOTHESIS = 3
 _CERTIFY_RULES = (CertTheorem.CORRECTED, CertTheorem.FEJER, CertTheorem.CONVEX_Q1,
                   CertTheorem.QUASI_Q1)
 
+#: the exit code of each refusal ``main`` reports as ``hh: <message>``
+_REFUSALS = {HypothesisError: EXIT_HYPOTHESIS, DomainError: EXIT_USAGE,
+             ConvergenceError: EXIT_VIOLATION, EvaluationError: EXIT_VIOLATION}
+
 #: a negative number, exponent form included; argparse's own matcher has
 #: no exponent form and so reads "-1e-3" as an option
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
@@ -76,21 +83,15 @@ def _parser() -> argparse.ArgumentParser:
         description="Midpoint-rule error bounds, their verification sweeps, "
                     "special means, and certified composite integration.")
     sub = parser.add_subparsers(dest="command", required=True)
-    # the output format flags, shared by every subcommand
-    formats = argparse.ArgumentParser(add_help=False)
-    fmt = formats.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON lines output (default)")
-    fmt.add_argument("--csv", action="store_true", help="CSV output, keys as header row")
 
-    v = sub.add_parser("verify", parents=[formats], help="run a named verification sweep")
+    v = sub.add_parser("verify", help="run a named verification sweep")
     v.add_argument("--suite", required=True, choices=SUITE_NAMES)
     v.add_argument("--cases", type=int, default=50,
                    help="random subintervals per function (>= 1)")
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(run=_cmd_verify)
 
-    b = sub.add_parser("bound", parents=[formats],
-                       help="evaluate one bound on a catalog function")
+    b = sub.add_parser("bound", help="evaluate one bound on a catalog function")
     b.add_argument("function", help="catalog function id, e.g. x2, inv_x")
     b.add_argument("a", type=float)
     b.add_argument("b", type=float)
@@ -99,21 +100,23 @@ def _parser() -> argparse.ArgumentParser:
     b.add_argument("--p", type=float, help="conjugate exponent p")
     b.set_defaults(run=_cmd_bound)
 
-    m = sub.add_parser("means", parents=[formats], help="print the special means of a pair")
+    m = sub.add_parser("means", help="print the special means of a pair")
     m.add_argument("a", type=float)
     m.add_argument("b", type=float)
     m.set_defaults(run=_cmd_means)
 
-    c = sub.add_parser("certify", parents=[formats],
-                       help="composite midpoint integral with error radius")
+    c = sub.add_parser("certify", help="composite midpoint integral with error radius")
     c.add_argument("function")
     c.add_argument("a", type=float)
     c.add_argument("b", type=float)
     c.add_argument("tol", type=float)
     c.set_defaults(run=_cmd_certify)
 
-    # no hh option looks like a number, so a negative number is always a value
+    # JSON lines are the default output; no hh option looks like a number,
+    # so a negative number is always a value
     for subparser in sub.choices.values():
+        subparser.add_argument("--csv", action="store_true",
+                               help="CSV output, keys as header row")
         subparser._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
@@ -249,15 +252,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.run(args)
-    except HypothesisError as exc:
+    except tuple(_REFUSALS) as exc:
         print(f"hh: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except DomainError as exc:
-        print(f"hh: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ConvergenceError, EvaluationError) as exc:
-        print(f"hh: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+        return next(code for kind, code in _REFUSALS.items() if isinstance(exc, kind))
     except OverflowError as exc:
         print(f"hh: an evaluation overflowed ({exc})", file=sys.stderr)
         return EXIT_VIOLATION

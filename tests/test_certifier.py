@@ -961,6 +961,25 @@ class TestCorrected:
             miss = abs(mpmath.mpf(cert.estimate) - exact)
         assert miss <= cert.error_radius
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the midpoint is rounded, which moves exp by far more than "
+                              "ULPS covers (ROADMAP item 15), and `enclosed` passes the "
+                              "miss (ROADMAP item 8)")
+    def test_a_far_exp_interval_with_a_rounded_midpoint_refuses_or_encloses(self, by_id):
+        # the certificate takes n = 1 with radius 6.64e240 and misses the
+        # integral by 64.0 radii: its midpoint is off by 5.7e-14
+        mpmath = pytest.importorskip("mpmath")
+        iv = Interval(596.1196691907426, 596.1206262413542)
+        try:
+            cert = refine_to_tolerance(by_id["exp"], iv, 1.8208686871134713e+242,
+                                       CertTheorem.CORRECTED)
+        except ConvergenceError:
+            return
+        with mpmath.mp.workdps(60):
+            exact = mpmath.exp(mpmath.mpf(iv.b)) - mpmath.exp(mpmath.mpf(iv.a))
+            miss = abs(mpmath.mpf(cert.estimate) - exact)
+        assert miss <= cert.error_radius
+
 
 class Exact:
     """The error model in exact rationals, from ``ULPS`` (see the certifier's
