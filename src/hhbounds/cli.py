@@ -4,14 +4,14 @@ Output is machine-readable: by default one JSON object per line with
 sorted keys; ``--csv``, which every subcommand takes, is the one format
 option: the same keys as a header row, then JSON-encoded cells.
 Identical seeds produce
-byte-identical output.  ``hh verify`` renders each sweep line as the
-sweep yields it (``suites.iter_suite``) and holds it as printed text,
-never as a row, until the sweep ends; then it prints them all.  One
-renderer gives each line's cells, each the bytes of ``json.dumps(cell)``,
-with each interval's function, gap and endpoints rendered once; a JSON
-line is its cells in one format string, the very bytes
-``json.dumps(line, sort_keys=True)`` gives, and ``--csv`` writes the same
-cells.  A sweep with a line past the float range prints nothing.  Exit
+byte-identical output.  ``hh verify`` writes each sweep line as the
+sweep yields it (``suites.iter_suite``).  One renderer gives each line's
+cells, each the bytes of ``json.dumps(cell)``, with each interval's
+function, gap and endpoints rendered once; a JSON line is its cells in
+one format string, the very bytes ``json.dumps(line, sort_keys=True)``
+gives, and ``--csv`` writes the same cells.  A sweep with a line past the
+float range stops there: the lines before it are printed, that one never
+is, so every printed line is strict JSON.  Exit
 codes: 0 pass, 1 property violation (also non-convergence, an evaluation
 that fails or overflows, a result past the float range, a sweep line's
 included, or a reader that closes stdout early), 2 usage/domain error, 3
@@ -31,7 +31,6 @@ import re
 import sys
 from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii
-from types import SimpleNamespace
 
 from .certifier import CertTheorem, refine_to_tolerance
 from .core import (
@@ -166,11 +165,9 @@ def _lookup_function(name: str):
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    """Renders each line as the sweep yields it and keeps only the text,
-    one string a line, so no row outlives its rendering; the text is
-    written once the sweep has ended, so a sweep refused part-way
-    (``EvaluationError``) prints nothing.  The text is not joined first,
-    which would hold it twice."""
+    """Writes each line as the sweep yields it, so neither a row nor its
+    text outlives its write.  A sweep refused part-way (``EvaluationError``)
+    has written the lines before the refused one, never that one."""
     lines = iter_suite(args.suite, args.cases, args.seed)
     passed = True
 
@@ -180,15 +177,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             passed = passed and line["pass"]
             yield line
 
-    text: list[str] = []
     if args.csv:
-        # csv.writer writes each row in one call: straight into ``text``
-        writer = csv.writer(SimpleNamespace(write=text.append), lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(_SWEEP_KEYS)
         writer.writerows(_sweep_cells(tallied()))
     else:
-        text.extend(_LINE % cells for cells in _sweep_cells(tallied()))
-    sys.stdout.writelines(text)  # one write per line
+        sys.stdout.writelines(_LINE % cells for cells in _sweep_cells(tallied()))
     return EXIT_PASS if passed else EXIT_VIOLATION
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hhbounds import core
 from hhbounds.certifier import ULPS
 from hhbounds.core import (
     ConjugatePair,
@@ -109,6 +110,12 @@ class TestCatalog:
     def test_windows_stay_inside_domains(self, catalog):
         for fn in catalog:
             assert fn.defined_on(fn.window)
+
+    def test_a_window_outside_the_domain_is_refused(self, by_id):
+        x2 = by_id["x2"]
+        with pytest.raises(DomainError, match="^window of 't' exceeds its domain$"):
+            core.TestFunction("t", x2.f, x2.d1, x2.d2, window=Interval(0.0, 2.0),
+                         domain=Interval(0.5, 2.0))
 
     def test_a_caller_that_changes_its_catalog_changes_no_later_one(self):
         ids = [fn.id for fn in builtin_catalog()]

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -179,6 +180,28 @@ class TestChain:
         a, b = 7.3, 7.3000001
         assert geometric_mean(a, b) <= arithmetic_mean(a, b)
         assert harmonic_mean(a, b) <= arithmetic_mean(a, b)
+
+
+class TestFallbacks:
+    """A, G and H where the plain formula's sum or product leaves the float
+    range: the fallback is taken, and its result is checked against the
+    exact value."""
+
+    def test_a_sum_that_overflows_is_correctly_rounded(self):
+        a, b = 1e308, 1.5e308
+        assert arithmetic_mean(a, b) == float((Fraction(a) + Fraction(b)) / 2) == 1.25e308
+
+    @pytest.mark.parametrize("a, b", [(1e200, 4e200), (1e-200, 4e-200)],
+                             ids=["overflowing-product", "underflowing-product"])
+    def test_g_and_h_are_within_two_ulps_and_keep_the_chain(self, a, b):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.mp.workdps(60):
+            exact_g = mpmath.sqrt(mpmath.mpf(a) * mpmath.mpf(b))
+        exact_h = 2 * Fraction(a) * Fraction(b) / (Fraction(a) + Fraction(b))
+        g, h = geometric_mean(a, b), harmonic_mean(a, b)
+        assert abs(mpmath.mpf(g) - exact_g) <= 2 * math.ulp(float(exact_g))
+        assert abs(Fraction(h) - exact_h) <= 2 * Fraction(math.ulp(float(exact_h)))
+        assert h <= g <= arithmetic_mean(a, b)
 
 
 class TestPLogarithmicMonotonicity:

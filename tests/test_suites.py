@@ -256,6 +256,14 @@ def test_a_line_past_the_float_range_is_refused(bound, gap):
         suites._line("convex", "x2", Interval(0.0, 1.0), "convex_q1", bound, gap, True)
 
 
+def test_a_bound_table_row_past_the_float_range_is_refused(by_id):
+    """quasi_q1 on exp over [700, 709] is 81/8 e^709: every value it reads
+    is finite, its result is not."""
+    with pytest.raises(EvaluationError, match=re.escape(
+            "the quasi_q1 bound on [700.0, 709.0] is past the float range")):
+        suites.build_bound_report(by_id["exp"], Interval(700.0, 709.0), "quasi_q1")
+
+
 #: sha256 of the bytes `hh verify --suite all --cases 100 --seed <seed>`
 #: prints, taken with glibc 2.36's libm; another libm may round exp, log or
 #: pow differently in the last bit and so change them without a change in
