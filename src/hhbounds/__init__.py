@@ -13,7 +13,6 @@ from .bounds_convex import (
     bound_convex_holder,
     bound_convex_powermean,
     bound_convex_q1,
-    constant_comparison,
     power_mean,
 )
 from .bounds_quasiconvex import (
@@ -43,8 +42,7 @@ from .core import (
     conjugate_of,
     polynomial,
 )
-from .identity import identity_lhs, identity_residual, identity_rhs
-from .kernel import lp_norm_integral, peak_kernel, weighted_moment
+from .identity import identity_lhs, identity_rhs
 from .means import (
     all_means,
     arithmetic_mean,

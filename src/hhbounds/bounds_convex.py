@@ -8,7 +8,7 @@ the bound table in ``suites`` and the special-means inequalities.
 
 from __future__ import annotations
 
-from .core import ConjugatePair, DomainError, Interval, conjugate_of, power_exponent
+from .core import ConjugatePair, DomainError, Interval, power_exponent
 
 
 def power_mean(x: float, y: float, q: float) -> float:
@@ -35,13 +35,9 @@ def _prefactor_24(iv: Interval) -> float:
     return iv.width * iv.width / 24.0
 
 
-def _holder_denominator(p: float) -> float:
-    return 8.0 * (2.0 * p + 1.0) ** (1.0 / p)
-
-
 def _prefactor_holder(iv: Interval, pq: ConjugatePair) -> float:
     """(b-a)^2 / (8 (2p+1)^(1/p)), the prefactor of the Hoelder bounds."""
-    return iv.width * iv.width / _holder_denominator(pq.p)
+    return iv.width * iv.width / (8.0 * (2.0 * pq.p + 1.0) ** (1.0 / pq.p))
 
 
 def bound_convex_q1(iv: Interval, d2a: float, d2b: float) -> float:
@@ -78,14 +74,3 @@ def baseline_first_derivative(iv: Interval, d1a: float, d1b: float, q: float = 1
     """
     return iv.width / 4.0 * power_mean(d1a, d1b, q)
 
-
-def constant_comparison(p: float) -> tuple[float, float, bool]:
-    """Compare the power-mean prefactor 1/24 with the Hoelder 1/(8(2p+1)^(1/p)).
-
-    Returns (1/24, Hoelder constant, first < second).  The comparison
-    holds for every p > 1 since 3^p > 2p + 1 there.
-    """
-    conjugate_of(p)  # the Hoelder exponent rule: a finite p > 1
-    lhs = 1.0 / 24.0
-    rhs = 1.0 / _holder_denominator(p)
-    return lhs, rhs, lhs < rhs

@@ -250,7 +250,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"hh: {exc}", file=sys.stderr)
         return next(code for kind, code in _REFUSALS.items() if isinstance(exc, kind))
     except OverflowError as exc:
-        print(f"hh: an evaluation overflowed ({exc})", file=sys.stderr)
+        # a float power's OverflowError carries (errno, message)
+        print(f"hh: an evaluation overflowed ({exc.args[-1]})", file=sys.stderr)
         return EXIT_VIOLATION
     except BrokenPipeError:
         # the reader is gone; point stdout at devnull so that the

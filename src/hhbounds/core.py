@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 Evaluator = Callable[[float], float]
@@ -177,8 +177,7 @@ class BoundReport:
     """One bound applied to one function and interval.
 
     ``slack`` (bound minus true gap) and ``valid`` (``slack_is_valid``) are
-    derived from the two.  ``extras`` carries family-specific diagnostics
-    (e.g. an uncorrected literal constant for comparison).
+    derived from the two.
     """
 
     theorem_id: TheoremId
@@ -187,7 +186,6 @@ class BoundReport:
     bound: float
     true_gap: float
     exponent: ConjugatePair | float | None = None
-    extras: dict = field(default_factory=dict)
 
     @property
     def slack(self) -> float:

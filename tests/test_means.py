@@ -244,10 +244,10 @@ class TestMonomialQ1Proposition:
         assert report.valid
 
     def test_uncorrected_constant_is_refuted_there(self):
+        # the /48 constant gives half the /24 bound, below the gap
         report = check_prop_monomial_q1(1.0, 2.0, 3)
-        assert report.extras["literal_bound"] == pytest.approx(0.1875, abs=1e-15)
-        assert report.extras["literal_bound"] < report.true_gap
-        assert not report.extras["literal_valid"]
+        assert report.bound == pytest.approx(0.375, abs=1e-15)
+        assert report.bound / 2 < report.true_gap
 
     def test_narrow_interval(self):
         report = check_prop_monomial_q1(1.0, 1.01, 4)
@@ -503,10 +503,6 @@ def _ref_monomial_q1(a, b, n):
     return abs(n * (n - 1)) * (b - a) ** 2 * arithmetic_mean(a ** (n - 2), b ** (n - 2)) / 24.0
 
 
-def _ref_monomial_literal(a, b, n):
-    return abs(n * (n - 1)) * (b - a) ** 2 * arithmetic_mean(a ** (n - 2), b ** (n - 2)) / 48.0
-
-
 def _ref_identric(a, b, pq):
     amean = arithmetic_mean(a ** (2.0 * pq.q), b ** (2.0 * pq.q))
     return ((b - a) ** 2 / (8.0 * a * a * b * b * (2.0 * pq.p + 1.0) ** (1.0 / pq.p))
@@ -546,10 +542,8 @@ class TestReferenceClosedForms:
             q = rng.uniform(1.05, 4.0)
             q_quasi = rng.uniform(1.0, 4.0)
             pair = ConjugatePair.from_q(q)
-            q1 = check_prop_monomial_q1(a, b, n)
             cases = [
-                (q1.bound, _ref_monomial_q1(a, b, n)),
-                (q1.extras["literal_bound"], _ref_monomial_literal(a, b, n)),
+                (check_prop_monomial_q1(a, b, n).bound, _ref_monomial_q1(a, b, n)),
                 (check_prop_identric(a, b, pair).bound, _ref_identric(a, b, pair)),
                 (check_prop_monomial_pm(a, b, n, q).bound, _ref_monomial_pm(a, b, n, q)),
                 (check_prop_reciprocal_pm(a, b, q).bound, _ref_reciprocal_pm(a, b, q)),
@@ -563,8 +557,6 @@ class TestReferenceClosedForms:
     def test_cubic_equality_case(self):
         report = check_prop_monomial_q1(1.0, 2.0, 3)
         assert report.bound == pytest.approx(_ref_monomial_q1(1.0, 2.0, 3), rel=self.REL)
-        assert report.extras["literal_bound"] == pytest.approx(
-            _ref_monomial_literal(1.0, 2.0, 3), rel=self.REL)
         assert report.bound == pytest.approx(report.true_gap, rel=self.REL)
 
     def test_identric_orientation(self):

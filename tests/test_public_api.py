@@ -1,0 +1,30 @@
+"""The names ``hhbounds`` exports: adding or dropping one restates this list."""
+
+import types
+
+import hhbounds
+
+PUBLIC_NAMES = [
+    "BoundReport", "CertTheorem", "CertifiedIntegral", "ConjugatePair",
+    "ConvergenceError", "DomainError", "EvaluationError", "HypothesisError",
+    "Interval", "QuadratureResult", "TestFunction", "TheoremId",
+    "all_means", "arithmetic_mean", "baseline_first_derivative",
+    "bound_convex_holder", "bound_convex_powermean", "bound_convex_q1",
+    "bound_quasi_holder", "bound_quasi_monotone", "bound_quasi_powermean",
+    "bound_quasi_q1", "builtin_catalog", "catalog_by_id", "chain_check",
+    "check_convex_abs_d2", "check_prop_identric", "check_prop_monomial_pm",
+    "check_prop_monomial_q1", "check_prop_monomial_quasi",
+    "check_prop_reciprocal_pm", "check_prop_reciprocal_quasi",
+    "check_quasiconvex_abs_d2", "conjugate_of", "geometric_mean",
+    "harmonic_mean", "identity_lhs", "identity_rhs", "identric_mean",
+    "integrate", "integrate_certified", "logarithmic_mean", "midpoint_gap",
+    "p_logarithmic_mean", "polynomial", "power_mean", "refine_to_tolerance",
+]
+
+
+def test_public_names():
+    # submodules are attributes of the package once imported; they are not exports
+    names = sorted(name for name in dir(hhbounds) if not name.startswith("_")
+                   and not isinstance(getattr(hhbounds, name), types.ModuleType))
+    assert names == PUBLIC_NAMES
+    assert len(names) == 47
