@@ -24,12 +24,20 @@ def by_id():
 
 
 @pytest.fixture(scope="session")
-def kernel_lp_mass():
+def peak_kernel():
+    """The paper's peak kernel: t^2 on [0, 1/2] and (1-t)^2 on [1/2, 1]."""
+    def kernel(t: float) -> float:
+        return t * t if t <= 0.5 else (1.0 - t) * (1.0 - t)
+    return kernel
+
+
+@pytest.fixture(scope="session")
+def kernel_lp_mass(peak_kernel):
     """p -> the integral over [0, 1] of the peak kernel to the power p, by
-    the oracle.  The kernel is t^2 on [0, 1/2] and (1-t)^2 on [1/2, 1]; each
-    half is smooth, so each is integrated apart."""
+    the oracle.  Each half of the kernel is smooth, so each is integrated
+    apart."""
     def mass(p: float) -> float:
-        left = integrate(lambda t: (t * t) ** p, Interval(0.0, 0.5), 5e-12)
-        right = integrate(lambda t: ((1.0 - t) * (1.0 - t)) ** p, Interval(0.5, 1.0), 5e-12)
+        left = integrate(lambda t: peak_kernel(t) ** p, Interval(0.0, 0.5), 5e-12)
+        right = integrate(lambda t: peak_kernel(t) ** p, Interval(0.5, 1.0), 5e-12)
         return left.value + right.value
     return mass

@@ -140,9 +140,37 @@ class TestConstantComparison:
     # Hoelder prefactor 1/(8 (2p+1)^(1/p)) for every p > 1, since
     # 3^p > 2p + 1 there, so on the same endpoint values and the same q
     # the power-mean bound is the sharper
+    @staticmethod
+    def _unit_bounds(p):
+        # the power-mean and Hoelder bounds on [0, 1] with both |f''| = 1,
+        # where each bound is its prefactor
+        pq = ConjugatePair.from_p(p)
+        return (bound_convex_powermean(UNIT, 1.0, 1.0, pq.q),
+                bound_convex_holder(UNIT, 1.0, 1.0, pq))
+
+    def test_p_two(self):
+        power_mean_bound, holder_bound = self._unit_bounds(2.0)
+        assert power_mean_bound == 1.0 / 24.0
+        assert holder_bound == pytest.approx(0.05590169943749474, rel=1e-13)
+        assert power_mean_bound < holder_bound
+
+    def test_near_boundary(self):
+        power_mean_bound, holder_bound = self._unit_bounds(1.01)
+        assert holder_bound == pytest.approx(0.04184616026809696, rel=1e-12)
+        assert power_mean_bound < holder_bound
+
+    def test_large_p(self):
+        power_mean_bound, holder_bound = self._unit_bounds(50.0)
+        assert holder_bound == pytest.approx(0.11397867015278976, rel=1e-12)
+        assert power_mean_bound < holder_bound
+
+    def test_rejects_p_at_most_one(self):
+        with pytest.raises(DomainError):
+            self._unit_bounds(1.0)
+
     @given(st.floats(min_value=1.0, max_value=1e6, exclude_min=True), nonneg, nonneg,
            st.floats(min_value=1e-3, max_value=1e3))
-    def test_power_mean_bound_beats_the_hoelder_bound(self, q, a, b, width):
+    def test_holds_for_all_p(self, q, a, b, width):
         assume(max(a, b) >= 1e-300)
         iv = Interval(0.0, width)
         assert bound_convex_powermean(iv, a, b, q) < bound_convex_holder(

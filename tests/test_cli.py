@@ -818,13 +818,13 @@ def test_verify_holds_no_line_after_writing_it(fmt):
 
 
 @pytest.mark.parametrize("args,stderr", [
-    (("bound", "exp", "0", "800", "convex_q1"),
-     "hh: an evaluation overflowed (math range error)\n"),
+    pytest.param(("bound", "exp", "0", "800", "convex_q1"),
+                 "hh: an evaluation overflowed (math range error)\n", id="args0"),
+    pytest.param(("certify", "exp", "0", "800", "1e-6"),
+                 "hh: an evaluation overflowed (math range error)\n", id="args1"),
     # a float power overflows with (errno, message); the message alone is printed
-    (("bound", "x5", "-1e100", "1e100", "baseline_q1"),
-     "hh: an evaluation overflowed (Numerical result out of range)\n"),
-    (("certify", "exp", "0", "800", "1e-6"),
-     "hh: an evaluation overflowed (math range error)\n"),
+    pytest.param(("bound", "x5", "-1e100", "1e100", "baseline_q1"),
+                 "hh: an evaluation overflowed (Numerical result out of range)\n", id="args2"),
 ])
 def test_overflowing_evaluation_exits_one_without_traceback(args, stderr):
     proc = run(*args)
