@@ -24,6 +24,7 @@ from .bounds_quasiconvex import (
 from .certifier import (
     CertifiedIntegral,
     CertTheorem,
+    certify,
     integrate_certified,
     refine_to_tolerance,
 )

@@ -99,14 +99,27 @@ real ones, as they are for endpoints and widths with few significant bits
 and a power-of-two grid (every benchmark rung).  Underflow to subnormals
 is not tracked; a non-finite evaluation or sum raises EvaluationError.
 
-Both entry points run one walk over nested grids: cut i of n subintervals
-is bit-for-bit cut 2i of 2n (scaling by two is exact), so each doubling
-evaluates the rule's derivative (f'', or f'''' under CORRECTED) only at
-the n new odd cuts, ``CHUNK`` at a time.  Every rule reads, sums and keeps
-the same things the same way: the two end values, and per level (the
-starting grid's interior cuts, then each doubling's odd cuts) the chunk
-fsums of the derivative and of its magnitude.  QUASI_Q1 alone also keeps
-the least magnitude read, which it alone uses.  Under CONVEX_Q1 the trapezoid weight sum
+The ladder.  ``certify(fn, iv, tol)`` is what `hh certify` runs: it tries
+the rules in the order of ``_LADDER``, CORRECTED, FEJER, CONVEX_Q1 and
+QUASI_Q1, each through ``refine_to_tolerance``, and returns the first
+certificate.  The two brackets come first, since their radii shrink as h^6
+and h^4 where the paper's rules shrink as h^2 (``inv_x`` over [1, 2] at
+1e-12 takes 64 panels under CORRECTED and 262,144 under CONVEX_Q1); the
+paper's two rules follow, for a function whose f'''' or f'' bends both
+ways.  A class refusal or a ConvergenceError passes the request on; when
+no rule certifies, the first ConvergenceError is raised, or else the last
+HypothesisError.  ``refine_to_tolerance`` and ``integrate_certified`` take
+one rule, CONVEX_Q1 by default.
+
+Both single-rule entry points run one walk over nested grids: cut i of
+n subintervals is bit-for-bit cut 2i of 2n (scaling by two is exact), so
+each doubling evaluates the rule's derivative (f'', or f'''' under
+CORRECTED) only at the n new odd cuts, ``CHUNK`` at a time.  Every rule
+reads, sums and keeps the same things the same way: the two end values,
+and per level (the starting grid's interior cuts, then each doubling's
+odd cuts) the chunk fsums of the derivative and of its magnitude.
+QUASI_Q1 alone also keeps the least magnitude read, which it alone
+uses.  Under CONVEX_Q1 the trapezoid weight sum
 1/2 (g_k + g_k+1) equals g_0/2 + g_N/2 + the sum of the interior g_k, the
 fsum of the magnitudes with the ends halved; under QUASI_Q1 the weight is
 the formula above, that fsum with the ends whole less the least.  The
@@ -222,6 +235,7 @@ from .core import (
     ConvergenceError,
     DomainError,
     EvaluationError,
+    HypothesisError,
     Interval,
     TestFunction,
 )
@@ -625,3 +639,31 @@ def refine_to_tolerance(fn: TestFunction, iv: Interval, tol: float,
         if n >= MAX_SUBINTERVALS:
             raise ConvergenceError(f"radius {radius} still above {tol} at n={n}")
         walk.double()
+
+
+#: the rules ``certify`` tries, in order, until one certifies: Fejer's
+#: two-sided bracket on the corrected midpoint rule, then on the plain one,
+#: then the paper's convex and quasi-convex rules
+_LADDER = (CertTheorem.CORRECTED, CertTheorem.FEJER, CertTheorem.CONVEX_Q1,
+           CertTheorem.QUASI_Q1)
+
+
+def certify(fn: TestFunction, iv: Interval, tol: float) -> CertifiedIntegral:
+    """The certificate of the first rule of ``_LADDER`` that certifies, as
+    ``refine_to_tolerance`` gives it under that rule: the ladder `hh
+    certify` runs.
+
+    A rule that raises ConvergenceError or HypothesisError passes the
+    request on.  If none certifies, the first ConvergenceError is raised,
+    or else the last HypothesisError, each the very exception its rule
+    raised.  Any other error (DomainError, EvaluationError, an overflow)
+    ends the ladder at once.
+    """
+    refusal = None
+    for theorem in _LADDER:
+        try:
+            return refine_to_tolerance(fn, iv, tol, theorem)
+        except (ConvergenceError, HypothesisError) as exc:
+            if not isinstance(refusal, ConvergenceError):
+                refusal = exc
+    raise refusal

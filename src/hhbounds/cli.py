@@ -32,7 +32,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii
 
-from .certifier import CertTheorem, refine_to_tolerance
+from .certifier import certify
 from .core import (
     ConvergenceError,
     DomainError,
@@ -49,12 +49,6 @@ EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_HYPOTHESIS = 3
-
-#: the rules `hh certify` tries, in order, until one certifies:
-#: Fejer's two-sided bracket on the corrected midpoint rule, then on the
-#: plain one, then the paper's convex and quasi-convex rules
-_CERTIFY_RULES = (CertTheorem.CORRECTED, CertTheorem.FEJER, CertTheorem.CONVEX_Q1,
-                  CertTheorem.QUASI_Q1)
 
 #: the exit code of each refusal ``main`` reports as ``hh: <message>``
 _REFUSALS = {HypothesisError: EXIT_HYPOTHESIS, DomainError: EXIT_USAGE,
@@ -210,18 +204,7 @@ def _cmd_means(args: argparse.Namespace) -> int:
 def _cmd_certify(args: argparse.Namespace) -> int:
     fn = _lookup_function(args.function)
     iv = Interval(args.a, args.b)
-    # a refused rule passes the request on; if none certifies, the first
-    # ConvergenceError is raised, or else the last HypothesisError
-    refusal = None
-    for theorem in _CERTIFY_RULES:
-        try:
-            result = refine_to_tolerance(fn, iv, args.tol, theorem)
-            break
-        except (ConvergenceError, HypothesisError) as exc:
-            if not isinstance(refusal, ConvergenceError):
-                refusal = exc
-    else:
-        raise refusal
+    result = certify(fn, iv, args.tol)
     # the oracle's own error estimate is added to the radius (at most tol)
     # below, so it must stay a small share of that radius, or it could hide
     # a miss; a share of a subnormal radius can round to 0, which the oracle

@@ -13,6 +13,7 @@ from hhbounds.certifier import (
     CHUNK,
     MAX_SUBINTERVALS,
     CertTheorem,
+    certify,
     integrate_certified,
     refine_to_tolerance,
 )
@@ -29,9 +30,12 @@ UNIT = Interval(0.0, 1.0)
 LN2 = 0.6931471805599453
 
 
-def cli_theorem(fn, iv):
-    """The paper's rule for fn on iv, in the order `hh certify` tries them
-    after FEJER; None if neither holds."""
+def paper_rule(fn, iv):
+    """The paper's rule whose class the oracle's sampler finds for fn on iv:
+    CONVEX_Q1 when |f''| samples convex, else QUASI_Q1 when it samples
+    quasi-convex, else None.  This is not the rule ``certify`` (and so `hh
+    certify`) picks: it tries CORRECTED first, which certifies every
+    benchmark ladder rung."""
     if check_convex_abs_d2(fn, iv):
         return CertTheorem.CONVEX_Q1
     if check_quasiconvex_abs_d2(fn, iv):
@@ -197,7 +201,7 @@ class TestNestedSearch:
     def test_equals_single_pass_at_the_fewest_doublings(self, catalog, tol):
         checked = 0
         for fn in catalog:
-            theorem = cli_theorem(fn, fn.window)
+            theorem = paper_rule(fn, fn.window)
             if theorem is None:
                 continue
             res = refine_to_tolerance(fn, fn.window, tol, theorem)
@@ -317,7 +321,7 @@ class TestRuleLookup:
 class TestAgainstOracle:
     def test_catalog_windows_enclose_oracle_value(self, catalog):
         for fn in catalog:
-            theorem = cli_theorem(fn, fn.window)
+            theorem = paper_rule(fn, fn.window)
             if theorem is None:
                 continue
             truth = integrate(fn.f, fn.window, 1e-11)
@@ -380,7 +384,7 @@ class TestFloatingPoint:
     @pytest.mark.parametrize("fid, a, b, tol, n", LADDER)
     def test_every_ladder_rung_encloses_the_exact_integral(self, by_id, fid, a, b, tol, n):
         fn, iv = by_id[fid], Interval(a, b)
-        res = refine_to_tolerance(fn, iv, tol, cli_theorem(fn, iv))
+        res = refine_to_tolerance(fn, iv, tol, paper_rule(fn, iv))
         assert res.subintervals == n
         assert res.error_radius <= tol
         assert abs(res.estimate - exact_integral(fid, a, b)) <= res.error_radius
@@ -660,7 +664,7 @@ class TestQuasi:
     @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
     def test_interior_minimum_encloses_the_exact_integral(self, by_id, tol):
         fn = by_id["sin"]
-        assert cli_theorem(fn, QUASI_IV) is CertTheorem.QUASI_Q1
+        assert paper_rule(fn, QUASI_IV) is CertTheorem.QUASI_Q1
         res = refine_to_tolerance(fn, QUASI_IV, tol, CertTheorem.QUASI_Q1)
         assert res.theorem_used is CertTheorem.QUASI_Q1
         assert res.error_radius <= tol
@@ -677,6 +681,128 @@ class TestQuasi:
         weight = math.fsum(map(max, g, g[1:]))
         assert res.truncation_radius == pytest.approx(h ** 3 / 24 * weight, rel=1e-14)
         assert 0 < g.index(min(g)) < n
+
+
+#: the `hh certify` requests of test_cli.py's ``CERTIFY_BYTES`` that
+#: certify, with the rule the ladder reports and its n: the benchmark's 13
+#: rungs, four that reach the corrected rule's regimes, and the two that
+#: fall through it
+CERTIFIED = [
+    ("x2", 0.0, 1.0, 1e-6, CertTheorem.CORRECTED, 1),
+    ("exp", -1.0, 1.0, 1e-8, CertTheorem.CORRECTED, 16),
+    ("x3", 0.0, 2.0, 1e-8, CertTheorem.CORRECTED, 1),
+    ("x4", -1.5, 1.5, 1e-8, CertTheorem.CORRECTED, 1),
+    ("affine", 0.0, 2.0, 1e-12, CertTheorem.CORRECTED, 1),
+    ("x_5_2", 0.25, 4.0, 1e-9, CertTheorem.CORRECTED, 64),
+    ("inv_x", 1.0, 2.0, 1e-10, CertTheorem.CORRECTED, 32),
+    ("x5", 0.5, 1.5, 1e-10, CertTheorem.CORRECTED, 1),
+    ("neg_ln", 0.5, 3.0, 1e-10, CertTheorem.CORRECTED, 128),
+    ("x_5_2", 1.0, 2.0, 1e-10, CertTheorem.CORRECTED, 16),
+    ("x2", 0.0, 1.0, 1e-12, CertTheorem.CORRECTED, 1),
+    ("inv_x", 1.0, 2.0, 1e-12, CertTheorem.CORRECTED, 64),
+    ("exp", -1.0, 1.0, 1e-11, CertTheorem.CORRECTED, 64),
+    ("x4", -1.5, 1.5, 1e-12, CertTheorem.CORRECTED, 1),
+    ("sin", 0.0, 3.0, 1e-10, CertTheorem.CORRECTED, 64),
+    ("x_5_2", 1.0, 2.0, 1e-14, CertTheorem.CORRECTED, 64),
+    ("x5", -1.0, 1.0, 1e-6, CertTheorem.CORRECTED, 1),
+    # corrected_fejer's rounding part at n = 1 is above tol
+    ("x2", -1.3289972113926303, 1.4252986894327058, 1.784519080023863e-15,
+     CertTheorem.FEJER, 8),
+    # f'''' = sin and f'' = -sin bend both ways around pi, where |f''| has
+    # its least value: quasi-convex only
+    ("sin", 2.0, 4.5, 1e-8, CertTheorem.QUASI_Q1, 8192),
+]
+
+
+class TestCertify:
+    """``certify`` runs the rule ladder of `hh certify`: the certificate of
+    the first rule of ``_LADDER`` that certifies, bit for bit."""
+
+    @pytest.mark.parametrize("outcomes, raised, tried", [
+        # no rule certifies: the first ConvergenceError, or else the last
+        # HypothesisError
+        (["hyp", "conv", "conv", "hyp"], "conv 1", 4),
+        (["hyp", "hyp", "hyp", "hyp"], "hyp 3", 4),
+        # an EvaluationError ends the ladder at once
+        (["hyp", "eval", "ok", "ok"], "eval 1", 2),
+        # a rule that certifies ends the ladder
+        (["conv", "hyp", "ok", "hyp"], None, 3),
+    ])
+    def test_which_refusal_the_ladder_raises(self, by_id, outcomes, raised, tried, monkeypatch):
+        errors = {"hyp": HypothesisError, "conv": ConvergenceError, "eval": EvaluationError}
+        calls, made = [], []
+        certificate = object()
+
+        def rule(fn, iv, tol, theorem):
+            i = certifier._LADDER.index(theorem)
+            calls.append(i)
+            if outcomes[i] == "ok":
+                return certificate
+            made.append(errors[outcomes[i]](f"{outcomes[i]} {i}"))
+            raise made[-1]
+
+        monkeypatch.setattr(certifier, "refine_to_tolerance", rule)
+        if raised is None:
+            assert certify(by_id["x2"], UNIT, 1e-6) is certificate
+        else:
+            with pytest.raises(errors[raised.split()[0]], match=f"^{raised}$") as info:
+                certify(by_id["x2"], UNIT, 1e-6)
+            # the very exception its rule raised, message and all
+            assert any(info.value is exc for exc in made)
+        assert calls == list(range(tried))
+
+    @pytest.mark.parametrize("fid, a, b, tol, theorem, n", CERTIFIED)
+    def test_the_first_rule_that_certifies_gives_its_certificate(self, by_id, fid, a, b, tol,
+                                                                 theorem, n):
+        fn, iv = by_id[fid], Interval(a, b)
+        cert = certify(fn, iv, tol)
+        assert (cert.theorem_used, cert.subintervals) == (theorem, n)
+        assert bits(cert) == bits(refine_to_tolerance(fn, iv, tol, theorem))
+        for earlier in certifier._LADDER[:certifier._LADDER.index(theorem)]:
+            with pytest.raises((ConvergenceError, HypothesisError)):
+                refine_to_tolerance(fn, iv, tol, earlier)
+
+    @pytest.mark.parametrize("fid, a, b, tol, theorem, n",
+                             [request for request in CERTIFIED
+                              if request[4] is not CertTheorem.CORRECTED])
+    def test_a_request_that_falls_through_encloses_the_exact_integral(self, by_id, fid, a, b,
+                                                                      tol, theorem, n):
+        cert = certify(by_id[fid], Interval(a, b), tol)
+        assert (cert.theorem_used, cert.subintervals) == (theorem, n)
+        assert cert.error_radius <= tol
+        assert abs(cert.estimate - exact_integral(fid, a, b)) <= cert.error_radius
+
+    def test_no_class_raises_the_last_class_refusal(self, by_id):
+        with pytest.raises(HypothesisError) as info:
+            certify(by_id["sin"], Interval(0.0, 6.0), 1e-6)
+        assert str(info.value) == (
+            "class check failed: |f''| of 'sin' is not quasi-convex on [0.0, 6.0]")
+
+    def test_a_floor_raises_the_first_convergence_error(self, by_id):
+        # the first three rules are refused their class, and quasi_q1's floor
+        # refuses at n = 1
+        with pytest.raises(ConvergenceError,
+                           match=r"\(floor from the f'' read up to n=1\), above 1e-20$"):
+            certify(by_id["sin"], QUASI_IV, 1e-20)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
+    def test_a_tolerance_that_is_not_positive_is_refused_before_any_evaluation(self, by_id,
+                                                                               tol):
+        fn, calls = counted(by_id["exp"], "f", "d1", "d2", "d4")
+        with pytest.raises(DomainError, match="^tolerance must be positive"):
+            certify(fn, Interval(-1.0, 1.0), tol)
+        assert calls == {"f": 0, "d1": 0, "d2": 0, "d4": 0}
+
+    def test_an_evaluation_error_ends_the_ladder_at_once(self, by_id, monkeypatch):
+        # exp over [700, 709]: no evaluation overflows, the f'''' sum does
+        tried = []
+        single = certifier.refine_to_tolerance
+        monkeypatch.setattr(certifier, "refine_to_tolerance",
+                            lambda *call: tried.append(call[-1]) or single(*call))
+        with pytest.raises(EvaluationError) as info:
+            certify(by_id["exp"], Interval(700.0, 709.0), 1e300)
+        assert str(info.value) == "f'''' is not finite on the grid of n=16"
+        assert tried == [CertTheorem.CORRECTED]
 
 
 def peano_kernel(t, h):

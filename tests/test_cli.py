@@ -12,20 +12,13 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hhbounds import cli, suites
-from hhbounds.core import (
-    ConvergenceError,
-    DomainError,
-    EvaluationError,
-    HypothesisError,
-    Interval,
-)
+from hhbounds.core import DomainError, Interval
 
 CMD = [sys.executable, "-m", "hhbounds"]
 
@@ -315,14 +308,26 @@ class TestCertifyCommand:
         assert (row["theorem"], row["n"], row["estimate"], row["enclosed"], captured.err) == (
             "fejer", 1, 1.0 / 3.0, True, "")
 
-    def test_tolerance_below_every_grid_fails_fast(self):
+    @pytest.mark.parametrize("args, derivative", [
         # exp over [0, 700]: the rounding slack of the f'''' sums at n = 1
         # already puts the radius at 2^20 panels above 1e-6
-        proc = run("certify", "exp", "0", "700", "1e-6")
+        (("exp", "0", "700", "1e-6"), "f''''"),
+        # a floor far below the top of the float range, at a tolerance of 1e-300
+        (("inv_x", "0.25", "4", "1e-300"), "f''''"),
+        # the first three rules are refused their class, and quasi_q1's
+        # trapezoid sum of |f''| read at n = 1 puts every level up to 2^20
+        # above 1e-20
+        (("sin", "2", "4.5", "1e-20"), "f''"),
+    ], ids=["exp", "inv_x", "sin"])
+    def test_tolerance_below_every_grid_fails_fast(self, args, derivative):
+        # the floor refuses at n = 1, before the first doubling; one stderr
+        # line, and no traceback
+        proc = run("certify", *args)
         assert proc.returncode == 1
         assert proc.stdout == ""
-        assert "is at least" in proc.stderr and "n=1)" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert re.fullmatch(rf"hh: radius at n=1048576 is at least \S+ \(floor from the "
+                            rf"{derivative} read up to n=1\), above {float(args[-1])!r}\n",
+                            proc.stderr), proc.stderr
 
     @pytest.mark.parametrize("args", [("inv_x", "1", "2", "1e-12"), ("exp", "-1", "1", "1e-11")])
     def test_tight_rungs_enclose(self, args):
@@ -343,13 +348,13 @@ class TestCertifyCommand:
         row = json.loads(capsys.readouterr().out)
         assert asked == [min(1e-2 * float(args[-1]), 1e-10, 1e-2 * row["error_radius"])]
         away = math.copysign(1.05 * row["error_radius"], row["estimate"] - row["oracle_value"])
-        certify = cli.refine_to_tolerance
+        certify = cli.certify
 
         def shifted(*call):
             result = certify(*call)
             return dataclasses.replace(result, estimate=result.estimate + away)
 
-        monkeypatch.setattr(cli, "refine_to_tolerance", shifted)
+        monkeypatch.setattr(cli, "certify", shifted)
         assert cli.main(["certify", *args]) == 1
         assert json.loads(capsys.readouterr().out)["enclosed"] is False
 
@@ -373,8 +378,8 @@ class TestCertifyCommand:
 
     def test_a_zero_radius_still_asks_the_oracle_for_a_positive_tolerance(self, monkeypatch,
                                                                           capsys):
-        certify = cli.refine_to_tolerance
-        monkeypatch.setattr(cli, "refine_to_tolerance",
+        certify = cli.certify
+        monkeypatch.setattr(cli, "certify",
                             lambda *call: dataclasses.replace(certify(*call), error_radius=0.0))
         assert cli.main(["certify", "x2", "0", "1", "1e-6"]) in (0, 1)
         assert json.loads(capsys.readouterr().out)["error_radius"] == 0.0
@@ -446,39 +451,6 @@ class TestCertifyCommand:
         assert row["error_radius"] <= float(tol)
         exact = (Fraction(float(b)) ** 3 - Fraction(float(a)) ** 3) / 3
         assert abs(Fraction(row["estimate"]) - exact) <= Fraction(row["error_radius"])
-
-    @pytest.mark.parametrize("outcomes, raised, tried", [
-        # no rule certifies: the first ConvergenceError, or else the last
-        # HypothesisError
-        (["hyp", "conv", "conv", "hyp"], "conv 1", 4),
-        (["hyp", "hyp", "hyp", "hyp"], "hyp 3", 4),
-        # an EvaluationError ends the command at once
-        (["hyp", "eval", "ok", "ok"], "eval 1", 2),
-        # a rule that certifies ends the ladder
-        (["conv", "hyp", "ok", "hyp"], None, 3),
-    ])
-    def test_which_refusal_the_ladder_raises(self, outcomes, raised, tried, monkeypatch):
-        errors = {"hyp": HypothesisError, "conv": ConvergenceError, "eval": EvaluationError}
-        calls = []
-
-        def rule(fn, iv, tol, theorem):
-            i = cli._CERTIFY_RULES.index(theorem)
-            calls.append(i)
-            if outcomes[i] == "ok":
-                return SimpleNamespace(estimate=1 / 3, error_radius=1e-6, subintervals=1,
-                                       theorem_used=theorem, truncation_radius=1e-6,
-                                       rounding_radius=0.0)
-            raise errors[outcomes[i]](f"{outcomes[i]} {i}")
-
-        monkeypatch.setattr(cli, "refine_to_tolerance", rule)
-        args = cli._parser().parse_args(["certify", "x2", "0", "1", "1e-6"])
-        if raised is None:
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli._cmd_certify(args) == 0
-        else:
-            with pytest.raises(errors[raised.split()[0]], match=f"^{raised}$"):
-                cli._cmd_certify(args)
-        assert calls == list(range(tried))
 
 
 class TestVerifyCommand:
@@ -882,15 +854,31 @@ def test_startup_loads_the_standard_library_alone_and_no_fractions():
     assert deferred == []
 
 
-def test_a_certificate_imports_neither_fractions_nor_decimal():
-    # the certificate is closed in floats, so a process that certifies
-    # never imports exact rationals
-    proc = subprocess.run([sys.executable, "-X", "importtime", *CMD[1:], "certify", "inv_x",
-                           "1", "2", "1e-12"], capture_output=True, text=True)
+@pytest.mark.parametrize("args, theorem", [
+    (("x4", "-1.5", "1.5", "1e-12"), "corrected_fejer"),
+    (("x2", "-1.3289972113926303", "1.4252986894327058", "1.784519080023863e-15"), "fejer"),
+    (("sin", "2", "4.5", "1e-8"), "quasi_q1"),
+], ids=lambda value: value if isinstance(value, str) else value[0])
+def test_a_certificate_imports_neither_fractions_nor_decimal(args, theorem):
+    # each rule closes its certificate in floats, so under every rule the
+    # ladder reaches, a process that certifies imports the standard library
+    # and hhbounds alone (`dependencies = []` is enough), and never exact
+    # rationals
+    code = (
+        "import contextlib, io, json, sys\n"
+        "before = set(sys.modules)\n"
+        "import hhbounds.cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    rc = hhbounds.cli.main(['certify', *{list(args)!r}])\n"
+        "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(json.dumps([rc, json.loads(out.getvalue())['theorem'],\n"
+        "                  sorted(new - set(sys.stdlib_module_names) - {'hhbounds'}),\n"
+        "                  sorted({'fractions', 'decimal'} & set(sys.modules))]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
-    assert "hhbounds.certifier" in imported
-    assert not {"fractions", "decimal"} & imported
+    assert json.loads(proc.stdout) == [0, theorem, [], []]
 
 
 def test_parser_is_built_once_and_reused_after_a_usage_error(capsys):

@@ -1,5 +1,8 @@
 """The names ``hhbounds`` exports: adding or dropping one restates this list."""
 
+import math
+import pathlib
+import re
 import types
 
 import hhbounds
@@ -11,7 +14,7 @@ PUBLIC_NAMES = [
     "all_means", "arithmetic_mean", "baseline_first_derivative",
     "bound_convex_holder", "bound_convex_powermean", "bound_convex_q1",
     "bound_quasi_holder", "bound_quasi_monotone", "bound_quasi_powermean",
-    "bound_quasi_q1", "builtin_catalog", "catalog_by_id", "chain_check",
+    "bound_quasi_q1", "builtin_catalog", "catalog_by_id", "certify", "chain_check",
     "check_convex_abs_d2", "check_prop_identric", "check_prop_monomial_pm",
     "check_prop_monomial_q1", "check_prop_monomial_quasi",
     "check_prop_reciprocal_pm", "check_prop_reciprocal_quasi",
@@ -27,4 +30,21 @@ def test_public_names():
     names = sorted(name for name in dir(hhbounds) if not name.startswith("_")
                    and not isinstance(getattr(hhbounds, name), types.ModuleType))
     assert names == PUBLIC_NAMES
-    assert len(names) == 47
+    assert len(names) == 48
+
+
+def test_the_readme_library_example_runs(capsys):
+    """The README's one ``python`` block runs as written, prints what its
+    comments say, and its certificate encloses ln 2."""
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(blocks[0], namespace)
+    bound, gap, cert_line = capsys.readouterr().out.splitlines()
+    assert bound == "0.046875"
+    assert gap.startswith("0.0264805")
+    cert = namespace["cert"]
+    assert cert_line.split()[0] == cert.theorem_used.value == "corrected_fejer"
+    assert cert.subintervals == 16
+    assert abs(cert.estimate - math.log(2.0)) <= cert.error_radius <= 1e-8
