@@ -23,8 +23,24 @@ from hhbounds.core import DomainError, Interval
 CMD = [sys.executable, "-m", "hhbounds"]
 
 
-def run(*args):
-    return subprocess.run(CMD + list(args), capture_output=True, text=True)
+def run(*args, timeout=None):
+    return subprocess.run(CMD + list(args), capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.fixture
+def hh(capsys):
+    """``run`` in this process, through ``cli.main``: the same exit status,
+    stdout and stderr as a fresh `hh` (see
+    ``test_parser_is_built_once_and_reused_after_a_usage_error``), with
+    argparse's usage error as its exit status 2."""
+    def call(*args):
+        try:
+            rc = cli.main(list(args))
+        except SystemExit as exc:
+            rc = exc.code
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(list(args), rc, out, err)
+    return call
 
 
 def parse_lines(stdout):
@@ -46,8 +62,8 @@ class TestBoundCommand:
         assert row["true_gap"] == pytest.approx(1.0 / 12.0, rel=1e-9)
         assert row["valid"] is True
 
-    def test_reciprocal_quasi_case(self):
-        proc = run("bound", "inv_x", "1", "2", "quasi_q1")
+    def test_reciprocal_quasi_case(self, hh):
+        proc = hh("bound", "inv_x", "1", "2", "quasi_q1")
         assert proc.returncode == 0
         row = json.loads(proc.stdout)
         assert row["bound"] == pytest.approx(1.0 / 12.0, rel=1e-12)
@@ -64,8 +80,8 @@ class TestBoundCommand:
         row = json.loads(capsys.readouterr().out)
         assert row["bound"] == pytest.approx(1.387e308, rel=1e-3) and row["valid"] is True
 
-    def test_class_check_failure_exits_three(self):
-        proc = run("bound", "sin", "0", "3.14159", "convex_q1")
+    def test_class_check_failure_exits_three(self, hh):
+        proc = hh("bound", "sin", "0", "3.14159", "convex_q1")
         assert proc.returncode == 3
         assert "class check failed" in proc.stderr
 
@@ -73,26 +89,26 @@ class TestBoundCommand:
         assert cli.main(["bound", "nope", "0", "1", "convex_q1"]) == 2
         assert capsys.readouterr() == ("", UNKNOWN_FUNCTION)
 
-    def test_unknown_theorem_exits_two(self):
+    def test_unknown_theorem_exits_two(self, hh):
         # a name of no theorem, and a theorem of the means suite
         for theorem in ("nope", "prop_identric"):
-            proc = run("bound", "x2", "0", "1", theorem)
+            proc = hh("bound", "x2", "0", "1", theorem)
             assert (proc.returncode, proc.stdout) == (2, "")
             assert proc.stderr.startswith(f"hh: unknown bound theorem '{theorem}'; "
                                           "bound theorems: baseline_pm, ")
 
-    def test_interval_outside_domain_exits_two(self):
-        assert run("bound", "inv_x", "0", "1", "quasi_q1").returncode == 2
+    def test_interval_outside_domain_exits_two(self, hh):
+        assert hh("bound", "inv_x", "0", "1", "quasi_q1").returncode == 2
 
-    def test_explicit_exponents(self):
-        proc = run("bound", "x2", "0", "1", "convex_holder", "--p", "2", "--q", "2")
+    def test_explicit_exponents(self, hh):
+        proc = hh("bound", "x2", "0", "1", "convex_holder", "--p", "2", "--q", "2")
         assert proc.returncode == 0
         row = json.loads(proc.stdout)
         assert row["bound"] == pytest.approx(0.11180339887498948, rel=1e-12)
 
-    def test_inconsistent_exponents_exit_two(self):
-        assert run("bound", "x2", "0", "1", "convex_holder",
-                   "--p", "2", "--q", "3").returncode == 2
+    def test_inconsistent_exponents_exit_two(self, hh):
+        assert hh("bound", "x2", "0", "1", "convex_holder",
+                  "--p", "2", "--q", "3").returncode == 2
 
     @pytest.mark.parametrize("theorem, exponents", [
         ("convex_q1", ("--q", "3")),
@@ -100,19 +116,19 @@ class TestBoundCommand:
         ("convex_pm", ("--p", "7")),
         ("baseline_pm", ("--p", "7")),
     ])
-    def test_exponent_on_theorem_without_one_exits_two(self, theorem, exponents):
-        proc = run("bound", "x2", "0", "1", theorem, *exponents)
+    def test_exponent_on_theorem_without_one_exits_two(self, hh, theorem, exponents):
+        proc = hh("bound", "x2", "0", "1", theorem, *exponents)
         assert proc.returncode == 2
         assert "takes no exponent" in proc.stderr
 
-    def test_negative_endpoint_in_exponent_form(self):
-        proc = run("bound", "x2", "-1e-3", "1", "convex_q1")
+    def test_negative_endpoint_in_exponent_form(self, hh):
+        proc = hh("bound", "x2", "-1e-3", "1", "convex_q1")
         assert proc.returncode == 0
-        assert proc.stdout == run("bound", "x2", "-0.001", "1", "convex_q1").stdout
+        assert proc.stdout == hh("bound", "x2", "-0.001", "1", "convex_q1").stdout
 
     @pytest.mark.parametrize("theorem", ["convex_pm", "quasi_pm", "baseline_pm"])
-    def test_nan_exponent_exits_two(self, theorem):
-        proc = run("bound", "x4", "0", "1", theorem, "--q", "nan")
+    def test_nan_exponent_exits_two(self, hh, theorem):
+        proc = hh("bound", "x4", "0", "1", theorem, "--q", "nan")
         assert proc.returncode == 2
         assert proc.stdout == ""
 
@@ -124,30 +140,55 @@ class TestBoundCommand:
         ("convex_holder", ("--q", "0.5")),
         ("convex_holder", ("--q", "inf")),
     ])
-    def test_bad_exponent_exits_two_before_the_class_check(self, theorem, exponents):
+    def test_bad_exponent_exits_two_before_the_class_check(self, hh, theorem, exponents):
         # |f''| = sin is not convex on [0, 3]: the class check would exit 3
-        proc = run("bound", "sin", "0", "3", theorem, *exponents)
+        proc = hh("bound", "sin", "0", "3", theorem, *exponents)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "class check" not in proc.stderr
 
-    def test_infinite_exponent_named_on_a_pair(self):
-        proc = run("bound", "x2", "0", "1", "convex_holder", "--q", "inf")
+    def test_infinite_exponent_named_on_a_pair(self, hh):
+        proc = hh("bound", "x2", "0", "1", "convex_holder", "--q", "inf")
         assert proc.returncode == 2
         assert "got inf" in proc.stderr
 
-    def test_infinite_power_mean_exponent_is_the_max(self):
-        proc = run("bound", "x2", "0", "1", "convex_pm", "--q", "inf")
+    def test_infinite_power_mean_exponent_is_the_max(self, hh):
+        proc = hh("bound", "x2", "0", "1", "convex_pm", "--q", "inf")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["bound"] == pytest.approx(1.0 / 12.0, rel=1e-15)
 
     @pytest.mark.parametrize("command, tail", [("bound", ("convex_q1",)),
                                                ("certify", ("1e-3",))])
     @pytest.mark.parametrize("a, b", [("-1.7e308", "1.7e308"), ("1e308", "1.7e308")])
-    def test_overflowing_interval_exits_two(self, command, tail, a, b):
-        proc = run(command, "x2", a, b, *tail)
+    def test_overflowing_interval_exits_two(self, hh, command, tail, a, b):
+        proc = hh(command, "x2", a, b, *tail)
         assert proc.returncode == 2
         assert "overflows" in proc.stderr
+
+    @pytest.mark.parametrize("args", [
+        ("x3", "1", "2", "quasi_monotone"),
+        ("inv_x", "1", "2", "convex_holder", "--p", "3"),
+        # the baseline reads |f'| on the class checks' fine grid
+        ("x3", "1", "2", "baseline_q1"),
+        # the convex check takes the magnitude of f'' itself: |12 x^2|
+        ("x4", "-1", "1", "convex_q1"),
+        # |f''| of sin peaks inside this interval, so the sample is no
+        # valley and the quasi-convex check tests every pair: within the
+        # slack it passes (the wider 1.5707 1.5709 is refuted, exit 3)
+        ("sin", "1.5707963", "1.5707964", "quasi_q1"),
+    ], ids=lambda args: " ".join(args))
+    def test_a_function_in_the_theorem_s_class_prints_its_row(self, hh, args):
+        proc = hh("bound", *args)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        row = json.loads(proc.stdout)
+        assert (row["theorem"], row["valid"]) == (args[3], True)
+
+    def test_a_tolerance_below_the_oracle_s_rounding_floor_ends_in_time(self):
+        # the oracle is asked for 7e-8 on the integral of exp over [0, 700],
+        # about 1e304, far below its rounding: it must stop at its floor
+        proc = run("bound", "exp", "0", "700", "convex_q1", timeout=10)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["valid"] is True
 
 
 class TestMeansCommand:
@@ -162,25 +203,25 @@ class TestMeansCommand:
         assert row["A"] == 1.5
         assert row["chain"] is True
 
-    def test_equal_arguments(self):
-        row = json.loads(run("means", "5", "5").stdout)
+    def test_equal_arguments(self, hh):
+        row = json.loads(hh("means", "5", "5").stdout)
         assert all(row[k] == 5.0 for k in "AGHIL")
         assert row["chain"] is True
 
-    def test_nonpositive_arguments_exit_two(self):
-        assert run("means", "-1", "2").returncode == 2
-        assert run("means", "0", "2").returncode == 2
+    def test_nonpositive_arguments_exit_two(self, hh):
+        assert hh("means", "-1", "2").returncode == 2
+        assert hh("means", "0", "2").returncode == 2
 
-    def test_huge_pair_whose_product_overflows(self):
-        proc = run("means", "1e200", "1e201")
+    def test_huge_pair_whose_product_overflows(self, hh):
+        proc = hh("means", "1e200", "1e201")
         assert proc.returncode == 0
         row = json.loads(proc.stdout)
         assert row["G"] == 3.1622776601683794e+200
         assert row["H"] == pytest.approx(2e201 / 11.0, rel=1e-15)
         assert row["chain"] is True
 
-    def test_tiny_pair_whose_product_underflows(self):
-        proc = run("means", "1e-200", "1e-190")
+    def test_tiny_pair_whose_product_underflows(self, hh):
+        proc = hh("means", "1e-200", "1e-190")
         assert proc.returncode == 0
         row = json.loads(proc.stdout)
         assert row["G"] == pytest.approx(1e-195, rel=1e-15)
@@ -195,9 +236,9 @@ class TestMeansCommand:
         # b ln b would overflow; I never forms it
         ("1e300", "1.7e308", {"I": 6.253951197094258e307}),
     ], ids=["sum-overflows", "sum-overflows-to-1.25e308", "b-ln-b-overflows"])
-    def test_pair_near_the_top_of_the_float_range(self, a, b, means):
+    def test_pair_near_the_top_of_the_float_range(self, hh, a, b, means):
         # the expected values are the mpmath means, correctly rounded
-        proc = run("means", a, b)
+        proc = hh("means", a, b)
         assert proc.returncode == 0
         row = json.loads(proc.stdout)
         assert row["chain"] is True
@@ -206,8 +247,8 @@ class TestMeansCommand:
 
     @pytest.mark.parametrize("a, b", [("7.3", "7.3000001"), ("3", "3.0000000003"),
                                       ("1e6", "1.000000001e6")])
-    def test_close_pair(self, a, b):
-        proc = run("means", a, b)
+    def test_close_pair(self, hh, a, b):
+        proc = hh("means", a, b)
         assert proc.returncode == 0
         row = json.loads(proc.stdout)
         assert row["chain"] is True
@@ -230,18 +271,18 @@ class TestCertifyCommand:
         assert row["error_radius"] <= 1e-6
         assert abs(row["estimate"] - 1.0 / 3.0) <= row["error_radius"] + 1e-10
 
-    def test_reciprocal(self):
-        proc = run("certify", "inv_x", "1", "2", "1e-8")
+    def test_reciprocal(self, hh):
+        proc = hh("certify", "inv_x", "1", "2", "1e-8")
         assert proc.returncode == 0
         row = json.loads(proc.stdout)
         assert row["enclosed"] is True
         assert abs(row["estimate"] - 0.6931471805599453) <= 1e-8
 
-    def test_zero_tolerance_exits_two(self):
-        assert run("certify", "x2", "0", "1", "0").returncode == 2
+    def test_zero_tolerance_exits_two(self, hh):
+        assert hh("certify", "x2", "0", "1", "0").returncode == 2
 
-    def test_unclassified_function_exits_three(self):
-        assert run("certify", "sin", "0", "6", "1e-6").returncode == 3
+    def test_unclassified_function_exits_three(self, hh):
+        assert hh("certify", "sin", "0", "6", "1e-6").returncode == 3
 
     @pytest.mark.parametrize("args, theorem, n", [
         # f'''' = sin is convex on [0, pi]
@@ -258,8 +299,8 @@ class TestCertifyCommand:
         # |f''''| (5.3e-14)
         (("x_5_2", "1", "1.001", "1e-14"), "corrected_fejer", 1),
     ])
-    def test_names_the_rule_and_both_radius_parts(self, args, theorem, n):
-        proc = run("certify", *args)
+    def test_names_the_rule_and_both_radius_parts(self, hh, args, theorem, n):
+        proc = hh("certify", *args)
         assert proc.returncode == 0
         row = json.loads(proc.stdout)
         assert (row["theorem"], row["n"], row["enclosed"]) == (theorem, n, True)
@@ -272,10 +313,10 @@ class TestCertifyCommand:
         # f'''' = f'' = e^x near 1.8e10
         ("exp", "23.63423741971625", "23.63424507752042", "1e-6"),
     ])
-    def test_large_derivative_values_keep_their_class(self, args):
+    def test_large_derivative_values_keep_their_class(self, hh, args):
         # the class slack scales with the sample: rounding noise in values
         # far above 1 refutes no class, so the first rule certifies
-        proc = run("certify", *args)
+        proc = hh("certify", *args)
         assert proc.returncode == 0
         row = json.loads(proc.stdout)
         assert (row["theorem"], row["n"], row["enclosed"]) == ("corrected_fejer", 1, True)
@@ -319,10 +360,10 @@ class TestCertifyCommand:
         # above 1e-20
         (("sin", "2", "4.5", "1e-20"), "f''"),
     ], ids=["exp", "inv_x", "sin"])
-    def test_tolerance_below_every_grid_fails_fast(self, args, derivative):
+    def test_tolerance_below_every_grid_fails_fast(self, hh, args, derivative):
         # the floor refuses at n = 1, before the first doubling; one stderr
         # line, and no traceback
-        proc = run("certify", *args)
+        proc = hh("certify", *args)
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert re.fullmatch(rf"hh: radius at n=1048576 is at least \S+ \(floor from the "
@@ -330,8 +371,8 @@ class TestCertifyCommand:
                             proc.stderr), proc.stderr
 
     @pytest.mark.parametrize("args", [("inv_x", "1", "2", "1e-12"), ("exp", "-1", "1", "1e-11")])
-    def test_tight_rungs_enclose(self, args):
-        proc = run("certify", *args)
+    def test_tight_rungs_enclose(self, hh, args):
+        proc = hh("certify", *args)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["enclosed"] is True
 
@@ -407,37 +448,37 @@ class TestCertifyCommand:
         assert "rounding part" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_truncation_part_past_the_float_range_doubles_on(self):
-        proc = run("certify", "exp", "0", "700", "1e300")
+    def test_truncation_part_past_the_float_range_doubles_on(self, hh):
+        proc = hh("certify", "exp", "0", "700", "1e300")
         assert proc.returncode == 0
         row = json.loads(proc.stdout)
         assert row["enclosed"] is True
         assert row["n"] > 1 and row["error_radius"] <= 1e300
 
-    def test_a_sum_past_the_float_range_is_an_evaluation_error(self):
+    def test_a_sum_past_the_float_range_is_an_evaluation_error(self, hh):
         # exp over [700, 709]: no evaluation overflows, the f'''' sum does
-        proc = run("certify", "exp", "700", "709", "1e300")
+        proc = hh("certify", "exp", "700", "709", "1e300")
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             1, "", "hh: f'''' is not finite on the grid of n=16\n")
 
-    def test_an_estimate_past_the_float_range_names_the_estimate(self):
+    def test_an_estimate_past_the_float_range_names_the_estimate(self, hh):
         # x^2 over [1e153, 1.3e154]: every read and the radius are finite,
         # and the integral, about 7e461, is not
-        proc = run("certify", "x2", "1e153", "1.3e154", "1e300")
+        proc = hh("certify", "x2", "1e153", "1.3e154", "1e300")
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             1, "", "hh: the estimate is not finite on the grid of n=1\n")
 
-    def test_an_estimate_near_the_top_of_the_float_range_certifies(self):
+    def test_an_estimate_near_the_top_of_the_float_range_certifies(self, hh):
         # x^2 over [1e100, 1e102]: h^5 is past the float range, but the
         # centre starts from T + M = 0 and takes h one factor at a time
-        proc = run("certify", "x2", "1e100", "1e102", "1e300")
+        proc = hh("certify", "x2", "1e100", "1e102", "1e300")
         row = json.loads(proc.stdout)
         assert (proc.returncode, row["n"], row["theorem"], row["enclosed"]) == (
             0, 1, "corrected_fejer", True)
         assert row["estimate"] == pytest.approx((1e306 - 1e300) / 3, rel=1e-12)
 
-    def test_negative_tolerance_in_exponent_form_reaches_the_certifier(self):
-        proc = run("certify", "x2", "0", "1", "-1e-3")
+    def test_negative_tolerance_in_exponent_form_reaches_the_certifier(self, hh):
+        proc = hh("certify", "x2", "0", "1", "-1e-3")
         assert proc.returncode == 2
         assert "tolerance must be positive" in proc.stderr
 
@@ -461,37 +502,39 @@ class TestVerifyCommand:
         assert lines and all(line["pass"] for line in lines)
         assert all(line["suite"] == "identity" for line in lines)
 
-    def test_json_keys_are_sorted(self):
-        proc = run("verify", "--suite", "means", "--cases", "2", "--seed", "3")
+    def test_json_keys_are_sorted(self, hh):
+        proc = hh("verify", "--suite", "means", "--cases", "2", "--seed", "3")
         for raw in proc.stdout.splitlines():
             keys = list(json.loads(raw))
             assert keys == sorted(keys)
 
-    def test_schema_fields(self):
-        proc = run("verify", "--suite", "convex", "--cases", "1", "--seed", "1")
+    def test_schema_fields(self, hh):
+        proc = hh("verify", "--suite", "convex", "--cases", "1", "--seed", "1")
         for line in parse_lines(proc.stdout):
             assert set(line) == {"suite", "function", "interval", "theorem",
                                  "bound", "gap", "slack", "pass"}
 
     def test_same_seed_is_byte_identical(self):
+        # two processes, each with its own hash seed: the bytes depend on
+        # the seed given alone
         first = run("verify", "--suite", "means", "--cases", "5", "--seed", "42")
         second = run("verify", "--suite", "means", "--cases", "5", "--seed", "42")
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode == 0
 
-    def test_different_seeds_differ(self):
-        first = run("verify", "--suite", "means", "--cases", "5", "--seed", "1")
-        second = run("verify", "--suite", "means", "--cases", "5", "--seed", "2")
+    def test_different_seeds_differ(self, hh):
+        first = hh("verify", "--suite", "means", "--cases", "5", "--seed", "1")
+        second = hh("verify", "--suite", "means", "--cases", "5", "--seed", "2")
         assert first.stdout != second.stdout
 
-    def test_zero_cases_exit_two(self):
-        assert run("verify", "--suite", "all", "--cases", "0").returncode == 2
+    def test_zero_cases_exit_two(self, hh):
+        assert hh("verify", "--suite", "all", "--cases", "0").returncode == 2
 
-    def test_unknown_suite_exits_two(self):
-        assert run("verify", "--suite", "bogus").returncode == 2
+    def test_unknown_suite_exits_two(self, hh):
+        assert hh("verify", "--suite", "bogus").returncode == 2
 
-    def test_csv_output(self):
-        proc = run("verify", "--suite", "means", "--cases", "2", "--seed", "3", "--csv")
+    def test_csv_output(self, hh):
+        proc = hh("verify", "--suite", "means", "--cases", "2", "--seed", "3", "--csv")
         assert proc.returncode == 0
         lines = proc.stdout.splitlines()
         header = lines[0].split(",")
@@ -500,21 +543,41 @@ class TestVerifyCommand:
         assert len(lines) > 1
 
     def test_reader_closing_stdout_early_leaves_no_traceback(self):
-        # 50 cases print about 110 kB, more than a pipe buffer holds, so the
-        # writer is still writing when the reader goes away
+        # 20,000 cases print about 400 MB, far more than a pipe buffer
+        # holds, so the writer is still writing when the reader goes away:
+        # hh writes each line as the sweep yields it, and the closed pipe
+        # ends the sweep at once with exit 1
         proc = subprocess.Popen(
-            CMD + ["verify", "--suite", "identity", "--cases", "50", "--seed", "7"],
+            CMD + ["verify", "--suite", "all", "--seed", "7", "--cases", "20000"],
             stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True)
         assert json.loads(proc.stdout.readline())["suite"] == "identity"
         proc.stdout.close()
-        _, stderr = proc.communicate(timeout=60)
+        _, stderr = proc.communicate(timeout=20)
         assert proc.returncode == 1
         assert "Traceback" not in stderr
 
-    def test_json_is_not_an_option(self):
+    @pytest.mark.parametrize("suite, fmt", [
+        # the six means propositions, each through its one report path
+        ("means", []),
+        ("quasiconvex", []),
+        # CSV cells are JSON-encoded, a single sweep's too
+        ("convex", ["--csv"]),
+    ], ids=["means", "quasiconvex", "convex-csv"])
+    def test_a_seeded_sweep_passes(self, hh, suite, fmt):
+        proc = hh("verify", "--suite", suite, "--cases", "2", "--seed", "7", *fmt)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        if fmt:
+            header, *rows = csv.reader(io.StringIO(proc.stdout))
+            lines = [dict(zip(header, map(json.loads, row))) for row in rows]
+        else:
+            lines = parse_lines(proc.stdout)
+        assert lines and all(line["pass"] is True for line in lines)
+        assert all(line["suite"] == suite for line in lines)
+
+    def test_json_is_not_an_option(self, hh):
         # JSON lines are the default, and --csv the one format option
-        proc = run("verify", "--suite", "means", "--cases", "1", "--json")
+        proc = hh("verify", "--suite", "means", "--cases", "1", "--json")
         assert proc.returncode == 2
         assert "--json" in proc.stderr
         assert proc.stdout == ""
@@ -614,6 +677,32 @@ def test_seeded_csv_bytes_of_the_whole_sweep(capsys):
     assert len(out.splitlines()) == 9377
     assert (hashlib.sha256(out.encode()).hexdigest()
             == "9b9ec25fd9cb395146a5c5e43f4145fb1013d5eaf62739df9f61bbf477f63052")
+
+
+@pytest.mark.parametrize("fmt", [[], ["--csv"]], ids=["json", "csv"])
+def test_sweep_bytes_are_the_encoders_over_its_rows(fmt, capsysbinary):
+    """The bytes of a whole seeded sweep, on any libm: ``json.dumps`` of
+    each row, or under ``--csv`` ``csv.writer``'s over the sorted keys and
+    then ``json.dumps`` of each cell; and every JSON line strict JSON, with
+    no NaN or Infinity."""
+    assert cli.main(["verify", "--suite", "all", "--seed", "7", "--cases", "100", *fmt]) == 0
+    out, err = capsysbinary.readouterr()
+    rows = suites.run_suite("all", 100, 7)
+    expected = io.StringIO()
+    if fmt:
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(sorted(rows[0]))
+        for row in rows:
+            writer.writerow([json.dumps(row[key]) for key in sorted(row)])
+    else:
+        expected.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    assert (out, err) == (expected.getvalue().encode(), b"")
+    if not fmt:
+        def refuse(constant):
+            raise ValueError(f"hh verify printed {constant}, which is not JSON")
+
+        for line in out.decode().splitlines():
+            json.loads(line, parse_constant=refuse)
 
 
 @pytest.mark.parametrize("argv", [["bound", "x2", "0", "1", "convex_q1"], ["means", "1", "2"],
@@ -826,8 +915,18 @@ def test_panel_sums_past_the_float_range_exit_one_without_an_overflow():
      "|f'| of 'sin' is not convex on [0.2, 1.3]"),
     (("certify", "sin", "0", "6", "1e-6"),
      "|f''| of 'sin' is not quasi-convex on [0.0, 6.0]"),
+    (("bound", "sin", "0", "3.14159", "quasi_q1"),
+     "|f''| of 'sin' is not quasi-convex on [0.0, 3.14159]"),
+    # |f''| of sin peaks inside the interval, and the pair test refutes it
+    # past the slack (the narrower 1.5707963 1.5707964 passes)
+    (("bound", "sin", "1.5707", "1.5709", "quasi_q1"),
+     "|f''| of 'sin' is not quasi-convex on [1.5707, 1.5709]"),
+    # the convex check reads f'' and takes the magnitude itself: the
+    # concave |f''| of x^(5/2) is refused
+    (("bound", "x_5_2", "1", "2", "convex_q1"),
+     "|f''| of 'x_5_2' is not convex on [1.0, 2.0]"),
 ], ids=["bound-convex", "bound-monotone", "bound-monotone-sin", "bound-baseline",
-        "certify"])
+        "certify", "bound-quasi-sin", "bound-quasi-peak", "bound-convex-concave"])
 def test_class_refusal_names_the_interval(args, refusal):
     proc = run(*args)
     assert proc.returncode == 3
