@@ -17,12 +17,18 @@ that fails or overflows, a result past the float range, a sweep line's
 included, or a reader that closes stdout early), 2 usage/domain error, 3
 hypothesis-check failure.  One table, ``_REFUSALS``, states the exit code
 of each refusal that ``main`` reports as ``hh: <message>``.
+
+Importing this module loads ``core`` alone of the package, and building
+the parser loads nothing more: each command imports the submodules it
+runs when it runs, and ``csv`` only under ``--csv``.  So the library, not
+argparse, checks the names: ``suites.iter_suite`` refuses an unknown
+``--suite`` and ``suites.build_bound_report`` an unknown theorem, each
+listing the names it takes.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -32,7 +38,6 @@ import sys
 from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii
 
-from .certifier import certify
 from .core import (
     ConvergenceError,
     DomainError,
@@ -41,9 +46,6 @@ from .core import (
     Interval,
     catalog_by_id,
 )
-from .means import all_means, chain_holds
-from .oracle import integrate
-from .suites import BOUND_THEOREMS, SUITE_NAMES, build_bound_report, iter_suite
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -78,7 +80,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run a named verification sweep")
-    v.add_argument("--suite", required=True, choices=SUITE_NAMES)
+    v.add_argument("--suite", required=True, help="sweep name, or all")
     v.add_argument("--cases", type=int, default=50,
                    help="random subintervals per function (>= 1)")
     v.add_argument("--seed", type=int, default=0)
@@ -88,7 +90,7 @@ def _parser() -> argparse.ArgumentParser:
     b.add_argument("function", help="catalog function id, e.g. x2, inv_x")
     b.add_argument("a", type=float)
     b.add_argument("b", type=float)
-    b.add_argument("theorem", help="one of: " + ", ".join(BOUND_THEOREMS))
+    b.add_argument("theorem", help="bound theorem id, e.g. convex_q1, quasi_q1")
     b.add_argument("--q", type=float, help="power-mean or conjugate exponent q")
     b.add_argument("--p", type=float, help="conjugate exponent p")
     b.set_defaults(run=_cmd_bound)
@@ -121,6 +123,7 @@ def _emit(row: dict, as_csv: bool) -> None:
     if not as_csv:
         sys.stdout.write(json.dumps(row, sort_keys=True) + "\n")
         return
+    import csv
     keys = sorted(row)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(keys)
@@ -162,6 +165,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     """Writes each line as the sweep yields it, so neither a row nor its
     text outlives its write.  A sweep refused part-way (``EvaluationError``)
     has written the lines before the refused one, never that one."""
+    from .suites import iter_suite
     lines = iter_suite(args.suite, args.cases, args.seed)
     passed = True
 
@@ -172,6 +176,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             yield line
 
     if args.csv:
+        import csv
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(_SWEEP_KEYS)
         writer.writerows(_sweep_cells(tallied()))
@@ -181,6 +186,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
+    from .suites import build_bound_report
     fn = _lookup_function(args.function)
     iv = Interval(args.a, args.b)
     report = build_bound_report(fn, iv, args.theorem, q=args.q, p=args.p)
@@ -195,6 +201,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_means(args: argparse.Namespace) -> int:
+    from .means import all_means, chain_holds
     row = all_means(args.a, args.b)
     row["chain"] = chain_holds(row)
     _emit(row, args.csv)
@@ -202,6 +209,8 @@ def _cmd_means(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    from .certifier import certify
+    from .oracle import integrate
     fn = _lookup_function(args.function)
     iv = Interval(args.a, args.b)
     result = certify(fn, iv, args.tol)

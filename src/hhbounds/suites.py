@@ -263,7 +263,7 @@ def iter_suite(name: str, cases: int, seed: int) -> Iterator[dict]:
     before anything is evaluated.
     """
     if name not in SUITE_NAMES:
-        raise DomainError(f"unknown suite {name!r}")
+        raise DomainError(f"unknown suite {name!r}; suites: " + ", ".join(SUITE_NAMES))
     if cases < 1:
         raise DomainError(f"need at least one case, got {cases}")
     sweeps = SUITES.values() if name == "all" else (SUITES[name],)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hhbounds import cli, suites
+from hhbounds import certifier, cli, oracle, suites
 from hhbounds.core import DomainError, Interval
 
 CMD = [sys.executable, "-m", "hhbounds"]
@@ -382,20 +382,20 @@ class TestCertifyCommand:
         # oracle must be asked for a small share of the radius: an estimate
         # moved 1.05 radii away from the oracle value must fail
         asked = []
-        oracle = cli.integrate
-        monkeypatch.setattr(cli, "integrate",
-                            lambda f, iv, tol: asked.append(tol) or oracle(f, iv, tol))
+        integrate = oracle.integrate
+        monkeypatch.setattr(oracle, "integrate",
+                            lambda f, iv, tol: asked.append(tol) or integrate(f, iv, tol))
         assert cli.main(["certify", *args]) == 0
         row = json.loads(capsys.readouterr().out)
         assert asked == [min(1e-2 * float(args[-1]), 1e-10, 1e-2 * row["error_radius"])]
         away = math.copysign(1.05 * row["error_radius"], row["estimate"] - row["oracle_value"])
-        certify = cli.certify
+        certify = certifier.certify
 
         def shifted(*call):
             result = certify(*call)
             return dataclasses.replace(result, estimate=result.estimate + away)
 
-        monkeypatch.setattr(cli, "certify", shifted)
+        monkeypatch.setattr(certifier, "certify", shifted)
         assert cli.main(["certify", *args]) == 1
         assert json.loads(capsys.readouterr().out)["enclosed"] is False
 
@@ -419,8 +419,8 @@ class TestCertifyCommand:
 
     def test_a_zero_radius_still_asks_the_oracle_for_a_positive_tolerance(self, monkeypatch,
                                                                           capsys):
-        certify = cli.certify
-        monkeypatch.setattr(cli, "certify",
+        certify = certifier.certify
+        monkeypatch.setattr(certifier, "certify",
                             lambda *call: dataclasses.replace(certify(*call), error_radius=0.0))
         assert cli.main(["certify", "x2", "0", "1", "1e-6"]) in (0, 1)
         assert json.loads(capsys.readouterr().out)["error_radius"] == 0.0
@@ -431,9 +431,9 @@ class TestCertifyCommand:
         # (4.4e-323), and a hundredth of that rounds to 0, a tolerance the
         # oracle refuses
         asked = []
-        oracle = cli.integrate
-        monkeypatch.setattr(cli, "integrate",
-                            lambda f, iv, tol: asked.append(tol) or oracle(f, iv, tol))
+        integrate = oracle.integrate
+        monkeypatch.setattr(oracle, "integrate",
+                            lambda f, iv, tol: asked.append(tol) or integrate(f, iv, tol))
         assert cli.main(["certify", "x2", "0", "1e-160", "1e-6"]) == 0
         captured = capsys.readouterr()
         row = json.loads(captured.out)
@@ -531,7 +531,13 @@ class TestVerifyCommand:
         assert hh("verify", "--suite", "all", "--cases", "0").returncode == 2
 
     def test_unknown_suite_exits_two(self, hh):
-        assert hh("verify", "--suite", "bogus").returncode == 2
+        # the library's refusal names the suites; under --csv no header
+        # precedes it
+        for fmt in [], ["--csv"]:
+            proc = hh("verify", "--suite", "bogus", *fmt)
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert proc.stderr == ("hh: unknown suite 'bogus'; suites: identity, convex, "
+                                   "quasiconvex, means, all\n")
 
     def test_csv_output(self, hh):
         proc = hh("verify", "--suite", "means", "--cases", "2", "--seed", "3", "--csv")
@@ -935,8 +941,9 @@ def test_class_refusal_names_the_interval(args, refusal):
 
 
 def test_startup_loads_the_standard_library_alone_and_no_fractions():
-    # hh's start-up: only stdlib modules, and neither fractions nor the
-    # decimal it imports
+    # hh's start-up, as hhbench's setup probe reads it: only stdlib
+    # modules, neither fractions nor the decimal it imports, and of the
+    # package only the CLI and the catalog's core
     code = (
         "import json, sys\n"
         "before = set(sys.modules)\n"
@@ -944,13 +951,45 @@ def test_startup_loads_the_standard_library_alone_and_no_fractions():
         "hhbounds.cli.catalog_by_id()\n"
         "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
         "print(json.dumps([sorted(new - set(sys.stdlib_module_names) - {'hhbounds'}),\n"
-        "                  sorted({'fractions', 'decimal'} & set(sys.modules))]))\n"
+        "                  sorted({'fractions', 'decimal'} & set(sys.modules)),\n"
+        "                  sorted(name for name in sys.modules\n"
+        "                         if name.partition('.')[0] == 'hhbounds')]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    third_party, deferred = json.loads(proc.stdout)
+    third_party, deferred, package = json.loads(proc.stdout)
     assert third_party == []
     assert deferred == []
+    assert package == ["hhbounds", "hhbounds.cli", "hhbounds.core"]
+
+
+#: the hhbounds modules of one bound report or sweep: all but the certifier
+_SWEEP_MODULES = ["bounds_convex", "bounds_quasiconvex", "cli", "core", "identity", "means",
+                  "oracle", "rng", "suites"]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["verify", "--suite", "means", "--cases", "1"], _SWEEP_MODULES),
+    (["bound", "x2", "0", "1", "convex_q1"], _SWEEP_MODULES),
+    (["means", "1", "2"], ["bounds_convex", "bounds_quasiconvex", "cli", "core", "means"]),
+    (["certify", "inv_x", "1", "2", "1e-8"], ["certifier", "cli", "core", "oracle"]),
+], ids=["verify", "bound", "means", "certify"])
+def test_each_command_loads_only_the_modules_it_runs(argv, modules):
+    # a fresh process: `hh means` loads no certifier, oracle, suites or
+    # identity; `hh certify` no suites, means, identity, rng or bounds;
+    # and no command loads csv without --csv
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import hhbounds.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = hhbounds.cli.main({argv!r})\n"
+        "print(json.dumps([rc, 'csv' in sys.modules,\n"
+        "                  sorted(name.partition('.')[2] for name in sys.modules\n"
+        "                         if name.startswith('hhbounds.'))]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, False, modules]
 
 
 @pytest.mark.parametrize("args, theorem", [

@@ -3,7 +3,11 @@
 import math
 import pathlib
 import re
+import subprocess
+import sys
 import types
+
+import pytest
 
 import hhbounds
 
@@ -31,6 +35,32 @@ def test_public_names():
                    and not isinstance(getattr(hhbounds, name), types.ModuleType))
     assert names == PUBLIC_NAMES
     assert len(names) == 48
+
+
+def test_star_import_binds_the_public_names_alone():
+    namespace = {}
+    exec("from hhbounds import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+
+
+def test_each_name_is_its_submodule_s_object():
+    for name in PUBLIC_NAMES:
+        value = getattr(hhbounds, name)
+        assert value.__module__.startswith("hhbounds."), name
+        assert getattr(sys.modules[value.__module__], name) is value, name
+
+
+def test_an_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hhbounds.no_such_name
+
+
+def test_import_loads_no_submodule():
+    code = ("import sys, hhbounds\n"
+            "print(sorted(name for name in sys.modules if name.startswith('hhbounds')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['hhbounds']\n"
 
 
 def test_the_readme_library_example_runs(capsys):
