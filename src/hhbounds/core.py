@@ -17,7 +17,13 @@ Evaluator = Callable[[float], float]
 #: tolerance on 1/p + 1/q = 1 for conjugate exponent pairs
 CONJUGATE_TOL = 1e-12
 
-#: default slack tolerance when declaring a bound report valid
+#: the accuracy of the oracle's mean value, and so of the midpoint gap,
+#: the "true gap" every bound is checked against (``oracle.midpoint_gap``)
+GAP_TOL = 1e-10
+
+#: slack tolerance when declaring a bound report valid: ten times
+#: ``GAP_TOL``, so the gap's quadrature error alone cannot make a true
+#: bound invalid
 VALIDITY_TOL = 1e-9
 
 

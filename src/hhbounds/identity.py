@@ -17,14 +17,13 @@ in tests as a documented regression.
 
 from __future__ import annotations
 
-from .core import Interval, TestFunction
+from .core import GAP_TOL, Interval, TestFunction
 from .oracle import integrate, mean_value
 
 _LEFT = Interval(0.0, 0.5)
 
 
-def kernel_weighted_d2_integral(fn: TestFunction, iv: Interval,
-                                tol: float = 1e-10) -> float:
+def kernel_weighted_d2_integral(fn: TestFunction, iv: Interval, tol: float) -> float:
     """int_0^1 k(t)*[f''(ta+(1-t)b) + f''(tb+(1-t)a)] dt to tolerance tol.
 
     The integrand is symmetric about the kernel knot at t = 1/2: on
@@ -43,14 +42,16 @@ def kernel_weighted_d2_integral(fn: TestFunction, iv: Interval,
     return 2.0 * integrate(left, _LEFT, 0.5 * tol).value
 
 
-def identity_rhs(fn: TestFunction, iv: Interval, tol: float = 1e-10) -> float:
-    """Right side of the identity: ((b-a)^2/4) * kernel-weighted f'' integral."""
+def identity_rhs(fn: TestFunction, iv: Interval) -> float:
+    """Right side of the identity: ((b-a)^2/4) * kernel-weighted f'' integral,
+    accurate to ``GAP_TOL``."""
     coeff = iv.width * iv.width / 4.0
-    inner_tol = tol / coeff if coeff > 0.0 else tol
+    inner_tol = GAP_TOL / coeff if coeff > 0.0 else GAP_TOL
     return coeff * kernel_weighted_d2_integral(fn, iv, inner_tol)
 
 
-def identity_lhs(fn: TestFunction, iv: Interval, tol: float = 1e-10) -> float:
-    """Left side: signed mean value of f minus f at the midpoint."""
-    return mean_value(fn, iv, tol) - fn.f(iv.midpoint)
+def identity_lhs(fn: TestFunction, iv: Interval) -> float:
+    """Left side: signed mean value of f minus f at the midpoint, accurate
+    to ``GAP_TOL``."""
+    return mean_value(fn, iv) - fn.f(iv.midpoint)
 

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 
 from .core import (
+    GAP_TOL,
     ConvergenceError,
     DomainError,
     EvaluationError,
@@ -180,15 +181,18 @@ def integrate(f: Callable[[float], float], iv: Interval, tol: float) -> Quadratu
                             evaluations=15 * panels)
 
 
-def mean_value(fn: TestFunction, iv: Interval, tol: float = 1e-10) -> float:
-    """(1/(b-a)) * integral of f over [a, b], accurate to tol."""
-    res = integrate(fn.f, iv, tol * iv.width)
+def mean_value(fn: TestFunction, iv: Interval) -> float:
+    """(1/(b-a)) * integral of f over [a, b], accurate to ``GAP_TOL``.  The
+    integral's tolerance GAP_TOL * (b-a) is floored at the least positive
+    float, which the oracle takes, so an interval too narrow for the
+    product (below about 2.5e-314) still has a mean value."""
+    res = integrate(fn.f, iv, max(GAP_TOL * iv.width, math.ulp(0.0)))
     return res.value / iv.width
 
 
-def midpoint_gap(fn: TestFunction, iv: Interval, tol: float = 1e-10) -> float:
-    """|mean value of f - f(midpoint)| over iv, accurate to tol."""
-    return abs(mean_value(fn, iv, tol) - fn.f(iv.midpoint))
+def midpoint_gap(fn: TestFunction, iv: Interval) -> float:
+    """|mean value of f - f(midpoint)| over iv, accurate to ``GAP_TOL``."""
+    return abs(mean_value(fn, iv) - fn.f(iv.midpoint))
 
 
 def _slack(gs: list[float]) -> float:

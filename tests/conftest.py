@@ -24,6 +24,16 @@ def by_id():
 
 
 @pytest.fixture(scope="session")
+def mean_at():
+    """(fn, iv, tol) -> the mean value of fn over iv through the oracle, to
+    tol: ``oracle.mean_value``'s integral at a tolerance other than
+    ``core.GAP_TOL``, for a reference tighter than the gap it checks."""
+    def mean(fn, iv: Interval, tol: float) -> float:
+        return integrate(fn.f, iv, tol * iv.width).value / iv.width
+    return mean
+
+
+@pytest.fixture(scope="session")
 def peak_kernel():
     """The paper's peak kernel: t^2 on [0, 1/2] and (1-t)^2 on [1/2, 1]."""
     def kernel(t: float) -> float:

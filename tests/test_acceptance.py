@@ -17,7 +17,7 @@ from hhbounds.bounds_convex import (
 )
 from hhbounds.certifier import CertTheorem, integrate_certified, refine_to_tolerance
 from hhbounds.core import ConjugatePair, HypothesisError, Interval
-from hhbounds.identity import identity_lhs, kernel_weighted_d2_integral
+from hhbounds.identity import kernel_weighted_d2_integral
 from hhbounds.means import (
     chain_check,
     check_prop_identric,
@@ -32,7 +32,6 @@ from hhbounds.oracle import (
     check_convex_abs_d2,
     check_quasiconvex_abs_d2,
     integrate,
-    midpoint_gap,
 )
 from hhbounds.rng import SplitMix64
 from hhbounds.suites import run_suite
@@ -44,7 +43,7 @@ def _report(num: int, name: str) -> None:
     print(f"acceptance {num} ({name}): PASS")
 
 
-def test_criterion_1_identity_residuals(by_id):
+def test_criterion_1_identity_residuals(by_id, mean_at):
     start = time.monotonic()
     lines = run_suite("identity", 200, 11)
     elapsed = time.monotonic() - start
@@ -56,7 +55,7 @@ def test_criterion_1_identity_residuals(by_id):
     # regression for the doubled leading coefficient: residual exactly 1/12
     fn = by_id["x2"]
     rhs_half = UNIT.width ** 2 / 2.0 * kernel_weighted_d2_integral(fn, UNIT, 1e-12)
-    residual = abs(identity_lhs(fn, UNIT, 1e-12) - rhs_half)
+    residual = abs(mean_at(fn, UNIT, 1e-12) - fn.f(UNIT.midpoint) - rhs_half)
     assert residual == pytest.approx(1.0 / 12.0, abs=1e-10)
     _report(1, "identity residuals and /2-coefficient regression")
 
@@ -74,14 +73,14 @@ def test_criterion_2_kernel_constants(kernel_lp_mass):
     _report(2, "bound prefactors vs kernel moments")
 
 
-def test_criterion_3_sharpness_for_linear_second_derivative(by_id):
+def test_criterion_3_sharpness_for_linear_second_derivative(by_id, mean_at):
     rng = SplitMix64(33)
     for fid in ("x2", "x3"):
         fn = by_id[fid]
         for _ in range(50):
             iv = rng.subinterval(fn.window)
             bound = bound_convex_q1(iv, abs(fn.d2(iv.a)), abs(fn.d2(iv.b)))
-            gap = midpoint_gap(fn, iv, tol=1e-12)
+            gap = abs(mean_at(fn, iv, 1e-12) - fn.f(iv.midpoint))
             assert bound == pytest.approx(gap, abs=1e-10), (fid, iv)
     _report(3, "endpoint-mean bound is sharp for x^2 and x^3")
 

@@ -80,6 +80,17 @@ class TestBoundCommand:
         row = json.loads(capsys.readouterr().out)
         assert row["bound"] == pytest.approx(1.387e308, rel=1e-3) and row["valid"] is True
 
+    @pytest.mark.parametrize("args", [("x2", "0", "2e-314", "convex_q1"),
+                                      ("exp", "0", "1e-320", "quasi_q1")])
+    def test_an_interval_too_narrow_for_the_gap_tolerance_is_answered(self, hh, args):
+        # GAP_TOL times these widths underflows to 0; the oracle's
+        # tolerance is floored at the least positive float, not refused
+        proc = hh("bound", *args)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        row = json.loads(proc.stdout)
+        assert row["valid"] is True
+        assert (row["bound"], row["true_gap"]) == (0.0, 0.0)
+
     def test_class_check_failure_exits_three(self, hh):
         proc = hh("bound", "sin", "0", "3.14159", "convex_q1")
         assert proc.returncode == 3

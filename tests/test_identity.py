@@ -122,18 +122,25 @@ class TestResidual:
                 iv = rng.subinterval(fn.window)
                 assert _residual(fn, iv) < 1e-9, (fn.id, iv)
 
+    def test_an_interval_too_narrow_for_the_gap_tolerance(self, catalog):
+        iv = Interval(0.0, 1e-320)
+        for fn in catalog:
+            if fn.defined_on(iv):
+                assert math.isfinite(identity_lhs(fn, iv)), fn.id
+                assert math.isfinite(identity_rhs(fn, iv)), fn.id
+
     def test_signed_left_side(self, by_id):
         # mean value of x^2 on [0,1] exceeds the midpoint value
         assert identity_lhs(by_id["x2"], UNIT) == pytest.approx(1.0 / 12.0, abs=1e-11)
 
 
 class TestHalfCoefficientRegression:
-    def test_doubled_coefficient_breaks_identity_on_square(self, by_id):
+    def test_doubled_coefficient_breaks_identity_on_square(self, by_id, mean_at):
         # With a (b-a)^2/2 leading coefficient the right side doubles to 1/6
         # for x^2 on [0,1], leaving a residual of exactly 1/12.
         fn = by_id["x2"]
         weighted = kernel_weighted_d2_integral(fn, UNIT, tol=1e-12)
         rhs_half = UNIT.width ** 2 / 2.0 * weighted
-        residual = abs(identity_lhs(fn, UNIT, tol=1e-12) - rhs_half)
+        residual = abs(mean_at(fn, UNIT, 1e-12) - fn.f(UNIT.midpoint) - rhs_half)
         assert rhs_half == pytest.approx(1.0 / 6.0, abs=1e-11)
         assert residual == pytest.approx(1.0 / 12.0, abs=1e-10)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hhbounds import core, identity, oracle
 from hhbounds.core import (
+    GAP_TOL,
     ConvergenceError,
     DomainError,
     EvaluationError,
@@ -458,6 +459,33 @@ class TestMidpointGap:
         assert midpoint_gap(by_id["inv_x"], Interval(1.0, 2.0)) == pytest.approx(
             expected, abs=1e-10)
 
+    def test_the_integral_is_taken_to_gap_tol_times_the_width(self, by_id, monkeypatch):
+        tols = []
+
+        def recording_integrate(f, iv, tol):
+            tols.append(tol)
+            return integrate(f, iv, tol)
+
+        monkeypatch.setattr(oracle, "integrate", recording_integrate)
+        ends = ((1.0, 2.0), (0.0, 3e-314), (-1e-3, 5.0))
+        for a, b in ends:
+            mean_value(by_id["exp"], Interval(a, b))
+        # the floor moves no tolerance that was positive: 3e-314 is about
+        # the narrowest width whose product is still the least positive float
+        assert tols == [GAP_TOL * (b - a) for a, b in ends]
+        assert GAP_TOL * 3e-314 == math.ulp(0.0)
+
+    @pytest.mark.parametrize("b", [2e-314, 1e-320, 5e-323])
+    def test_an_interval_too_narrow_for_the_product_has_a_gap(self, catalog, b):
+        # GAP_TOL * b underflows to 0, which the oracle refuses as a
+        # tolerance; the floor gives it the least positive float instead
+        iv = Interval(0.0, b)
+        assert GAP_TOL * b == 0.0
+        for fn in catalog:
+            if fn.defined_on(iv):
+                assert math.isfinite(mean_value(fn, iv)), fn.id
+                assert math.isfinite(midpoint_gap(fn, iv)), fn.id
+
     def test_affine_gap_vanishes(self):
         # midpoint rule is exact for affine functions
         rng = SplitMix64(271828)
@@ -797,7 +825,7 @@ class TestDerivativeConsistency:
 
 
 class TestHermiteHadamardProperty:
-    def test_double_inequality_for_convex_functions(self, catalog):
+    def test_double_inequality_for_convex_functions(self, catalog, mean_at):
         # convexity of f itself: d2 >= 0 across the window
         rng = SplitMix64(99991)
         for fn in catalog:
@@ -807,7 +835,7 @@ class TestHermiteHadamardProperty:
             for _ in range(20):
                 iv = rng.subinterval(fn.window)
                 mid = fn.f(iv.midpoint)
-                mv = mean_value(fn, iv, tol=1e-11)
+                mv = mean_at(fn, iv, 1e-11)
                 ends = 0.5 * (fn.f(iv.a) + fn.f(iv.b))
                 assert mid <= mv + 1e-10, fn.id
                 assert mv <= ends + 1e-10, fn.id
