@@ -7,8 +7,9 @@ Identical seeds produce
 byte-identical output.  ``hh verify`` writes each sweep line as the
 sweep yields it (``suites.iter_suite``).  One renderer gives each line's
 cells, each the bytes of ``json.dumps(cell)``, with each interval's
-function, gap and endpoints rendered once; a JSON line is its cells in
-one format string, the very bytes ``json.dumps(line, sort_keys=True)``
+function, gap and endpoints rendered once, and each suite and theorem
+name once per run; a JSON line is its cells in one f-string
+(``_json_lines``), the very bytes ``json.dumps(line, sort_keys=True)``
 gives, and ``--csv`` writes the same cells.  A sweep with a line past the
 float range stops there: the lines before it are printed, that one never
 is, so every printed line is strict JSON.  Exit
@@ -39,6 +40,7 @@ from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii
 
 from .core import (
+    GAP_TOL,
     ConvergenceError,
     DomainError,
     EvaluationError,
@@ -62,10 +64,6 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 #: the keys of a sweep line, sorted: the CSV header of ``hh verify``
 _SWEEP_KEYS = ("bound", "function", "gap", "interval", "pass", "slack", "suite", "theorem")
-
-#: a sweep line as ``json`` renders it, keys sorted: one slot per cell, in
-#: ``_SWEEP_KEYS`` order
-_LINE = "{%s}\n" % ", ".join('"%s": %%s' % key for key in _SWEEP_KEYS)
 
 
 @functools.cache
@@ -131,10 +129,11 @@ def _emit(row: dict, as_csv: bool) -> None:
     cells.
 
     The JSON line is ``json.dumps(row, sort_keys=True)``, not the sweep
-    line's cell renderer (``_sweep_cells``, ``_LINE``): each is the faster
-    one on its own side.  One row renders in about half the time through
-    ``json`` as cell by cell, and a sweep's lines in about half the time
-    through the renderer as through ``json`` (README has the figures).
+    line's cell renderer (``_sweep_cells``, ``_json_lines``): each is the
+    faster one on its own side.  One row renders in about half the time
+    through ``json`` as cell by cell, and a sweep's lines in about a third
+    of the time through the renderer as through ``json`` (README has the
+    figures).
     The hhbench workloads ``certify_ladder`` and ``verify_all`` time each
     side, so the two paths stay apart."""
     if as_csv:
@@ -152,19 +151,30 @@ def _sweep_cells(lines: Iterable[dict]) -> Iterator[tuple[str, ...]]:
     would spell otherwise.  The function, gap and interval cells are
     rendered again only when the line does not hold the very objects of
     the cells last rendered; the test is ``is``, never ``==``, since
-    0.0 == -0.0.
+    0.0 == -0.0.  Each suite and theorem name is rendered once per call.
     """
     # the objects the shared cells render: none yet, so the first line sets them
     fid0 = gap0 = a0 = b0 = object()
+    names: dict[str, str] = {}  # each suite and theorem name's cell
     for line in lines:
         fid, gap, (a, b) = line["function"], line["gap"], line["interval"]
         if not (fid is fid0 and gap is gap0 and a is a0 and b is b0):
             fid0, gap0, a0, b0 = fid, gap, a, b
             fid_cell, gap_cell = encode_basestring_ascii(fid), repr(gap)
             iv_cell = "[%r, %r]" % (a, b)
+        suite, theorem = line["suite"], line["theorem"]
         yield (repr(line["bound"]), fid_cell, gap_cell, iv_cell,
                "true" if line["pass"] else "false", repr(line["slack"]),
-               encode_basestring_ascii(line["suite"]), encode_basestring_ascii(line["theorem"]))
+               names.get(suite) or names.setdefault(suite, encode_basestring_ascii(suite)),
+               names.get(theorem) or names.setdefault(theorem, encode_basestring_ascii(theorem)))
+
+
+def _json_lines(cells: Iterable[tuple[str, ...]]) -> Iterator[str]:
+    """Each sweep line's cells (``_sweep_cells``) as one JSON line, keys
+    sorted: the bytes of ``json.dumps(line, sort_keys=True)`` and a newline."""
+    return (f'{{"bound": {bound}, "function": {fid}, "gap": {gap}, "interval": {iv}, '
+            f'"pass": {ok}, "slack": {slack}, "suite": {suite}, "theorem": {theorem}}}\n'
+            for bound, fid, gap, iv, ok, slack, suite, theorem in cells)
 
 
 def _lookup_function(name: str):
@@ -192,7 +202,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.csv:
         _write_csv(_SWEEP_KEYS, _sweep_cells(tallied()))
     else:
-        sys.stdout.writelines(_LINE % cells for cells in _sweep_cells(tallied()))
+        sys.stdout.writelines(_json_lines(_sweep_cells(tallied())))
     return EXIT_PASS if passed else EXIT_VIOLATION
 
 
@@ -229,7 +239,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     # below, so it must stay a small share of that radius, or it could hide
     # a miss; a share of a subnormal radius can round to 0, which the oracle
     # refuses
-    oracle = integrate(fn.f, iv, max(min(result.error_radius * 1e-2, 1e-10), math.ulp(0.0)))
+    oracle = integrate(fn.f, iv, max(min(result.error_radius * 1e-2, GAP_TOL), math.ulp(0.0)))
     enclosed = abs(result.estimate - oracle.value) <= (
         result.error_radius + oracle.est_error)
     _emit({

@@ -46,6 +46,7 @@ per class runs over either pair list.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -158,10 +159,18 @@ def integrate(f: Callable[[float], float], iv: Interval, tol: float) -> Quadratu
     """
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
+    a, b = iv.a, iv.b
+    value, err, mass = _panel(f, a, b)
+    if err <= tol or err <= _ROUNDING_FLOOR * mass:
+        # one panel, as most calls take: the value is math.fsum([value]) bit
+        # for bit, since fsum and adding 0.0 both turn -0.0 into 0.0
+        return QuadratureResult(value=value + 0.0, est_error=err, evaluations=15)
     values: list[float] = []
     errors: list[float] = []
-    pending = [(iv.a, iv.b, tol)]
-    panels = 0
+    # the rejected first panel's halves, as the loop bisects a panel
+    m = 0.5 * (a + b)
+    pending = [(m, b, 0.5 * tol), (a, m, 0.5 * tol)]
+    panels = 1
     while pending:
         a, b, budget = pending.pop()
         value, err, mass = _panel(f, a, b)
@@ -353,9 +362,11 @@ def monotone_holds(d: Callable[[float], float], iv: Interval) -> bool:
     64-point class grid, up to the grid values' ``_slack`` per step."""
     gs = [abs(d(x)) for x in _grid(iv, CLASS_CHECK_GRID)]
     tol = _slack(gs)
-    steps = list(zip(gs, gs[1:]))
-    return (all(hi >= lo - tol for lo, hi in steps)
-            or all(hi <= lo + tol for lo, hi in steps))
+    # each step hi >= lo - tol (rises) or hi <= lo + tol (falls), compared
+    # in C against the thresholds; a NaN fails both
+    his = gs[1:]
+    return (all(map(operator.ge, his, [lo - tol for lo in gs]))
+            or all(map(operator.le, his, [lo + tol for lo in gs])))
 
 
 def check_convex_abs_d2(fn: TestFunction, iv: Interval) -> bool:

@@ -30,7 +30,9 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0 ** -53
 
     def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
+        """lo + (hi - lo) * ``random()``, drawing the bits itself: one call
+        level fewer on the sweeps' hot path."""
+        return lo + (hi - lo) * ((self.next_u64() >> 11) * 2.0 ** -53)
 
     def choice(self, seq):
         return seq[self.next_u64() % len(seq)]

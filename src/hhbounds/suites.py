@@ -198,14 +198,15 @@ def bound_suite(name: str, cases: int, rng: SplitMix64) -> Iterator[dict]:
                      for h in dict.fromkeys(row.hypothesis for row in rows)}
         for iv in _case_intervals(fn, cases, rng):
             qs = [None if span is None else rng.uniform(*span) for span in ranges]
-            holds = {h: ok or (iv != fn.window and h.check(fn, iv))
-                     for h, ok in on_window.items()}
+            holds = on_window if iv == fn.window else {
+                h: ok or h.check(fn, iv) for h, ok in on_window.items()}
             gap = midpoint_gap(fn, iv)
             endpoints: dict = {}
             for row, theorem, q in zip(rows, theorems, qs):
                 if not holds[row.hypothesis]:
                     continue
-                exponent = row.exponent.resolve(theorem, q)
+                # a row draws no q when it takes no exponent: Exponent.NONE gives None
+                exponent = None if q is None else row.exponent.resolve(theorem, q)
                 bound = _bound(row, fn, iv, exponent, endpoints)
                 yield _line(name, fn.id, iv, theorem, bound, gap,
                             slack_is_valid(bound - gap))

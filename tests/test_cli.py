@@ -814,8 +814,8 @@ def _neighbours(gaps, intervals):
 def test_sweep_lines_are_the_encoders_bytes(rows):
     cells = list(cli._sweep_cells(rows))
     assert cells == [tuple(json.dumps(row[key]) for key in sorted(row)) for row in rows]
-    assert [cli._LINE % line for line in cells] == [json.dumps(row, sort_keys=True) + "\n"
-                                                   for row in rows]
+    assert list(cli._json_lines(cells)) == [json.dumps(row, sort_keys=True) + "\n"
+                                            for row in rows]
 
 
 def _printed_before(argv, theorem, capsys):

@@ -325,6 +325,25 @@ class TestIntegrate:
             integrate(counted, UNIT, 1e-6)
         assert count <= 15 * MAX_PANELS
 
+    def test_one_accepted_panel_gives_the_sum_of_the_panels(self):
+        # as math.fsum([-0.0]) does, the one panel's -0.0 is summed to +0.0
+        res = integrate(lambda x: -0.0, UNIT, 1e-6)
+        assert math.copysign(1.0, res.value) == 1.0
+        assert res.evaluations == 15
+
+    def test_a_rejected_first_panel_is_not_evaluated_again(self):
+        calls = 0
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return math.exp(x)
+
+        res = integrate(counted, Interval(0.0, 10.0), 1e-12)
+        assert res.evaluations > 15  # the first panel was rejected
+        assert calls == res.evaluations
+        assert res.value == pytest.approx(math.expm1(10.0), rel=1e-14)
+
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(DomainError):
             integrate(math.exp, UNIT, 0.0)

@@ -287,8 +287,8 @@ def test_seeded_sweep_bytes(seed, digest):
 @pytest.mark.parametrize("seed, digest", SWEEP_DIGESTS)
 def test_seeded_cli_bytes(seed, digest, capsys):
     """The same bytes from the command itself, whose one renderer
-    (``cli._sweep_cells``) gives each line's cells, put in one format
-    string (``cli._LINE``), not by json."""
+    (``cli._sweep_cells``) gives each line's cells, put in one f-string
+    (``cli._json_lines``), not by json."""
     assert cli.main(["verify", "--suite", "all", "--cases", "100", "--seed", str(seed)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
