@@ -3,8 +3,9 @@
 Output is machine-readable: by default one JSON object per line with
 sorted keys; ``--csv``, which every subcommand takes, is the one format
 option: the same keys as a header row, then JSON-encoded cells.
-Identical seeds produce
-byte-identical output.  ``hh verify`` writes each sweep line as the
+Identical seeds produce byte-identical output on every Python version
+(over one libm): the sweeps draw from ``random.Random.random()`` alone,
+whose sequence for a seed the standard library promises to keep.  ``hh verify`` writes each sweep line as the
 sweep yields it (``suites.iter_suite``).  One renderer gives each line's
 cells, each the bytes of ``json.dumps(cell)``, with each interval's
 function, gap and endpoints rendered once, and each suite and theorem
@@ -143,10 +144,12 @@ def _emit(row: dict, as_csv: bool) -> None:
         sys.stdout.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _sweep_cells(lines: Iterable[dict]) -> Iterator[tuple[str, ...]]:
+def _sweep_cells(lines: Iterable[dict], verdicts: set[str]) -> Iterator[tuple[str, ...]]:
     """Yields each sweep line's (``suites._line``) cells, in ``_SWEEP_KEYS``
     order, each the bytes of ``json.dumps(cell)``: floats by ``repr`` and
-    names by ``encode_basestring_ascii``, as ``json`` renders them.
+    names by ``encode_basestring_ascii``, as ``json`` renders them.  Each
+    line's pass cell is added to ``verdicts``, so "false" is in it once a
+    failed line has been rendered.
     ``_line`` refuses a line with a non-finite number, which ``json``
     would spell otherwise.  The function, gap and interval cells are
     rendered again only when the line does not hold the very objects of
@@ -163,8 +166,9 @@ def _sweep_cells(lines: Iterable[dict]) -> Iterator[tuple[str, ...]]:
             fid_cell, gap_cell = encode_basestring_ascii(fid), repr(gap)
             iv_cell = "[%r, %r]" % (a, b)
         suite, theorem = line["suite"], line["theorem"]
-        yield (repr(line["bound"]), fid_cell, gap_cell, iv_cell,
-               "true" if line["pass"] else "false", repr(line["slack"]),
+        ok = "true" if line["pass"] else "false"
+        verdicts.add(ok)
+        yield (repr(line["bound"]), fid_cell, gap_cell, iv_cell, ok, repr(line["slack"]),
                names.get(suite) or names.setdefault(suite, encode_basestring_ascii(suite)),
                names.get(theorem) or names.setdefault(theorem, encode_basestring_ascii(theorem)))
 
@@ -190,20 +194,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     text outlives its write.  A sweep refused part-way (``EvaluationError``)
     has written the lines before the refused one, never that one."""
     from .suites import iter_suite
-    lines = iter_suite(args.suite, args.cases, args.seed)
-    passed = True
-
-    def tallied() -> Iterator[dict]:
-        nonlocal passed
-        for line in lines:
-            passed = passed and line["pass"]
-            yield line
-
+    verdicts: set[str] = set()  # the pass cells written: "true", "false" or both
+    cells = _sweep_cells(iter_suite(args.suite, args.cases, args.seed), verdicts)
     if args.csv:
-        _write_csv(_SWEEP_KEYS, _sweep_cells(tallied()))
+        _write_csv(_SWEEP_KEYS, cells)
     else:
-        sys.stdout.writelines(_json_lines(_sweep_cells(tallied())))
-    return EXIT_PASS if passed else EXIT_VIOLATION
+        sys.stdout.writelines(_json_lines(cells))
+    return EXIT_VIOLATION if "false" in verdicts else EXIT_PASS
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:

@@ -19,12 +19,16 @@ row runs on the intervals where its own hypothesis holds, on the window
 or else on the interval itself.  The registry ``SUITES`` names every
 sweep, in the order ``all`` runs them, with the salt of its seed.
 ``iter_suite`` streams a sweep's lines as they are computed, and
-``run_suite`` is the same lines as a list.
+``run_suite`` is the same lines as a list.  Every draw is computed from
+``random.Random.random()`` alone, whose sequence for an int seed the
+standard library promises to repeat on every Python version, so a seed
+gives the same bytes wherever libm rounds alike.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -60,7 +64,6 @@ from .means import (
     nondecreasing,
 )
 from .oracle import CONVEX_D1, CONVEX_D2, MONOTONE_D2, QUASICONVEX_D2, Hypothesis, midpoint_gap
-from .rng import SplitMix64
 
 def _line(suite: str, function: str, iv: Interval, theorem: str,
           bound: float, gap: float, passed: bool) -> dict:
@@ -78,11 +81,25 @@ def _line(suite: str, function: str, iv: Interval, theorem: str,
             "theorem": theorem, "bound": bound, "gap": gap, "slack": slack, "pass": passed}
 
 
-def _case_intervals(fn: TestFunction, cases: int, rng: SplitMix64) -> list[Interval]:
-    return [fn.window] + [rng.subinterval(fn.window) for _ in range(cases)]
+def _uniform(rng: random.Random, lo: float, hi: float) -> float:
+    return lo + (hi - lo) * rng.random()
 
 
-def identity_suite(cases: int, rng: SplitMix64) -> Iterator[dict]:
+def _subinterval(rng: random.Random, window: Interval) -> Interval:
+    """A random subinterval of ``window`` at least 5% of its width: two
+    uniform ends, drawn again until they are that far apart."""
+    while True:
+        x, y = _uniform(rng, window.a, window.b), _uniform(rng, window.a, window.b)
+        lo, hi = (x, y) if x < y else (y, x)
+        if hi - lo >= 0.05 * window.width:
+            return Interval(lo, hi)
+
+
+def _case_intervals(fn: TestFunction, cases: int, rng: random.Random) -> list[Interval]:
+    return [fn.window] + [_subinterval(rng, fn.window) for _ in range(cases)]
+
+
+def identity_suite(cases: int, rng: random.Random) -> Iterator[dict]:
     """Residual of the kernel identity over the catalog and random subintervals."""
     for fn in builtin_catalog():
         for iv in _case_intervals(fn, cases, rng):
@@ -174,7 +191,7 @@ def _bound(row: BoundRow, fn: TestFunction, iv: Interval, exponent,
     return bound
 
 
-def bound_suite(name: str, cases: int, rng: SplitMix64) -> Iterator[dict]:
+def bound_suite(name: str, cases: int, rng: random.Random) -> Iterator[dict]:
     """Validity sweep of the bound rows of ``SWEEPS[name]``.
 
     One gating rule serves every row.  A function joins the sweep when its
@@ -197,7 +214,7 @@ def bound_suite(name: str, cases: int, rng: SplitMix64) -> Iterator[dict]:
         on_window = {h: h is first or h.check(fn, fn.window)
                      for h in dict.fromkeys(row.hypothesis for row in rows)}
         for iv in _case_intervals(fn, cases, rng):
-            qs = [None if span is None else rng.uniform(*span) for span in ranges]
+            qs = [None if span is None else _uniform(rng, *span) for span in ranges]
             holds = on_window if iv == fn.window else {
                 h: ok or h.check(fn, iv) for h, ok in on_window.items()}
             gap = midpoint_gap(fn, iv)
@@ -212,21 +229,25 @@ def bound_suite(name: str, cases: int, rng: SplitMix64) -> Iterator[dict]:
                             slack_is_valid(bound - gap))
 
 
-def means_suite(cases: int, rng: SplitMix64) -> Iterator[dict]:
+#: the powers n the means sweep draws for x^n, each as likely
+_MEANS_POWERS = (-4, -3, -2, 3, 4, 5, 6)
+
+
+def means_suite(cases: int, rng: random.Random) -> Iterator[dict]:
     """Mean-chain, p-logarithmic monotonicity, and the six gap inequalities.
 
     The chain and the monotonicity of L_p are decided on the means and the
     L_p values the lines print, each computed once."""
     for _ in range(cases):
         while True:
-            x, y = rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0)
+            x, y = _uniform(rng, 0.1, 10.0), _uniform(rng, 0.1, 10.0)
             a, b = (x, y) if x < y else (y, x)
             if b - a >= 0.05:
                 break
         iv = Interval(a, b)
-        n = rng.choice((-4, -3, -2, 3, 4, 5, 6))
-        q = rng.uniform(1.05, 4.0)
-        q_quasi = rng.uniform(1.0, 4.0)
+        n = _MEANS_POWERS[int(rng.random() * len(_MEANS_POWERS))]
+        q = _uniform(rng, 1.05, 4.0)
+        q_quasi = _uniform(rng, 1.0, 4.0)
         pair = ConjugatePair.from_q(q)
 
         m = all_means(a, b)
@@ -258,7 +279,9 @@ SUITE_NAMES = (*SUITES, "all")
 def iter_suite(name: str, cases: int, seed: int) -> Iterator[dict]:
     """The rows of sweep ``name`` (or of every sweep, for "all"), yielded as
     each is computed, each sweep drawing from its own generator, seeded
-    with seed ^ its salt.
+    with seed ^ its salt taken as an unsigned 64-bit int, so seed -1
+    draws as 2**64 - 1 (``random.Random`` alone would seed a negative int
+    by its absolute value).
 
     Raises DomainError for an unknown name or cases < 1 at the call,
     before anything is evaluated.
@@ -268,7 +291,8 @@ def iter_suite(name: str, cases: int, seed: int) -> Iterator[dict]:
     if cases < 1:
         raise DomainError(f"need at least one case, got {cases}")
     sweeps = SUITES.values() if name == "all" else (SUITES[name],)
-    return chain.from_iterable(sweep(cases, SplitMix64(seed ^ salt)) for salt, sweep in sweeps)
+    return chain.from_iterable(sweep(cases, random.Random((seed ^ salt) & (2 ** 64 - 1)))
+                               for salt, sweep in sweeps)
 
 
 def run_suite(name: str, cases: int, seed: int) -> list[dict]:

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 pass lines.
 """
 
+import random
 import subprocess
 import sys
 import time
@@ -33,8 +34,7 @@ from hhbounds.oracle import (
     check_quasiconvex_abs_d2,
     integrate,
 )
-from hhbounds.rng import SplitMix64
-from hhbounds.suites import run_suite
+from hhbounds.suites import _subinterval, run_suite
 
 UNIT = Interval(0.0, 1.0)
 
@@ -74,11 +74,11 @@ def test_criterion_2_kernel_constants(kernel_lp_mass):
 
 
 def test_criterion_3_sharpness_for_linear_second_derivative(by_id, mean_at):
-    rng = SplitMix64(33)
+    rng = random.Random(33)
     for fid in ("x2", "x3"):
         fn = by_id[fid]
         for _ in range(50):
-            iv = rng.subinterval(fn.window)
+            iv = _subinterval(rng, fn.window)
             bound = bound_convex_q1(iv, abs(fn.d2(iv.a)), abs(fn.d2(iv.b)))
             gap = abs(mean_at(fn, iv, 1e-12) - fn.f(iv.midpoint))
             assert bound == pytest.approx(gap, abs=1e-10), (fid, iv)
@@ -107,7 +107,7 @@ def test_criterion_5_constant_remarks():
         pq = ConjugatePair.from_p(p)
         assert bound_convex_powermean(UNIT, 1.0, 1.0, pq.q) < bound_convex_holder(
             UNIT, 1.0, 1.0, pq), p
-    rng = SplitMix64(55)
+    rng = random.Random(55)
     for _ in range(1000):
         d2a = rng.uniform(0.0, 20.0)
         d2b = rng.uniform(0.0, 20.0)
@@ -119,7 +119,7 @@ def test_criterion_5_constant_remarks():
 
 
 def test_criterion_6_mean_chain_and_lp_monotonicity():
-    rng = SplitMix64(66)
+    rng = random.Random(66)
     for _ in range(1000):
         a = rng.uniform(0.05, 20.0)
         b = a + rng.uniform(1e-4, 20.0)
@@ -140,7 +140,7 @@ def test_criterion_7_propositions():
     assert report.true_gap == pytest.approx(0.375, abs=1e-15)
     assert report.bound / 2 < report.true_gap
 
-    rng = SplitMix64(77)
+    rng = random.Random(77)
     for _ in range(200):
         a = rng.uniform(0.1, 8.0)
         b = a + rng.uniform(0.05, 2.0)

@@ -249,6 +249,18 @@ class TestNestedSearch:
             refine_to_tolerance(fn, Interval(2.0, 4.5), tol, CertTheorem.QUASI_Q1)
         assert calls == {"f": 0, "d2": n + 1}
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the quasi_q1 floor, C (span/2^20)^3 S over the sum S of the "
+                              "|f''| read so far, nears this tolerance only close to n = 2^20 "
+                              "(ROADMAP item 30)")
+    def test_quasi_floor_refuses_a_near_miss_fast(self, by_id):
+        # the radius at n = 2^20 is at least 1.63e-13, above 1e-13, but the
+        # floor refuses only at n = 524,288, after 524,416 reads of f''
+        fn, calls = counted(by_id["sin"])
+        with pytest.raises(ConvergenceError):
+            refine_to_tolerance(fn, Interval(2.0, 4.5), 1e-13, CertTheorem.QUASI_Q1)
+        assert calls["d2"] <= 10_000
+
 
 #: per rule, requests whose class holds, as (fid, a, b, tol, n)
 RULE_REQUESTS = {

@@ -681,9 +681,9 @@ def test_seeded_csv_bytes(capsys):
     """
     assert cli.main(["verify", "--suite", "all", "--cases", "3", "--seed", "7", "--csv"]) == 0
     out = capsys.readouterr().out
-    assert len(out.splitlines()) == 363
+    assert len(out.splitlines()) == 364
     assert (hashlib.sha256(out.encode()).hexdigest()
-            == "195f870f59e36476979a9e2ba68b9ba844d71315b4f5de72c8a08fa65e2537b6")
+            == "76fe21b6956ef506043f8fef13cf1439efde0d237790a28fc8ac892948cd5231")
 
 
 def test_seeded_csv_bytes_of_the_whole_sweep(capsys):
@@ -691,9 +691,9 @@ def test_seeded_csv_bytes_of_the_whole_sweep(capsys):
     ``SWEEP_DIGESTS`` of test_suites.py pin."""
     assert cli.main(["verify", "--suite", "all", "--cases", "100", "--seed", "7", "--csv"]) == 0
     out = capsys.readouterr().out
-    assert len(out.splitlines()) == 9377
+    assert len(out.splitlines()) == 9373
     assert (hashlib.sha256(out.encode()).hexdigest()
-            == "9b9ec25fd9cb395146a5c5e43f4145fb1013d5eaf62739df9f61bbf477f63052")
+            == "32661565fa1eef4c9ce1297a2551cd4f79bdebf246272c93cc38054789b3124b")
 
 
 @pytest.mark.parametrize("fmt", [[], ["--csv"]], ids=["json", "csv"])
@@ -812,8 +812,10 @@ def _neighbours(gaps, intervals):
 @example(_neighbours([0.5, _twin(0.5)],  # one value, two objects
                      [Interval(0.5, 1.0), Interval(_twin(0.5), 1.0)]))
 def test_sweep_lines_are_the_encoders_bytes(rows):
-    cells = list(cli._sweep_cells(rows))
+    verdicts = set()
+    cells = list(cli._sweep_cells(rows, verdicts))
     assert cells == [tuple(json.dumps(row[key]) for key in sorted(row)) for row in rows]
+    assert verdicts == {json.dumps(row["pass"]) for row in rows}
     assert list(cli._json_lines(cells)) == [json.dumps(row, sort_keys=True) + "\n"
                                             for row in rows]
 
@@ -861,6 +863,32 @@ def test_a_line_past_the_float_range_late_in_the_stream_ends_the_output_there(fm
         r"hh: the prop_monomial_quasi line on \[\S+, \S+\] is past the float range\n", err)
 
 
+@pytest.mark.parametrize("fmt", [[], ["--csv"]], ids=["json", "csv"])
+def test_a_failed_verdict_exits_one_after_every_line(fmt, monkeypatch, capsys):
+    # a convex_q1 bound of -1 undercuts every gap of a convex f'': each of
+    # its lines fails, the sweep runs on, and the exit status is 1
+    argv = ["verify", "--suite", "convex", "--cases", "2", "--seed", "7", *fmt]
+
+    def printed_lines():
+        out = capsys.readouterr().out
+        if fmt:
+            header, *rows = csv.reader(io.StringIO(out))
+            return [dict(zip(header, map(json.loads, row))) for row in rows]
+        return parse_lines(out)
+
+    assert cli.main(argv) == 0
+    before = printed_lines()
+    monkeypatch.setattr(suites.bc, "bound_convex_q1", lambda iv, fa, fb: -1.0)
+    assert cli.main(argv) == 1
+    after = printed_lines()
+    assert len(after) == len(before)
+    failed = [line for line in after if line["theorem"] == "convex_q1"]
+    assert failed and all(line["pass"] is False for line in failed)
+    assert ([line for line in after if line["theorem"] != "convex_q1"]
+            == [line for line in before if line["theorem"] != "convex_q1"])
+    assert all(line["pass"] is True for line in before)
+
+
 class LineCounter:
     """A stdout that counts the lines written to it and keeps none."""
 
@@ -879,7 +907,7 @@ class LineCounter:
 @pytest.mark.parametrize("fmt", [[], ["--csv"]], ids=["json", "csv"])
 def test_verify_holds_no_line_after_writing_it(fmt):
     """The traced peak of one `hh verify` into a sink that keeps nothing
-    does not grow with the sweep: under 1 MB at 400 cases, 37,253 lines."""
+    does not grow with the sweep: under 1 MB at 400 cases, 37,248 lines."""
     argv = ["verify", "--suite", "all", "--cases", "400", "--seed", "7", *fmt]
     sink = LineCounter()
     with contextlib.redirect_stdout(sink):
@@ -891,7 +919,7 @@ def test_verify_holds_no_line_after_writing_it(fmt):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert sink.lines == 37253 + len(fmt)
+    assert sink.lines == 37248 + len(fmt)
     assert peak < 1_000_000
 
 
@@ -976,7 +1004,7 @@ def test_startup_loads_the_standard_library_alone_and_no_fractions():
 
 #: the hhbounds modules of one bound report or sweep: all but the certifier
 _SWEEP_MODULES = ["bounds_convex", "bounds_quasiconvex", "cli", "core", "identity", "means",
-                  "oracle", "rng", "suites"]
+                  "oracle", "suites"]
 
 
 @pytest.mark.parametrize("argv, modules", [
@@ -987,7 +1015,7 @@ _SWEEP_MODULES = ["bounds_convex", "bounds_quasiconvex", "cli", "core", "identit
 ], ids=["verify", "bound", "means", "certify"])
 def test_each_command_loads_only_the_modules_it_runs(argv, modules):
     # a fresh process: `hh means` loads no certifier, oracle, suites or
-    # identity; `hh certify` no suites, means, identity, rng or bounds;
+    # identity; `hh certify` no suites, means, identity or bounds;
     # and no command loads csv without --csv
     code = (
         "import contextlib, io, json, sys\n"

@@ -10,6 +10,8 @@ mean is 1.  The kernel itself (conftest's ``peak_kernel``) and its closed-form
 moments are checked first.
 """
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,7 +25,6 @@ from hhbounds.bounds_quasiconvex import (
 )
 from hhbounds.core import ConjugatePair, Interval
 from hhbounds.oracle import integrate
-from hhbounds.rng import SplitMix64
 
 UNIT = Interval(0.0, 1.0)
 
@@ -54,7 +55,7 @@ class TestPeakKernel:
         assert peak_kernel(0.5) == 0.25
 
     def test_symmetry_on_dense_random_sample(self, peak_kernel):
-        rng = SplitMix64(12)
+        rng = random.Random(12)
         for _ in range(1000):
             t = rng.random()
             assert peak_kernel(t) == pytest.approx(

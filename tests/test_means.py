@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,6 @@ from hhbounds.means import (
     lp_monotone_nondecreasing,
     p_logarithmic_mean,
 )
-from hhbounds.rng import SplitMix64
 
 PQ2 = ConjugatePair(2.0, 2.0)
 
@@ -106,7 +106,7 @@ class TestMeanValues:
 
 def _close_pairs(seed: int, count: int):
     """Seeded pairs in [0.1, 10] whose relative separation is 1e-12 to 1e-4."""
-    rng = SplitMix64(seed)
+    rng = random.Random(seed)
     for _ in range(count):
         a = rng.uniform(0.1, 10.0)
         yield a, a * (1.0 + 10.0 ** rng.uniform(-12.0, -4.0))
@@ -144,7 +144,7 @@ class TestAccuracy:
             assert abs(got - exact) <= 1e-13 * exact, (a, b, p, got, exact)
 
     def test_equal_arguments_return_the_argument(self):
-        rng = SplitMix64(1729)
+        rng = random.Random(1729)
         for a in _SCALES + [10.0 ** rng.uniform(-300.0, 300.0) for _ in range(2000)]:
             assert all(value == a for value in all_means(a, a).values()), a
             assert all(p_logarithmic_mean(a, a, p) == a for p in LP_MONOTONE_GRID), a
@@ -208,7 +208,7 @@ class TestPLogarithmicMonotonicity:
         assert -1.0 in LP_MONOTONE_GRID and 0.0 in LP_MONOTONE_GRID
 
     def test_monotone_on_seeded_pairs(self):
-        rng = SplitMix64(5150)
+        rng = random.Random(5150)
         for _ in range(100):
             a = rng.uniform(0.1, 10.0)
             b = a + rng.uniform(0.05, 5.0)
@@ -441,7 +441,7 @@ class TestAgreementWithGeneralBounds:
     """Each inequality must be the matching endpoint bound for its generator."""
 
     def test_monomial_bounds_match_theorem_routes(self):
-        rng = SplitMix64(808017)
+        rng = random.Random(808017)
         for _ in range(30):
             a = rng.uniform(0.2, 8.0)
             b = a + rng.uniform(0.1, 2.0)
@@ -459,7 +459,7 @@ class TestAgreementWithGeneralBounds:
                 bound_quasi_holder(iv, d2a, d2b, pair), rel=1e-12)
 
     def test_reciprocal_and_identric_bounds_match_theorem_routes(self):
-        rng = SplitMix64(606060)
+        rng = random.Random(606060)
         for _ in range(30):
             a = rng.uniform(0.2, 8.0)
             b = a + rng.uniform(0.1, 2.0)
@@ -486,7 +486,7 @@ class TestAgreementWithGeneralBounds:
         def gap(fn, iv):
             return abs(mean_at(fn, iv, 1e-11) - fn.f(iv.midpoint))
 
-        rng = SplitMix64(515253)
+        rng = random.Random(515253)
         for _ in range(10):
             a = rng.uniform(0.3, 5.0)
             b = a + rng.uniform(0.2, 2.0)
@@ -536,7 +536,7 @@ class TestReferenceClosedForms:
     REL = 1e-13
 
     def test_seeded_draws(self):
-        rng = SplitMix64(20100503)
+        rng = random.Random(20100503)
         for _ in range(500):
             a = rng.uniform(0.1, 10.0)
             b = a + rng.uniform(0.05, 10.0)

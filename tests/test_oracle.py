@@ -39,7 +39,7 @@ from hhbounds.oracle import (
     monotone_holds,
     pairs_hold,
 )
-from hhbounds.rng import SplitMix64
+from hhbounds.suites import _subinterval
 
 LN2 = 0.6931471805599453
 UNIT = Interval(0.0, 1.0)
@@ -239,7 +239,7 @@ def derivative_consistency(fn: core.TestFunction, points: int = 100,
     at tolerance max(1e-6, 1e-6*|value|).  Returns the largest
     discrepancy/tolerance ratio; values below 1 mean consistent.
     """
-    rng = SplitMix64(seed)
+    rng = random.Random(seed)
     iv = fn.window
     worst = 0.0
     for _ in range(points):
@@ -273,7 +273,7 @@ class TestIntegrate:
 
     def test_exact_on_random_cubics(self):
         # one K15 panel integrates degree <= 23 exactly; only rounding remains
-        rng = SplitMix64(314159)
+        rng = random.Random(314159)
         for _ in range(100):
             cs = [rng.uniform(-3.0, 3.0) for _ in range(4)]
             a = rng.uniform(-2.0, 1.0)
@@ -420,8 +420,8 @@ class TestOnePassPanel:
     @pytest.mark.parametrize("fid", sorted(core.catalog_by_id()))
     def test_it_matches_the_two_list_form_bit_for_bit(self, fid):
         fn = core.catalog_by_id()[fid]
-        rng = SplitMix64(0x9A7E1 + len(fid))
-        spans = [fn.window] + [rng.subinterval(fn.window) for _ in range(20)]
+        rng = random.Random(0x9A7E1 + len(fid))
+        spans = [fn.window] + [_subinterval(rng, fn.window) for _ in range(20)]
         for iv in spans:
             for f, span in identity_integrands(fn, iv):
                 # the span's panel, and the two of its first bisection
@@ -507,7 +507,7 @@ class TestMidpointGap:
 
     def test_affine_gap_vanishes(self):
         # midpoint rule is exact for affine functions
-        rng = SplitMix64(271828)
+        rng = random.Random(271828)
         for _ in range(100):
             fn = polynomial([rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)])
             a = rng.uniform(-3.0, 2.0)
@@ -846,13 +846,13 @@ class TestDerivativeConsistency:
 class TestHermiteHadamardProperty:
     def test_double_inequality_for_convex_functions(self, catalog, mean_at):
         # convexity of f itself: d2 >= 0 across the window
-        rng = SplitMix64(99991)
+        rng = random.Random(99991)
         for fn in catalog:
             grid = [fn.window.a + fn.window.width * i / 64 for i in range(65)]
             if min(fn.d2(x) for x in grid) < 0.0:
                 continue
             for _ in range(20):
-                iv = rng.subinterval(fn.window)
+                iv = _subinterval(rng, fn.window)
                 mid = fn.f(iv.midpoint)
                 mv = mean_at(fn, iv, 1e-11)
                 ends = 0.5 * (fn.f(iv.a) + fn.f(iv.b))

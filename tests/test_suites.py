@@ -269,9 +269,9 @@ def test_a_bound_table_row_past_the_float_range_is_refused(by_id):
 #: pow differently in the last bit and so change them without a change in
 #: this program
 SWEEP_DIGESTS = [
-    pytest.param(7, "d022348738d572bf417d54acac91fcce2cd053368467536bb5389ce32560a578",
+    pytest.param(7, "6c99473d81f2cf8ff482ae307ee2c00128148b233c448a4d2b3958b91f972622",
                  id="seed7"),
-    pytest.param(1, "588c44807b81016d7926f47aa3ef0d148767b0d03b462416905f7f54d5dec0d7",
+    pytest.param(1, "21ba1764f72ae11cb8ca3314bba68544ba3226ab373779b891534eb87f7ead74",
                  id="seed1"),
 ]
 
