@@ -32,12 +32,14 @@ def power_mean(x: float, y: float, q: float) -> float:
 
 def _prefactor_24(iv: Interval) -> float:
     """(b-a)^2/24, the prefactor of the mean, power-mean and max bounds."""
-    return iv.width * iv.width / 24.0
+    width = iv.width
+    return width * width / 24.0
 
 
 def _prefactor_holder(iv: Interval, pq: ConjugatePair) -> float:
     """(b-a)^2 / (8 (2p+1)^(1/p)), the prefactor of the Hoelder bounds."""
-    return iv.width * iv.width / (8.0 * (2.0 * pq.p + 1.0) ** (1.0 / pq.p))
+    width, p = iv.width, pq.p
+    return width * width / (8.0 * (2.0 * p + 1.0) ** (1.0 / p))
 
 
 def bound_convex_q1(iv: Interval, d2a: float, d2b: float) -> float:

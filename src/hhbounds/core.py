@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -20,6 +21,10 @@ CONJUGATE_TOL = 1e-12
 #: the accuracy of the oracle's mean value, and so of the midpoint gap,
 #: the "true gap" every bound is checked against (``oracle.midpoint_gap``)
 GAP_TOL = 1e-10
+
+#: the largest endpoint magnitude an ``Interval`` takes: the sum of any
+#: two of its points, and so its width and midpoint, stays finite
+_HALF_MAX = sys.float_info.max / 2
 
 #: slack tolerance when declaring a bound report valid: ten times
 #: ``GAP_TOL``, so the gap's quadrature error alone cannot make a true
@@ -47,24 +52,30 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [a, b] with a strictly less than b."""
+    """Closed interval [a, b] with a strictly less than b, an interior
+    midpoint, and both ends within half the float range, so that any two of
+    its points sum to a finite float."""
 
     a: float
     b: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise DomainError(f"interval endpoints must be finite, got [{self.a}, {self.b}]")
-        if not self.a < self.b:
-            raise DomainError(f"interval requires a < b, got [{self.a}, {self.b}]")
-        if not (math.isfinite(self.b - self.a) and math.isfinite(self.a + self.b)):
-            # the width and the midpoint would be infinite
-            raise DomainError(f"interval [{self.a}, {self.b}] overflows: b - a or a + b "
-                              "is not finite")
-        mid = 0.5 * (self.a + self.b)
-        if not (self.a < mid < self.b):
-            # adjacent floats: no representable interior point
-            raise DomainError(f"interval [{self.a}, {self.b}] has no interior midpoint")
+        a, b = self.a, self.b
+        # one chained test accepts the interval, exactly when each rule
+        # below holds; a NaN fails it
+        if -_HALF_MAX <= a < 0.5 * (a + b) < b <= _HALF_MAX:
+            return
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise DomainError(f"interval endpoints must be finite, got [{a}, {b}]")
+        if not a < b:
+            raise DomainError(f"interval requires a < b, got [{a}, {b}]")
+        if not (abs(a) <= _HALF_MAX and abs(b) <= _HALF_MAX):
+            # the sum of two points of the interval could overflow: the
+            # width, the midpoint or a class check's pair midpoint
+            raise DomainError(f"interval [{a}, {b}] overflows: an endpoint is beyond "
+                              "half the float range")
+        # adjacent floats: no representable interior point
+        raise DomainError(f"interval [{a}, {b}] has no interior midpoint")
 
     @property
     def width(self) -> float:

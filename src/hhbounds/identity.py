@@ -37,7 +37,8 @@ def kernel_weighted_d2_integral(fn: TestFunction, iv: Interval, tol: float) -> f
     d2 = fn.d2
 
     def left(t: float) -> float:
-        return t * t * (d2(t * a + (1.0 - t) * b) + d2(t * b + (1.0 - t) * a))
+        s = 1.0 - t
+        return t * t * (d2(t * a + s * b) + d2(t * b + s * a))
 
     return 2.0 * integrate(left, _LEFT, 0.5 * tol).value
 
@@ -45,7 +46,8 @@ def kernel_weighted_d2_integral(fn: TestFunction, iv: Interval, tol: float) -> f
 def identity_rhs(fn: TestFunction, iv: Interval) -> float:
     """Right side of the identity: ((b-a)^2/4) * kernel-weighted f'' integral,
     accurate to ``GAP_TOL``."""
-    coeff = iv.width * iv.width / 4.0
+    width = iv.width
+    coeff = width * width / 4.0
     inner_tol = GAP_TOL / coeff if coeff > 0.0 else GAP_TOL
     return coeff * kernel_weighted_d2_integral(fn, iv, inner_tol)
 

@@ -197,7 +197,7 @@ def _report(theorem: TheoremId, a: float, b: float, exponent, generator, formula
     or formula overflowed or divided by a power that underflowed to 0, nor
     one from an endpoint |f''| of 0.0: every generator's exact |f''| is
     nonzero on a > 0, so that value underflowed.  Each raises
-    EvaluationError, worded as ``suites._bound`` words it.
+    EvaluationError, worded as ``suites._bound_past_range`` words it.
     """
     _validate(a, b)
     iv = Interval(a, b)

@@ -118,7 +118,8 @@ def _panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, floa
     y = f(c)
     k15, g7, mass = _WK_CENTRE * y, _WG_CENTRE * y, _WK_CENTRE * abs(y)
     for x, wk, wg in _NODES:
-        lo, hi = f(c - h * x), f(c + h * x)
+        hx = h * x
+        lo, hi = f(c - hx), f(c + hx)
         pair = lo + hi
         k15 += wk * pair
         g7 += wg * pair
@@ -164,7 +165,7 @@ def integrate(f: Callable[[float], float], iv: Interval, tol: float) -> Quadratu
     if err <= tol or err <= _ROUNDING_FLOOR * mass:
         # one panel, as most calls take: the value is math.fsum([value]) bit
         # for bit, since fsum and adding 0.0 both turn -0.0 into 0.0
-        return QuadratureResult(value=value + 0.0, est_error=err, evaluations=15)
+        return QuadratureResult(value + 0.0, err, 15)
     values: list[float] = []
     errors: list[float] = []
     # the rejected first panel's halves, as the loop bisects a panel
@@ -186,8 +187,7 @@ def integrate(f: Callable[[float], float], iv: Interval, tol: float) -> Quadratu
         m = 0.5 * (a + b)
         pending.append((m, b, 0.5 * budget))
         pending.append((a, m, 0.5 * budget))
-    return QuadratureResult(value=math.fsum(values), est_error=math.fsum(errors),
-                            evaluations=15 * panels)
+    return QuadratureResult(math.fsum(values), math.fsum(errors), 15 * panels)
 
 
 def mean_value(fn: TestFunction, iv: Interval) -> float:
@@ -195,8 +195,8 @@ def mean_value(fn: TestFunction, iv: Interval) -> float:
     integral's tolerance GAP_TOL * (b-a) is floored at the least positive
     float, which the oracle takes, so an interval too narrow for the
     product (below about 2.5e-314) still has a mean value."""
-    res = integrate(fn.f, iv, max(GAP_TOL * iv.width, math.ulp(0.0)))
-    return res.value / iv.width
+    width = iv.width
+    return integrate(fn.f, iv, max(GAP_TOL * width, math.ulp(0.0))).value / width
 
 
 def midpoint_gap(fn: TestFunction, iv: Interval) -> float:
@@ -214,9 +214,10 @@ def _slack(gs: list[float]) -> float:
 
 
 def _grid(iv: Interval, n: int) -> list[float]:
-    step = iv.width / (n - 1)
-    xs = [iv.a + i * step for i in range(n)]
-    xs[-1] = iv.b
+    a, b = iv.a, iv.b
+    step = (b - a) / (n - 1)
+    xs = [a + i * step for i in range(n)]
+    xs[-1] = b
     return xs
 
 

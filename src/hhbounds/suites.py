@@ -85,18 +85,21 @@ def _uniform(rng: random.Random, lo: float, hi: float) -> float:
     return lo + (hi - lo) * rng.random()
 
 
-def _subinterval(rng: random.Random, window: Interval) -> Interval:
-    """A random subinterval of ``window`` at least 5% of its width: two
+def _subinterval(rng: random.Random, window: Interval, min_width: float) -> Interval:
+    """A random subinterval of ``window`` at least ``min_width`` wide: two
     uniform ends, drawn again until they are that far apart."""
     while True:
         x, y = _uniform(rng, window.a, window.b), _uniform(rng, window.a, window.b)
         lo, hi = (x, y) if x < y else (y, x)
-        if hi - lo >= 0.05 * window.width:
+        if hi - lo >= min_width:
             return Interval(lo, hi)
 
 
 def _case_intervals(fn: TestFunction, cases: int, rng: random.Random) -> list[Interval]:
-    return [fn.window] + [_subinterval(rng, fn.window) for _ in range(cases)]
+    """The window, then ``cases`` random subintervals at least 5% of it."""
+    window = fn.window
+    min_width = 0.05 * window.width
+    return [window] + [_subinterval(rng, window, min_width) for _ in range(cases)]
 
 
 def identity_suite(cases: int, rng: random.Random) -> Iterator[dict]:
@@ -139,8 +142,9 @@ class Exponent(Enum):
 class BoundRow:
     """One bound theorem: hypothesis, formula and exponent.
 
-    The formula is ``module.<formula>``, looked up when called, applied to
-    the interval and the endpoint magnitudes of the hypothesis's derivative.
+    The formula is ``module.<formula>``, looked up when a sweep starts or a
+    report is built, not on every call, and applied to the interval and the
+    endpoint magnitudes of the hypothesis's derivative.
     """
 
     theorem: TheoremId
@@ -173,22 +177,12 @@ BOUND_ROWS = {row.theorem: row for rows in SWEEPS.values() for row in rows}
 BOUND_THEOREMS = tuple(sorted(t.value for t in BOUND_ROWS))
 
 
-def _bound(row: BoundRow, fn: TestFunction, iv: Interval, exponent,
-           endpoints: dict) -> float:
-    """The row's formula on iv; ``endpoints`` caches each derivative's
-    endpoint magnitudes on iv, so each is evaluated once per interval.
-    Raises EvaluationError for a bound past the float range, which bounds
-    nothing: the endpoint values are finite, the formula's result is not."""
-    d = row.hypothesis.derivative
-    if d not in endpoints:
-        ev = getattr(fn, d)
-        endpoints[d] = (abs(ev(iv.a)), abs(ev(iv.b)))
-    args = endpoints[d] if row.exponent is Exponent.NONE else (*endpoints[d], exponent)
-    bound = getattr(row.module, row.formula)(iv, *args)
-    if not math.isfinite(bound):
-        raise EvaluationError(
-            f"the {row.theorem.value} bound on [{iv.a}, {iv.b}] is past the float range")
-    return bound
+def _bound_past_range(theorem: str, iv: Interval) -> EvaluationError:
+    """The refusal of a bound table row whose bound is past the float
+    range, which bounds nothing: the endpoint values are finite, the
+    formula's result is not."""
+    return EvaluationError(
+        f"the {theorem} bound on [{iv.a}, {iv.b}] is past the float range")
 
 
 def bound_suite(name: str, cases: int, rng: random.Random) -> Iterator[dict]:
@@ -201,13 +195,18 @@ def bound_suite(name: str, cases: int, rng: random.Random) -> Iterator[dict]:
     its rows are left out where that fails too.  (Convex nonnegative |f'|
     stays convex under any power q >= 1, so one |f'| check serves both
     baselines.)  Each row's q is drawn on every interval, even for a row
-    left out.
+    left out.  Each derivative's endpoint magnitudes are read once per
+    interval, when the first row that holds there needs them.
     """
     rows = SWEEPS[name]
-    # the Enum values each row reads, looked up once per sweep, not per row
-    theorems = [row.theorem.value for row in rows]
+    # what each row reads that no interval changes, looked up once per
+    # sweep: its theorem's name, exponent kind, hypothesis, derivative and
+    # formula, the module attribute as the sweep starts
+    plan = [(row.theorem.value, row.exponent, row.hypothesis, row.hypothesis.derivative,
+             getattr(row.module, row.formula)) for row in rows]
     ranges = [row.exponent.value for row in rows]
     first = rows[0].hypothesis
+    isfinite = math.isfinite  # a local: the row loop is hot
     for fn in builtin_catalog():
         if not first.check(fn, fn.window):
             continue
@@ -215,22 +214,32 @@ def bound_suite(name: str, cases: int, rng: random.Random) -> Iterator[dict]:
                      for h in dict.fromkeys(row.hypothesis for row in rows)}
         for iv in _case_intervals(fn, cases, rng):
             qs = [None if span is None else _uniform(rng, *span) for span in ranges]
-            holds = on_window if iv == fn.window else {
+            # _case_intervals puts the window object itself first
+            holds = on_window if iv is fn.window else {
                 h: ok or h.check(fn, iv) for h, ok in on_window.items()}
             gap = midpoint_gap(fn, iv)
-            endpoints: dict = {}
-            for row, theorem, q in zip(rows, theorems, qs):
-                if not holds[row.hypothesis]:
+            a, b = iv.a, iv.b
+            ends: dict = {}
+            for (theorem, kind, hypothesis, d, formula), q in zip(plan, qs):
+                if not holds[hypothesis]:
                     continue
+                e = ends.get(d)
+                if e is None:
+                    ev = getattr(fn, d)
+                    e = ends[d] = (abs(ev(a)), abs(ev(b)))
                 # a row draws no q when it takes no exponent: Exponent.NONE gives None
-                exponent = None if q is None else row.exponent.resolve(theorem, q)
-                bound = _bound(row, fn, iv, exponent, endpoints)
-                yield _line(name, fn.id, iv, theorem, bound, gap,
-                            slack_is_valid(bound - gap))
+                bound = (formula(iv, *e) if q is None else
+                         formula(iv, *e, kind.resolve(theorem, q)))
+                if not isfinite(bound):
+                    raise _bound_past_range(theorem, iv)
+                yield _line(name, fn.id, iv, theorem, bound, gap, slack_is_valid(bound - gap))
 
 
 #: the powers n the means sweep draws for x^n, each as likely
 _MEANS_POWERS = (-4, -3, -2, 3, 4, 5, 6)
+
+#: the range the means sweep draws its pairs from, at least 0.05 apart
+_MEANS_WINDOW = Interval(0.1, 10.0)
 
 
 def means_suite(cases: int, rng: random.Random) -> Iterator[dict]:
@@ -239,12 +248,8 @@ def means_suite(cases: int, rng: random.Random) -> Iterator[dict]:
     The chain and the monotonicity of L_p are decided on the means and the
     L_p values the lines print, each computed once."""
     for _ in range(cases):
-        while True:
-            x, y = _uniform(rng, 0.1, 10.0), _uniform(rng, 0.1, 10.0)
-            a, b = (x, y) if x < y else (y, x)
-            if b - a >= 0.05:
-                break
-        iv = Interval(a, b)
+        iv = _subinterval(rng, _MEANS_WINDOW, 0.05)
+        a, b = iv.a, iv.b
         n = _MEANS_POWERS[int(rng.random() * len(_MEANS_POWERS))]
         q = _uniform(rng, 1.05, 4.0)
         q_quasi = _uniform(rng, 1.0, 4.0)
@@ -318,7 +323,13 @@ def build_bound_report(fn: TestFunction, iv: Interval, theorem: str,
     if row is None:
         raise DomainError(f"unknown bound theorem {theorem!r}; bound theorems: "
                           + ", ".join(BOUND_THEOREMS))
-    exponent = row.exponent.resolve(row.theorem.value, q, p)
+    theorem = row.theorem.value
+    exponent = row.exponent.resolve(theorem, q, p)
     row.hypothesis.require(fn, iv)
-    bound = _bound(row, fn, iv, exponent, {})
+    ev = getattr(fn, row.hypothesis.derivative)
+    args = (abs(ev(iv.a)), abs(ev(iv.b)))
+    formula = getattr(row.module, row.formula)
+    bound = formula(iv, *args) if exponent is None else formula(iv, *args, exponent)
+    if not math.isfinite(bound):
+        raise _bound_past_range(theorem, iv)
     return BoundReport(row.theorem, fn.id, iv, bound, midpoint_gap(fn, iv), exponent)

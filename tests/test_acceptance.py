@@ -78,7 +78,7 @@ def test_criterion_3_sharpness_for_linear_second_derivative(by_id, mean_at):
     for fid in ("x2", "x3"):
         fn = by_id[fid]
         for _ in range(50):
-            iv = _subinterval(rng, fn.window)
+            iv = _subinterval(rng, fn.window, 0.05 * fn.window.width)
             bound = bound_convex_q1(iv, abs(fn.d2(iv.a)), abs(fn.d2(iv.b)))
             gap = abs(mean_at(fn, iv, 1e-12) - fn.f(iv.midpoint))
             assert bound == pytest.approx(gap, abs=1e-10), (fid, iv)

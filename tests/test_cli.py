@@ -176,6 +176,16 @@ class TestBoundCommand:
         assert proc.returncode == 2
         assert "overflows" in proc.stderr
 
+    @pytest.mark.parametrize("args", [("bound", "sin", "-1e308", "0", "convex_q1"),
+                                      ("certify", "sin", "-1e308", "1.5707963", "1e-6")],
+                             ids=lambda args: " ".join(args))
+    def test_an_endpoint_beyond_half_the_float_range_exits_two(self, args):
+        # a class check's pair midpoint 0.5 * (x + y) of two points near
+        # -1e308 would overflow to -inf, where sin raises a domain error
+        proc = run(*args)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert re.fullmatch(r"hh: interval \[\S+, \S+\] overflows: .*\n", proc.stderr)
+
     @pytest.mark.parametrize("args", [
         ("x3", "1", "2", "quasi_monotone"),
         ("inv_x", "1", "2", "convex_holder", "--p", "3"),

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,16 @@ class TestInterval:
     def test_rejects_interval_whose_arithmetic_overflows(self, a, b):
         with pytest.raises(DomainError, match="overflows"):
             Interval(a, b)
+
+    def test_an_endpoint_may_reach_half_the_float_range_and_no_further(self):
+        # beyond it, two points of the interval can sum past the float range
+        half = sys.float_info.max / 2
+        assert Interval(-half, 0.0).a == -half
+        assert Interval(0.0, half).b == half
+        with pytest.raises(DomainError, match="overflows"):
+            Interval(math.nextafter(-half, -math.inf), 0.0)
+        with pytest.raises(DomainError, match="overflows"):
+            Interval(0.0, math.nextafter(half, math.inf))
 
     def test_rejects_interval_without_interior(self):
         with pytest.raises(DomainError):

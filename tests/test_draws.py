@@ -33,7 +33,7 @@ def test_a_subinterval_is_two_uniform_ends_at_least_a_twentieth_apart(seed, a, w
     window = Interval(a, a + width)
     drawn, reference = random.Random(seed), random.Random(seed)
     for _ in range(20):
-        iv = _subinterval(drawn, window)
+        iv = _subinterval(drawn, window, 0.05 * window.width)
         assert window.a <= iv.a < iv.b <= window.b
         assert iv.width >= 0.05 * window.width
         while True:

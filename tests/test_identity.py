@@ -82,7 +82,8 @@ class TestSymmetricHalf:
         tol = 1e-10
         rng = random.Random(0x5EED_4A1F)
         for fn in catalog:
-            ivs = [fn.window] + [_subinterval(rng, fn.window) for _ in range(50)]
+            ivs = [fn.window] + [_subinterval(rng, fn.window, 0.05 * fn.window.width)
+                                 for _ in range(50)]
             for iv in ivs:
                 got = kernel_weighted_d2_integral(fn, iv, tol)
                 assert abs(got - two_sided_d2_integral(fn, iv, tol)) <= tol, (fn.id, iv)
@@ -120,7 +121,7 @@ class TestResidual:
         rng = random.Random(424242)
         for fn in catalog:
             for _ in range(20):
-                iv = _subinterval(rng, fn.window)
+                iv = _subinterval(rng, fn.window, 0.05 * fn.window.width)
                 assert _residual(fn, iv) < 1e-9, (fn.id, iv)
 
     def test_an_interval_too_narrow_for_the_gap_tolerance(self, catalog):

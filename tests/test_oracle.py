@@ -421,7 +421,8 @@ class TestOnePassPanel:
     def test_it_matches_the_two_list_form_bit_for_bit(self, fid):
         fn = core.catalog_by_id()[fid]
         rng = random.Random(0x9A7E1 + len(fid))
-        spans = [fn.window] + [_subinterval(rng, fn.window) for _ in range(20)]
+        spans = [fn.window] + [_subinterval(rng, fn.window, 0.05 * fn.window.width)
+                               for _ in range(20)]
         for iv in spans:
             for f, span in identity_integrands(fn, iv):
                 # the span's panel, and the two of its first bisection
@@ -852,7 +853,7 @@ class TestHermiteHadamardProperty:
             if min(fn.d2(x) for x in grid) < 0.0:
                 continue
             for _ in range(20):
-                iv = _subinterval(rng, fn.window)
+                iv = _subinterval(rng, fn.window, 0.05 * fn.window.width)
                 mid = fn.f(iv.midpoint)
                 mv = mean_at(fn, iv, 1e-11)
                 ends = 0.5 * (fn.f(iv.a) + fn.f(iv.b))
